@@ -16,6 +16,7 @@ from .errors import (
     GenerationFailure,
     KOutOfRange,
     NoGap,
+    NonFinite,
     NonSymmetric,
     NotPositiveDefinite,
     SingularSchur,
@@ -70,7 +71,7 @@ __all__ = [
     "DiracSpec", "ApsSpec", "RandomSpec", "build_dirac_coulomb",
     "analytic_dirac_energy", "build_aps_cylinder", "aps_sigma_min",
     "hardy_check", "random_gapped",
-    "GapeigError", "NonSymmetric", "BadSplit", "EigFailure",
+    "GapeigError", "NonFinite", "NonSymmetric", "BadSplit", "EigFailure",
     "NotPositiveDefinite", "KOutOfRange", "ZeroVector", "BracketFailure",
     "SingularSchur", "NoGap", "SpecInvalid", "GenerationFailure", "ConfigParse",
     "__version__",

@@ -18,17 +18,26 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadSplit, EigFailure, NonSymmetric
+from .errors import BadSplit, EigFailure, NonFinite, NonSymmetric
 
 SYMMETRY_RTOL = 1e-13
 INPUT_SYMMETRY_RTOL = 1e-12
+
+
+def _check_finite(m: np.ndarray, what: str) -> float:
+    """Frobenius norm of m, rejecting NaN and inf entries, which slip past every comparison."""
+    norm = np.linalg.norm(m)
+    # one BLAS pass; a norm that overflows on finite entries is rechecked entrywise
+    if not np.isfinite(norm) and not np.isfinite(m).all():
+        raise NonFinite(f"block {what} has non-finite entries (NaN or inf)")
+    return norm
 
 
 def _check_symmetric(m: np.ndarray, rtol: float, what: str) -> np.ndarray:
     """Return the symmetrized copy of m, rejecting asymmetry beyond rtol*||m||."""
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NonSymmetric(f"{what} must be square, got shape {m.shape}")
-    scale = np.linalg.norm(m)
+    scale = _check_finite(m, what)
     defect = np.linalg.norm(m - m.T)
     if defect > rtol * scale:
         raise NonSymmetric(
@@ -41,9 +50,10 @@ def _check_symmetric(m: np.ndarray, rtol: float, what: str) -> np.ndarray:
 class BlockOperator:
     """Immutable 2x2 block realization of a symmetric operator with a gap.
 
-    Construction symmetrizes p and amm (inputs within 1e-13 relative asymmetry
-    are accepted, anything worse is rejected) and freezes all three arrays, so
-    instances are safe to share read-only across parallel workers.
+    Construction rejects non-finite entries, symmetrizes p and amm (inputs
+    within 1e-13 relative asymmetry are accepted, anything worse is rejected)
+    and freezes all three arrays, so instances are safe to share read-only
+    across parallel workers.
     """
 
     p: np.ndarray
@@ -58,6 +68,7 @@ class BlockOperator:
         p = _check_symmetric(np.asarray(self.p, dtype=float), SYMMETRY_RTOL, "p")
         amm = _check_symmetric(np.asarray(self.amm, dtype=float), SYMMETRY_RTOL, "amm")
         c = np.asarray(self.c, dtype=float)
+        _check_finite(c, "c")
         n_plus, n_minus = p.shape[0], amm.shape[0]
         if n_plus < 1 or n_minus < 1:
             raise BadSplit("both blocks must be at least 1x1")
@@ -88,37 +99,40 @@ class BlockOperator:
 class GapData:
     """Gap endpoints and their validity certificate.
 
-    valid is true exactly when lambda0 sits strictly below lambda1 with a
-    1e-12 relative margin. diagnostic carries the failure reason when the
-    lambda1 root search could not certify a gap (lambda1 is NaN then).
+    diagnostic carries the failure reason when the lambda1 root search could
+    not certify a gap (lambda1 is NaN then).
     """
 
     lambda0: float
     lambda1: float
-    valid: bool
     diagnostic: str = ""
 
-    def __post_init__(self) -> None:
+    @property
+    def valid(self) -> bool:
+        """lambda0 sits strictly below lambda1 with a 1e-12 relative margin."""
         margin = 1e-12 * max(1.0, abs(self.lambda1))
-        expect = bool(self.lambda0 < self.lambda1 - margin)
-        if self.valid != expect:
-            object.__setattr__(self, "valid", expect)
+        return bool(self.lambda0 < self.lambda1 - margin)
 
 
 def assemble_block(full: np.ndarray, n_plus: int) -> BlockOperator:
     """Split a dense symmetric matrix into a BlockOperator at row/column n_plus.
 
     The leading n_plus x n_plus principal block becomes p, the trailing block
-    amm, and the lower-left rectangle c. Input asymmetry beyond 1e-12 relative
-    is rejected; within tolerance the matrix is symmetrized first.
+    amm, and the lower-left rectangle c. Non-finite entries are rejected with
+    the block they sit in, input asymmetry beyond 1e-12 relative likewise;
+    within tolerance the matrix is symmetrized first.
     """
     full = np.asarray(full, dtype=float)
     if full.ndim != 2 or full.shape[0] != full.shape[1] or full.shape[0] < 2:
         raise NonSymmetric(f"need a square matrix of size >= 2, got shape {full.shape}")
-    full = _check_symmetric(full, INPUT_SYMMETRY_RTOL, "input matrix")
     size = full.shape[0]
     if not 1 <= n_plus < size:
         raise BadSplit(f"n_plus must lie in [1, {size - 1}], got {n_plus}")
+    upper, lower = slice(None, n_plus), slice(n_plus, None)
+    for what, rows, cols in (("p", upper, upper), ("c", lower, upper),
+                             ("c.T", upper, lower), ("amm", lower, lower)):
+        _check_finite(full[rows, cols], what)
+    full = _check_symmetric(full, INPUT_SYMMETRY_RTOL, "input matrix")
     return BlockOperator(
         p=full[:n_plus, :n_plus],
         c=full[n_plus:, :n_plus],

@@ -23,7 +23,7 @@ import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -42,7 +42,6 @@ from .models import (
     random_gapped,
 )
 from .oracle import dense_spectrum, gap_eigs_bruteforce
-from .schur import cached_lambda0, q_value_and_slope
 from .verify import (
     VerificationReport,
     decomposition_residual,
@@ -51,6 +50,7 @@ from .verify import (
     gap_fractions,
     inverse_formula_check,
     krein_gap_check,
+    sandwich_report,
 )
 
 CSV_HEADER = "model,grid,k,lambda_k,multiplicity,oracle,abs_error,residual,ms"
@@ -120,15 +120,19 @@ class ReportRow:
         object.__setattr__(self, "abs_error", err)
 
 
-def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
+def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
-        raw = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigParse(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+
+
+def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:
+    raw = _read_json(path)
     if not isinstance(raw, dict):
         raise ConfigParse(f"{path}: config must be a JSON object")
     return config_from_dict(raw, overrides)
@@ -186,14 +190,7 @@ def _dense_oracle(op: BlockOperator, k_max: int) -> dict[int, float]:
 
 
 def _load_matrix_file(path: str) -> BlockOperator:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigParse(
-            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
+    raw = _read_json(path)
     if not isinstance(raw, dict) or "matrix" not in raw or "n_plus" not in raw:
         raise ConfigParse(f'{path}: expected an object with "matrix" and "n_plus"')
     return assemble_block(np.asarray(raw["matrix"], dtype=float), int(raw["n_plus"]))
@@ -223,8 +220,7 @@ def _units(config: ExperimentConfig) -> list[_Unit]:
         )
         grids = config.grids or (base.n,)
         for n in grids:
-            dspec = DiracSpec(nu=base.nu, kappa=base.kappa, n=int(n),
-                              r_max=base.r_max, grading=base.grading)
+            dspec = replace(base, n=int(n))
             model_id = (f"dirac(nu={dspec.nu:g},kappa={dspec.kappa},"
                         f"r_max={dspec.r_max:g},grading={dspec.grading})")
             units.append(_Unit(model_id, int(n), build_dirac_coulomb(dspec),
@@ -237,7 +233,7 @@ def _units(config: ExperimentConfig) -> list[_Unit]:
         )
         grids = config.grids or (base.n,)
         for n in grids:
-            aspec = ApsSpec(modes=base.modes, length_l=base.length_l, n=int(n))
+            aspec = replace(base, n=int(n))
             model_id = f"aps(modes={list(aspec.modes)},L={aspec.length_l:g})"
             units.append(_Unit(model_id, int(n), build_aps_cylinder(aspec),
                                _aps_oracle(aspec, config.k_max), aspec))
@@ -282,15 +278,20 @@ def _solve_unit(unit: _Unit, config: ExperimentConfig) -> list[ReportRow]:
     return rows
 
 
-def run(config: ExperimentConfig, jobs: int = 1) -> list[ReportRow]:
-    """Solve every work unit of the config; rows come back sorted by (grid, k)."""
+def _map_units(work, config: ExperimentConfig, jobs: int) -> list:
+    """work(unit, config) over every unit of the config, results concatenated in unit order."""
     units = _units(config)
     if jobs > 1 and len(units) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(lambda u: _solve_unit(u, config), units))
+            chunks = list(pool.map(lambda u: work(u, config), units))
     else:
-        chunks = [_solve_unit(u, config) for u in units]
-    rows = [row for chunk in chunks for row in chunk]
+        chunks = [work(u, config) for u in units]
+    return [item for chunk in chunks for item in chunk]
+
+
+def run(config: ExperimentConfig, jobs: int = 1) -> list[ReportRow]:
+    """Solve every work unit of the config; rows come back sorted by (grid, k)."""
+    rows = _map_units(_solve_unit, config, jobs)
     return sorted(rows, key=lambda r: (r.grid, r.model, r.k))
 
 
@@ -298,45 +299,6 @@ def row_failed(row: ReportRow, tol: float) -> bool:
     if not math.isfinite(row.lambda_k):
         return True
     return row.residual > max(tol, 1e-10 * max(1.0, abs(row.lambda_k)))
-
-
-def _sandwich_report(op: BlockOperator, seed: int, n_samples: int = 50) -> list[VerificationReport]:
-    """Sampled two-sided energy-monotonicity and norm-chain inequalities."""
-    rng = np.random.default_rng(seed)
-    lam0 = cached_lambda0(op)
-    worst_sandwich = -math.inf
-    worst_chain = -math.inf
-    for _ in range(n_samples):
-        x = rng.standard_normal(op.n_plus)
-        e_lo, e_hi = np.sort(lam0 + 10.0 ** rng.uniform(-2.0, 2.0, 2))
-        if e_hi - e_lo < 1e-12:
-            e_hi = e_lo + 1e-6
-        q_lo, slope_lo = q_value_and_slope(op, e_lo, x)
-        q_hi, slope_hi = q_value_and_slope(op, e_hi, x)
-        norm_lo_sq, norm_hi_sq = -slope_lo, -slope_hi
-        scale = max(1.0, abs(q_lo), abs(q_hi))
-        gap = e_hi - e_lo
-        lower = q_hi + gap * norm_hi_sq - q_lo
-        upper = q_lo - (q_hi + gap * norm_lo_sq)
-        worst_sandwich = max(worst_sandwich, lower / scale, upper / scale)
-
-        norm = math.sqrt(float(x @ x))
-        norm_hi = math.sqrt(norm_hi_sq)
-        norm_lo = math.sqrt(norm_lo_sq)
-        bound = (e_hi - lam0) / (e_lo - lam0) * norm_hi
-        nscale = max(1.0, norm_lo)
-        worst_chain = max(
-            worst_chain,
-            (norm - norm_hi) / nscale,
-            (norm_hi - norm_lo) / nscale,
-            (norm_lo - bound) / nscale,
-        )
-    return [
-        VerificationReport("sandwich", worst_sandwich, worst_sandwich <= 1e-10,
-                           {"n_samples": n_samples, "seed": seed}),
-        VerificationReport("norm_chain", worst_chain, worst_chain <= 1e-10,
-                           {"n_samples": n_samples, "seed": seed}),
-    ]
 
 
 def _verify_unit(unit: _Unit, config: ExperimentConfig) -> list[VerificationReport]:
@@ -366,7 +328,7 @@ def _verify_unit(unit: _Unit, config: ExperimentConfig) -> list[VerificationRepo
     reports.append(VerificationReport(
         krein.check, krein.value, krein.passed,
         {**krein.params, "model": unit.model_id}))
-    reports.extend(_sandwich_report(op, seed=config.seed))
+    reports.extend(sandwich_report(op, seed=config.seed))
     if config.kind == "dirac" and unit.spec is not None:
         reports.append(hardy_check(unit.spec.nu, unit.spec.n, unit.spec.r_max))
     return reports
@@ -374,13 +336,7 @@ def _verify_unit(unit: _Unit, config: ExperimentConfig) -> list[VerificationRepo
 
 def verify_all(config: ExperimentConfig, jobs: int = 1) -> list[VerificationReport]:
     """Run the full identity/inequality suite over every work unit of the config."""
-    units = _units(config)
-    if jobs > 1 and len(units) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(lambda u: _verify_unit(u, config), units))
-    else:
-        chunks = [_verify_unit(u, config) for u in units]
-    return [rep for chunk in chunks for rep in chunk]
+    return _map_units(_verify_unit, config, jobs)
 
 
 def _fmt(value: float | None) -> str:
@@ -401,22 +357,19 @@ def rows_to_csv(rows: list[ReportRow]) -> str:
     return buf.getvalue()
 
 
-def _row_dict(r: ReportRow) -> dict:
-    return {
-        "model": r.model, "grid": r.grid, "k": r.k, "lambda_k": r.lambda_k,
-        "multiplicity": r.multiplicity, "oracle": r.oracle,
-        "abs_error": r.abs_error, "residual": r.residual, "ms": r.ms,
-    }
-
-
-def rows_to_json(rows: list[ReportRow], config: ExperimentConfig) -> str:
+def _json_doc(rows: list, config: ExperimentConfig | None) -> str:
+    """The JSON envelope of both report kinds: one object per row, fields in order."""
     doc = {
         "schema": 1,
         "version": __version__,
-        "config": config.echo(),
-        "rows": [_row_dict(r) for r in rows],
+        "config": config.echo() if config is not None else None,
+        "rows": [asdict(r) for r in rows],
     }
-    return json.dumps(doc, indent=2, allow_nan=True) + "\n"
+    return json.dumps(doc, indent=2, default=str, allow_nan=True) + "\n"
+
+
+def rows_to_json(rows: list[ReportRow], config: ExperimentConfig) -> str:
+    return _json_doc(rows, config)
 
 
 def reports_to_csv(reports: list[VerificationReport]) -> str:
@@ -432,17 +385,7 @@ def reports_to_csv(reports: list[VerificationReport]) -> str:
 
 
 def reports_to_json(reports: list[VerificationReport], config: ExperimentConfig | None) -> str:
-    doc = {
-        "schema": 1,
-        "version": __version__,
-        "config": config.echo() if config is not None else None,
-        "rows": [
-            {"check": rep.check, "value": rep.value, "passed": rep.passed,
-             "params": rep.params}
-            for rep in reports
-        ],
-    }
-    return json.dumps(doc, indent=2, default=str, allow_nan=True) + "\n"
+    return _json_doc(reports, config)
 
 
 def _emit(text: str, out: str | None, quiet: bool, summary: str) -> None:
@@ -468,46 +411,39 @@ def _cmd_spectrum(args: argparse.Namespace, require_grids: bool = False) -> int:
     return 1 if failed else 0
 
 
+def _emit_reports(reports: list[VerificationReport], config: ExperimentConfig | None,
+                  args: argparse.Namespace, summary: str | None = None) -> int:
+    """Write check reports where the config (or, without one, the flags) says; count failures."""
+    fmt = config.fmt if config else (args.format or "csv")
+    text = reports_to_csv(reports) if fmt == "csv" else reports_to_json(reports, config)
+    failed = sum(not rep.passed for rep in reports)
+    _emit(text, config.out if config else args.out, args.quiet,
+          summary or f"{len(reports)} checks, {failed} failed")
+    return failed
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     config = load_config(args.config, {"out": args.out, "format": args.format})
-    reports = verify_all(config, jobs=args.jobs)
-    text = (reports_to_csv(reports) if config.fmt == "csv"
-            else reports_to_json(reports, config))
-    failed = sum(not rep.passed for rep in reports)
-    _emit(text, config.out, args.quiet, f"{len(reports)} checks, {failed} failed")
-    return 1 if failed else 0
+    return 1 if _emit_reports(verify_all(config, jobs=args.jobs), config, args) else 0
 
 
 def _cmd_hardy(args: argparse.Namespace) -> int:
-    if args.config:
-        config = load_config(args.config, {"out": args.out, "format": args.format})
-        spec = config.spec
-    else:
-        config = None
-        spec = {}
+    config = (load_config(args.config, {"out": args.out, "format": args.format})
+              if args.config else None)
+    spec = config.spec if config else {}
     nu_values = spec.get("nu_values", [0.0, 0.5, 0.9, 1.0])
     n = int(spec.get("n", 1500))
     r_max = float(spec.get("r_max", 30.0))
     reports = [hardy_check(float(nu), n, r_max) for nu in nu_values]
-    fmt = config.fmt if config else (args.format or "csv")
-    out = config.out if config else args.out
-    text = reports_to_csv(reports) if fmt == "csv" else reports_to_json(reports, config)
-    failed = sum(not rep.passed for rep in reports)
-    _emit(text, out, args.quiet, f"{len(reports)} checks, {failed} failed")
-    return 1 if failed else 0
+    return 1 if _emit_reports(reports, config, args) else 0
 
 
 def _cmd_pollution(args: argparse.Namespace) -> int:
-    if args.config:
-        config = load_config(args.config, {"out": args.out, "format": args.format})
-        spec = config.spec
-        grids = list(config.grids) if config.grids else [600, 1200]
-        tol = config.tol
-    else:
-        config = None
-        spec = {}
-        grids = [600, 1200]
-        tol = 1e-10
+    config = (load_config(args.config, {"out": args.out, "format": args.format})
+              if args.config else None)
+    spec = config.spec if config else {}
+    grids = list(config.grids) if config and config.grids else [600, 1200]
+    tol = config.tol if config else 1e-10
     nu = float(spec.get("nu", 0.9))
     kappa = int(spec.get("kappa", -1))
     r_max = float(spec.get("r_max", 30.0))
@@ -552,12 +488,9 @@ def _cmd_pollution(args: argparse.Namespace) -> int:
          "so the window stays stable by construction"},
     ))
 
-    fmt = config.fmt if config else (args.format or "csv")
-    out = config.out if config else args.out
-    text = reports_to_csv(reports) if fmt == "csv" else reports_to_json(reports, config)
     stable = drift <= 5e-3
-    _emit(text, out, args.quiet,
-          f"lambda1 drift {drift:.3e} ({'stable' if stable else 'unstable'})")
+    _emit_reports(reports, config, args,
+                  f"lambda1 drift {drift:.3e} ({'stable' if stable else 'unstable'})")
     return 0 if stable else 1
 
 

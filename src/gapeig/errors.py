@@ -9,6 +9,10 @@ class NonSymmetric(GapeigError):
     """Input matrix fails the relative symmetry check."""
 
 
+class NonFinite(GapeigError):
+    """Input block holds a NaN or infinite entry."""
+
+
 class BadSplit(GapeigError):
     """Block split index out of range for the given matrix."""
 

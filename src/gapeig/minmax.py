@@ -20,24 +20,25 @@ eps*||A||.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .blockop import BlockOperator, GapData
 from .errors import BracketFailure, KOutOfRange, ZeroVector
+from .oracle import CLUSTER_RTOL
 from .schur import (
-    apply_l,
+    GAP_EDGE_MARGIN,
+    SchurSystem,
+    build_schur,
     cached_lambda0,
     mu_k,
-    mu_k_with_vector,
-    pencil_values_in_band,
+    phi_form,
     q_value_and_slope,
 )
 
 LEFT_EDGE_REL = 1e-8
 DEFAULT_LAMBDA_MAX_OFFSET = 1e12
-CLUSTER_RTOL = 1e-8
 MAX_ROOT_ITERATIONS = 120
 
 _LEFT_EDGE_MSG = (
@@ -78,44 +79,39 @@ def energy_of_vector(op: BlockOperator, x: np.ndarray, lam_max: float | None = N
     if lam_max is None:
         lam_max = lam0 + DEFAULT_LAMBDA_MAX_OFFSET
 
-    def q(e: float) -> tuple[float, float]:
-        return q_value_and_slope(op, e, x)
-
     lo = _left_edge(lam0)
-    q_lo, _ = q(lo)
+    q_lo, slope_lo = q_value_and_slope(op, lo, x)
     if q_lo <= 0.0:
         raise BracketFailure(_LEFT_EDGE_MSG)
     # double the step until the form turns negative
-    hi = None
     step = 1.0
     while True:
         probe = lam0 + step
         if probe > lam_max:
             raise BracketFailure(_CEILING_MSG.format(lam_max))
-        q_probe, _ = q(probe)
+        q_probe, slope_probe = q_value_and_slope(op, probe, x)
         if q_probe < 0.0:
             hi = probe
             break
-        lo, q_lo = probe, q_probe
+        lo, q_lo, slope_lo = probe, q_probe, slope_probe
         step *= 2.0
 
     # Newton from the positive side; q is convex and decreasing in E, so the
     # iterates approach the root monotonically and the bisection safeguard
     # only fires on roundoff stalls
-    e, q_e = lo, q_lo
+    e, q_e, slope = lo, q_lo, slope_lo
     for _ in range(MAX_ROOT_ITERATIONS):
         if abs(q_e) <= 1e-12 * norm2 * max(1.0, abs(e)):
             return e
-        _, slope = q(e)
         candidate = e - q_e / slope
         if not lo < candidate < hi:
             candidate = 0.5 * (lo + hi)
-        q_c, _ = q(candidate)
+        q_c, slope_c = q_value_and_slope(op, candidate, x)
         if q_c > 0.0:
-            lo, q_lo = candidate, q_c
+            lo = candidate
         else:
             hi = candidate
-        e, q_e = candidate, q_c
+        e, q_e, slope = candidate, q_c, slope_c
         if hi - lo <= 4.0 * np.finfo(float).eps * max(1.0, abs(hi)):
             return e
     return e
@@ -175,15 +171,14 @@ def _polish_root(op: BlockOperator, lam: float, k: int) -> float:
 
     With x the pencil eigenvector at lam and z = x + l_lam x, the quotient
     equals lam + mu_k(lam) exactly, and its floating-point error scales with
-    ||A|| instead of ||K_lam||.
+    ||A|| instead of ||K_lam||. A quotient at or below the pencil's edge rule
+    is not a valid energy; lam is kept then.
     """
-    _, x = mu_k_with_vector(op, lam, k)
-    y = apply_l(op, lam, x)
-    num = x @ (op.p @ x) + 2.0 * (y @ (op.c @ x)) + y @ (op.amm @ y)
-    den = x @ x + y @ y
-    rho = float(num / den)
-    lam0 = cached_lambda0(op)
-    return rho if rho > lam0 else lam
+    system = build_schur(op, lam)
+    _, x = system.vector(k)
+    y = system.lift(x)
+    rho = phi_form(op, 0.0, x, y) / float(x @ x + y @ y)
+    return rho if rho > cached_lambda0(op) + GAP_EDGE_MARGIN else lam
 
 
 def lambda_k(op: BlockOperator, k: int, tol: float = 1e-10,
@@ -204,27 +199,39 @@ def lambda_k(op: BlockOperator, k: int, tol: float = 1e-10,
     lo, mu_lo, hi, mu_hi, n_bracket = _bracket_root(op, k, lo, mu_lo, lam0, lam_max)
     lam, _, n_refine, a, b = _refine_root(op, k, lo, mu_lo, hi, mu_hi, tol)
     lam = _polish_root(op, lam, k)
-    residual = abs(mu_k(op, lam, k))
-    mult = _multiplicity_at(op, lam, k)
+    system = build_schur(op, lam)
     return MinMaxResult(
         k=k,
         lambda_k=lam,
-        multiplicity=mult,
-        residual=residual,
+        multiplicity=_multiplicity_at(system),
+        residual=abs(system.value(k)),
         iterations=n_bracket + n_refine + 1,
         bracket=(a, b),
     )
 
 
-def _multiplicity_at(op: BlockOperator, lam: float, k: int) -> int:
+def _multiplicity_at(system: SchurSystem) -> int:
     """Count pencil levels within the cluster tolerance of a root.
 
     Near a root every level moves with slope -1 in lam, so levels within
     1e-8*max(1, |lam|) of zero correspond to eigenvalues within the value
     clustering tolerance of lam.
     """
-    band = CLUSTER_RTOL * max(1.0, abs(lam))
-    return max(1, len(pencil_values_in_band(op, lam, band)))
+    band = CLUSTER_RTOL * max(1.0, abs(system.e))
+    return max(1, len(system.values_in_band(band)))
+
+
+def _siblings(op: BlockOperator, res: MinMaxResult, k_max: int,
+              tol: float) -> list[MinMaxResult]:
+    """Levels after res.k that the same root already solves: |mu_j| <= tol there."""
+    siblings: list[MinMaxResult] = []
+    system = build_schur(op, res.lambda_k)
+    for j in range(res.k + 1, k_max + 1):
+        mu_j = system.value(j)
+        if abs(mu_j) > tol:
+            break
+        siblings.append(replace(res, k=j, residual=abs(mu_j), iterations=0))
+    return siblings
 
 
 def gap_spectrum(op: BlockOperator, k_max: int, tol: float = 1e-10,
@@ -253,18 +260,9 @@ def gap_spectrum(op: BlockOperator, k_max: int, tol: float = 1e-10,
             k += 1
             continue
         results[k] = res
-        # converged siblings of this root need no independent solve
-        j = k + 1
-        while j <= k_max:
-            mu_j = mu_k(op, res.lambda_k, j)
-            if abs(mu_j) > tol:
-                break
-            results[j] = MinMaxResult(
-                k=j, lambda_k=res.lambda_k, multiplicity=res.multiplicity,
-                residual=abs(mu_j), iterations=0, bracket=res.bracket,
-            )
-            j += 1
-        k = j
+        siblings = _siblings(op, res, k_max, tol)
+        results.update((sib.k, sib) for sib in siblings)
+        k += 1 + len(siblings)
 
     ordered = [results[i] for i in range(1, k_max + 1)]
     solved = [r.lambda_k for r in ordered if r.status == "ok"]
@@ -272,11 +270,8 @@ def gap_spectrum(op: BlockOperator, k_max: int, tol: float = 1e-10,
         ceiling = max(solved)
         band = CLUSTER_RTOL * max(1.0, abs(ceiling))
         ordered = [
-            r if r.status != "ok" else MinMaxResult(
-                k=r.k, lambda_k=r.lambda_k, multiplicity=r.multiplicity,
-                residual=r.residual, iterations=r.iterations, bracket=r.bracket,
-                status=r.status, at_ceiling=bool(abs(r.lambda_k - ceiling) <= band),
-            )
+            r if r.status != "ok" else
+            replace(r, at_ceiling=bool(abs(r.lambda_k - ceiling) <= band))
             for r in ordered
         ]
     return ordered
@@ -288,5 +283,5 @@ def lambda1_certificate(op: BlockOperator) -> GapData:
     try:
         lam1 = lambda_k(op, 1, 1e-10).lambda_k
     except BracketFailure as exc:
-        return GapData(lambda0=lam0, lambda1=math.nan, valid=False, diagnostic=str(exc))
-    return GapData(lambda0=lam0, lambda1=lam1, valid=lam0 < lam1)
+        return GapData(lambda0=lam0, lambda1=math.nan, diagnostic=str(exc))
+    return GapData(lambda0=lam0, lambda1=lam1)

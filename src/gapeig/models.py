@@ -22,7 +22,7 @@ import numpy as np
 from .blockop import BlockOperator
 from .errors import GenerationFailure, SpecInvalid
 from .minmax import lambda1_certificate
-from .schur import mu_k
+from .schur import build_schur
 from .verify import VerificationReport
 
 GRADING_THRESHOLD = 0.7  # quadratic grading resolves the origin above this coupling
@@ -185,7 +185,7 @@ def hardy_check(nu: float, n: int, r_max: float) -> VerificationReport:
     """
     spec = DiracSpec(nu=nu, kappa=-1, n=n, r_max=r_max)
     op = build_dirac_coulomb(spec)
-    smallest = mu_k(op, 0.0, 1)
+    smallest = build_schur(op, 0.0).value(1)
     return VerificationReport(
         check="hardy",
         value=smallest,

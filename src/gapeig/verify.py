@@ -8,6 +8,7 @@ tolerances means a wiring bug, not a math failure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,7 +17,7 @@ import scipy.linalg as sla
 from .blockop import BlockOperator
 from .errors import NoGap, SingularSchur
 from .minmax import lambda1_certificate
-from .schur import build_schur, cached_lambda0, mu_k
+from .schur import build_schur, cached_lambda0
 
 SINGULAR_RTOL = 1e-12
 
@@ -109,12 +110,12 @@ def inverse_formula_check(op: BlockOperator, e: float) -> float:
     Valid only strictly inside the gap, where k_e is invertible; at or
     beyond lambda1 the Schur matrix is singular and SingularSchur is raised.
     """
-    mu1 = mu_k(op, e, 1)
+    system = build_schur(op, e)
+    mu1 = system.value(1)
     if mu1 <= SINGULAR_RTOL * max(1.0, abs(e)):
         raise SingularSchur(
             f"k_e singular or indefinite at e={e}: smallest pencil value {mu1:.3e}"
         )
-    system = build_schur(op, e)
     kinv = sla.inv(system.k_e, check_finite=False)
     kinv = (kinv + kinv.T) / 2.0
     bpe_inv = sla.inv(-op.amm + e * np.eye(op.n_minus), check_finite=False)
@@ -125,6 +126,46 @@ def inverse_formula_check(op: BlockOperator, e: float) -> float:
     ])
     shifted = op.assembled() - e * np.eye(op.dim)
     return float(np.linalg.norm(r_inv @ shifted - np.eye(op.dim)))
+
+
+def sandwich_report(op: BlockOperator, seed: int,
+                    n_samples: int = 50) -> list[VerificationReport]:
+    """Sampled two-sided energy-monotonicity and norm-chain inequalities."""
+    rng = np.random.default_rng(seed)
+    lam0 = cached_lambda0(op)
+    worst_sandwich = -math.inf
+    worst_chain = -math.inf
+    for _ in range(n_samples):
+        x = rng.standard_normal(op.n_plus)
+        e_lo, e_hi = np.sort(lam0 + 10.0 ** rng.uniform(-2.0, 2.0, 2))
+        if e_hi - e_lo < 1e-12:
+            e_hi = e_lo + 1e-6
+        q_lo, slope_lo = build_schur(op, e_lo).form(x)
+        q_hi, slope_hi = build_schur(op, e_hi).form(x)
+        norm_lo_sq, norm_hi_sq = -slope_lo, -slope_hi
+        scale = max(1.0, abs(q_lo), abs(q_hi))
+        gap = e_hi - e_lo
+        lower = q_hi + gap * norm_hi_sq - q_lo
+        upper = q_lo - (q_hi + gap * norm_lo_sq)
+        worst_sandwich = max(worst_sandwich, lower / scale, upper / scale)
+
+        norm = math.sqrt(float(x @ x))
+        norm_hi = math.sqrt(norm_hi_sq)
+        norm_lo = math.sqrt(norm_lo_sq)
+        bound = (e_hi - lam0) / (e_lo - lam0) * norm_hi
+        nscale = max(1.0, norm_lo)
+        worst_chain = max(
+            worst_chain,
+            (norm - norm_hi) / nscale,
+            (norm_hi - norm_lo) / nscale,
+            (norm_lo - bound) / nscale,
+        )
+    return [
+        VerificationReport("sandwich", worst_sandwich, worst_sandwich <= 1e-10,
+                           {"n_samples": n_samples, "seed": seed}),
+        VerificationReport("norm_chain", worst_chain, worst_chain <= 1e-10,
+                           {"n_samples": n_samples, "seed": seed}),
+    ]
 
 
 def e_samples(op: BlockOperator, lambda1: float | None = None) -> list[float]:

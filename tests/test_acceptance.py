@@ -35,9 +35,8 @@ from gapeig import (
     lambda1_certificate,
     lambda_k,
 )
-from gapeig.cli import _sandwich_report
 from gapeig.schur import q_e_form, q_value_and_slope
-from gapeig.verify import e_samples, gap_fractions
+from gapeig.verify import e_samples, gap_fractions, sandwich_report
 
 GROUND_STATE = math.sqrt(3.0) / 2.0
 
@@ -97,7 +96,7 @@ def test_criterion_03_sandwich_and_norm_chain(campaign_ops, capsys):
     worst_chain = -math.inf
     samples = 0
     for i, op in enumerate(campaign_ops[:20]):
-        sandwich, chain = _sandwich_report(op, seed=1000 + i, n_samples=50)
+        sandwich, chain = sandwich_report(op, seed=1000 + i, n_samples=50)
         worst_sandwich = max(worst_sandwich, sandwich.value)
         worst_chain = max(worst_chain, chain.value)
         samples += 50

@@ -6,6 +6,7 @@ from gapeig import (
     BadSplit,
     BlockOperator,
     GapData,
+    NonFinite,
     NonSymmetric,
     assemble_block,
     b_matrix,
@@ -40,6 +41,34 @@ def test_assemble_three_by_three():
 def test_assemble_rejects_asymmetry():
     with pytest.raises(NonSymmetric):
         assemble_block(np.array([[0.0, 1.0], [2.0, 0.0]]), 1)
+
+
+BAD_VALUES = (np.nan, np.inf, -np.inf)
+
+
+@pytest.mark.parametrize("bad", BAD_VALUES)
+@pytest.mark.parametrize("block", ("p", "c", "amm"))
+def test_operator_rejects_non_finite(block, bad):
+    blocks = {"p": np.eye(2), "c": np.ones((3, 2)), "amm": -np.eye(3)}
+    blocks[block][0, 0] = bad
+    with pytest.raises(NonFinite, match=f"block {block} "):
+        BlockOperator(**blocks)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_operator_accepts_entries_whose_norm_overflows():
+    op = BlockOperator(p=1e200 * np.eye(2), c=np.ones((3, 2)), amm=-1e200 * np.eye(3))
+    assert op.p[0, 0] == 1e200 and op.amm[0, 0] == -1e200
+
+
+@pytest.mark.parametrize("bad", BAD_VALUES)
+@pytest.mark.parametrize("block,entry", (("p", (0, 0)), ("c", (2, 1)),
+                                          ("c.T", (1, 2)), ("amm", (3, 3))))
+def test_assemble_rejects_non_finite(block, entry, bad):
+    full = np.diag([1.0, 2.0, -1.0, -2.0])
+    full[entry] = bad
+    with pytest.raises(NonFinite, match=f"block {block.replace('.', '[.]')} "):
+        assemble_block(full, 2)
 
 
 def test_assemble_rejects_bad_split():
@@ -124,8 +153,6 @@ def test_shifted_lower_block_positive_definite(campaign_ops):
 
 
 def test_gapdata_validity_margin():
-    assert GapData(lambda0=0.0, lambda1=1.0, valid=True).valid
-    assert not GapData(lambda0=0.0, lambda1=5e-13, valid=True).valid
-    assert not GapData(lambda0=0.0, lambda1=float("nan"), valid=False).valid
-    forced = GapData(lambda0=0.0, lambda1=1.0, valid=False)
-    assert forced.valid
+    assert GapData(lambda0=0.0, lambda1=1.0).valid
+    assert not GapData(lambda0=0.0, lambda1=5e-13).valid
+    assert not GapData(lambda0=0.0, lambda1=float("nan")).valid

@@ -192,6 +192,15 @@ class TestMain:
         assert code == 2
         assert "file not found" in capsys.readouterr().err
 
+    def test_non_finite_matrix_file_exits_two(self, tmp_path, capsys):
+        matrix = tmp_path / "nan.json"
+        matrix.write_text('{"matrix": [[1.0, NaN], [NaN, -1.0]], "n_plus": 1}',
+                          encoding="utf-8")
+        cfg = _write(tmp_path / "cfg.json",
+                     {"kind": "matrix-file", "spec": {"path": str(matrix)}})
+        assert main(["spectrum", "--config", cfg, "--quiet"]) == 2
+        assert "block c has non-finite entries" in capsys.readouterr().err
+
     def test_malformed_config_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{", encoding="utf-8")

@@ -6,9 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapeig import (
+    ApsSpec,
+    DiracSpec,
     KOutOfRange,
     NotPositiveDefinite,
     RandomSpec,
+    SchurSystem,
+    build_aps_cylinder,
+    build_dirac_coulomb,
     build_schur,
     dense_spectrum,
     lambda0,
@@ -18,7 +23,13 @@ from gapeig import (
     random_gapped,
     resolvent_apply,
 )
-from gapeig.schur import apply_l, q_value_and_slope
+from gapeig.schur import (
+    GAP_EDGE_MARGIN,
+    apply_l,
+    mu_k_with_vector,
+    pencil_values_in_band,
+    q_value_and_slope,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -69,6 +80,88 @@ def test_build_schur_decoupled(decoupled23):
 def test_build_schur_requires_margin(canonical):
     with pytest.raises(NotPositiveDefinite):
         build_schur(canonical, -1.0 + 1e-11)
+
+
+# one operator per lower-block structure: zero (the rational c.T c path),
+# diagonal, and dense (Cholesky)
+STRUCTURES = {
+    "aps-zero": lambda: build_aps_cylinder(ApsSpec(modes=(0.0, 2.0), length_l=1.0, n=8)),
+    "dirac-diagonal": lambda: build_dirac_coulomb(DiracSpec(nu=0.5, kappa=-1, n=20,
+                                                            r_max=10.0)),
+    "random-dense": lambda: random_gapped(RandomSpec(n_plus=6, n_minus=9, seed=3)),
+}
+
+
+@pytest.fixture(params=sorted(STRUCTURES))
+def structured_op(request):
+    return STRUCTURES[request.param]()
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / max(1.0, np.linalg.norm(b))
+
+
+@pytest.mark.parametrize("offset", (1e-3, 0.7, 40.0))
+def test_pencil_matches_dense_reference(structured_op, offset):
+    op = structured_op
+    e = lambda0(op) + offset
+    l_ref = np.linalg.solve(-op.amm + e * np.eye(op.n_minus), op.c)
+    k_ref = op.p - e * np.eye(op.n_plus) + op.c.T @ l_ref
+    m_ref = np.eye(op.n_plus) + l_ref.T @ l_ref
+    s = build_schur(op, e)
+    assert _rel(s.k_e, k_ref) <= 1e-12
+    assert _rel(s.m_e, m_ref) <= 1e-12
+    assert _rel(s.l_e, l_ref) <= 1e-12
+
+
+def test_methods_equal_the_module_functions(structured_op):
+    op = structured_op
+    e = lambda0(op) + 0.7
+    s = build_schur(op, e)
+    x = np.random.default_rng(5).standard_normal(op.n_plus)
+    for k in (1, 2, op.n_plus):
+        assert s.value(k) == mu_k(op, e, k)
+        value, vec = s.vector(k)
+        ref_value, ref_vec = mu_k_with_vector(op, e, k)
+        assert value == ref_value
+        assert np.array_equal(vec, ref_vec)
+    band = abs(s.value(2)) + 1.0
+    assert np.array_equal(s.values_in_band(band), pencil_values_in_band(op, e, band))
+    assert len(s.values_in_band(band)) >= 2
+    assert np.array_equal(s.lift(x), apply_l(op, e, x))
+    assert s.form(x) == q_value_and_slope(op, e, x)
+
+
+def test_solves_keep_no_lift_matrix(structured_op):
+    op = structured_op
+    s = build_schur(op, lambda0(op) + 0.7)
+    x = np.ones(op.n_plus)
+    s.vector(1)
+    s.values_in_band(1.0)
+    s.lift(x)
+    s.form(x)
+    assert s._l is None
+
+
+def test_edge_rule_on_every_entry_point(structured_op):
+    op = structured_op
+    lam0 = lambda0(op)
+    x = np.ones(op.n_plus)
+    entry_points = (
+        lambda e: SchurSystem(op, e),
+        lambda e: build_schur(op, e),
+        lambda e: mu_k(op, e, 1),
+        lambda e: mu_k_with_vector(op, e, 1),
+        lambda e: pencil_values_in_band(op, e, 1.0),
+        lambda e: apply_l(op, e, x),
+        lambda e: q_e_form(op, e, x),
+        lambda e: q_value_and_slope(op, e, x),
+    )
+    for e in (lam0 + 1e-12, lam0 + 5e-11, lam0 + GAP_EDGE_MARGIN):
+        assert lam0 < e
+        for call in entry_points:
+            with pytest.raises(NotPositiveDefinite):
+                call(e)
 
 
 def test_gram_matrix_dominates_identity(campaign_ops):
