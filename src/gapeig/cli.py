@@ -58,6 +58,15 @@ REPORT_CSV_HEADER = "check,value,passed,params"
 ORACLE_DIM_LIMIT = 1200  # dense ground truth attached only below this size
 
 KINDS = ("dirac", "aps", "random", "matrix-file")
+# the spec keys each model kind (spectrum/converge/verify) or subcommand reads
+SPEC_KEYS = {
+    "dirac": {"nu", "kappa", "n", "r_max", "grading"},
+    "aps": {"modes", "length_l", "n"},
+    "random": {"n_plus", "n_minus", "gap_target"},
+    "matrix-file": {"path"},
+    "hardy": {"nu_values", "n", "r_max"},
+    "pollution": {"nu", "kappa", "r_max", "window", "grading"},
+}
 
 
 @dataclass(frozen=True)
@@ -164,6 +173,15 @@ def config_from_dict(raw: dict, overrides: dict | None = None) -> ExperimentConf
         raise ConfigParse(f"bad config value: {exc}") from exc
 
 
+def _checked_spec(config: ExperimentConfig | None, family: str) -> dict:
+    """The config's spec ({} without a config), rejecting keys the family does not read."""
+    spec = config.spec if config else {}
+    unknown = sorted(set(spec) - SPEC_KEYS[family])
+    if unknown:
+        raise ConfigParse(f"unknown {family} spec keys: {unknown}")
+    return spec
+
+
 def _dirac_oracle(spec: DiracSpec) -> dict[int, float]:
     if spec.nu >= abs(spec.kappa):
         return {}
@@ -209,7 +227,7 @@ class _Unit:
 
 def _units(config: ExperimentConfig) -> list[_Unit]:
     units: list[_Unit] = []
-    kind, spec = config.kind, config.spec
+    kind, spec = config.kind, _checked_spec(config, config.kind)
     if kind == "dirac":
         base = DiracSpec(
             nu=float(spec.get("nu", 0.5)),
@@ -430,7 +448,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_hardy(args: argparse.Namespace) -> int:
     config = (load_config(args.config, {"out": args.out, "format": args.format})
               if args.config else None)
-    spec = config.spec if config else {}
+    spec = _checked_spec(config, "hardy")
     nu_values = spec.get("nu_values", [0.0, 0.5, 0.9, 1.0])
     n = int(spec.get("n", 1500))
     r_max = float(spec.get("r_max", 30.0))
@@ -441,7 +459,7 @@ def _cmd_hardy(args: argparse.Namespace) -> int:
 def _cmd_pollution(args: argparse.Namespace) -> int:
     config = (load_config(args.config, {"out": args.out, "format": args.format})
               if args.config else None)
-    spec = config.spec if config else {}
+    spec = _checked_spec(config, "pollution")
     grids = list(config.grids) if config and config.grids else [600, 1200]
     tol = config.tol if config else 1e-10
     nu = float(spec.get("nu", 0.9))

@@ -1,20 +1,21 @@
 """Nonlinear root solves that turn the Schur pencil into gap eigenvalues.
 
-Two solvers live here. energy_of_vector finds, for a fixed upper-block
-vector x, the unique energy E above lambda0 with q_E(x, x) = 0; the energy
-derivative of q is exactly -(||x||^2 + ||l_E x||^2), so Newton steps with an
-exact slope, safeguarded by bisection inside a verified sign-change bracket.
-lambda_k finds the k-th gap eigenvalue as the unique sign change of
-lam -> mu_k(lam): an inertia count makes the level positive below the
-eigenvalue and negative above it, and it crosses with slope exactly -1
-(the pencil satisfies dK/dlam = -M). The level is monotone only past the
-root; coming off lambda0 it rises from zero, so bracketing goes by sign,
-never by value. Roots are bracketed by doubling steps, refined by
-safeguarded secant, and finally polished by one Rayleigh quotient of the
-assembled operator at the lifted eigenvector x + l_lam x. The polish is what
-delivers eigenvalues to near machine precision even when ||K|| is large:
-mu evaluations carry eps*||K|| noise, the block Rayleigh quotient only
-eps*||A||.
+Both solvers find the one sign change above lambda0 of a function that is
+positive next to lambda0 and negative past its root, with one loop, _root:
+check the sign at the left edge, bracket by doubling steps from
+lambda0 + 1, refine by Newton steps kept inside the verified bracket.
+
+energy_of_vector finds, for a fixed upper-block vector x, the energy E with
+q_E(x, x) = 0; the energy derivative of q is exactly -(||x||^2 + ||l_E x||^2).
+lambda_k finds the k-th gap eigenvalue as the sign change of lam -> mu_k(lam):
+an inertia count makes the level positive below the eigenvalue and negative
+above it. Coming off lambda0 the level rises from zero, so bracketing goes by
+sign, never by value. Its Newton step is the Rayleigh quotient of the
+assembled operator at the lifted pencil vector z = x + l_lam x, which equals
+lam + mu_k(lam) exactly (z.T (A - lam) z = x.T K x = mu_k x.T M x and
+z.T z = x.T M x): the level crosses zero with slope -1, since dK/dlam = -M.
+The quotient carries eps*||A|| rounding where mu carries eps*||K||, so roots
+come out near machine precision even when ||K|| is large.
 """
 
 from __future__ import annotations
@@ -28,11 +29,12 @@ from .blockop import BlockOperator, GapData
 from .errors import BracketFailure, KOutOfRange, ZeroVector
 from .oracle import CLUSTER_RTOL
 from .schur import (
-    GAP_EDGE_MARGIN,
     SchurSystem,
+    apply_l,
     build_schur,
     cached_lambda0,
     mu_k,
+    mu_k_with_vector,
     phi_form,
     q_value_and_slope,
 )
@@ -53,7 +55,12 @@ _CEILING_MSG = (
 
 @dataclass(frozen=True)
 class MinMaxResult:
-    """One gap eigenvalue with its root-solve provenance."""
+    """One gap eigenvalue with its root-solve provenance.
+
+    residual is ||A z - lambda_k z|| / ||z|| at the lifted pencil vector z;
+    iterations counts the evaluations after the left edge (0 for a level
+    filled in from an earlier root); mu_k > 0 >= mu_k at the bracket's ends.
+    """
 
     k: int
     lambda_k: float
@@ -65,8 +72,45 @@ class MinMaxResult:
     at_ceiling: bool = False
 
 
-def _left_edge(lam0: float) -> float:
-    return lam0 + max(LEFT_EDGE_REL, LEFT_EDGE_REL * abs(lam0))
+def _root(probe, step, lam0: float, lam_max: float | None,
+          converged) -> tuple[float, int, tuple[float, float]]:
+    """The sign change above lam0 of a function probed as (value, Newton candidate).
+
+    probe serves the left edge and the bracketing, step the refinement; at
+    least one step runs. Once converged(lam, value) holds after a step, or
+    the bracket has shrunk to rounding, that step's candidate is returned,
+    clamped into the bracket. Returns the root, the evaluations after the
+    left edge and the bracket (value > 0 at its left end, <= 0 at its right).
+    """
+    if lam_max is None:
+        lam_max = lam0 + DEFAULT_LAMBDA_MAX_OFFSET
+    lo = lam0 + max(LEFT_EDGE_REL, LEFT_EDGE_REL * abs(lam0))
+    value, cand = probe(lo)
+    if value <= 0.0:
+        raise BracketFailure(_LEFT_EDGE_MSG)
+    evals, width = 0, 1.0
+    while True:
+        hi = lam0 + width
+        if hi > lam_max:
+            raise BracketFailure(_CEILING_MSG.format(lam_max))
+        if hi > lo:
+            hi_value, hi_cand = probe(hi)
+            evals += 1
+            if hi_value <= 0.0:
+                break
+            lo, value, cand = hi, hi_value, hi_cand
+        width *= 2.0
+    if abs(hi_value) < value:  # start from the end with the smaller |value|
+        cand = hi_cand
+
+    for _ in range(MAX_ROOT_ITERATIONS):
+        lam = cand if lo < cand < hi else 0.5 * (lo + hi)
+        value, cand = step(lam)
+        evals += 1
+        lo, hi = (lam, hi) if value > 0.0 else (lo, lam)
+        if converged(lam, value) or hi - lo <= 4.0 * np.finfo(float).eps * max(1.0, abs(hi)):
+            break
+    return min(max(cand, lo), hi), evals, (lo, hi)
 
 
 def energy_of_vector(op: BlockOperator, x: np.ndarray, lam_max: float | None = None) -> float:
@@ -75,110 +119,26 @@ def energy_of_vector(op: BlockOperator, x: np.ndarray, lam_max: float | None = N
     norm2 = float(x @ x)
     if norm2 == 0.0:
         raise ZeroVector("energy_of_vector needs a nonzero vector")
-    lam0 = cached_lambda0(op)
-    if lam_max is None:
-        lam_max = lam0 + DEFAULT_LAMBDA_MAX_OFFSET
 
-    lo = _left_edge(lam0)
-    q_lo, slope_lo = q_value_and_slope(op, lo, x)
-    if q_lo <= 0.0:
-        raise BracketFailure(_LEFT_EDGE_MSG)
-    # double the step until the form turns negative
-    step = 1.0
-    while True:
-        probe = lam0 + step
-        if probe > lam_max:
-            raise BracketFailure(_CEILING_MSG.format(lam_max))
-        q_probe, slope_probe = q_value_and_slope(op, probe, x)
-        if q_probe < 0.0:
-            hi = probe
-            break
-        lo, q_lo, slope_lo = probe, q_probe, slope_probe
-        step *= 2.0
+    def newton(e: float) -> tuple[float, float]:
+        q, slope = q_value_and_slope(op, e, x)
+        return q, e - q / slope
 
-    # Newton from the positive side; q is convex and decreasing in E, so the
-    # iterates approach the root monotonically and the bisection safeguard
-    # only fires on roundoff stalls
-    e, q_e, slope = lo, q_lo, slope_lo
-    for _ in range(MAX_ROOT_ITERATIONS):
-        if abs(q_e) <= 1e-12 * norm2 * max(1.0, abs(e)):
-            return e
-        candidate = e - q_e / slope
-        if not lo < candidate < hi:
-            candidate = 0.5 * (lo + hi)
-        q_c, slope_c = q_value_and_slope(op, candidate, x)
-        if q_c > 0.0:
-            lo = candidate
-        else:
-            hi = candidate
-        e, q_e, slope = candidate, q_c, slope_c
-        if hi - lo <= 4.0 * np.finfo(float).eps * max(1.0, abs(hi)):
-            return e
-    return e
+    return _root(newton, newton, cached_lambda0(op), lam_max,
+                 lambda e, q: abs(q) <= 1e-12 * norm2 * max(1.0, abs(e)))[0]
 
 
-def _bracket_root(op: BlockOperator, k: int, lo: float, mu_lo: float, lam0: float,
-                  lam_max: float) -> tuple[float, float, float, float, int]:
-    """Double the step from lambda0 + 1 until mu_k changes sign."""
-    evals = 0
-    step = 1.0
-    while True:
-        probe = lam0 + step
-        if probe > lam_max:
-            raise BracketFailure(_CEILING_MSG.format(lam_max))
-        if probe > lo:
-            mu_probe = mu_k(op, probe, k)
-            evals += 1
-            if mu_probe < 0.0:
-                return lo, mu_lo, probe, mu_probe, evals
-            lo, mu_lo = probe, mu_probe
-        step *= 2.0
+def _residual(system: SchurSystem, k: int) -> tuple[float, float]:
+    """mu_k at the system's energy e and ||A z - e z|| / ||z|| for z = (x, l_e x).
 
-
-def _refine_root(op: BlockOperator, k: int, lo: float, mu_lo: float, hi: float,
-                 mu_hi: float, tol: float) -> tuple[float, float, int, float, float]:
-    """Safeguarded secant iteration on a verified sign-change bracket."""
-    a, fa, b, fb = lo, mu_lo, hi, mu_hi
-    lam, mu = (a, fa) if abs(fa) <= abs(fb) else (b, fb)
-    prev_lam, prev_mu = (b, fb) if lam == a else (a, fa)
-    iterations = 0
-    for _ in range(MAX_ROOT_ITERATIONS):
-        if abs(mu) <= tol:
-            break
-        width = b - a
-        if width <= 4.0 * np.finfo(float).eps * max(1.0, abs(b)):
-            break
-        denom = mu - prev_mu
-        if denom != 0.0:
-            candidate = lam - mu * (lam - prev_lam) / denom
-        else:
-            candidate = 0.5 * (a + b)
-        if not a < candidate < b:
-            candidate = 0.5 * (a + b)
-        mu_c = mu_k(op, candidate, k)
-        iterations += 1
-        if mu_c > 0.0:
-            a, fa = candidate, mu_c
-        else:
-            b, fb = candidate, mu_c
-        prev_lam, prev_mu = lam, mu
-        lam, mu = candidate, mu_c
-    return lam, mu, iterations, a, b
-
-
-def _polish_root(op: BlockOperator, lam: float, k: int) -> float:
-    """Rayleigh quotient of the assembled operator at the lifted pencil vector.
-
-    With x the pencil eigenvector at lam and z = x + l_lam x, the quotient
-    equals lam + mu_k(lam) exactly, and its floating-point error scales with
-    ||A|| instead of ||K_lam||. A quotient at or below the pencil's edge rule
-    is not a valid energy; lam is kept then.
+    x is the k-th pencil vector; A z is formed blockwise, A is never assembled.
     """
-    system = build_schur(op, lam)
-    _, x = system.vector(k)
+    mu, x = system.vector(k)
     y = system.lift(x)
-    rho = phi_form(op, 0.0, x, y) / float(x @ x + y @ y)
-    return rho if rho > cached_lambda0(op) + GAP_EDGE_MARGIN else lam
+    op, e = system.op, system.e
+    upper = op.p @ x + op.c.T @ y - e * x
+    lower = op.c @ x + op.amm @ y - e * y
+    return mu, math.sqrt(float(upper @ upper + lower @ lower) / float(x @ x + y @ y))
 
 
 def lambda_k(op: BlockOperator, k: int, tol: float = 1e-10,
@@ -188,26 +148,21 @@ def lambda_k(op: BlockOperator, k: int, tol: float = 1e-10,
         raise KOutOfRange(f"k must lie in 1..{op.n_plus}, got {k}")
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    lam0 = cached_lambda0(op)
-    if lam_max is None:
-        lam_max = lam0 + DEFAULT_LAMBDA_MAX_OFFSET
 
-    lo = _left_edge(lam0)
-    mu_lo = mu_k(op, lo, k)
-    if mu_lo <= 0.0:
-        raise BracketFailure(_LEFT_EDGE_MSG)
-    lo, mu_lo, hi, mu_hi, n_bracket = _bracket_root(op, k, lo, mu_lo, lam0, lam_max)
-    lam, _, n_refine, a, b = _refine_root(op, k, lo, mu_lo, hi, mu_hi, tol)
-    lam = _polish_root(op, lam, k)
+    def level(lam: float) -> tuple[float, float]:
+        mu = mu_k(op, lam, k)
+        return mu, lam + mu
+
+    def rayleigh(lam: float) -> tuple[float, float]:
+        mu, x = mu_k_with_vector(op, lam, k)
+        y = apply_l(op, lam, x)
+        return mu, phi_form(op, 0.0, x, y) / float(x @ x + y @ y)
+
+    lam, evals, bracket = _root(level, rayleigh, cached_lambda0(op), lam_max,
+                                lambda lam, mu: abs(mu) <= tol)
     system = build_schur(op, lam)
-    return MinMaxResult(
-        k=k,
-        lambda_k=lam,
-        multiplicity=_multiplicity_at(system),
-        residual=abs(system.value(k)),
-        iterations=n_bracket + n_refine + 1,
-        bracket=(a, b),
-    )
+    return MinMaxResult(k=k, lambda_k=lam, multiplicity=_multiplicity_at(system),
+                        residual=_residual(system, k)[1], iterations=evals, bracket=bracket)
 
 
 def _multiplicity_at(system: SchurSystem) -> int:
@@ -227,10 +182,10 @@ def _siblings(op: BlockOperator, res: MinMaxResult, k_max: int,
     siblings: list[MinMaxResult] = []
     system = build_schur(op, res.lambda_k)
     for j in range(res.k + 1, k_max + 1):
-        mu_j = system.value(j)
+        mu_j, residual = _residual(system, j)
         if abs(mu_j) > tol:
             break
-        siblings.append(replace(res, k=j, residual=abs(mu_j), iterations=0))
+        siblings.append(replace(res, k=j, residual=residual, iterations=0))
     return siblings
 
 

@@ -214,6 +214,20 @@ class TestMain:
         assert main(["spectrum", "--config", cfg]) == 2
         assert "file not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,kind,spec,key", [
+        ("spectrum", "dirac", {"kapa": 1}, "kapa"),
+        ("verify", "aps", {"modes": [0.0], "lenght_l": 2.0}, "lenght_l"),
+        ("spectrum", "random", {"n_plus": 4, "seed": 3}, "seed"),
+        ("spectrum", "matrix-file", {"path": "m.json", "n_plus": 1}, "n_plus"),
+        ("hardy", "dirac", {"nu": 0.5, "n": 120}, "nu"),
+        ("pollution", "dirac", {"nu": 0.9, "n": 300}, "n"),
+    ])
+    def test_unknown_spec_key_exits_two(self, tmp_path, capsys, command, kind, spec, key):
+        cfg = _write(tmp_path / "cfg.json", {"kind": kind, "spec": spec})
+        assert main([command, "--config", cfg, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown" in err and f"'{key}'" in err
+
     def test_converge_requires_grids(self, tmp_path, capsys):
         cfg = _write(tmp_path / "cfg.json", {"kind": "dirac", "spec": {"nu": 0.5}})
         assert main(["converge", "--config", cfg]) == 2

@@ -3,14 +3,18 @@ import math
 import numpy as np
 import pytest
 
+import gapeig.minmax as minmax
 from gapeig import (
+    ApsSpec,
     BracketFailure,
     DiracSpec,
     KOutOfRange,
     RandomSpec,
     ZeroVector,
     assemble_block,
+    build_aps_cylinder,
     build_dirac_coulomb,
+    build_schur,
     dense_spectrum,
     energy_of_vector,
     gap_eigs_bruteforce,
@@ -21,6 +25,7 @@ from gapeig import (
     mu_k,
     random_gapped,
 )
+from gapeig.minmax import _residual, _root
 from gapeig.schur import apply_l, mu_k_with_vector
 
 SQRT2 = math.sqrt(2.0)
@@ -111,14 +116,93 @@ def test_residual_contract(campaign_ops):
         assert res.residual <= 1e-10 * max(1.0, abs(res.lambda_k))
 
 
+def _dirac300():
+    return build_dirac_coulomb(DiracSpec(nu=0.5, kappa=-1, n=300, r_max=30.0, grading="uniform"))
+
+
 def test_bracket_is_certified(campaign_ops):
-    for op in campaign_ops[:5]:
-        res = lambda_k(op, 1)
+    # the root lies inside its bracket exactly, with no slack
+    aps = build_aps_cylinder(ApsSpec(modes=(0.0, 3.0, -3.0), length_l=1.0, n=100))
+    cases = [(_dirac300(), 1)] + [(aps, k) for k in (1, 2, 3)]
+    cases += [(op, 1) for op in campaign_ops[:10]]
+    for op, k in cases:
+        res = lambda_k(op, k)
         a, b = res.bracket
-        slack = 1e-9 * max(1.0, abs(res.lambda_k))
-        assert a - slack <= res.lambda_k <= b + slack
-        assert mu_k(op, a, 1) > 0.0
-        assert mu_k(op, b, 1) <= 0.0
+        assert a <= res.lambda_k <= b
+        assert mu_k(op, a, k) > 0.0
+        assert mu_k(op, b, k) <= 0.0
+
+
+def test_root_survives_newton_candidates_outside_bracket():
+    # a steep saturating level: Newton from the bracket ends overshoots far out
+    root, steps = 3.3, []
+
+    def newton(lam):
+        value = math.atan(10.0 * (root - lam))
+        cand = lam + value * (1.0 + 100.0 * (root - lam) ** 2) / 10.0
+        steps.append(cand)
+        return value, cand
+
+    lam, evals, (a, b) = _root(newton, newton, 0.0, None, lambda lam, v: abs(v) <= 1e-14)
+    assert lam == pytest.approx(root, abs=1e-14)
+    assert a <= lam <= b and (a, b) != (2.0, 4.0)
+    assert any(not 2.0 < cand < 4.0 for cand in steps)
+    assert evals == len(steps) - 1
+
+
+def test_pencil_evaluations_per_root_dirac300(monkeypatch):
+    # The secant refinement with one Rayleigh polish that the Newton loop
+    # replaced called mu_k 7 times for this root (plus two more pencils for
+    # the polish and the residual, outside these counters).
+    calls = []
+
+    def counted(name):
+        original = getattr(minmax, name)
+
+        def evaluate(*args):
+            calls.append(name)
+            return original(*args)
+        return evaluate
+
+    for name in ("mu_k", "mu_k_with_vector"):
+        monkeypatch.setattr(minmax, name, counted(name))
+    res = lambda_k(_dirac300(), 1)
+    assert 0 < len(calls) < 7
+    assert calls.count("mu_k_with_vector") >= 1
+    assert res.iterations == len(calls) - 1
+
+
+def _dense_residual(op, e, k):
+    system = build_schur(op, e)
+    _, x = system.vector(k)
+    v = np.concatenate([x, system.lift(x)])
+    v /= np.linalg.norm(v)
+    return float(np.linalg.norm(op.assembled() @ v - e * v))
+
+
+def test_residual_is_assembled_operator_residual(campaign_ops):
+    for op in campaign_ops[:6]:
+        res = lambda_k(op, 1)
+        # off the root the residual is O(1), so the blockwise product is checked in full
+        e = res.lambda_k + 0.25
+        assert _residual(build_schur(op, e), 1)[1] == pytest.approx(
+            _dense_residual(op, e, 1), rel=1e-10)
+        scale = np.linalg.norm(op.assembled(), 2)
+        assert res.residual == pytest.approx(_dense_residual(op, res.lambda_k, 1),
+                                             abs=1e-14 * scale)
+
+
+def test_sibling_residual_uses_its_own_vector():
+    # two coupled copies of [[2, 1], [1, -1]]: a double level at (1 + sqrt(13))/2
+    op = _block_op(np.diag([2.0, 2.0]), np.eye(2), -np.eye(2))
+    results = gap_spectrum(op, 2)
+    assert [r.iterations > 0 for r in results] == [True, False]
+    assert results[1].lambda_k == pytest.approx((1.0 + math.sqrt(13.0)) / 2.0, abs=1e-14)
+    system = build_schur(op, results[0].lambda_k)
+    for r in results:
+        assert r.residual == _residual(system, r.k)[1]
+        assert r.residual == pytest.approx(_dense_residual(op, r.lambda_k, r.k), abs=1e-14)
+        assert r.residual <= 1e-14
 
 
 def test_root_certificate_sign_flip(campaign_ops):

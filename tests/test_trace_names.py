@@ -9,6 +9,9 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import gapeig.minmax as minmax
+import gapeig.schur as schur
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
@@ -31,3 +34,9 @@ def test_every_traced_layer_function_resolves():
         if not found:
             missing.append(f"{name}: {module_name}.{attr}")
     assert not missing
+
+
+def test_minmax_looks_up_pencil_evaluations_from_schur():
+    # the trace counts pencil evaluations per root through these two names
+    assert minmax.mu_k is schur.mu_k
+    assert minmax.mu_k_with_vector is schur.mu_k_with_vector
