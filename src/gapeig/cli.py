@@ -20,6 +20,7 @@ import csv
 import io
 import json
 import math
+import numbers
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -95,7 +96,7 @@ class ExperimentConfig:
         if self.count < 1:
             raise ConfigParse(f"count must be at least 1, got {self.count}")
         if self.grids is not None:
-            grids = tuple(int(g) for g in self.grids)
+            grids = tuple(self.grids)
             if any(b <= a for a, b in zip(grids, grids[1:])):
                 raise ConfigParse(f"grids must be strictly increasing, got {list(grids)}")
             object.__setattr__(self, "grids", grids)
@@ -129,6 +130,25 @@ class ReportRow:
         object.__setattr__(self, "abs_error", err)
 
 
+def _number(value, key: str, kind: type = float):
+    """A JSON number as kind (float or int), or ConfigParse naming key.
+
+    Booleans and non-numbers are rejected, and for int so are non-integral values.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or (
+            kind is int and not float(value).is_integer()):
+        expected = "an integer" if kind is int else "a number"
+        raise ConfigParse(f"{key} must be {expected}, got {value!r}")
+    return kind(value)
+
+
+def _numbers(values, key: str, kind: type = float) -> tuple:
+    """A JSON list of numbers, each read by _number."""
+    if not isinstance(values, list):
+        raise ConfigParse(f"{key} must be a list of numbers, got {values!r}")
+    return tuple(_number(v, f"{key} entry", kind) for v in values)
+
+
 def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -159,13 +179,13 @@ def config_from_dict(raw: dict, overrides: dict | None = None) -> ExperimentConf
         return ExperimentConfig(
             kind=data["kind"],
             spec=dict(data.get("spec", {})),
-            k_max=int(data.get("k_max", 1)),
-            tol=float(data.get("tol", 1e-10)),
+            k_max=_number(data.get("k_max", 1), "k_max", int),
+            tol=_number(data.get("tol", 1e-10), "tol"),
             out=data.get("out"),
             fmt=data.get("format", "csv"),
-            seed=int(data.get("seed", 0)),
-            grids=data.get("grids"),
-            count=int(data.get("count", 1)),
+            seed=_number(data.get("seed", 0), "seed", int),
+            grids=None if data.get("grids") is None else _numbers(data["grids"], "grids", int),
+            count=_number(data.get("count", 1), "count", int),
         )
     except KeyError as exc:
         raise ConfigParse(f"missing config key: {exc.args[0]}") from exc
@@ -211,7 +231,12 @@ def _load_matrix_file(path: str) -> BlockOperator:
     raw = _read_json(path)
     if not isinstance(raw, dict) or "matrix" not in raw or "n_plus" not in raw:
         raise ConfigParse(f'{path}: expected an object with "matrix" and "n_plus"')
-    return assemble_block(np.asarray(raw["matrix"], dtype=float), int(raw["n_plus"]))
+    if not isinstance(raw["matrix"], list):
+        raise ConfigParse(f"{path}: matrix must be a list of rows")
+    rows = [_numbers(row, "matrix row") for row in raw["matrix"]]
+    if len({len(row) for row in rows}) > 1:
+        raise ConfigParse(f"{path}: matrix row lengths differ: {[len(row) for row in rows]}")
+    return assemble_block(np.array(rows, dtype=float), _number(raw["n_plus"], "n_plus", int))
 
 
 @dataclass(frozen=True)
@@ -230,37 +255,37 @@ def _units(config: ExperimentConfig) -> list[_Unit]:
     kind, spec = config.kind, _checked_spec(config, config.kind)
     if kind == "dirac":
         base = DiracSpec(
-            nu=float(spec.get("nu", 0.5)),
-            kappa=int(spec.get("kappa", -1)),
-            n=int(spec.get("n", 600)),
-            r_max=float(spec.get("r_max", 30.0)),
+            nu=_number(spec.get("nu", 0.5), "nu"),
+            kappa=_number(spec.get("kappa", -1), "kappa", int),
+            n=_number(spec.get("n", 600), "n", int),
+            r_max=_number(spec.get("r_max", 30.0), "r_max"),
             grading=spec.get("grading"),
         )
         grids = config.grids or (base.n,)
         for n in grids:
-            dspec = replace(base, n=int(n))
+            dspec = replace(base, n=n)
             model_id = (f"dirac(nu={dspec.nu:g},kappa={dspec.kappa},"
                         f"r_max={dspec.r_max:g},grading={dspec.grading})")
-            units.append(_Unit(model_id, int(n), build_dirac_coulomb(dspec),
+            units.append(_Unit(model_id, n, build_dirac_coulomb(dspec),
                                _dirac_oracle(dspec), dspec))
     elif kind == "aps":
         base = ApsSpec(
-            modes=tuple(spec.get("modes", [0.0])),
-            length_l=float(spec.get("length_l", 1.0)),
-            n=int(spec.get("n", 200)),
+            modes=_numbers(spec.get("modes", [0.0]), "modes"),
+            length_l=_number(spec.get("length_l", 1.0), "length_l"),
+            n=_number(spec.get("n", 200), "n", int),
         )
         grids = config.grids or (base.n,)
         for n in grids:
-            aspec = replace(base, n=int(n))
+            aspec = replace(base, n=n)
             model_id = f"aps(modes={list(aspec.modes)},L={aspec.length_l:g})"
-            units.append(_Unit(model_id, int(n), build_aps_cylinder(aspec),
+            units.append(_Unit(model_id, n, build_aps_cylinder(aspec),
                                _aps_oracle(aspec, config.k_max), aspec))
     elif kind == "random":
         for offset in range(config.count):
             rspec = RandomSpec(
-                n_plus=int(spec.get("n_plus", 8)),
-                n_minus=int(spec.get("n_minus", 8)),
-                gap_target=float(spec.get("gap_target", 1.0)),
+                n_plus=_number(spec.get("n_plus", 8), "n_plus", int),
+                n_minus=_number(spec.get("n_minus", 8), "n_minus", int),
+                gap_target=_number(spec.get("gap_target", 1.0), "gap_target"),
                 seed=config.seed + offset,
             )
             op = random_gapped(rspec)
@@ -449,10 +474,10 @@ def _cmd_hardy(args: argparse.Namespace) -> int:
     config = (load_config(args.config, {"out": args.out, "format": args.format})
               if args.config else None)
     spec = _checked_spec(config, "hardy")
-    nu_values = spec.get("nu_values", [0.0, 0.5, 0.9, 1.0])
-    n = int(spec.get("n", 1500))
-    r_max = float(spec.get("r_max", 30.0))
-    reports = [hardy_check(float(nu), n, r_max) for nu in nu_values]
+    nu_values = _numbers(spec.get("nu_values", [0.0, 0.5, 0.9, 1.0]), "nu_values")
+    n = _number(spec.get("n", 1500), "n", int)
+    r_max = _number(spec.get("r_max", 30.0), "r_max")
+    reports = [hardy_check(nu, n, r_max) for nu in nu_values]
     return 1 if _emit_reports(reports, config, args) else 0
 
 
@@ -462,10 +487,12 @@ def _cmd_pollution(args: argparse.Namespace) -> int:
     spec = _checked_spec(config, "pollution")
     grids = list(config.grids) if config and config.grids else [600, 1200]
     tol = config.tol if config else 1e-10
-    nu = float(spec.get("nu", 0.9))
-    kappa = int(spec.get("kappa", -1))
-    r_max = float(spec.get("r_max", 30.0))
-    window = tuple(spec.get("window", (-0.5, 0.5)))
+    nu = _number(spec.get("nu", 0.9), "nu")
+    kappa = _number(spec.get("kappa", -1), "kappa", int)
+    r_max = _number(spec.get("r_max", 30.0), "r_max")
+    window = _numbers(spec.get("window", [-0.5, 0.5]), "window")
+    if len(window) != 2:
+        raise ConfigParse(f"window must hold two numbers, got {list(window)}")
 
     lam1 = {}
     window_values = {}

@@ -57,9 +57,10 @@ _CEILING_MSG = (
 class MinMaxResult:
     """One gap eigenvalue with its root-solve provenance.
 
-    residual is ||A z - lambda_k z|| / ||z|| at the lifted pencil vector z;
-    iterations counts the evaluations after the left edge (0 for a level
-    filled in from an earlier root); mu_k > 0 >= mu_k at the bracket's ends.
+    residual, ||A z - lambda_k z|| / ||z|| at the lifted pencil vector z, is the
+    error bound; iterations counts the evaluations after the left edge (0 for a
+    level filled in from an earlier root); bracket only certifies the sign,
+    mu_k > 0 >= mu_k at its ends: its right end is often the last doubling probe.
     """
 
     k: int
@@ -72,8 +73,7 @@ class MinMaxResult:
     at_ceiling: bool = False
 
 
-def _root(probe, step, lam0: float, lam_max: float | None,
-          converged) -> tuple[float, int, tuple[float, float]]:
+def _root(probe, step, lam0: float, converged) -> tuple[float, int, tuple[float, float]]:
     """The sign change above lam0 of a function probed as (value, Newton candidate).
 
     probe serves the left edge and the bracketing, step the refinement; at
@@ -82,8 +82,7 @@ def _root(probe, step, lam0: float, lam_max: float | None,
     clamped into the bracket. Returns the root, the evaluations after the
     left edge and the bracket (value > 0 at its left end, <= 0 at its right).
     """
-    if lam_max is None:
-        lam_max = lam0 + DEFAULT_LAMBDA_MAX_OFFSET
+    ceiling = lam0 + DEFAULT_LAMBDA_MAX_OFFSET
     lo = lam0 + max(LEFT_EDGE_REL, LEFT_EDGE_REL * abs(lam0))
     value, cand = probe(lo)
     if value <= 0.0:
@@ -91,8 +90,8 @@ def _root(probe, step, lam0: float, lam_max: float | None,
     evals, width = 0, 1.0
     while True:
         hi = lam0 + width
-        if hi > lam_max:
-            raise BracketFailure(_CEILING_MSG.format(lam_max))
+        if hi > ceiling:
+            raise BracketFailure(_CEILING_MSG.format(ceiling))
         if hi > lo:
             hi_value, hi_cand = probe(hi)
             evals += 1
@@ -113,7 +112,7 @@ def _root(probe, step, lam0: float, lam_max: float | None,
     return min(max(cand, lo), hi), evals, (lo, hi)
 
 
-def energy_of_vector(op: BlockOperator, x: np.ndarray, lam_max: float | None = None) -> float:
+def energy_of_vector(op: BlockOperator, x: np.ndarray) -> float:
     """The unique E > lambda0 with q_E(x, x) = 0."""
     x = np.asarray(x, dtype=float)
     norm2 = float(x @ x)
@@ -124,7 +123,7 @@ def energy_of_vector(op: BlockOperator, x: np.ndarray, lam_max: float | None = N
         q, slope = q_value_and_slope(op, e, x)
         return q, e - q / slope
 
-    return _root(newton, newton, cached_lambda0(op), lam_max,
+    return _root(newton, newton, cached_lambda0(op),
                  lambda e, q: abs(q) <= 1e-12 * norm2 * max(1.0, abs(e)))[0]
 
 
@@ -141,8 +140,7 @@ def _residual(system: SchurSystem, k: int) -> tuple[float, float]:
     return mu, math.sqrt(float(upper @ upper + lower @ lower) / float(x @ x + y @ y))
 
 
-def lambda_k(op: BlockOperator, k: int, tol: float = 1e-10,
-             lam_max: float | None = None) -> MinMaxResult:
+def lambda_k(op: BlockOperator, k: int, tol: float = 1e-10) -> MinMaxResult:
     """The k-th gap eigenvalue: root of lam -> mu_k(op, lam, k) above lambda0."""
     if not 1 <= k <= op.n_plus:
         raise KOutOfRange(f"k must lie in 1..{op.n_plus}, got {k}")
@@ -158,7 +156,7 @@ def lambda_k(op: BlockOperator, k: int, tol: float = 1e-10,
         y = apply_l(op, lam, x)
         return mu, phi_form(op, 0.0, x, y) / float(x @ x + y @ y)
 
-    lam, evals, bracket = _root(level, rayleigh, cached_lambda0(op), lam_max,
+    lam, evals, bracket = _root(level, rayleigh, cached_lambda0(op),
                                 lambda lam, mu: abs(mu) <= tol)
     system = build_schur(op, lam)
     return MinMaxResult(k=k, lambda_k=lam, multiplicity=_multiplicity_at(system),
@@ -178,10 +176,15 @@ def _multiplicity_at(system: SchurSystem) -> int:
 
 def _siblings(op: BlockOperator, res: MinMaxResult, k_max: int,
               tol: float) -> list[MinMaxResult]:
-    """Levels after res.k that the same root already solves: |mu_j| <= tol there."""
+    """Levels k+1 .. k+m-1 of a root of multiplicity m, up to the first |mu_j| > tol.
+
+    The tol guard stops the fill at the cluster's end when the band also holds
+    a level below k.
+    """
     siblings: list[MinMaxResult] = []
-    system = build_schur(op, res.lambda_k)
-    for j in range(res.k + 1, k_max + 1):
+    last = min(k_max, res.k + res.multiplicity - 1)
+    system = build_schur(op, res.lambda_k) if last > res.k else None
+    for j in range(res.k + 1, last + 1):
         mu_j, residual = _residual(system, j)
         if abs(mu_j) > tol:
             break
@@ -189,37 +192,31 @@ def _siblings(op: BlockOperator, res: MinMaxResult, k_max: int,
     return siblings
 
 
-def gap_spectrum(op: BlockOperator, k_max: int, tol: float = 1e-10,
-                 lam_max: float | None = None) -> list[MinMaxResult]:
+def gap_spectrum(op: BlockOperator, k_max: int, tol: float = 1e-10) -> list[MinMaxResult]:
     """Gap eigenvalues lambda_1 <= ... <= lambda_{k_max} with multiplicities.
 
-    Levels that a previous root already covers (their pencil value at that
-    root is below tol) are filled in without a fresh solve. Bracket failures
+    A root of multiplicity m also carries the next m-1 levels; those within tol
+    at the root are filled in without a fresh solve (iterations 0). Bracket failures
     are reported per entry with status "bracket_failure" and NaN values.
     Entries matching the largest computed level within the cluster tolerance
     carry at_ceiling=True, since the certified sweep cannot see beyond it.
     """
     if not 1 <= k_max <= op.n_plus:
         raise KOutOfRange(f"k_max must lie in 1..{op.n_plus}, got {k_max}")
-    results: dict[int, MinMaxResult] = {}
-    k = 1
-    while k <= k_max:
+    ordered: list[MinMaxResult] = []
+    while len(ordered) < k_max:
+        k = len(ordered) + 1
         try:
-            res = lambda_k(op, k, tol, lam_max)
+            res = lambda_k(op, k, tol)
         except BracketFailure as exc:
-            results[k] = MinMaxResult(
+            ordered.append(MinMaxResult(
                 k=k, lambda_k=math.nan, multiplicity=0, residual=math.nan,
                 iterations=0, bracket=(math.nan, math.nan),
                 status=f"bracket_failure: {exc}",
-            )
-            k += 1
+            ))
             continue
-        results[k] = res
-        siblings = _siblings(op, res, k_max, tol)
-        results.update((sib.k, sib) for sib in siblings)
-        k += 1 + len(siblings)
+        ordered += [res] + _siblings(op, res, k_max, tol)
 
-    ordered = [results[i] for i in range(1, k_max + 1)]
     solved = [r.lambda_k for r in ordered if r.status == "ok"]
     if solved:
         ceiling = max(solved)

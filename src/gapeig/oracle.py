@@ -19,10 +19,9 @@ CLUSTER_RTOL = 1e-8
 
 @dataclass(frozen=True)
 class Spectrum:
-    """All eigenvalues of the assembled matrix, ascending, plus the clustering tolerance."""
+    """All eigenvalues of the assembled matrix, ascending."""
 
     values: np.ndarray
-    tolerance: float = CLUSTER_RTOL
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=float)
@@ -39,10 +38,10 @@ def dense_spectrum(op: BlockOperator) -> Spectrum:
     return Spectrum(values=values)
 
 
-def cluster_eigenvalues(values: np.ndarray, rtol: float = CLUSTER_RTOL) -> list[tuple[float, int]]:
+def cluster_eigenvalues(values: np.ndarray) -> list[tuple[float, int]]:
     """Group an ascending value list into (representative, multiplicity) clusters.
 
-    Neighbors closer than rtol*max(1, |value|) merge inclusively; the
+    Neighbors closer than CLUSTER_RTOL*max(1, |value|) merge inclusively; the
     representative is the cluster mean.
     """
     out: list[tuple[float, int]] = []
@@ -50,7 +49,7 @@ def cluster_eigenvalues(values: np.ndarray, rtol: float = CLUSTER_RTOL) -> list[
     values = np.asarray(values, dtype=float)
     while i < len(values):
         j = i + 1
-        while j < len(values) and values[j] - values[j - 1] <= rtol * max(1.0, abs(values[j])):
+        while j < len(values) and values[j] - values[j - 1] <= CLUSTER_RTOL * max(1.0, abs(values[j])):
             j += 1
         out.append((float(values[i:j].mean()), j - i))
         i = j

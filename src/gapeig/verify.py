@@ -178,7 +178,6 @@ def e_samples(op: BlockOperator, lambda1: float | None = None) -> list[float]:
     return points
 
 
-def gap_fractions(lam0: float, lam1: float,
-                  fracs: tuple[float, ...] = (1e-3, 1e-2, 1e-1, 0.5, 0.9)) -> list[float]:
-    """Energies strictly inside (lambda0, lambda1) at the given gap fractions."""
-    return [lam0 + f * (lam1 - lam0) for f in fracs]
+def gap_fractions(lam0: float, lam1: float) -> list[float]:
+    """Energies strictly inside (lambda0, lambda1) at five fractions of the gap."""
+    return [lam0 + f * (lam1 - lam0) for f in (1e-3, 1e-2, 1e-1, 0.5, 0.9)]

@@ -228,6 +228,26 @@ class TestMain:
         err = capsys.readouterr().err
         assert "unknown" in err and f"'{key}'" in err
 
+    @pytest.mark.parametrize("command,config,key", [
+        ("spectrum", {"kind": "aps", "spec": {"modes": "ab"}}, "modes"),
+        ("spectrum", {"kind": "aps", "spec": {"modes": 3}}, "modes"),
+        ("spectrum", {"kind": "matrix-file"}, "matrix row"),
+        ("hardy", {"kind": "dirac", "spec": {"nu_values": ["x"]}}, "nu_values"),
+        ("pollution", {"kind": "dirac", "spec": {"window": ["a", "b"]}}, "window"),
+        ("spectrum", {"kind": "dirac", "spec": {"kappa": 1.5, "n": 24}}, "kappa"),
+        ("spectrum", {"kind": "dirac", "spec": {"r_max": 20.0}, "grids": [100.7, 200]},
+         "grids"),
+        ("spectrum", {"kind": "random", "k_max": True}, "k_max"),
+    ])
+    def test_malformed_number_exits_two(self, tmp_path, capsys, command, config, key):
+        if config["kind"] == "matrix-file":
+            matrix = _write(tmp_path / "m.json", {"matrix": [[1, 2], [3]], "n_plus": 1})
+            config = {**config, "spec": {"path": matrix}}
+        cfg = _write(tmp_path / "cfg.json", config)
+        assert main([command, "--config", cfg, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("gapeig: ") and key in err
+
     def test_converge_requires_grids(self, tmp_path, capsys):
         cfg = _write(tmp_path / "cfg.json", {"kind": "dirac", "spec": {"nu": 0.5}})
         assert main(["converge", "--config", cfg]) == 2

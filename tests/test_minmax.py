@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gapeig.minmax as minmax
 from gapeig import (
@@ -143,7 +145,7 @@ def test_root_survives_newton_candidates_outside_bracket():
         steps.append(cand)
         return value, cand
 
-    lam, evals, (a, b) = _root(newton, newton, 0.0, None, lambda lam, v: abs(v) <= 1e-14)
+    lam, evals, (a, b) = _root(newton, newton, 0.0, lambda lam, v: abs(v) <= 1e-14)
     assert lam == pytest.approx(root, abs=1e-14)
     assert a <= lam <= b and (a, b) != (2.0, 4.0)
     assert any(not 2.0 < cand < 4.0 for cand in steps)
@@ -222,6 +224,62 @@ def test_gap_spectrum_multiplicity():
     assert results[1].iterations == 0
 
 
+def test_split_level_is_solved_from_its_own_root():
+    # 1e-7 apart is 50 times the cluster band at 2, yet within tol = 1e-6
+    op = _block_op(np.diag([2.0, 2.0 + 1e-7]), np.zeros((1, 2)), [[-1.0]])
+    results = gap_spectrum(op, 2, tol=1e-6)
+    assert [r.multiplicity for r in results] == [1, 1]
+    assert results[0].lambda_k == pytest.approx(2.0, abs=1e-14)
+    assert results[1].lambda_k == pytest.approx(2.0 + 1e-7, abs=1e-14)
+    assert results[1].iterations > 0
+
+
+def test_simple_levels_build_one_pencil_per_root(monkeypatch, decoupled23, campaign_ops):
+    calls = []
+    original = minmax.build_schur
+
+    def counted(op, e):
+        calls.append(e)
+        return original(op, e)
+
+    monkeypatch.setattr(minmax, "build_schur", counted)
+    for op, k_max in ((decoupled23, 2), (campaign_ops[0], 3)):
+        calls.clear()
+        results = gap_spectrum(op, k_max)
+        assert [r.multiplicity for r in results] == [1] * k_max
+        assert calls == [r.lambda_k for r in results]
+
+
+@st.composite
+def _clustered_operators(draw):
+    # repeated or 1e-7-split diagonal entries of p, weakly coupled to a negative lower block
+    n_plus = draw(st.integers(2, 4))
+    n_minus = draw(st.integers(1, 3))
+    base = draw(st.lists(st.sampled_from([1.5, 2.0, 3.0]), min_size=n_plus, max_size=n_plus))
+    split = draw(st.lists(st.sampled_from([0.0, 1e-7]), min_size=n_plus, max_size=n_plus))
+    coupling = draw(st.sampled_from([0.0, 1e-6, 1e-4, 1e-2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    c = coupling * rng.uniform(-1.0, 1.0, (n_minus, n_plus))
+    amm = -np.diag(1.0 + rng.uniform(0.0, 1.0, n_minus))
+    return _block_op(np.diag(np.add(base, split)), c, amm)
+
+
+@settings(max_examples=60, deadline=None)
+@given(op=_clustered_operators(), tol=st.sampled_from([1e-10, 1e-6]))
+def test_rows_never_contradict_their_multiplicities(op, tol):
+    results = gap_spectrum(op, op.n_plus, tol=tol)
+    for r in results:
+        sharing = sum(s.lambda_k == r.lambda_k for s in results)
+        assert r.multiplicity >= sharing
+    root = results[0]
+    for r in results:
+        if r.iterations > 0:
+            root = r
+        else:
+            assert root.k < r.k <= root.k + root.multiplicity - 1
+            assert r.lambda_k == root.lambda_k
+
+
 def test_gap_spectrum_single(canonical):
     results = gap_spectrum(canonical, 1)
     assert len(results) == 1
@@ -234,9 +292,13 @@ def test_gap_spectrum_ceiling_flag(decoupled23):
     assert results[1].at_ceiling is True
 
 
-def test_gap_spectrum_partial_results(decoupled23):
-    lam_max = lambda0(decoupled23) + 0.5
-    results = gap_spectrum(decoupled23, 2, lam_max=lam_max)
+def _beyond_ceiling():
+    # levels at 2e12 and 3e12 lie above the constant ceiling lambda0 + 1e12
+    return _block_op(np.diag([2e12, 3e12]), np.zeros((1, 2)), [[-1.0]])
+
+
+def test_gap_spectrum_partial_results():
+    results = gap_spectrum(_beyond_ceiling(), 2)
     assert len(results) == 2
     for res in results:
         assert res.status.startswith("bracket_failure")
@@ -244,9 +306,9 @@ def test_gap_spectrum_partial_results(decoupled23):
         assert res.multiplicity == 0
 
 
-def test_lambda_max_failure_message(decoupled23):
+def test_lambda_max_failure_message():
     with pytest.raises(BracketFailure, match="lambda_max"):
-        lambda_k(decoupled23, 1, lam_max=lambda0(decoupled23) + 0.5)
+        lambda_k(_beyond_ceiling(), 1)
 
 
 def test_no_gap_left_edge():

@@ -13,6 +13,7 @@ from gapeig import (
     aps_sigma_min,
     build_aps_cylinder,
     build_dirac_coulomb,
+    dense_spectrum,
     gap_spectrum,
     hardy_check,
     lambda0,
@@ -67,6 +68,18 @@ class TestDiracGrid:
         d = op.c + 2.0 * np.diag(1.0 / r)
         assert np.linalg.norm(d + d.T) <= 1e-12 * np.linalg.norm(d)
         assert np.count_nonzero(op.p - np.diag(np.diagonal(op.p))) == 0
+
+    @pytest.mark.parametrize("grading", ["uniform", "quadratic"])
+    @pytest.mark.parametrize("kappa", [1, 2])
+    def test_spectrum_is_even_in_kappa(self, kappa, grading):
+        # diag(S, -S) with S = diag((-1)^i) flips the sign of the nearest-neighbour
+        # difference and keeps kappa/r, so it maps the kappa channel onto -kappa
+        plus, minus = (
+            dense_spectrum(build_dirac_coulomb(
+                DiracSpec(nu=0.5, kappa=sign * kappa, n=100, r_max=30.0, grading=grading))).values
+            for sign in (1, -1)
+        )
+        assert np.max(np.abs(plus - minus)) <= 1e-12 * np.max(np.abs(plus))
 
 
 class TestDiracEnergies:
