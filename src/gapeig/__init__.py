@@ -6,7 +6,7 @@ pencil condition mu_k(lambda) = 0 for the Schur complement at energy lambda,
 and machine-verifies the algebraic identities the construction rests on.
 """
 
-from .blockop import BlockOperator, GapData, assemble_block, b_matrix, lambda0
+from .blockop import BlockOperator, GapData, assemble_block, lambda0
 from .errors import (
     BadSplit,
     BracketFailure,
@@ -48,7 +48,6 @@ from .schur import (
     mu_k,
     phi_form,
     q_e_form,
-    resolvent_apply,
 )
 from .verify import (
     VerificationReport,
@@ -61,9 +60,9 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockOperator", "GapData", "assemble_block", "b_matrix", "lambda0",
+    "BlockOperator", "GapData", "assemble_block", "lambda0",
     "Spectrum", "dense_spectrum", "gap_eigs_bruteforce",
-    "SchurSystem", "resolvent_apply", "build_schur", "q_e_form", "phi_form", "mu_k",
+    "SchurSystem", "build_schur", "q_e_form", "phi_form", "mu_k",
     "MinMaxResult", "energy_of_vector", "lambda_k", "gap_spectrum",
     "lambda1_certificate",
     "VerificationReport", "decomposition_residual", "krein_gap_check",

@@ -10,6 +10,10 @@ lower block (dimension n_minus), and c coupling upper into lower. The lower
 block is stored as amm = -b, so b = -amm is positive definite shifted by any
 energy above lambda0 = max eig(amm). Everything downstream (Schur systems,
 min-max levels, verification residuals) consumes this type.
+
+Facts that depend only on an operator (lambda0, the lower block's structure,
+the gap certificate) are computed once and kept in the operator's memo, each
+by the module that computes it.
 """
 
 from __future__ import annotations
@@ -54,6 +58,13 @@ class BlockOperator:
     within 1e-13 relative asymmetry are accepted, anything worse is rejected)
     and freezes all three arrays, so instances are safe to share read-only
     across parallel workers.
+
+    The private memo is the one place for facts derived from the operator:
+    the diagonal of a diagonal amm and lambda0 (this module), the Schur
+    solve's lower-block record with its Cholesky factor per energy (schur)
+    and the gap certificate (minmax). Each is computed on first use, by
+    remember(); two threads using an operator for the first time at once
+    may both compute a fact, with the same result.
     """
 
     p: np.ndarray
@@ -61,6 +72,7 @@ class BlockOperator:
     amm: np.ndarray
     n_plus: int = field(init=False)
     n_minus: int = field(init=False)
+    _memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     SIZE_CAP = 5000  # per block; guards accidental dense O(N^3) blowups
 
@@ -87,6 +99,14 @@ class BlockOperator:
     @property
     def dim(self) -> int:
         return self.n_plus + self.n_minus
+
+    def remember(self, key: str, compute):
+        """The fact stored under key, computed by compute() on first use."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = compute()
+            return value
 
     def assembled(self) -> np.ndarray:
         """Dense (n_plus+n_minus)^2 matrix [[p, c.T], [c, amm]]; exactly symmetric."""
@@ -140,14 +160,29 @@ def assemble_block(full: np.ndarray, n_plus: int) -> BlockOperator:
     )
 
 
+def lower_diagonal(op: BlockOperator) -> np.ndarray | None:
+    """The diagonal of amm when amm is diagonal, else None; checked once per operator."""
+
+    def detect():
+        diag = np.diagonal(op.amm)
+        return diag if np.count_nonzero(op.amm - np.diag(diag)) == 0 else None
+
+    return op.remember("lower_diagonal", detect)
+
+
 def lambda0(op: BlockOperator) -> float:
-    """Largest eigenvalue of the lower block amm; the left gap endpoint."""
-    try:
-        return float(np.linalg.eigvalsh(op.amm)[-1])
-    except np.linalg.LinAlgError as exc:
-        raise EigFailure(f"eigensolve on amm failed: {exc}") from exc
+    """Largest eigenvalue of the lower block amm; the left gap endpoint.
 
+    A diagonal amm gives its largest entry exactly, without an eigensolve.
+    """
 
-def b_matrix(op: BlockOperator) -> np.ndarray:
-    """The positive-direction lower block b = -amm."""
-    return -op.amm
+    def compute():
+        diag = lower_diagonal(op)
+        if diag is not None:
+            return float(diag.max())
+        try:
+            return float(np.linalg.eigvalsh(op.amm)[-1])
+        except np.linalg.LinAlgError as exc:
+            raise EigFailure(f"eigensolve on amm failed: {exc}") from exc
+
+    return op.remember("lambda0", compute)

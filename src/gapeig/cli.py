@@ -203,10 +203,11 @@ def _checked_spec(config: ExperimentConfig | None, family: str) -> dict:
 
 
 def _dirac_oracle(spec: DiracSpec) -> dict[int, float]:
-    if spec.nu >= abs(spec.kappa):
+    # a kappa > 0 channel shares the discrete spectrum of -kappa, so its lowest
+    # level is the -kappa ground energy, not the continuum's E(n_r=1)
+    if spec.kappa > 0 or spec.nu >= abs(spec.kappa):
         return {}
-    n_r = 0 if spec.kappa < 0 else 1
-    return {1: analytic_dirac_energy(spec.nu, spec.kappa, n_r)}
+    return {1: analytic_dirac_energy(spec.nu, spec.kappa, 0)}
 
 
 def _aps_oracle(spec: ApsSpec, k_max: int) -> dict[int, float]:
@@ -529,8 +530,9 @@ def _cmd_pollution(args: argparse.Namespace) -> int:
         if math.isfinite(spurious) else False,
         {"n_lo": n_lo, "n_hi": n_hi, "note":
          "a dense-spectrum value drifting >= 0.05 inside the window would mark "
-         "a spurious state; every value above lambda0 is a min-max level here, "
-         "so the window stays stable by construction"},
+         "a spurious state; the default window (-0.5, 0.5) holds only the nu=0.9 "
+         "ground state, and the discretization's spurious levels (kappa=+1 "
+         "repeats the kappa=-1 ground energy) lie outside it"},
     ))
 
     stable = drift <= 5e-3

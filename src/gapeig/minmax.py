@@ -25,14 +25,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .blockop import BlockOperator, GapData
+from .blockop import BlockOperator, GapData, lambda0
 from .errors import BracketFailure, KOutOfRange, ZeroVector
 from .oracle import CLUSTER_RTOL
 from .schur import (
     SchurSystem,
     apply_l,
     build_schur,
-    cached_lambda0,
     mu_k,
     mu_k_with_vector,
     phi_form,
@@ -70,7 +69,6 @@ class MinMaxResult:
     iterations: int
     bracket: tuple[float, float]
     status: str = "ok"
-    at_ceiling: bool = False
 
 
 def _root(probe, step, lam0: float, converged) -> tuple[float, int, tuple[float, float]]:
@@ -123,7 +121,7 @@ def energy_of_vector(op: BlockOperator, x: np.ndarray) -> float:
         q, slope = q_value_and_slope(op, e, x)
         return q, e - q / slope
 
-    return _root(newton, newton, cached_lambda0(op),
+    return _root(newton, newton, lambda0(op),
                  lambda e, q: abs(q) <= 1e-12 * norm2 * max(1.0, abs(e)))[0]
 
 
@@ -156,7 +154,7 @@ def lambda_k(op: BlockOperator, k: int, tol: float = 1e-10) -> MinMaxResult:
         y = apply_l(op, lam, x)
         return mu, phi_form(op, 0.0, x, y) / float(x @ x + y @ y)
 
-    lam, evals, bracket = _root(level, rayleigh, cached_lambda0(op),
+    lam, evals, bracket = _root(level, rayleigh, lambda0(op),
                                 lambda lam, mu: abs(mu) <= tol)
     system = build_schur(op, lam)
     return MinMaxResult(k=k, lambda_k=lam, multiplicity=_multiplicity_at(system),
@@ -198,8 +196,6 @@ def gap_spectrum(op: BlockOperator, k_max: int, tol: float = 1e-10) -> list[MinM
     A root of multiplicity m also carries the next m-1 levels; those within tol
     at the root are filled in without a fresh solve (iterations 0). Bracket failures
     are reported per entry with status "bracket_failure" and NaN values.
-    Entries matching the largest computed level within the cluster tolerance
-    carry at_ceiling=True, since the certified sweep cannot see beyond it.
     """
     if not 1 <= k_max <= op.n_plus:
         raise KOutOfRange(f"k_max must lie in 1..{op.n_plus}, got {k_max}")
@@ -216,24 +212,18 @@ def gap_spectrum(op: BlockOperator, k_max: int, tol: float = 1e-10) -> list[MinM
             ))
             continue
         ordered += [res] + _siblings(op, res, k_max, tol)
-
-    solved = [r.lambda_k for r in ordered if r.status == "ok"]
-    if solved:
-        ceiling = max(solved)
-        band = CLUSTER_RTOL * max(1.0, abs(ceiling))
-        ordered = [
-            r if r.status != "ok" else
-            replace(r, at_ceiling=bool(abs(r.lambda_k - ceiling) <= band))
-            for r in ordered
-        ]
     return ordered
 
 
 def lambda1_certificate(op: BlockOperator) -> GapData:
-    """Gap endpoints (lambda0, lambda1) and whether they certify a gap."""
-    lam0 = cached_lambda0(op)
-    try:
-        lam1 = lambda_k(op, 1, 1e-10).lambda_k
-    except BracketFailure as exc:
-        return GapData(lambda0=lam0, lambda1=math.nan, diagnostic=str(exc))
-    return GapData(lambda0=lam0, lambda1=lam1)
+    """Gap endpoints (lambda0, lambda1) and whether they certify a gap; solved once per operator."""
+
+    def certify() -> GapData:
+        lam0 = lambda0(op)
+        try:
+            lam1 = lambda_k(op, 1, 1e-10).lambda_k
+        except BracketFailure as exc:
+            return GapData(lambda0=lam0, lambda1=math.nan, diagnostic=str(exc))
+        return GapData(lambda0=lam0, lambda1=lam1)
+
+    return op.remember("lambda1_certificate", certify)

@@ -13,96 +13,66 @@ pencil (k_e, m_e); m_e >= I keeps the pencil reduction well conditioned.
 SchurSystem is that pencil at one energy and the only way the package
 evaluates anything there. Its constructor enforces the one edge rule
 e > lambda0 + GAP_EDGE_MARGIN; k_e, m_e and l_e are computed on first use.
-The lower block's structure is detected once per operator and cached with
-lambda0: a zero block makes the pencil rational in c.T c, a diagonal one
-solves by division, a dense one by a Cholesky factor kept per energy, since
-root solves revisit the same probe energies for every level. The cache is
-shared between threads under a lock; a SchurSystem belongs to its caller.
+What the pencil needs of the lower block is kept once per operator in the
+operator's memo, next to lambda0: a zero block makes the pencil rational in
+c.T c, a diagonal one solves by division, a dense one by a Cholesky factor
+kept per energy, since root solves revisit the same probe energies for every
+level. A SchurSystem belongs to its caller.
 """
 
 from __future__ import annotations
 
-import threading
-import weakref
-
 import numpy as np
 import scipy.linalg as sla
 
-from .blockop import BlockOperator, lambda0 as _lambda0
+from .blockop import BlockOperator, lambda0, lower_diagonal
 from .errors import KOutOfRange, NotPositiveDefinite
 
 GAP_EDGE_MARGIN = 1e-10
 
 
-def _cho(shifted: np.ndarray, e: float) -> tuple:
-    try:
-        return sla.cho_factor(shifted, check_finite=False)
-    except sla.LinAlgError as exc:
-        raise NotPositiveDefinite(f"b + {e}*I is not positive definite") from exc
+class _Lower:
+    """The lower-block facts of one operator that every pencil evaluation reads."""
 
-
-class _OpCache:
     def __init__(self, op: BlockOperator) -> None:
-        self.lambda0 = _lambda0(op)
-        amm = op.amm
-        diag = np.diagonal(amm)
-        self.b_diag = -diag if np.count_nonzero(amm - np.diag(diag)) == 0 else None
+        self.lambda0 = lambda0(op)
+        diag = lower_diagonal(op)
+        self.b_diag = None if diag is None else -diag
         # gram of the coupling; with a vanishing lower block the whole Schur
         # system is a rational function of this single matrix
-        self.ctc = op.c.T @ op.c if not np.any(amm) else None
+        self.ctc = op.c.T @ op.c if diag is not None and not diag.any() else None
         self.cho: dict[float, tuple] = {}
-        self.lock = threading.Lock()
-
-
-_caches: "weakref.WeakKeyDictionary[BlockOperator, _OpCache]" = weakref.WeakKeyDictionary()
-_caches_lock = threading.Lock()
-
-
-def _cache(op: BlockOperator) -> _OpCache:
-    with _caches_lock:
-        cache = _caches.get(op)
-        if cache is None:
-            cache = _OpCache(op)
-            _caches[op] = cache
-        return cache
-
-
-def cached_lambda0(op: BlockOperator) -> float:
-    return _cache(op).lambda0
-
-
-def resolvent_apply(b: np.ndarray, e: float, v: np.ndarray) -> np.ndarray:
-    """Solve (b + e*I) y = v with a symmetric positive-definite factorization."""
-    b = np.asarray(b, dtype=float)
-    factor = _cho(b + e * np.eye(b.shape[0]), e)
-    return sla.cho_solve(factor, np.asarray(v, dtype=float), check_finite=False)
 
 
 class SchurSystem:
     """The pencil (k_e, m_e) and the lift l_e of one operator at one energy e."""
 
     def __init__(self, op: BlockOperator, e: float) -> None:
-        cache = _cache(op)
-        edge = cache.lambda0 + GAP_EDGE_MARGIN
+        lower = op.remember("schur", lambda: _Lower(op))
+        edge = lower.lambda0 + GAP_EDGE_MARGIN
         if not e > edge:
             raise NotPositiveDefinite(
                 f"energy {e} is not above lambda0 + {GAP_EDGE_MARGIN:g} = {edge}"
             )
-        self.op, self.e, self._cache = op, float(e), cache
+        self.op, self.e, self._lower = op, float(e), lower
         self._l = self._km = None
 
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
         """(b + e*I)^{-1} rhs, where b = -amm."""
-        cache, e = self._cache, self.e
-        if cache.b_diag is not None:
-            d = cache.b_diag + e
+        lower, e = self._lower, self.e
+        if lower.b_diag is not None:
+            d = lower.b_diag + e
             if d.min() <= 0.0:
                 raise NotPositiveDefinite(f"b + {e}*I has a nonpositive diagonal entry")
             return rhs / d if rhs.ndim == 1 else rhs / d[:, None]
-        with cache.lock:
-            factor = cache.cho.get(e)
-            if factor is None:
-                factor = cache.cho[e] = _cho(-self.op.amm + e * np.eye(self.op.n_minus), e)
+        factor = lower.cho.get(e)
+        if factor is None:
+            try:
+                factor = sla.cho_factor(-self.op.amm + e * np.eye(self.op.n_minus),
+                                        check_finite=False)
+            except sla.LinAlgError as exc:
+                raise NotPositiveDefinite(f"b + {e}*I is not positive definite") from exc
+            lower.cho[e] = factor
         return sla.cho_solve(factor, rhs, check_finite=False)
 
     @property
@@ -114,7 +84,7 @@ class SchurSystem:
     def _pencil(self) -> tuple[np.ndarray, np.ndarray]:
         if self._km is None:
             # no identity is held across statements: at n=1200 each is 11.5 MB
-            op, e, ctc = self.op, self.e, self._cache.ctc
+            op, e, ctc = self.op, self.e, self._lower.ctc
             if ctc is not None:
                 k = op.p - e * np.eye(op.n_plus) + ctc / e
                 self._km = (k, np.eye(op.n_plus) + ctc / e**2)

@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
-from .blockop import BlockOperator
+from .blockop import BlockOperator, lambda0
 from .errors import NoGap, SingularSchur
 from .minmax import lambda1_certificate
-from .schur import build_schur, cached_lambda0
+from .schur import build_schur
 
 SINGULAR_RTOL = 1e-12
 
@@ -132,7 +132,7 @@ def sandwich_report(op: BlockOperator, seed: int,
                     n_samples: int = 50) -> list[VerificationReport]:
     """Sampled two-sided energy-monotonicity and norm-chain inequalities."""
     rng = np.random.default_rng(seed)
-    lam0 = cached_lambda0(op)
+    lam0 = lambda0(op)
     worst_sandwich = -math.inf
     worst_chain = -math.inf
     for _ in range(n_samples):
@@ -171,7 +171,7 @@ def sandwich_report(op: BlockOperator, seed: int,
 def e_samples(op: BlockOperator, lambda1: float | None = None) -> list[float]:
     """Energies for identity checks: five log-spaced offsets into (lambda0, lambda0+1e3],
     plus the gap midpoint when lambda1 is known."""
-    lam0 = cached_lambda0(op)
+    lam0 = lambda0(op)
     points = [lam0 + offset for offset in np.logspace(-3.0, 3.0, 5)]
     if lambda1 is not None and np.isfinite(lambda1) and lambda1 > lam0:
         points.append(0.5 * (lam0 + lambda1))

@@ -9,7 +9,6 @@ from gapeig import (
     NonFinite,
     NonSymmetric,
     assemble_block,
-    b_matrix,
     lambda0,
 )
 from gapeig.models import DiracSpec, build_dirac_coulomb
@@ -117,19 +116,30 @@ def test_lambda0_dirac_exact_endpoint():
     assert lambda0(op) == -1.0 - 0.5 / 20.0
 
 
-def test_b_matrix_negation():
-    op = BlockOperator(p=np.eye(1), c=np.zeros((1, 1)), amm=np.array([[-1.0]]))
-    assert np.array_equal(b_matrix(op), np.array([[1.0]]))
-    op = BlockOperator(p=np.eye(1), c=np.zeros((2, 1)), amm=np.diag([-2.0, -3.0]))
-    assert np.array_equal(b_matrix(op), np.diag([2.0, 3.0]))
-    amm = np.array([[-1.0, 0.2], [0.2, -1.0]])
-    op = BlockOperator(p=np.eye(1), c=np.zeros((2, 1)), amm=amm)
-    assert np.array_equal(b_matrix(op), -amm)
+def _refuse_eigensolves(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+
+
+@pytest.mark.parametrize("amm", (np.diag([-2.0, -0.5, -3.0]), np.zeros((3, 3))))
+def test_lambda0_of_diagonal_block_needs_no_eigensolve(monkeypatch, amm):
+    _refuse_eigensolves(monkeypatch)
+    op = BlockOperator(p=np.eye(2), c=np.ones((3, 2)), amm=amm)
+    assert lambda0(op) == np.diagonal(amm).max()
+
+
+def test_lambda0_is_computed_once_per_operator(monkeypatch, campaign_ops):
+    op = BlockOperator(p=campaign_ops[0].p, c=campaign_ops[0].c, amm=campaign_ops[0].amm)
+    first = lambda0(op)
+    _refuse_eigensolves(monkeypatch)
+    assert lambda0(op) == first
 
 
 def test_b_matrix_smallest_eigenvalue(campaign_ops):
     for op in campaign_ops[:5]:
-        smallest = np.linalg.eigvalsh(b_matrix(op))[0]
+        smallest = np.linalg.eigvalsh(-op.amm)[0]
         assert smallest == pytest.approx(-lambda0(op), rel=1e-12)
 
 
@@ -149,7 +159,7 @@ def test_shifted_lower_block_positive_definite(campaign_ops):
     for op in campaign_ops[:10]:
         lam0 = lambda0(op)
         for offset in (1e-9, 1e-3, 1.0, 1e3):
-            sla.cho_factor(b_matrix(op) + (lam0 + offset) * np.eye(op.n_minus))
+            sla.cho_factor(-op.amm + (lam0 + offset) * np.eye(op.n_minus))
 
 
 def test_gapdata_validity_margin():

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import gapeig.minmax as minmax
 from gapeig import ConfigParse, __version__
 from gapeig.cli import (
     CSV_HEADER,
@@ -17,6 +18,7 @@ from gapeig.cli import (
     rows_to_csv,
     rows_to_json,
     run,
+    verify_all,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -147,6 +149,18 @@ class TestRun:
         for row in rows:
             assert row.oracle == pytest.approx(math.sqrt(3.0) / 2.0, abs=1e-12)
         assert rows[1].abs_error < rows[0].abs_error
+
+    def test_positive_kappa_has_no_oracle(self):
+        # the kappa=1 channel's lowest discrete level is the kappa=-1 ground energy
+        config = config_from_dict({
+            "kind": "dirac", "spec": {"nu": 0.5, "kappa": 1, "n": 48, "r_max": 20.0},
+            "k_max": 2,
+        })
+        rows = run(config)
+        assert [r.k for r in rows] == [1, 2]
+        assert all(r.oracle is None and r.abs_error is None for r in rows)
+        for record in csv.DictReader(io.StringIO(rows_to_csv(rows))):
+            assert record["oracle"] == "" and record["abs_error"] == ""
 
 
 class TestSerialization:
@@ -301,6 +315,21 @@ class TestVerifySubcommand:
         params = json.loads(records[0]["params"])
         assert "model" in params
 
+    def test_one_root_solve_per_operator(self, monkeypatch):
+        calls = []
+        solve = minmax.lambda_k
+
+        def counted(op, *args, **kwargs):
+            calls.append(op)
+            return solve(op, *args, **kwargs)
+
+        monkeypatch.setattr(minmax, "lambda_k", counted)
+        config = config_from_dict({
+            "kind": "random", "spec": {"n_plus": 5, "n_minus": 4}, "count": 2})
+        reports = verify_all(config)
+        assert all(rep.passed for rep in reports)
+        assert len(calls) == 2 and calls[0] is not calls[1]
+
 
 class TestHardySubcommand:
     def test_small_sweep(self, tmp_path):
@@ -333,4 +362,4 @@ class TestPollutionSubcommand:
         assert by_check["lambda1_stability"][0]["passed"] == "true"
         drift_row = by_check["window_spurious_drift"][0]
         assert drift_row["passed"] == "false"
-        assert "min-max level" in json.loads(drift_row["params"])["note"]
+        assert "kappa=+1" in json.loads(drift_row["params"])["note"]

@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 import gapeig.minmax as minmax
 from gapeig import (
     ApsSpec,
+    BlockOperator,
     BracketFailure,
     DiracSpec,
     KOutOfRange,
@@ -283,13 +286,28 @@ def test_rows_never_contradict_their_multiplicities(op, tol):
 def test_gap_spectrum_single(canonical):
     results = gap_spectrum(canonical, 1)
     assert len(results) == 1
-    assert results[0].at_ceiling is True
 
 
 def test_gap_spectrum_ceiling_flag(decoupled23):
     results = gap_spectrum(decoupled23, 2)
-    assert results[0].at_ceiling is False
-    assert results[1].at_ceiling is True
+    assert [r.lambda_k for r in results] == pytest.approx([2.0, 3.0], abs=1e-12)
+
+
+def test_concurrent_first_use_matches_serial(campaign_ops):
+    # the per-operator memo has no lock: threads that fill it at once must
+    # still see the serial results (dense lower block, so Cholesky factors too)
+    src = campaign_ops[3]
+    serial = gap_spectrum(BlockOperator(p=src.p, c=src.c, amm=src.amm), 3)
+    op = BlockOperator(p=src.p, c=src.c, amm=src.amm)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(gap_spectrum, op, 3) for _ in range(8)]
+            results = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(r == serial for r in results)
 
 
 def _beyond_ceiling():

@@ -21,7 +21,6 @@ from gapeig import (
     phi_form,
     q_e_form,
     random_gapped,
-    resolvent_apply,
 )
 from gapeig.schur import (
     GAP_EDGE_MARGIN,
@@ -34,27 +33,15 @@ from gapeig.schur import (
 SQRT2 = math.sqrt(2.0)
 
 
-def test_resolvent_scalar():
-    assert resolvent_apply(np.array([[1.0]]), 1.0, np.array([2.0])) == pytest.approx([1.0])
-
-
-def test_resolvent_diagonal():
-    out = resolvent_apply(np.diag([2.0, 3.0]), 0.0, np.array([2.0, 3.0]))
-    assert out == pytest.approx([1.0, 1.0])
-
-
-def test_resolvent_not_positive_definite():
-    with pytest.raises(NotPositiveDefinite):
-        resolvent_apply(np.array([[1.0]]), -1.0, np.array([1.0]))
-
-
 def test_resolvent_residual(campaign_ops):
+    # the lift solves (b + e*I) y = c x, through the Cholesky factor on these dense blocks
     rng = np.random.default_rng(3)
     for op in campaign_ops[:5]:
         b = -op.amm
         e = lambda0(op) + 0.5
-        v = rng.standard_normal(op.n_minus)
-        y = resolvent_apply(b, e, v)
+        x = rng.standard_normal(op.n_plus)
+        v = op.c @ x
+        y = build_schur(op, e).lift(x)
         assert np.linalg.norm((b + e * np.eye(op.n_minus)) @ y - v) <= 1e-10 * np.linalg.norm(v)
 
 
@@ -288,7 +275,8 @@ def test_resolvent_identity_for_lifting(seed):
     e_lo, e_hi = _sample_energies(rng, lam0)
     x = rng.standard_normal(op.n_plus)
     left = apply_l(op, e_lo, x) - apply_l(op, e_hi, x)
-    right = (e_hi - e_lo) * resolvent_apply(-op.amm, e_lo, apply_l(op, e_hi, x))
+    shifted_lo = -op.amm + e_lo * np.eye(op.n_minus)
+    right = (e_hi - e_lo) * np.linalg.solve(shifted_lo, apply_l(op, e_hi, x))
     assert np.linalg.norm(left - right) <= 1e-10 * max(1.0, np.linalg.norm(left))
 
 
