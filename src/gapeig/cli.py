@@ -25,6 +25,8 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -242,12 +244,15 @@ def _load_matrix_file(path: str) -> BlockOperator:
 
 @dataclass(frozen=True)
 class _Unit:
-    """One independently runnable (model instance, grid, seed) work item."""
+    """One independently runnable (model instance, grid, seed) work item.
+
+    oracle computes the ground truth by level; only spectrum rows read it.
+    """
 
     model_id: str
     grid: int
     op: BlockOperator
-    oracle: dict[int, float]
+    oracle: Callable[[], dict[int, float]]
     spec: object
 
 
@@ -268,7 +273,7 @@ def _units(config: ExperimentConfig) -> list[_Unit]:
             model_id = (f"dirac(nu={dspec.nu:g},kappa={dspec.kappa},"
                         f"r_max={dspec.r_max:g},grading={dspec.grading})")
             units.append(_Unit(model_id, n, build_dirac_coulomb(dspec),
-                               _dirac_oracle(dspec), dspec))
+                               partial(_dirac_oracle, dspec), dspec))
     elif kind == "aps":
         base = ApsSpec(
             modes=_numbers(spec.get("modes", [0.0]), "modes"),
@@ -280,7 +285,7 @@ def _units(config: ExperimentConfig) -> list[_Unit]:
             aspec = replace(base, n=n)
             model_id = f"aps(modes={list(aspec.modes)},L={aspec.length_l:g})"
             units.append(_Unit(model_id, n, build_aps_cylinder(aspec),
-                               _aps_oracle(aspec, config.k_max), aspec))
+                               partial(_aps_oracle, aspec, config.k_max), aspec))
     elif kind == "random":
         for offset in range(config.count):
             rspec = RandomSpec(
@@ -292,14 +297,14 @@ def _units(config: ExperimentConfig) -> list[_Unit]:
             op = random_gapped(rspec)
             model_id = f"random(seed={rspec.seed},gap={rspec.gap_target:g})"
             units.append(_Unit(model_id, op.dim, op,
-                               _dense_oracle(op, config.k_max), rspec))
+                               partial(_dense_oracle, op, config.k_max), rspec))
     else:
         path = spec.get("path")
         if not path:
             raise ConfigParse('matrix-file kind needs spec.path')
         op = _load_matrix_file(path)
         units.append(_Unit(f"matrix-file({path})", op.dim, op,
-                           _dense_oracle(op, config.k_max), None))
+                           partial(_dense_oracle, op, config.k_max), None))
     return units
 
 
@@ -307,6 +312,7 @@ def _solve_unit(unit: _Unit, config: ExperimentConfig) -> list[ReportRow]:
     start = time.perf_counter()
     results = gap_spectrum(unit.op, config.k_max, config.tol)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
+    oracle = unit.oracle()
     rows = []
     for res in results:
         rows.append(ReportRow(
@@ -315,7 +321,7 @@ def _solve_unit(unit: _Unit, config: ExperimentConfig) -> list[ReportRow]:
             k=res.k,
             lambda_k=res.lambda_k,
             multiplicity=res.multiplicity,
-            oracle=unit.oracle.get(res.k),
+            oracle=oracle.get(res.k),
             residual=res.residual,
             ms=elapsed_ms,
         ))

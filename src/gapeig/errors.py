@@ -22,7 +22,11 @@ class EigFailure(GapeigError):
 
 
 class NotPositiveDefinite(GapeigError):
-    """Shifted lower block b + e*I is not positive definite (e at or below lambda0)."""
+    """A matrix the Schur pencil needs positive definite is not.
+
+    Either the shifted lower block b + e*I (e at or below lambda0) or, in
+    rounding, the pencil's Gram matrix m_e.
+    """
 
 
 class KOutOfRange(GapeigError):

@@ -12,23 +12,100 @@ pencil (k_e, m_e); m_e >= I keeps the pencil reduction well conditioned.
 
 SchurSystem is that pencil at one energy and the only way the package
 evaluates anything there. Its constructor enforces the one edge rule
-e > lambda0 + GAP_EDGE_MARGIN; k_e, m_e and l_e are computed on first use.
+e > lambda0 + GAP_EDGE_MARGIN; everything else is computed on first use.
 What the pencil needs of the lower block is kept once per operator in the
-operator's memo, next to lambda0: a zero block makes the pencil rational in
-c.T c, a diagonal one solves by division, a dense one by a Cholesky factor
-kept per energy, since root solves revisit the same probe energies for every
-level. A SchurSystem belongs to its caller.
+operator's memo, next to lambda0, and one structure rule picks the backend
+there: a diagonal lower block (a zero one included) whose pencil has
+half-bandwidth w, the widest of p's and of c.T c's nonzero patterns, with
+n_plus >= BAND_RATIO * (w + 1) takes the banded path; every other operator
+the dense one.
+
+- Banded: k_e and m_e are sparse products with the diagonal (b + e)^{-1},
+  kept as upper band arrays. Levels and band counts come from LAPACK's
+  banded generalized solver dsbgvx (gapeig._banded), a level's vector from
+  banded inverse iteration on k_e - sigma*m_e with sigma a few ulps off it.
+  The dense k_e and m_e that verify reads are built from the same bands.
+- Dense: k_e and m_e are dense products and go to a dense generalized eigh;
+  a diagonal block solves by division, a dense one by a Cholesky factor
+  kept per energy, since root solves revisit the same probe energies for
+  every level.
+
+Solver failures surface as GapeigError subclasses, never as LinAlgError.
+A SchurSystem belongs to its caller.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 import scipy.linalg as sla
+from scipy import sparse
 
+from ._banded import pencil_eigvals
 from .blockop import BlockOperator, lambda0, lower_diagonal
-from .errors import KOutOfRange, NotPositiveDefinite
+from .errors import EigFailure, KOutOfRange, NotPositiveDefinite
 
 GAP_EDGE_MARGIN = 1e-10
+BAND_RATIO = 32  # banded once n_plus >= BAND_RATIO * (w + 1); see _band_structure
+INVERSE_STEPS = 3
+SHIFT_ULPS = 4
+
+
+class _Band(NamedTuple):
+    """The banded path's copies of the upper blocks: CSR p, c and c.T, half-bandwidth w."""
+
+    p: sparse.csr_matrix
+    c: sparse.csr_matrix
+    ct: sparse.csr_matrix
+    w: int
+
+
+def _band_structure(op: BlockOperator) -> _Band | None:
+    """The operator's _Band when the pencil's half-bandwidth w is small enough, else None.
+
+    Called once per operator whose lower block is diagonal. The crossover,
+    measured as one pencil level per energy on 2 cores with OpenBLAS: for
+    w <= 2 the banded path is 3-5x slower at n_plus = 64 (its sparse
+    products cost about 1 ms whatever the size) and 2-4x faster from 128 on,
+    28x at n_plus = 1024 with w = 2; at n_plus = 256..1024 it stays ahead up
+    to w of about n_plus/20. BAND_RATIO = 32 sits on the safe side of both.
+    """
+    p, c = sparse.csr_matrix(op.p), sparse.csr_matrix(op.c)
+    rows, cols = p.nonzero()
+    w = int(np.abs(rows - cols).max(initial=0))
+    # columns i < j of c meet in c.T c exactly when one row of c holds both,
+    # so the widest row of c is c.T c's half-bandwidth
+    filled = np.diff(c.indptr) > 0
+    if filled.any():
+        first = c.indices[c.indptr[:-1][filled]]
+        last = c.indices[c.indptr[1:][filled] - 1]
+        w = max(w, int((last - first).max()))
+    if op.n_plus < BAND_RATIO * (w + 1):
+        return None
+    return _Band(p, c, c.T.tocsr(), w)
+
+
+def _upper_band(m: sparse.spmatrix, w: int) -> np.ndarray:
+    """Upper band storage, band[w + i - j, j] = m[i, j] for i <= j."""
+    return np.array([np.pad(m.diagonal(t), (t, 0)) for t in range(w, -1, -1)])
+
+
+def _symmetric(band: np.ndarray) -> sparse.csr_matrix:
+    """The symmetric matrix whose upper band storage is band."""
+    w, n = band.shape[0] - 1, band.shape[1]
+    upper = sparse.dia_matrix((band, np.arange(w, -1, -1)), shape=(n, n))
+    return (upper + sparse.triu(upper, 1).T).tocsr()
+
+
+def _full_band(band: np.ndarray) -> np.ndarray:
+    """The (w, w) general band form solve_banded reads, from upper band storage."""
+    w = band.shape[0] - 1
+    full = np.zeros((2 * w + 1, band.shape[1]))
+    full[:w + 1] = band
+    for t in range(1, w + 1):
+        full[w + t, :-t] = band[w - t, t:]
+    return full
 
 
 class _Lower:
@@ -38,9 +115,7 @@ class _Lower:
         self.lambda0 = lambda0(op)
         diag = lower_diagonal(op)
         self.b_diag = None if diag is None else -diag
-        # gram of the coupling; with a vanishing lower block the whole Schur
-        # system is a rational function of this single matrix
-        self.ctc = op.c.T @ op.c if diag is not None and not diag.any() else None
+        self.band = None if diag is None else _band_structure(op)
         self.cho: dict[float, tuple] = {}
 
 
@@ -55,15 +130,20 @@ class SchurSystem:
                 f"energy {e} is not above lambda0 + {GAP_EDGE_MARGIN:g} = {edge}"
             )
         self.op, self.e, self._lower = op, float(e), lower
-        self._l = self._km = None
+        self._c = op.c if lower.band is None else lower.band.c
+        self._l = self._km = self._bands = None
+
+    def _shifted_diag(self) -> np.ndarray:
+        d = self._lower.b_diag + self.e
+        if d.min() <= 0.0:
+            raise NotPositiveDefinite(f"b + {self.e}*I has a nonpositive diagonal entry")
+        return d
 
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
         """(b + e*I)^{-1} rhs, where b = -amm."""
         lower, e = self._lower, self.e
         if lower.b_diag is not None:
-            d = lower.b_diag + e
-            if d.min() <= 0.0:
-                raise NotPositiveDefinite(f"b + {e}*I has a nonpositive diagonal entry")
+            d = self._shifted_diag()
             return rhs / d if rhs.ndim == 1 else rhs / d[:, None]
         factor = lower.cho.get(e)
         if factor is None:
@@ -81,14 +161,24 @@ class SchurSystem:
             self._l = self._solve(self.op.c)
         return self._l
 
+    def _banded(self) -> tuple[np.ndarray, np.ndarray]:
+        """k_e and m_e in upper band storage; banded path only."""
+        if self._bands is None:
+            p, c, ct, w = self._lower.band
+            lift = c.copy()  # l_e: each row of c divided by its entry of b + e*I
+            lift.data /= np.repeat(self._shifted_diag(), np.diff(c.indptr))
+            eye = sparse.identity(self.op.n_plus, format="csr")
+            self._bands = (_upper_band(p - self.e * eye + ct @ lift, w),
+                           _upper_band(eye + lift.T @ lift, w))
+        return self._bands
+
     def _pencil(self) -> tuple[np.ndarray, np.ndarray]:
         if self._km is None:
-            # no identity is held across statements: at n=1200 each is 11.5 MB
-            op, e, ctc = self.op, self.e, self._lower.ctc
-            if ctc is not None:
-                k = op.p - e * np.eye(op.n_plus) + ctc / e
-                self._km = (k, np.eye(op.n_plus) + ctc / e**2)
+            if self._lower.band is not None:
+                self._km = tuple(_symmetric(b).toarray() for b in self._banded())
             else:
+                # no identity is held across statements: at n=1200 each is 11.5 MB
+                op, e = self.op, self.e
                 # l_e is kept only when a caller asked for it
                 l_e = self._l if self._l is not None else self._solve(op.c)
                 k = op.p - e * np.eye(op.n_plus) + op.c.T @ l_e
@@ -108,34 +198,56 @@ class SchurSystem:
         if not 1 <= k <= self.op.n_plus:
             raise KOutOfRange(f"k must lie in 1..{self.op.n_plus}, got {k}")
 
+    def _eigh(self, **subset) -> tuple[np.ndarray, np.ndarray] | np.ndarray:
+        """The dense path's subset eigh of the pencil."""
+        try:
+            return sla.eigh(*self._pencil(), check_finite=False, **subset)
+        except np.linalg.LinAlgError as exc:
+            raise EigFailure(f"pencil eigensolve at e={self.e} failed: {exc}") from exc
+
     def value(self, k: int) -> float:
         """k-th smallest pencil eigenvalue mu_k(e), 1-based."""
         self._check_k(k)
-        vals = sla.eigh(*self._pencil(), subset_by_index=[k - 1, k - 1],
-                        eigvals_only=True, check_finite=False)
-        return float(vals[0])
+        if self._lower.band is not None:
+            return float(pencil_eigvals(*self._banded(), index=k)[0])
+        return float(self._eigh(subset_by_index=[k - 1, k - 1], eigvals_only=True)[0])
 
     def vector(self, k: int) -> tuple[float, np.ndarray]:
-        """mu_k(e) together with its pencil eigenvector."""
+        """mu_k(e) together with its pencil eigenvector, normalized to x.T m_e x = 1."""
         self._check_k(k)
-        vals, vecs = sla.eigh(*self._pencil(), subset_by_index=[k - 1, k - 1],
-                              check_finite=False)
-        return float(vals[0]), vecs[:, 0]
+        if self._lower.band is None:
+            vals, vecs = self._eigh(subset_by_index=[k - 1, k - 1])
+            return float(vals[0]), vecs[:, 0]
+        mu = self.value(k)
+        kb, mb = self._banded()
+        w, m_e = kb.shape[0] - 1, _symmetric(mb)
+        # a shift a few ulps off mu keeps the LU clear of an exactly zero pivot;
+        # the fixed start keeps the vector, and so every report, deterministic
+        shifted = _full_band(kb - (mu + SHIFT_ULPS * np.spacing(abs(mu))) * mb)
+        x = np.random.default_rng(0).standard_normal(self.op.n_plus)
+        for _ in range(INVERSE_STEPS):
+            try:
+                x = sla.solve_banded((w, w), shifted, m_e @ x, check_finite=False)
+            except np.linalg.LinAlgError as exc:
+                raise EigFailure(f"inverse iteration at e={self.e} failed: {exc}") from exc
+            x /= np.linalg.norm(x)
+        return mu, x / np.sqrt(x @ (m_e @ x))
 
     def values_in_band(self, band: float) -> np.ndarray:
         """Pencil eigenvalues mu with |mu| <= band, ascending."""
-        return sla.eigh(*self._pencil(), subset_by_value=[-band, band],
-                        eigvals_only=True, check_finite=False)
+        if self._lower.band is not None:
+            return pencil_eigvals(*self._banded(), interval=(-band, band))
+        return self._eigh(subset_by_value=[-band, band], eigvals_only=True)
 
     def lift(self, x: np.ndarray) -> np.ndarray:
         """l_e x = (b + e*I)^{-1} c x of an upper-block vector."""
-        return self._solve(self.op.c @ np.asarray(x, dtype=float))
+        return self._solve(self._c @ np.asarray(x, dtype=float))
 
     def form(self, x: np.ndarray) -> tuple[float, float]:
         """q_e(x, x) and its exact energy derivative -(||x||^2 + ||l_e x||^2)."""
         op, e = self.op, self.e
         x = np.asarray(x, dtype=float)
-        cx = op.c @ x
+        cx = self._c @ x
         w = self._solve(cx)
         q = float(x @ (op.p @ x) - e * (x @ x) + cx @ w)
         return q, -float(x @ x + w @ w)

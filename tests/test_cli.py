@@ -5,8 +5,10 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+import gapeig.cli as cli
 import gapeig.minmax as minmax
 from gapeig import ConfigParse, __version__
 from gapeig.cli import (
@@ -215,6 +217,20 @@ class TestMain:
         assert main(["spectrum", "--config", cfg, "--quiet"]) == 2
         assert "block c has non-finite entries" in capsys.readouterr().err
 
+    def test_strongly_coupled_matrix_file_exits_two(self, tmp_path, capsys):
+        # near lambda0 the Gram matrix m_e loses its identity to rounding, so the
+        # pencil eigensolve fails; that is one "gapeig:" line, not a traceback
+        rng = np.random.default_rng(7)
+        full = rng.standard_normal((32, 32))
+        full = (full + full.T) / 2.0
+        full[np.diag_indices(32)] += np.where(np.arange(32) < 12, 6.0, -6.0)
+        matrix = _write(tmp_path / "m.json", {"matrix": full.tolist(), "n_plus": 12})
+        cfg = _write(tmp_path / "cfg.json",
+                     {"kind": "matrix-file", "spec": {"path": matrix}, "k_max": 4})
+        assert main(["spectrum", "--config", cfg, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("gapeig: ") and len(err.splitlines()) == 1
+
     def test_malformed_config_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{", encoding="utf-8")
@@ -329,6 +345,23 @@ class TestVerifySubcommand:
         reports = verify_all(config)
         assert all(rep.passed for rep in reports)
         assert len(calls) == 2 and calls[0] is not calls[1]
+
+
+    def test_verify_computes_no_oracle(self, monkeypatch):
+        calls = []
+        oracle = cli.gap_eigs_bruteforce
+
+        def counted(op, *args):
+            calls.append(op)
+            return oracle(op, *args)
+
+        monkeypatch.setattr(cli, "gap_eigs_bruteforce", counted)
+        config = config_from_dict({
+            "kind": "random", "spec": {"n_plus": 5, "n_minus": 4}, "count": 2})
+        verify_all(config)
+        assert calls == []
+        run(config)
+        assert len(calls) == 2
 
 
 class TestHardySubcommand:

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gapeig.schur as schur
 from gapeig import (
     ApsSpec,
+    BlockOperator,
     DiracSpec,
+    EigFailure,
     KOutOfRange,
     NotPositiveDefinite,
     RandomSpec,
@@ -16,12 +20,14 @@ from gapeig import (
     build_dirac_coulomb,
     build_schur,
     dense_spectrum,
+    gap_spectrum,
     lambda0,
     mu_k,
     phi_form,
     q_e_form,
     random_gapped,
 )
+from gapeig._banded import pencil_eigvals
 from gapeig.schur import (
     GAP_EDGE_MARGIN,
     apply_l,
@@ -69,19 +75,113 @@ def test_build_schur_requires_margin(canonical):
         build_schur(canonical, -1.0 + 1e-11)
 
 
-# one operator per lower-block structure: zero (the rational c.T c path),
-# diagonal, and dense (Cholesky)
-STRUCTURES = {
+def _sparse_coupling_op():
+    """Diagonal amm and p tridiagonal; each row of c holds at most two entries
+    within three adjacent columns, and every fifth row is empty."""
+    rng = np.random.default_rng(17)
+    n_plus, n_minus = 160, 200
+    c = np.zeros((n_minus, n_plus))
+    for row in range(n_minus):
+        if row % 5:
+            first = int(rng.integers(0, n_plus - 2))
+            c[row, first + rng.choice(3, size=2, replace=False)] = rng.standard_normal(2)
+    off = rng.standard_normal(n_plus - 1)
+    p = np.diag(rng.uniform(0.5, 3.0, n_plus)) + np.diag(off, 1) + np.diag(off, -1)
+    return BlockOperator(p=p, c=c, amm=np.diag(-1.0 - rng.uniform(0.0, 2.0, n_minus)))
+
+
+def _dirac(n, kappa, grading):
+    return build_dirac_coulomb(DiracSpec(nu=0.5, kappa=kappa, n=n, r_max=30.0,
+                                         grading=grading))
+
+
+# one operator per pencil backend: the dense path with a zero, a diagonal and
+# a dense (Cholesky) lower block; the banded path with diagonal lower blocks
+# (APS's is zero) and narrow pencil bands
+DENSE = {
     "aps-zero": lambda: build_aps_cylinder(ApsSpec(modes=(0.0, 2.0), length_l=1.0, n=8)),
     "dirac-diagonal": lambda: build_dirac_coulomb(DiracSpec(nu=0.5, kappa=-1, n=20,
                                                             r_max=10.0)),
     "random-dense": lambda: random_gapped(RandomSpec(n_plus=6, n_minus=9, seed=3)),
 }
+BANDED = {
+    "banded-dirac-uniform-": lambda: _dirac(200, -1, "uniform"),
+    "banded-dirac-uniform+": lambda: _dirac(200, 1, "uniform"),
+    "banded-dirac-quadratic-": lambda: _dirac(200, -1, "quadratic"),
+    "banded-dirac-quadratic+": lambda: _dirac(200, 1, "quadratic"),
+    "banded-aps": lambda: build_aps_cylinder(ApsSpec(modes=(0.0, 3.0, -3.0),
+                                                     length_l=1.0, n=60)),
+    "banded-sparse-coupling": _sparse_coupling_op,
+}
+STRUCTURES = {**DENSE, **BANDED}
 
 
 @pytest.fixture(params=sorted(STRUCTURES))
 def structured_op(request):
     return STRUCTURES[request.param]()
+
+
+@pytest.mark.parametrize("name", sorted(STRUCTURES))
+def test_structure_rule_picks_the_backend(name):
+    op = STRUCTURES[name]()
+    system = build_schur(op, lambda0(op) + 0.7)
+    assert (system._lower.band is not None) == (name in BANDED)
+
+
+def _band_between(values, count, tol):
+    """A band holding at least the count smallest |values|, farther than tol from all."""
+    mags = np.sort(np.abs(values))
+    gaps = np.flatnonzero(np.diff(mags) > 4.0 * tol)
+    gaps = gaps[gaps >= count - 1]
+    return 0.5 * (mags[gaps[0]] + mags[gaps[0] + 1]) if len(gaps) else 2.0 * mags[-1]
+
+
+@pytest.mark.parametrize("name", sorted(BANDED))
+@pytest.mark.parametrize("offset", (1e-3, 0.7, 40.0))
+def test_banded_pencil_matches_dense_eigh(name, offset):
+    op = BANDED[name]()
+    s = build_schur(op, lambda0(op) + offset)
+    k_e, m_e = s.k_e, s.m_e
+    ref = sla.eigh(k_e, m_e, eigvals_only=True)
+    scale = 1e-12 * np.linalg.norm(k_e, 2)
+    for k in range(1, 6):
+        assert abs(s.value(k) - ref[k - 1]) <= scale
+        mu, x = s.vector(k)
+        assert mu == s.value(k)
+        assert np.linalg.norm(k_e @ x - mu * (m_e @ x)) <= scale
+    band = _band_between(ref, 5, scale)
+    got = s.values_in_band(band)
+    want = ref[np.abs(ref) <= band]
+    assert len(got) == len(want) >= 5
+    assert np.abs(got - want).max() <= scale
+
+
+def test_banded_vectors_of_a_degenerate_pair_stay_in_its_eigenspace():
+    # modes +3 and -3 give every level of that mode twice, exactly
+    op = BANDED["banded-aps"]()
+    s = build_schur(op, 0.7)
+    assert s.value(3) - s.value(2) <= 1e-14 * abs(s.value(2))
+    (_, x2), (_, x3) = s.vector(2), s.vector(3)
+    ref_vals, ref_vecs = sla.eigh(s.k_e, s.m_e, subset_by_index=[1, 2])
+    assert ref_vals[1] - ref_vals[0] <= 1e-12 * abs(ref_vals[0])
+    # each vector lies in the dense pair's eigenspace
+    for x in (x2, x3):
+        inside = ref_vecs @ (ref_vecs.T @ (s.m_e @ x))
+        assert np.linalg.norm(x - inside) <= 1e-10 * np.linalg.norm(x)
+
+
+def test_banded_gap_spectrum_needs_no_dense_eigh(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense eigh on a banded operator")
+
+    monkeypatch.setattr(schur.sla, "eigh", refuse)
+    dirac = gap_spectrum(build_dirac_coulomb(DiracSpec(nu=0.5, kappa=-1, n=1200,
+                                                       r_max=30.0)), 2)
+    assert dirac[0].lambda_k == pytest.approx(math.sqrt(3.0) / 2.0, abs=1e-8)
+    aps = gap_spectrum(build_aps_cylinder(ApsSpec(modes=(0.0, 3.0, -3.0), length_l=1.0,
+                                                  n=400)), 5)
+    assert [r.multiplicity for r in aps] == [1, 2, 2, 1, 2]
+    assert all(r.status == "ok" for r in dirac + aps)
 
 
 def _rel(a, b):
@@ -342,3 +442,17 @@ def test_sign_characterization(campaign_ops):
         delta = 1e-4 * max(1.0, abs(lam1))
         assert mu_k(op, lam1 - delta, 1) > 0.0
         assert mu_k(op, lam1 + delta, 1) < 0.0
+
+
+def test_banded_failures_are_gapeig_errors(monkeypatch):
+    a_band = np.vstack([np.full(40, 0.5), np.ones(40)])
+    with pytest.raises(NotPositiveDefinite):
+        pencil_eigvals(a_band, np.vstack([np.zeros(40), -np.ones(40)]), index=1)
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(schur.sla, "solve_banded", singular)
+    op = BANDED["banded-aps"]()
+    with pytest.raises(EigFailure):
+        build_schur(op, 0.7).vector(1)
