@@ -493,6 +493,8 @@ def _cmd_pollution(args: argparse.Namespace) -> int:
               if args.config else None)
     spec = _checked_spec(config, "pollution")
     grids = list(config.grids) if config and config.grids else [600, 1200]
+    if len(grids) < 2:
+        raise ConfigParse(f"pollution compares two grids; grids needs at least two, got {grids}")
     tol = config.tol if config else 1e-10
     nu = _number(spec.get("nu", 0.9), "nu")
     kappa = _number(spec.get("kappa", -1), "kappa", int)

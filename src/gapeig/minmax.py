@@ -3,18 +3,20 @@
 Both solvers find the one sign change above lambda0 of a function that is
 positive next to lambda0 and negative past its root, with one loop, _root:
 check the sign at the left edge, bracket by doubling steps from
-lambda0 + 1, refine by Newton steps kept inside the verified bracket.
+lambda0 + 1, refine by Newton steps kept inside the verified bracket. Both
+refine with one step, _newton: the E-Newton step e - q/q' on q_e(x, x), whose
+energy derivative is exactly q' = -||z||^2 for the lifted z = (x, l_e x).
 
-energy_of_vector finds, for a fixed upper-block vector x, the energy E with
-q_E(x, x) = 0; the energy derivative of q is exactly -(||x||^2 + ||l_E x||^2).
+energy_of_vector finds, for a fixed upper-block vector x, the energy E(x)
+with q_E(x, x) = 0, the energy functional of the min-max principle.
 lambda_k finds the k-th gap eigenvalue as the sign change of lam -> mu_k(lam):
 an inertia count makes the level positive below the eigenvalue and negative
 above it. Coming off lambda0 the level rises from zero, so bracketing goes by
-sign, never by value. Its Newton step is the Rayleigh quotient of the
-assembled operator at the lifted pencil vector z = x + l_lam x, which equals
-lam + mu_k(lam) exactly (z.T (A - lam) z = x.T K x = mu_k x.T M x and
-z.T z = x.T M x): the level crosses zero with slope -1, since dK/dlam = -M.
-The quotient carries eps*||A|| rounding where mu carries eps*||K||, so roots
+sign, never by value. It steps by _newton at the k-th pencil vector x: the
+candidate lam + q/||z||^2 equals lam + mu_k(lam) exactly (q = mu_k x.T M x,
+||z||^2 = x.T M x), so the level crosses zero with slope -1. It carries
+eps*||A|| rounding where mu carries eps*||K||, since the terms of q/||z||^2
+are bounded by ||p - lam|| and ||b + lam|| (c x = (b + lam) l_lam x): roots
 come out near machine precision even when ||K|| is large.
 """
 
@@ -22,21 +24,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .blockop import BlockOperator, GapData, lambda0
 from .errors import BracketFailure, KOutOfRange, ZeroVector
 from .oracle import CLUSTER_RTOL
-from .schur import (
-    SchurSystem,
-    apply_l,
-    build_schur,
-    mu_k,
-    mu_k_with_vector,
-    phi_form,
-    q_value_and_slope,
-)
+from .schur import SchurSystem, build_schur, mu_k, mu_k_with_vector, q_value_and_slope
 
 LEFT_EDGE_REL = 1e-8
 DEFAULT_LAMBDA_MAX_OFFSET = 1e12
@@ -110,6 +105,12 @@ def _root(probe, step, lam0: float, converged) -> tuple[float, int, tuple[float,
     return min(max(cand, lo), hi), evals, (lo, hi)
 
 
+def _newton(op: BlockOperator, e: float, x: np.ndarray) -> tuple[float, float]:
+    """q_e(x, x) and the Newton candidate e - q/q' for its root in e: the E-Newton step."""
+    q, slope = q_value_and_slope(op, e, x)
+    return q, e - q / slope
+
+
 def energy_of_vector(op: BlockOperator, x: np.ndarray) -> float:
     """The unique E > lambda0 with q_E(x, x) = 0."""
     x = np.asarray(x, dtype=float)
@@ -117,25 +118,15 @@ def energy_of_vector(op: BlockOperator, x: np.ndarray) -> float:
     if norm2 == 0.0:
         raise ZeroVector("energy_of_vector needs a nonzero vector")
 
-    def newton(e: float) -> tuple[float, float]:
-        q, slope = q_value_and_slope(op, e, x)
-        return q, e - q / slope
-
+    newton = partial(_newton, op, x=x)
     return _root(newton, newton, lambda0(op),
                  lambda e, q: abs(q) <= 1e-12 * norm2 * max(1.0, abs(e)))[0]
 
 
 def _residual(system: SchurSystem, k: int) -> tuple[float, float]:
-    """mu_k at the system's energy e and ||A z - e z|| / ||z|| for z = (x, l_e x).
-
-    x is the k-th pencil vector; A z is formed blockwise, A is never assembled.
-    """
+    """mu_k at the system's energy and SchurSystem.residual of the k-th pencil vector."""
     mu, x = system.vector(k)
-    y = system.lift(x)
-    op, e = system.op, system.e
-    upper = op.p @ x + op.c.T @ y - e * x
-    lower = op.c @ x + op.amm @ y - e * y
-    return mu, math.sqrt(float(upper @ upper + lower @ lower) / float(x @ x + y @ y))
+    return mu, system.residual(x)
 
 
 def lambda_k(op: BlockOperator, k: int, tol: float = 1e-10) -> MinMaxResult:
@@ -149,12 +140,11 @@ def lambda_k(op: BlockOperator, k: int, tol: float = 1e-10) -> MinMaxResult:
         mu = mu_k(op, lam, k)
         return mu, lam + mu
 
-    def rayleigh(lam: float) -> tuple[float, float]:
+    def step(lam: float) -> tuple[float, float]:
         mu, x = mu_k_with_vector(op, lam, k)
-        y = apply_l(op, lam, x)
-        return mu, phi_form(op, 0.0, x, y) / float(x @ x + y @ y)
+        return mu, _newton(op, lam, x)[1]
 
-    lam, evals, bracket = _root(level, rayleigh, lambda0(op),
+    lam, evals, bracket = _root(level, step, lambda0(op),
                                 lambda lam, mu: abs(mu) <= tol)
     system = build_schur(op, lam)
     return MinMaxResult(k=k, lambda_k=lam, multiplicity=_multiplicity_at(system),

@@ -13,12 +13,13 @@ pencil (k_e, m_e); m_e >= I keeps the pencil reduction well conditioned.
 SchurSystem is that pencil at one energy and the only way the package
 evaluates anything there. Its constructor enforces the one edge rule
 e > lambda0 + GAP_EDGE_MARGIN; everything else is computed on first use.
-What the pencil needs of the lower block is kept once per operator in the
+What the pencil needs of the operator is kept once per operator in the
 operator's memo, next to lambda0, and one structure rule picks the backend
 there: a diagonal lower block (a zero one included) whose pencil has
 half-bandwidth w, the widest of p's and of c.T c's nonzero patterns, with
 n_plus >= BAND_RATIO * (w + 1) takes the banded path; every other operator
-the dense one.
+the dense one. The rule also picks the one storage of p, c and c.T that every
+product reads, pencil, lift, form and residual alike.
 
 - Banded: k_e and m_e are sparse products with the diagonal (b + e)^{-1},
   kept as upper band arrays. Levels and band counts come from LAPACK's
@@ -28,7 +29,8 @@ the dense one.
 - Dense: k_e and m_e are dense products and go to a dense generalized eigh;
   a diagonal block solves by division, a dense one by a Cholesky factor
   kept per energy, since root solves revisit the same probe energies for
-  every level.
+  every level; only whole-block solves keep one, so one-off energies of
+  single-vector solves (sampled checks, energy_of_vector) leave no factor.
 
 Solver failures surface as GapeigError subclasses, never as LinAlgError.
 A SchurSystem belongs to its caller.
@@ -36,7 +38,7 @@ A SchurSystem belongs to its caller.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+import math
 
 import numpy as np
 import scipy.linalg as sla
@@ -47,31 +49,20 @@ from .blockop import BlockOperator, lambda0, lower_diagonal
 from .errors import EigFailure, KOutOfRange, NotPositiveDefinite
 
 GAP_EDGE_MARGIN = 1e-10
-BAND_RATIO = 32  # banded once n_plus >= BAND_RATIO * (w + 1); see _band_structure
+BAND_RATIO = 32  # banded once n_plus >= BAND_RATIO * (w + 1); see _half_bandwidth
 INVERSE_STEPS = 3
 SHIFT_ULPS = 4
 
 
-class _Band(NamedTuple):
-    """The banded path's copies of the upper blocks: CSR p, c and c.T, half-bandwidth w."""
+def _half_bandwidth(p: sparse.csr_matrix, c: sparse.csr_matrix) -> int:
+    """The pencil's half-bandwidth w: the widest of p's and of c.T c's nonzero patterns.
 
-    p: sparse.csr_matrix
-    c: sparse.csr_matrix
-    ct: sparse.csr_matrix
-    w: int
-
-
-def _band_structure(op: BlockOperator) -> _Band | None:
-    """The operator's _Band when the pencil's half-bandwidth w is small enough, else None.
-
-    Called once per operator whose lower block is diagonal. The crossover,
-    measured as one pencil level per energy on 2 cores with OpenBLAS: for
-    w <= 2 the banded path is 3-5x slower at n_plus = 64 (its sparse
-    products cost about 1 ms whatever the size) and 2-4x faster from 128 on,
-    28x at n_plus = 1024 with w = 2; at n_plus = 256..1024 it stays ahead up
-    to w of about n_plus/20. BAND_RATIO = 32 sits on the safe side of both.
+    The crossover behind BAND_RATIO, measured as one pencil level per energy
+    on 2 cores with OpenBLAS: for w <= 2 the banded path is 3-5x slower at
+    n_plus = 64 (its sparse products cost about 1 ms whatever the size) and
+    2-4x faster from 128 on, 28x at n_plus = 1024 with w = 2; at n_plus =
+    256..1024 it stays ahead up to w of about n_plus/20. 32 is safe for both.
     """
-    p, c = sparse.csr_matrix(op.p), sparse.csr_matrix(op.c)
     rows, cols = p.nonzero()
     w = int(np.abs(rows - cols).max(initial=0))
     # columns i < j of c meet in c.T c exactly when one row of c holds both,
@@ -81,9 +72,7 @@ def _band_structure(op: BlockOperator) -> _Band | None:
         first = c.indices[c.indptr[:-1][filled]]
         last = c.indices[c.indptr[1:][filled] - 1]
         w = max(w, int((last - first).max()))
-    if op.n_plus < BAND_RATIO * (w + 1):
-        return None
-    return _Band(p, c, c.T.tocsr(), w)
+    return w
 
 
 def _upper_band(m: sparse.spmatrix, w: int) -> np.ndarray:
@@ -109,13 +98,19 @@ def _full_band(band: np.ndarray) -> np.ndarray:
 
 
 class _Lower:
-    """The lower-block facts of one operator that every pencil evaluation reads."""
+    """The facts of one operator that every pencil evaluation reads."""
 
     def __init__(self, op: BlockOperator) -> None:
         self.lambda0 = lambda0(op)
         diag = lower_diagonal(op)
         self.b_diag = None if diag is None else -diag
-        self.band = None if diag is None else _band_structure(op)
+        # the storage every product reads: CSR copies if banded (w set), else op's own
+        self.p, self.c, self.ct, self.w = op.p, op.c, op.c.T, None
+        if diag is not None:
+            p, c = sparse.csr_matrix(op.p), sparse.csr_matrix(op.c)
+            w = _half_bandwidth(p, c)
+            if op.n_plus >= BAND_RATIO * (w + 1):
+                self.p, self.c, self.ct, self.w = p, c, c.T.tocsr(), w
         self.cho: dict[float, tuple] = {}
 
 
@@ -130,7 +125,6 @@ class SchurSystem:
                 f"energy {e} is not above lambda0 + {GAP_EDGE_MARGIN:g} = {edge}"
             )
         self.op, self.e, self._lower = op, float(e), lower
-        self._c = op.c if lower.band is None else lower.band.c
         self._l = self._km = self._bands = None
 
     def _shifted_diag(self) -> np.ndarray:
@@ -140,7 +134,7 @@ class SchurSystem:
         return d
 
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
-        """(b + e*I)^{-1} rhs, where b = -amm."""
+        """(b + e*I)^{-1} rhs, where b = -amm; only a whole-block rhs keeps a factor."""
         lower, e = self._lower, self.e
         if lower.b_diag is not None:
             d = self._shifted_diag()
@@ -152,7 +146,8 @@ class SchurSystem:
                                         check_finite=False)
             except sla.LinAlgError as exc:
                 raise NotPositiveDefinite(f"b + {e}*I is not positive definite") from exc
-            lower.cho[e] = factor
+            if rhs.ndim == 2:
+                lower.cho[e] = factor
         return sla.cho_solve(factor, rhs, check_finite=False)
 
     @property
@@ -164,25 +159,26 @@ class SchurSystem:
     def _banded(self) -> tuple[np.ndarray, np.ndarray]:
         """k_e and m_e in upper band storage; banded path only."""
         if self._bands is None:
-            p, c, ct, w = self._lower.band
-            lift = c.copy()  # l_e: each row of c divided by its entry of b + e*I
-            lift.data /= np.repeat(self._shifted_diag(), np.diff(c.indptr))
+            lower = self._lower
+            lift = lower.c.copy()  # l_e: each row of c divided by its entry of b + e*I
+            lift.data /= np.repeat(self._shifted_diag(), np.diff(lower.c.indptr))
             eye = sparse.identity(self.op.n_plus, format="csr")
-            self._bands = (_upper_band(p - self.e * eye + ct @ lift, w),
-                           _upper_band(eye + lift.T @ lift, w))
+            self._bands = (_upper_band(lower.p - self.e * eye + lower.ct @ lift, lower.w),
+                           _upper_band(eye + lift.T @ lift, lower.w))
         return self._bands
 
     def _pencil(self) -> tuple[np.ndarray, np.ndarray]:
         if self._km is None:
-            if self._lower.band is not None:
+            lower = self._lower
+            if lower.w is not None:
                 self._km = tuple(_symmetric(b).toarray() for b in self._banded())
             else:
                 # no identity is held across statements: at n=1200 each is 11.5 MB
-                op, e = self.op, self.e
+                n, e = self.op.n_plus, self.e
                 # l_e is kept only when a caller asked for it
-                l_e = self._l if self._l is not None else self._solve(op.c)
-                k = op.p - e * np.eye(op.n_plus) + op.c.T @ l_e
-                m = np.eye(op.n_plus) + l_e.T @ l_e
+                l_e = self._l if self._l is not None else self._solve(lower.c)
+                k = lower.p - e * np.eye(n) + lower.ct @ l_e
+                m = np.eye(n) + l_e.T @ l_e
                 self._km = ((k + k.T) / 2.0, (m + m.T) / 2.0)
         return self._km
 
@@ -208,19 +204,19 @@ class SchurSystem:
     def value(self, k: int) -> float:
         """k-th smallest pencil eigenvalue mu_k(e), 1-based."""
         self._check_k(k)
-        if self._lower.band is not None:
+        if self._lower.w is not None:
             return float(pencil_eigvals(*self._banded(), index=k)[0])
         return float(self._eigh(subset_by_index=[k - 1, k - 1], eigvals_only=True)[0])
 
     def vector(self, k: int) -> tuple[float, np.ndarray]:
         """mu_k(e) together with its pencil eigenvector, normalized to x.T m_e x = 1."""
         self._check_k(k)
-        if self._lower.band is None:
+        if self._lower.w is None:
             vals, vecs = self._eigh(subset_by_index=[k - 1, k - 1])
             return float(vals[0]), vecs[:, 0]
         mu = self.value(k)
         kb, mb = self._banded()
-        w, m_e = kb.shape[0] - 1, _symmetric(mb)
+        w, m_e = self._lower.w, _symmetric(mb)
         # a shift a few ulps off mu keeps the LU clear of an exactly zero pivot;
         # the fixed start keeps the vector, and so every report, deterministic
         shifted = _full_band(kb - (mu + SHIFT_ULPS * np.spacing(abs(mu))) * mb)
@@ -235,22 +231,33 @@ class SchurSystem:
 
     def values_in_band(self, band: float) -> np.ndarray:
         """Pencil eigenvalues mu with |mu| <= band, ascending."""
-        if self._lower.band is not None:
+        if self._lower.w is not None:
             return pencil_eigvals(*self._banded(), interval=(-band, band))
         return self._eigh(subset_by_value=[-band, band], eigvals_only=True)
 
     def lift(self, x: np.ndarray) -> np.ndarray:
         """l_e x = (b + e*I)^{-1} c x of an upper-block vector."""
-        return self._solve(self._c @ np.asarray(x, dtype=float))
+        return self._solve(self._lower.c @ np.asarray(x, dtype=float))
 
     def form(self, x: np.ndarray) -> tuple[float, float]:
         """q_e(x, x) and its exact energy derivative -(||x||^2 + ||l_e x||^2)."""
-        op, e = self.op, self.e
         x = np.asarray(x, dtype=float)
-        cx = self._c @ x
-        w = self._solve(cx)
-        q = float(x @ (op.p @ x) - e * (x @ x) + cx @ w)
-        return q, -float(x @ x + w @ w)
+        cx = self._lower.c @ x
+        y = self._solve(cx)
+        q = float(x @ (self._lower.p @ x) - self.e * (x @ x) + cx @ y)
+        return q, -float(x @ x + y @ y)
+
+    def residual(self, x: np.ndarray) -> float:
+        """||A z - e z|| / ||z|| for z = (x, l_e x); A is applied blockwise, never assembled."""
+        lower, e = self._lower, self.e
+        x = np.asarray(x, dtype=float)
+        cx = lower.c @ x
+        y = self._solve(cx)
+        upper = lower.p @ x + lower.ct @ y - e * x
+        # amm y - e y, which is -(b + e) y for a diagonal block
+        down = (cx - self._shifted_diag() * y if lower.b_diag is not None
+                else cx + self.op.amm @ y - e * y)
+        return math.sqrt(float(upper @ upper + down @ down) / float(x @ x + y @ y))
 
 
 def build_schur(op: BlockOperator, e: float) -> SchurSystem:

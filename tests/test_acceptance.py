@@ -3,11 +3,12 @@
 Every test prints "[PASS] criterion N: ..." or "[FAIL] criterion N: ..."
 before asserting, so the verdict table survives in the pytest output even
 under capture. Criterion 10 carries two clauses; the stability clause holds,
-while the spurious-drift clause demands a pollution artifact that this
-discretization provably cannot produce (every dense-spectrum value above
-the gap floor is itself a min-max level, so nothing in the window can be
-spurious). The clause is asserted as stated and the test fails honestly
-rather than weakening the check.
+while the spurious-drift clause demands a dense-spectrum value drifting
+inside the window (-0.5, 0.5), which holds only the stable nu=0.9 ground
+state. The discretization does have spurious levels (kappa=+1 repeats the
+kappa=-1 ground energy), but none falls in that window. The clause is
+asserted as stated and the test fails honestly rather than weakening the
+check.
 """
 
 import math

@@ -396,3 +396,13 @@ class TestPollutionSubcommand:
         drift_row = by_check["window_spurious_drift"][0]
         assert drift_row["passed"] == "false"
         assert "kappa=+1" in json.loads(drift_row["params"])["note"]
+
+    def test_one_grid_exits_two(self, tmp_path, capsys):
+        # one grid would be compared with itself: drift 0.0, passed, exit 0
+        cfg = _write(tmp_path / "cfg.json", {
+            "kind": "dirac", "spec": {"nu": 0.9, "kappa": -1, "r_max": 30.0},
+            "grids": [200],
+        })
+        assert main(["pollution", "--config", cfg, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("gapeig: ") and "grids" in err

@@ -28,6 +28,8 @@ from gapeig import (
     random_gapped,
 )
 from gapeig._banded import pencil_eigvals
+from gapeig.minmax import _newton
+from gapeig.verify import sandwich_report
 from gapeig.schur import (
     GAP_EDGE_MARGIN,
     apply_l,
@@ -125,7 +127,7 @@ def structured_op(request):
 def test_structure_rule_picks_the_backend(name):
     op = STRUCTURES[name]()
     system = build_schur(op, lambda0(op) + 0.7)
-    assert (system._lower.band is not None) == (name in BANDED)
+    assert (system._lower.w is not None) == (name in BANDED)
 
 
 def _band_between(values, count, tol):
@@ -228,6 +230,69 @@ def test_solves_keep_no_lift_matrix(structured_op):
     s.lift(x)
     s.form(x)
     assert s._l is None
+
+
+def test_newton_candidate_is_the_rayleigh_quotient(structured_op):
+    # phi_0(x, l x) = q_e(x, x) + e ||z||^2, so e - q/q' is A's quotient at z
+    op = structured_op
+    rng = np.random.default_rng(41)
+    for offset in (1e-3, 0.7, 40.0):
+        e = lambda0(op) + offset
+        for x in (build_schur(op, e).vector(1)[1], rng.standard_normal(op.n_plus)):
+            y = apply_l(op, e, x)
+            quotient = phi_form(op, 0.0, x, y) / float(x @ x + y @ y)
+            assert _newton(op, e, x)[1] == pytest.approx(quotient, rel=1e-14)
+
+
+def test_residual_matches_the_assembled_operator(structured_op):
+    op = structured_op
+    full = op.assembled()
+    rng = np.random.default_rng(43)
+    for offset in (1e-3, 0.7, 40.0):
+        e = lambda0(op) + offset
+        s = build_schur(op, e)
+        for x in (s.vector(1)[1], rng.standard_normal(op.n_plus)):
+            z = np.concatenate([x, s.lift(x)])
+            ref = np.linalg.norm(full @ z - e * z) / np.linalg.norm(z)
+            assert s.residual(x) == pytest.approx(ref, rel=1e-10)
+
+
+@pytest.mark.parametrize("build", (
+    lambda: _dirac(600, -1, "uniform"),
+    lambda: build_aps_cylinder(ApsSpec(modes=(0.0, 3.0, -3.0), length_l=1.0, n=100)),
+), ids=("dirac-600", "aps-100"))
+def test_root_loop_reads_no_block_outside_the_pencil(build):
+    # once the pencil's storage exists, the operator's own blocks are never read
+    op = build()
+    first = gap_spectrum(op, 3)
+    assert build_schur(op, 1.0)._lower.w is not None
+    for name in ("p", "c", "amm"):
+        object.__setattr__(op, name, np.full_like(getattr(op, name), np.nan))
+    assert gap_spectrum(op, 3) == first
+
+
+def test_one_off_energies_keep_no_factor():
+    op = DENSE["random-dense"]()
+    gap_spectrum(op, 5)
+    cache = build_schur(op, lambda0(op) + 1.0)._lower.cho
+    size = len(cache)
+    sandwich_report(op, seed=0, n_samples=20)
+    assert len(cache) == size
+
+
+def test_a_repeated_spectrum_factors_nothing(monkeypatch):
+    op = DENSE["random-dense"]()
+    first = gap_spectrum(op, 5)
+    calls = []
+    original = schur.sla.cho_factor
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(schur.sla, "cho_factor", counted)
+    assert gap_spectrum(op, 5) == first
+    assert not calls
 
 
 def test_edge_rule_on_every_entry_point(structured_op):

@@ -37,6 +37,8 @@ def test_every_traced_layer_function_resolves():
 
 
 def test_minmax_looks_up_pencil_evaluations_from_schur():
-    # the trace counts pencil evaluations per root through these two names
+    # the trace counts pencil evaluations per root through these two names,
+    # and times the Newton step through the third
     assert minmax.mu_k is schur.mu_k
     assert minmax.mu_k_with_vector is schur.mu_k_with_vector
+    assert minmax.q_value_and_slope is schur.q_value_and_slope
