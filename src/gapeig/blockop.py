@@ -165,7 +165,8 @@ def lower_diagonal(op: BlockOperator) -> np.ndarray | None:
 
     def detect():
         diag = np.diagonal(op.amm)
-        return diag if np.count_nonzero(op.amm - np.diag(diag)) == 0 else None
+        # diagonal when all of amm's nonzeros sit on its diagonal; no n_minus^2 temporary
+        return diag if np.count_nonzero(op.amm) == np.count_nonzero(diag) else None
 
     return op.remember("lower_diagonal", detect)
 

@@ -128,10 +128,8 @@ class SchurSystem:
         self._l = self._km = self._bands = None
 
     def _shifted_diag(self) -> np.ndarray:
-        d = self._lower.b_diag + self.e
-        if d.min() <= 0.0:
-            raise NotPositiveDefinite(f"b + {self.e}*I has a nonpositive diagonal entry")
-        return d
+        # positive: the edge rule gives e > lambda0 = max(diag), and e - diag > 0 rounds to > 0
+        return self._lower.b_diag + self.e
 
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
         """(b + e*I)^{-1} rhs, where b = -amm; only a whole-block rhs keeps a factor."""

@@ -11,6 +11,7 @@ from gapeig import (
     assemble_block,
     lambda0,
 )
+from gapeig.blockop import lower_diagonal
 from gapeig.models import DiracSpec, build_dirac_coulomb
 
 
@@ -128,6 +129,17 @@ def test_lambda0_of_diagonal_block_needs_no_eigensolve(monkeypatch, amm):
     _refuse_eigensolves(monkeypatch)
     op = BlockOperator(p=np.eye(2), c=np.ones((3, 2)), amm=amm)
     assert lambda0(op) == np.diagonal(amm).max()
+
+
+def test_lower_diagonal_sees_off_diagonal_entries_beside_zero_diagonal_ones():
+    # three nonzeros on a 3x3 block: counted against the diagonal's length
+    # rather than its own nonzeros, this block would pass as diagonal
+    coupled = np.array([[-1.0, 0.0, 0.0], [0.0, 0.0, 0.5], [0.0, 0.5, 0.0]])
+    op = BlockOperator(p=np.eye(2), c=np.ones((3, 2)), amm=coupled)
+    assert lower_diagonal(op) is None
+    amm = np.diag([-1.0, 0.0, -2.0])
+    op = BlockOperator(p=np.eye(2), c=np.ones((3, 2)), amm=amm)
+    assert np.array_equal(lower_diagonal(op), [-1.0, 0.0, -2.0])
 
 
 def test_lambda0_is_computed_once_per_operator(monkeypatch, campaign_ops):

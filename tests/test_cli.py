@@ -346,6 +346,18 @@ class TestVerifySubcommand:
         assert all(rep.passed for rep in reports)
         assert len(calls) == 2 and calls[0] is not calls[1]
 
+    @pytest.mark.parametrize("raw, tail", [
+        ({"kind": "dirac", "spec": {"nu": 0.5, "kappa": -1, "r_max": 30.0, "n": 200}},
+         ["hardy"]),
+        ({"kind": "random", "spec": {"n_plus": 5, "n_minus": 4}, "count": 1}, []),
+    ])
+    def test_every_check_keeps_its_rows(self, raw, tail):
+        # six energies, each with its decomposition and extension rows; five gap fractions
+        expected = (["gap_certificate"] + ["decomposition", "extension_consistency"] * 6
+                    + ["inverse_formula"] * 5 + ["krein_gap", "sandwich", "norm_chain"]
+                    + tail)
+        reports = verify_all(config_from_dict(raw))
+        assert [rep.check for rep in reports] == expected
 
     def test_verify_computes_no_oracle(self, monkeypatch):
         calls = []

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from gapeig import (
     NoGap,
     RandomSpec,
     SingularSchur,
     assemble_block,
+    build_schur,
     decomposition_residual,
     extension_consistency,
     inverse_formula_check,
@@ -14,7 +16,8 @@ from gapeig import (
     lambda1_certificate,
     random_gapped,
 )
-from gapeig.verify import e_samples, gap_fractions
+from gapeig.verify import _extension, e_samples, gap_fractions
+from test_schur import STRUCTURES
 
 SQRT2 = 2.0 ** 0.5
 
@@ -42,6 +45,39 @@ def test_decomposition_across_energies(campaign_ops):
         cert = lambda1_certificate(op)
         for e in e_samples(op, cert.lambda1):
             assert decomposition_residual(op, e) <= 1e-11
+
+
+def _congruence(op, e):
+    """U.T diag(k_e, amm - e*I) U with U = [[I, 0], [-l_e, I]], as dense products."""
+    system = build_schur(op, e)
+    u = np.block([
+        [np.eye(op.n_plus), np.zeros((op.n_plus, op.n_minus))],
+        [-system.l_e, np.eye(op.n_minus)],
+    ])
+    middle = np.block([
+        [system.k_e, np.zeros((op.n_plus, op.n_minus))],
+        [np.zeros((op.n_minus, op.n_plus)), op.amm - e * np.eye(op.n_minus)],
+    ])
+    return u.T @ middle @ u
+
+
+@pytest.mark.parametrize("name", sorted(STRUCTURES))
+@pytest.mark.parametrize("offset", [0.3, 40.0])
+def test_extension_is_the_congruence(name, offset):
+    op = STRUCTURES[name]()
+    e = lambda0(op) + offset
+    reference = _congruence(op, e)
+    diff = np.linalg.norm(_extension(op, e) - reference)
+    assert diff <= 1e-13 * np.linalg.norm(reference)
+
+
+def test_krein_smallest_singular_value_matches_svd(canonical, campaign_ops):
+    for op in [canonical, *campaign_ops[:10]]:
+        report = krein_gap_check(op, n_samples=5)
+        full = op.assembled()
+        reference = sla.svdvals(full - report.params["mid"] * np.eye(op.dim))[-1]
+        tol = 1e-12 * max(1.0, np.linalg.norm(full, 2))
+        assert abs(report.params["smallest_singular_value"] - reference) <= tol
 
 
 def test_krein_canonical(canonical):
