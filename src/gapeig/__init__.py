@@ -13,7 +13,6 @@ from .errors import (
     ConfigParse,
     EigFailure,
     GapeigError,
-    GenerationFailure,
     KOutOfRange,
     NoGap,
     NonFinite,
@@ -72,6 +71,6 @@ __all__ = [
     "hardy_check", "random_gapped",
     "GapeigError", "NonFinite", "NonSymmetric", "BadSplit", "EigFailure",
     "NotPositiveDefinite", "KOutOfRange", "ZeroVector", "BracketFailure",
-    "SingularSchur", "NoGap", "SpecInvalid", "GenerationFailure", "ConfigParse",
+    "SingularSchur", "NoGap", "SpecInvalid", "ConfigParse",
     "__version__",
 ]

@@ -12,8 +12,8 @@ energy above lambda0 = max eig(amm). Everything downstream (Schur systems,
 min-max levels, verification residuals) consumes this type.
 
 Facts that depend only on an operator (lambda0, the lower block's structure,
-the gap certificate) are computed once and kept in the operator's memo, each
-by the module that computes it.
+the gap certificate, verify's residual norms) are computed once and kept in
+the operator's memo, each by the module that computes it.
 """
 
 from __future__ import annotations
@@ -61,10 +61,10 @@ class BlockOperator:
 
     The private memo is the one place for facts derived from the operator:
     the diagonal of a diagonal amm and lambda0 (this module), the Schur
-    solve's lower-block record with its Cholesky factor per energy (schur)
-    and the gap certificate (minmax). Each is computed on first use, by
-    remember(); two threads using an operator for the first time at once
-    may both compute a fact, with the same result.
+    solve's lower-block record with its Cholesky factor per energy (schur),
+    the gap certificate (minmax) and residual norms per energy (verify).
+    Each is computed on first use by remember(); two threads that first use
+    an operator at once may both compute a fact, with the same result.
     """
 
     p: np.ndarray

@@ -93,6 +93,8 @@ class ExperimentConfig:
             raise ConfigParse(f"k_max must be at least 1, got {self.k_max}")
         if not self.tol > 0:
             raise ConfigParse(f"tol must be positive, got {self.tol}")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ConfigParse(f"out must be a file path, got {self.out!r}")
         if self.fmt not in ("csv", "json"):
             raise ConfigParse(f"format must be csv or json, got {self.fmt!r}")
         if self.count < 1:
@@ -152,10 +154,11 @@ def _numbers(values, key: str, kind: type = float) -> tuple:
 
 
 def _read_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
     try:
-        return json.loads(text)
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise ConfigParse(f"{path}: not UTF-8 text (byte {exc.start})") from exc
     except json.JSONDecodeError as exc:
         raise ConfigParse(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
@@ -300,8 +303,9 @@ def _units(config: ExperimentConfig) -> list[_Unit]:
                                partial(_dense_oracle, op, config.k_max), rspec))
     else:
         path = spec.get("path")
-        if not path:
-            raise ConfigParse('matrix-file kind needs spec.path')
+        if not isinstance(path, str) or not path:
+            # a number would reach open() as a file descriptor
+            raise ConfigParse(f"matrix-file kind needs spec.path, a file path; got {path!r}")
         op = _load_matrix_file(path)
         units.append(_Unit(f"matrix-file({path})", op.dim, op,
                            partial(_dense_oracle, op, config.k_max), None))
@@ -446,8 +450,6 @@ def _emit(text: str, out: str | None, quiet: bool, summary: str) -> None:
             print(f"{summary} -> {out}")
     else:
         sys.stdout.write(text)
-        if not quiet and not text.endswith("\n"):
-            print()
 
 
 def _cmd_spectrum(args: argparse.Namespace, require_grids: bool = False) -> int:
@@ -522,28 +524,24 @@ def _cmd_pollution(args: argparse.Namespace) -> int:
         ))
     n_lo, n_hi = grids[0], grids[-1]
     drift = abs(lam1[n_hi] - lam1[n_lo])
+    stable = drift <= 5e-3
     reports.append(VerificationReport(
-        "lambda1_stability", drift, drift <= 5e-3,
+        "lambda1_stability", drift, stable,
         {"n_lo": n_lo, "n_hi": n_hi,
          "lambda1_lo": lam1[n_lo], "lambda1_hi": lam1[n_hi]},
     ))
     lo_vals, hi_vals = window_values[n_lo], window_values[n_hi]
-    if len(lo_vals) and len(hi_vals):
-        spurious = float(max(np.abs(hi_vals[:, None] - lo_vals[None, :]).min(axis=0).max(),
-                             np.abs(hi_vals[:, None] - lo_vals[None, :]).min(axis=1).max()))
-    else:
-        spurious = math.nan
+    dist = np.abs(hi_vals[:, None] - lo_vals[None, :])
+    spurious = (float(max(dist.min(axis=0).max(), dist.min(axis=1).max()))
+                if dist.size else math.nan)
     reports.append(VerificationReport(
-        "window_spurious_drift", spurious, bool(spurious >= 0.05)
-        if math.isfinite(spurious) else False,
+        "window_spurious_drift", spurious, bool(spurious >= 0.05),
         {"n_lo": n_lo, "n_hi": n_hi, "note":
          "a dense-spectrum value drifting >= 0.05 inside the window would mark "
          "a spurious state; the default window (-0.5, 0.5) holds only the nu=0.9 "
          "ground state, and the discretization's spurious levels (kappa=+1 "
          "repeats the kappa=-1 ground energy) lie outside it"},
     ))
-
-    stable = drift <= 5e-3
     _emit_reports(reports, config, args,
                   f"lambda1 drift {drift:.3e} ({'stable' if stable else 'unstable'})")
     return 0 if stable else 1
@@ -584,8 +582,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "hardy":
             return _cmd_hardy(args)
         return _cmd_pollution(args)
-    except FileNotFoundError as exc:
-        print(f"gapeig: file not found: {exc.filename or exc}", file=sys.stderr)
+    except OSError as exc:  # a missing file, a directory, an unreadable path
+        reason = "file not found" if isinstance(exc, FileNotFoundError) else exc.strerror
+        print(f"gapeig: {reason}: {exc.filename or exc}", file=sys.stderr)
         return 2
     except GapeigError as exc:
         print(f"gapeig: {exc}", file=sys.stderr)

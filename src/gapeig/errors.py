@@ -53,9 +53,5 @@ class SpecInvalid(GapeigError):
     """Model specification violates its invariants."""
 
 
-class GenerationFailure(GapeigError):
-    """Random operator generator exhausted its retry budget."""
-
-
 class ConfigParse(GapeigError):
     """Experiment config could not be parsed."""

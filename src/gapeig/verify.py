@@ -44,12 +44,21 @@ def _extension(op: BlockOperator, e: float) -> np.ndarray:
     ])
 
 
+def _congruence(op: BlockOperator, e: float) -> tuple[float, ...]:
+    """||(A - e*I) - R_e||, ||A - e*I|| and ||A||; computed once per energy, for both checks."""
+
+    def norms():
+        full = op.assembled()
+        shifted = full - e * np.eye(op.dim)
+        return tuple(float(np.linalg.norm(m)) for m in (shifted - _extension(op, e), shifted, full))
+
+    return op.remember(f"congruence@{float(e)!r}", norms)
+
+
 def decomposition_residual(op: BlockOperator, e: float) -> float:
-    """Residual of the congruence A - e*I = R_e over max(1, ||A - e*I||); the same
-    residual matrix as extension_consistency, under another norm."""
-    shifted = op.assembled() - e * np.eye(op.dim)
-    resid = np.linalg.norm(shifted - _extension(op, e))
-    return float(resid / max(1.0, np.linalg.norm(shifted)))
+    """Residual of the congruence A - e*I = R_e over max(1, ||A - e*I||)."""
+    resid, shifted_norm, _ = _congruence(op, e)
+    return resid / max(1.0, shifted_norm)
 
 
 def krein_gap_check(op: BlockOperator, n_samples: int = 200,
@@ -90,11 +99,9 @@ def krein_gap_check(op: BlockOperator, n_samples: int = 200,
 
 
 def extension_consistency(op: BlockOperator, e: float) -> float:
-    """Distance between the reassembled extension R_e + e*I and A over max(1, ||A||);
-    the same residual matrix as decomposition_residual, under another norm."""
-    full = op.assembled()
-    resid = np.linalg.norm(_extension(op, e) + e * np.eye(op.dim) - full)
-    return float(resid / max(1.0, np.linalg.norm(full)))
+    """Distance between the reassembled extension R_e + e*I and A over max(1, ||A||)."""
+    resid, _, full_norm = _congruence(op, e)
+    return resid / max(1.0, full_norm)
 
 
 def inverse_formula_check(op: BlockOperator, e: float) -> float:

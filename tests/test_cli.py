@@ -244,6 +244,52 @@ class TestMain:
         assert main(["spectrum", "--config", cfg]) == 2
         assert "file not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config,key", [
+        ({"kind": "random", "out": 7}, "out"),
+        ({"kind": "random", "out": 1}, "out"),
+        ({"kind": "matrix-file", "spec": {"path": 7}}, "spec.path"),
+        ({"kind": "matrix-file", "spec": {"path": 1}}, "spec.path"),
+    ])
+    def test_numeric_path_exits_two(self, tmp_path, config, key):
+        # in a child process: a number that reached open() would be taken as a file
+        # descriptor, and fd 1 is this process's stdout
+        cfg = _write(tmp_path / "cfg.json", config)
+        proc = subprocess.run(
+            [sys.executable, "-m", "gapeig", "spectrum", "--config", cfg],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("gapeig: ") and len(proc.stderr.splitlines()) == 1
+        assert key in proc.stderr
+
+    def test_directory_as_config_exits_two(self, tmp_path, capsys):
+        assert main(["spectrum", "--config", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("gapeig: ") and len(err.splitlines()) == 1
+        assert str(tmp_path) in err
+
+    def test_directory_as_out_exits_two(self, canonical_matrix_config, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["spectrum", "--config", canonical_matrix_config,
+                     "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("gapeig: ") and len(err.splitlines()) == 1
+        assert str(out) in err
+
+    @pytest.mark.parametrize("target", ["config", "matrix"])
+    def test_non_utf8_file_exits_two(self, tmp_path, capsys, target):
+        garbage = tmp_path / "garbage.json"
+        garbage.write_bytes(b'{"kind": "\xff\xfe\x80random"}')
+        cfg = (str(garbage) if target == "config" else
+               _write(tmp_path / "cfg.json",
+                      {"kind": "matrix-file", "spec": {"path": str(garbage)}}))
+        assert main(["spectrum", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("gapeig: ") and len(err.splitlines()) == 1
+        assert "UTF-8" in err and str(garbage) in err
+
     @pytest.mark.parametrize("command,kind,spec,key", [
         ("spectrum", "dirac", {"kapa": 1}, "kapa"),
         ("verify", "aps", {"modes": [0.0], "lenght_l": 2.0}, "lenght_l"),

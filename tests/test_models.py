@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gapeig import (
     ApsSpec,
@@ -21,6 +23,7 @@ from gapeig import (
     lambda_k,
     random_gapped,
 )
+from gapeig import schur
 from gapeig.models import forward_difference, radial_grid
 
 
@@ -197,6 +200,28 @@ class TestRandomGapped:
         cert = lambda1_certificate(op)
         assert cert.valid
         assert cert.lambda1 - cert.lambda0 >= 0.5
+
+    @settings(max_examples=100, deadline=None)
+    @given(n_plus=st.integers(1, 40), n_minus=st.integers(1, 40),
+           gap_target=st.floats(0.01, 100.0), seed=st.integers(0, 2**32 - 1))
+    def test_gapped_by_construction(self, n_plus, n_minus, gap_target, seed):
+        # K_e >= p - e > 0 on (lambda0, min eig p), so lambda1 >= min eig p >= 0.3*scale
+        op = random_gapped(RandomSpec(n_plus=n_plus, n_minus=n_minus,
+                                      gap_target=gap_target, seed=seed))
+        scale = max(1.0, gap_target)
+        # the eigensolve of the rotated amm rounds at eps*||amm||
+        assert lambda0(op) <= -gap_target + 1e-12 * scale
+        cert = lambda1_certificate(op)
+        assert cert.valid
+        assert cert.lambda1 >= 0.3 * scale * (1.0 - 1e-12)
+
+    def test_draw_runs_no_solver(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("random_gapped built a Schur system")
+
+        monkeypatch.setattr(schur.SchurSystem, "__init__", refuse)
+        op = random_gapped(RandomSpec(n_plus=9, n_minus=7, gap_target=1.0, seed=42))
+        assert op.dim == 16
 
     def test_deterministic(self):
         a = random_gapped(RandomSpec(n_plus=6, n_minus=5, gap_target=2.0, seed=11))

@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg as sla
 
 from gapeig import (
+    BlockOperator,
     NoGap,
     RandomSpec,
     SingularSchur,
@@ -16,6 +17,7 @@ from gapeig import (
     lambda1_certificate,
     random_gapped,
 )
+from gapeig import schur
 from gapeig.verify import _extension, e_samples, gap_fractions
 from test_schur import STRUCTURES
 
@@ -69,6 +71,37 @@ def test_extension_is_the_congruence(name, offset):
     reference = _congruence(op, e)
     diff = np.linalg.norm(_extension(op, e) - reference)
     assert diff <= 1e-13 * np.linalg.norm(reference)
+
+
+@pytest.mark.parametrize("name", sorted(STRUCTURES))
+def test_both_normalizations_match_their_formulas(name):
+    op = STRUCTURES[name]()
+    for e in e_samples(op):
+        full = op.assembled()
+        shifted = full - e * np.eye(op.dim)
+        reference = _extension(op, e)
+        decomposition = np.linalg.norm(shifted - reference) / max(1.0, np.linalg.norm(shifted))
+        extension = (np.linalg.norm(reference + e * np.eye(op.dim) - full)
+                     / max(1.0, np.linalg.norm(full)))
+        assert decomposition_residual(op, e) == decomposition
+        # the same residual matrix, rounded as (A - e*I) - R_e instead of (R_e + e*I) - A
+        assert abs(extension_consistency(op, e) - extension) <= 1e-13 * max(1.0, abs(e))
+
+
+def test_congruence_built_once_per_energy(monkeypatch):
+    op = random_gapped(RandomSpec(n_plus=8, n_minus=6, gap_target=1.0, seed=5))
+    e = lambda0(op) + 0.5
+    first = (decomposition_residual(op, e), extension_consistency(op, e))
+    assembled = []
+    monkeypatch.setattr(BlockOperator, "assembled",
+                        lambda self: assembled.append(self) or np.zeros((self.dim,) * 2))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a checked energy built a second Schur system")
+
+    monkeypatch.setattr(schur.SchurSystem, "__init__", refuse)
+    assert (decomposition_residual(op, e), extension_consistency(op, e)) == first
+    assert assembled == []
 
 
 def test_krein_smallest_singular_value_matches_svd(canonical, campaign_ops):
