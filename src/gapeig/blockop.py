@@ -11,9 +11,10 @@ block is stored as amm = -b, so b = -amm is positive definite shifted by any
 energy above lambda0 = max eig(amm). Everything downstream (Schur systems,
 min-max levels, verification residuals) consumes this type.
 
-Facts that depend only on an operator (lambda0, the lower block's structure,
-the gap certificate, verify's residual norms) are computed once and kept in
-the operator's memo, each by the module that computes it.
+Facts that depend only on an operator (amm's eigenbasis and lambda0, the
+Schur pencil's storage, the gap certificate, verify's residual norms) are
+computed once and kept in the operator's memo, each by the module that
+computes it.
 """
 
 from __future__ import annotations
@@ -60,9 +61,11 @@ class BlockOperator:
     across parallel workers.
 
     The private memo is the one place for facts derived from the operator:
-    the diagonal of a diagonal amm and lambda0 (this module), the Schur
-    solve's lower-block record with its Cholesky factor per energy (schur),
-    the gap certificate (minmax) and residual norms per energy (verify).
+    amm's eigenbasis (d, Q) and lambda0 (this module), the Schur pencil's
+    storage with the rotated coupling Q.T c (schur), the gap certificate
+    (minmax) and residual norms per energy (verify). The lower block costs
+    at most one n_minus^2 Q and one n_minus x n_plus Q.T c, whatever the
+    number of energies evaluated.
     Each is computed on first use by remember(); two threads that first use
     an operator at once may both compute a fact, with the same result.
     """
@@ -160,30 +163,25 @@ def assemble_block(full: np.ndarray, n_plus: int) -> BlockOperator:
     )
 
 
-def lower_diagonal(op: BlockOperator) -> np.ndarray | None:
-    """The diagonal of amm when amm is diagonal, else None; checked once per operator."""
+def lower_eigen(op: BlockOperator) -> tuple[np.ndarray, np.ndarray | None]:
+    """amm = Q diag(d) Q.T as (d, Q), once per operator: one eigh, d ascending.
 
-    def detect():
-        diag = np.diagonal(op.amm)
-        # diagonal when all of amm's nonzeros sit on its diagonal; no n_minus^2 temporary
-        return diag if np.count_nonzero(op.amm) == np.count_nonzero(diag) else None
-
-    return op.remember("lower_diagonal", detect)
-
-
-def lambda0(op: BlockOperator) -> float:
-    """Largest eigenvalue of the lower block amm; the left gap endpoint.
-
-    A diagonal amm gives its largest entry exactly, without an eigensolve.
+    A diagonal amm is its own eigenbasis, (its diagonal, None), with no eigensolve.
     """
 
     def compute():
-        diag = lower_diagonal(op)
-        if diag is not None:
-            return float(diag.max())
+        diag = np.diagonal(op.amm)
+        # diagonal when all of amm's nonzeros sit on its diagonal; no n_minus^2 temporary
+        if np.count_nonzero(op.amm) == np.count_nonzero(diag):
+            return diag, None
         try:
-            return float(np.linalg.eigvalsh(op.amm)[-1])
+            return tuple(np.linalg.eigh(op.amm))
         except np.linalg.LinAlgError as exc:
             raise EigFailure(f"eigensolve on amm failed: {exc}") from exc
 
-    return op.remember("lambda0", compute)
+    return op.remember("lower_eigen", compute)
+
+
+def lambda0(op: BlockOperator) -> float:
+    """Largest eigenvalue of the lower block amm, the left gap endpoint: the top d of lower_eigen."""
+    return op.remember("lambda0", lambda: float(lower_eigen(op)[0].max()))

@@ -13,24 +13,24 @@ pencil (k_e, m_e); m_e >= I keeps the pencil reduction well conditioned.
 SchurSystem is that pencil at one energy and the only way the package
 evaluates anything there. Its constructor enforces the one edge rule
 e > lambda0 + GAP_EDGE_MARGIN; everything else is computed on first use.
-What the pencil needs of the operator is kept once per operator in the
-operator's memo, next to lambda0, and one structure rule picks the backend
-there: a diagonal lower block (a zero one included) whose pencil has
-half-bandwidth w, the widest of p's and of c.T c's nonzero patterns, with
-n_plus >= BAND_RATIO * (w + 1) takes the banded path; every other operator
-the dense one. The rule also picks the one storage of p, c and c.T that every
-product reads, pencil, lift, form and residual alike.
+The lower block enters only through its resolvent, so the pencil works in
+amm's eigenbasis amm = Q diag(d) Q.T (blockop.lower_eigen; Q is None for a
+diagonal amm): there b + e*I is the diagonal e - d, the coupling is Q.T c,
+and k_e, m_e, forms and residual norms are unchanged. Only l_e and lift
+rotate back by Q. What the pencil needs is kept once per operator in the
+operator's memo, and one structure rule picks the backend there: an
+unrotated operator whose pencil has half-bandwidth w, the widest of p's and
+of c.T c's nonzero patterns, with n_plus >= BAND_RATIO * (w + 1) takes the
+banded path; every other operator the dense one. The rule also picks the one
+storage of p, c and c.T that every product reads, pencil, lift, form and
+residual alike.
 
 - Banded: k_e and m_e are sparse products with the diagonal (b + e)^{-1},
   kept as upper band arrays. Levels and band counts come from LAPACK's
   banded generalized solver dsbgvx (gapeig._banded), a level's vector from
   banded inverse iteration on k_e - sigma*m_e with sigma a few ulps off it.
   The dense k_e and m_e that verify reads are built from the same bands.
-- Dense: k_e and m_e are dense products and go to a dense generalized eigh;
-  a diagonal block solves by division, a dense one by a Cholesky factor
-  kept per energy, since root solves revisit the same probe energies for
-  every level; only whole-block solves keep one, so one-off energies of
-  single-vector solves (sampled checks, energy_of_vector) leave no factor.
+- Dense: k_e and m_e are dense products and go to a dense generalized eigh.
 
 Solver failures surface as GapeigError subclasses, never as LinAlgError.
 A SchurSystem belongs to its caller.
@@ -45,7 +45,7 @@ import scipy.linalg as sla
 from scipy import sparse
 
 from ._banded import pencil_eigvals
-from .blockop import BlockOperator, lambda0, lower_diagonal
+from .blockop import BlockOperator, lambda0, lower_eigen
 from .errors import EigFailure, KOutOfRange, NotPositiveDefinite
 
 GAP_EDGE_MARGIN = 1e-10
@@ -98,20 +98,19 @@ def _full_band(band: np.ndarray) -> np.ndarray:
 
 
 class _Lower:
-    """The facts of one operator that every pencil evaluation reads."""
+    """The facts of one operator that every pencil evaluation reads, in amm's eigenbasis."""
 
     def __init__(self, op: BlockOperator) -> None:
         self.lambda0 = lambda0(op)
-        diag = lower_diagonal(op)
-        self.b_diag = None if diag is None else -diag
-        # the storage every product reads: CSR copies if banded (w set), else op's own
-        self.p, self.c, self.ct, self.w = op.p, op.c, op.c.T, None
-        if diag is not None:
+        self.d, self.q = lower_eigen(op)
+        # the storage every product reads: CSR copies if banded (w set), else dense
+        c = op.c if self.q is None else self.q.T @ op.c
+        self.p, self.c, self.ct, self.w = op.p, c, c.T, None
+        if self.q is None:
             p, c = sparse.csr_matrix(op.p), sparse.csr_matrix(op.c)
             w = _half_bandwidth(p, c)
             if op.n_plus >= BAND_RATIO * (w + 1):
                 self.p, self.c, self.ct, self.w = p, c, c.T.tocsr(), w
-        self.cho: dict[float, tuple] = {}
 
 
 class SchurSystem:
@@ -125,33 +124,27 @@ class SchurSystem:
                 f"energy {e} is not above lambda0 + {GAP_EDGE_MARGIN:g} = {edge}"
             )
         self.op, self.e, self._lower = op, float(e), lower
-        self._l = self._km = self._bands = None
+        self._l = self._k = self._km = self._bands = None
 
     def _shifted_diag(self) -> np.ndarray:
-        # positive: the edge rule gives e > lambda0 = max(diag), and e - diag > 0 rounds to > 0
-        return self._lower.b_diag + self.e
+        # positive: the edge rule gives e > lambda0 = max(d), and e - d > 0 rounds to > 0
+        return self.e - self._lower.d
 
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
-        """(b + e*I)^{-1} rhs, where b = -amm; only a whole-block rhs keeps a factor."""
-        lower, e = self._lower, self.e
-        if lower.b_diag is not None:
-            d = self._shifted_diag()
-            return rhs / d if rhs.ndim == 1 else rhs / d[:, None]
-        factor = lower.cho.get(e)
-        if factor is None:
-            try:
-                factor = sla.cho_factor(-self.op.amm + e * np.eye(self.op.n_minus),
-                                        check_finite=False)
-            except sla.LinAlgError as exc:
-                raise NotPositiveDefinite(f"b + {e}*I is not positive definite") from exc
-            if rhs.ndim == 2:
-                lower.cho[e] = factor
-        return sla.cho_solve(factor, rhs, check_finite=False)
+        """(b + e*I)^{-1} rhs in amm's eigenbasis, where b + e*I is diagonal."""
+        d = self._shifted_diag()
+        return rhs / d if rhs.ndim == 1 else rhs / d[:, None]
 
     @property
     def l_e(self) -> np.ndarray:
+        """(b + e*I)^{-1} c in the operator's own basis, as a dense matrix."""
         if self._l is None:
-            self._l = self._solve(self.op.c)
+            q, c = self._lower.q, self.op.c
+            if q is None:
+                self._l = self._solve(c)
+            else:  # rotated back, then refined once: eigh's backward error is several Cholesky's
+                l_e = q @ self._solve(self._lower.c)
+                self._l = l_e + q @ self._solve(q.T @ (c + self.op.amm @ l_e - self.e * l_e))
         return self._l
 
     def _banded(self) -> tuple[np.ndarray, np.ndarray]:
@@ -173,16 +166,22 @@ class SchurSystem:
             else:
                 # no identity is held across statements: at n=1200 each is 11.5 MB
                 n, e = self.op.n_plus, self.e
-                # l_e is kept only when a caller asked for it
-                l_e = self._l if self._l is not None else self._solve(lower.c)
-                k = lower.p - e * np.eye(n) + lower.ct @ l_e
-                m = np.eye(n) + l_e.T @ l_e
+                lift = self._solve(lower.c)  # l_e in amm's eigenbasis
+                k = lower.p - e * np.eye(n) + lower.ct @ lift
+                m = np.eye(n) + lift.T @ lift
                 self._km = ((k + k.T) / 2.0, (m + m.T) / 2.0)
         return self._km
 
     @property
     def k_e(self) -> np.ndarray:
-        return self._pencil()[0]
+        """k_e as a dense matrix; rotated, p - e*I + c.T l_e from the refined l_e, which
+        next to lambda0 is more accurate than the solver's eigenbasis form."""
+        if self._lower.q is None:
+            return self._pencil()[0]
+        if self._k is None:
+            k = self.op.p - self.e * np.eye(self.op.n_plus) + self.op.c.T @ self.l_e
+            self._k = (k + k.T) / 2.0
+        return self._k
 
     @property
     def m_e(self) -> np.ndarray:
@@ -234,8 +233,9 @@ class SchurSystem:
         return self._eigh(subset_by_value=[-band, band], eigvals_only=True)
 
     def lift(self, x: np.ndarray) -> np.ndarray:
-        """l_e x = (b + e*I)^{-1} c x of an upper-block vector."""
-        return self._solve(self._lower.c @ np.asarray(x, dtype=float))
+        """l_e x = (b + e*I)^{-1} c x of an upper-block vector, in the operator's own basis."""
+        y = self._solve(self._lower.c @ np.asarray(x, dtype=float))
+        return y if self._lower.q is None else self._lower.q @ y
 
     def form(self, x: np.ndarray) -> tuple[float, float]:
         """q_e(x, x) and its exact energy derivative -(||x||^2 + ||l_e x||^2)."""
@@ -246,15 +246,14 @@ class SchurSystem:
         return q, -float(x @ x + y @ y)
 
     def residual(self, x: np.ndarray) -> float:
-        """||A z - e z|| / ||z|| for z = (x, l_e x); A is applied blockwise, never assembled."""
+        """||A z - e z|| / ||z|| for z = (x, l_e x); A is applied blockwise, never assembled,
+        and the lower half in amm's eigenbasis, where every norm is the same."""
         lower, e = self._lower, self.e
         x = np.asarray(x, dtype=float)
         cx = lower.c @ x
         y = self._solve(cx)
         upper = lower.p @ x + lower.ct @ y - e * x
-        # amm y - e y, which is -(b + e) y for a diagonal block
-        down = (cx - self._shifted_diag() * y if lower.b_diag is not None
-                else cx + self.op.amm @ y - e * y)
+        down = cx - self._shifted_diag() * y  # c x + (amm - e) y, with amm - e = -(b + e)
         return math.sqrt(float(upper @ upper + down @ down) / float(x @ x + y @ y))
 
 

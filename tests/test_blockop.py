@@ -5,13 +5,14 @@ import scipy.linalg as sla
 from gapeig import (
     BadSplit,
     BlockOperator,
+    EigFailure,
     GapData,
     NonFinite,
     NonSymmetric,
     assemble_block,
     lambda0,
 )
-from gapeig.blockop import lower_diagonal
+from gapeig.blockop import lower_eigen
 from gapeig.models import DiracSpec, build_dirac_coulomb
 
 
@@ -118,10 +119,11 @@ def test_lambda0_dirac_exact_endpoint():
 
 
 def _refuse_eigensolves(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("eigvalsh called")
+    for name in ("eigvalsh", "eigh"):
+        def refuse(*args, _name=name, **kwargs):
+            raise AssertionError(f"{_name} called")
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(np.linalg, name, refuse)
 
 
 @pytest.mark.parametrize("amm", (np.diag([-2.0, -0.5, -3.0]), np.zeros((3, 3))))
@@ -131,15 +133,35 @@ def test_lambda0_of_diagonal_block_needs_no_eigensolve(monkeypatch, amm):
     assert lambda0(op) == np.diagonal(amm).max()
 
 
+def test_lambda0_of_a_dense_block_is_the_top_of_its_eigh(campaign_ops):
+    op = campaign_ops[0]
+    d, q = lower_eigen(op)
+    assert lambda0(op) == d[-1]
+    assert np.all(np.diff(d) >= 0.0)
+    assert np.linalg.norm(q @ np.diag(d) @ q.T - op.amm) <= 1e-13 * np.linalg.norm(op.amm)
+    assert lower_eigen(op)[1] is q
+
+
+def test_a_failed_lower_eigensolve_is_an_eig_failure(monkeypatch, campaign_ops):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    op = BlockOperator(p=campaign_ops[0].p, c=campaign_ops[0].c, amm=campaign_ops[0].amm)
+    with pytest.raises(EigFailure, match="eigensolve on amm failed"):
+        lambda0(op)
+
+
 def test_lower_diagonal_sees_off_diagonal_entries_beside_zero_diagonal_ones():
     # three nonzeros on a 3x3 block: counted against the diagonal's length
     # rather than its own nonzeros, this block would pass as diagonal
     coupled = np.array([[-1.0, 0.0, 0.0], [0.0, 0.0, 0.5], [0.0, 0.5, 0.0]])
     op = BlockOperator(p=np.eye(2), c=np.ones((3, 2)), amm=coupled)
-    assert lower_diagonal(op) is None
+    assert lower_eigen(op)[1] is not None
     amm = np.diag([-1.0, 0.0, -2.0])
     op = BlockOperator(p=np.eye(2), c=np.ones((3, 2)), amm=amm)
-    assert np.array_equal(lower_diagonal(op), [-1.0, 0.0, -2.0])
+    diag, q = lower_eigen(op)
+    assert np.array_equal(diag, [-1.0, 0.0, -2.0]) and q is None
 
 
 def test_lambda0_is_computed_once_per_operator(monkeypatch, campaign_ops):

@@ -295,7 +295,7 @@ def test_gap_spectrum_ceiling_flag(decoupled23):
 
 def test_concurrent_first_use_matches_serial(campaign_ops):
     # the per-operator memo has no lock: threads that fill it at once must
-    # still see the serial results (dense lower block, so Cholesky factors too)
+    # still see the serial results (dense lower block, so its eigenbasis too)
     src = campaign_ops[3]
     serial = gap_spectrum(BlockOperator(p=src.p, c=src.c, amm=src.amm), 3)
     op = BlockOperator(p=src.p, c=src.c, amm=src.amm)

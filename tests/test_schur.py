@@ -42,7 +42,8 @@ SQRT2 = math.sqrt(2.0)
 
 
 def test_resolvent_residual(campaign_ops):
-    # the lift solves (b + e*I) y = c x, through the Cholesky factor on these dense blocks
+    # the lift solves (b + e*I) y = c x; on these dense blocks by a division in amm's
+    # eigenbasis, rotated back
     rng = np.random.default_rng(3)
     for op in campaign_ops[:5]:
         b = -op.amm
@@ -98,8 +99,8 @@ def _dirac(n, kappa, grading):
 
 
 # one operator per pencil backend: the dense path with a zero, a diagonal and
-# a dense (Cholesky) lower block; the banded path with diagonal lower blocks
-# (APS's is zero) and narrow pencil bands
+# a dense lower block (rotated to its eigenbasis); the banded path with
+# diagonal lower blocks (APS's is zero) and narrow pencil bands
 DENSE = {
     "aps-zero": lambda: build_aps_cylinder(ApsSpec(modes=(0.0, 2.0), length_l=1.0, n=8)),
     "dirac-diagonal": lambda: build_dirac_coulomb(DiracSpec(nu=0.5, kappa=-1, n=20,
@@ -271,28 +272,63 @@ def test_root_loop_reads_no_block_outside_the_pencil(build):
     assert gap_spectrum(op, 3) == first
 
 
-def test_one_off_energies_keep_no_factor():
+def test_the_memo_does_not_grow_with_the_energies_seen():
     op = DENSE["random-dense"]()
     gap_spectrum(op, 5)
-    cache = build_schur(op, lambda0(op) + 1.0)._lower.cho
-    size = len(cache)
+    keys = set(op._memo)
+    lower = build_schur(op, lambda0(op) + 1.0)._lower
+    held = dict(vars(lower))
+    x = np.ones(op.n_plus)
+    for offset in np.geomspace(1e-3, 1e3, 25):
+        s = build_schur(op, lambda0(op) + offset)
+        s.value(1), s.vector(2), s.l_e, s.lift(x), s.form(x), s.residual(x)
     sandwich_report(op, seed=0, n_samples=20)
-    assert len(cache) == size
+    assert set(op._memo) == keys
+    assert vars(lower).keys() == held.keys()
+    assert all(vars(lower)[name] is value for name, value in held.items())
 
 
-def test_a_repeated_spectrum_factors_nothing(monkeypatch):
+def _record_eigh_shapes(monkeypatch):
+    """Every eigh, numpy's and scipy's, records the shape of its matrix."""
+    shapes = []
+    for owner in (np.linalg, schur.sla):
+        def counted(a, *args, _original=owner.eigh, **kwargs):
+            shapes.append(np.shape(a))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(owner, "eigh", counted)
+    return shapes
+
+
+def test_a_repeated_spectrum_eigensolves_no_lower_block(monkeypatch):
+    # amm's eigenbasis is computed once per operator, whatever the energies
     op = DENSE["random-dense"]()
     first = gap_spectrum(op, 5)
-    calls = []
-    original = schur.sla.cho_factor
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(schur.sla, "cho_factor", counted)
+    square = (op.n_minus, op.n_minus)
+    assert op.n_minus != op.n_plus
+    shapes = _record_eigh_shapes(monkeypatch)
     assert gap_spectrum(op, 5) == first
-    assert not calls
+    sandwich_report(op, seed=0, n_samples=20)
+    assert shapes and square not in shapes
+    # a fresh operator with the same blocks does take the one eigh
+    lambda0(BlockOperator(p=op.p, c=op.c, amm=op.amm))
+    assert shapes.count(square) == 1
+
+
+def test_a_dense_lower_block_and_its_rotated_twin_agree():
+    op = random_gapped(RandomSpec(n_plus=30, n_minus=40, gap_target=1.0, seed=11))
+    d, q = np.linalg.eigh(op.amm)
+    twin = BlockOperator(p=op.p, c=q.T @ op.c, amm=np.diag(d))
+    ours, theirs = gap_spectrum(op, 5), gap_spectrum(twin, 5)
+    assert [r.status for r in ours + theirs] == ["ok"] * 10
+    for a, b in zip(ours, theirs):
+        assert abs(a.lambda_k - b.lambda_k) <= 1e-14 * abs(b.lambda_k)
+        assert a.multiplicity == b.multiplicity
+    x = np.random.default_rng(2).standard_normal(op.n_plus)
+    for offset in (1e-3, 0.7, 40.0):
+        e = lambda0(op) + offset
+        want = q @ build_schur(twin, e).lift(x)
+        assert np.linalg.norm(build_schur(op, e).lift(x) - want) <= 1e-13 * np.linalg.norm(want)
 
 
 def test_edge_rule_on_every_entry_point(structured_op):

@@ -164,6 +164,20 @@ def test_extension_across_energies(campaign_ops):
             assert extension_consistency(op, e) <= 1e-11
 
 
+def test_identities_read_l_e_in_the_operators_own_basis(campaign_ops):
+    # every campaign amm is dense, so the pencil runs in its eigenbasis and l_e
+    # must come back by Q for R_e to reassemble A; at lambda0 + 1e-3 rounding is
+    # amplified by 1/(e - lambda0), so that energy gets verify's own 1e-11
+    for op in campaign_ops:
+        assert build_schur(op, lambda0(op) + 1.0)._lower.q is not None
+        first, *rest = e_samples(op)
+        assert decomposition_residual(op, first) <= 1e-11
+        assert extension_consistency(op, first) <= 1e-11
+        for e in rest:
+            assert decomposition_residual(op, e) <= 1e-12
+            assert extension_consistency(op, e) <= 1e-12
+
+
 def test_inverse_canonical(canonical):
     assert inverse_formula_check(canonical, 0.0) <= 1e-12
 
