@@ -61,11 +61,11 @@ class BlockOperator:
     across parallel workers.
 
     The private memo is the one place for facts derived from the operator:
-    amm's eigenbasis (d, Q) and lambda0 (this module), the Schur pencil's
-    storage with the rotated coupling Q.T c (schur), the gap certificate
-    (minmax) and residual norms per energy (verify). The lower block costs
-    at most one n_minus^2 Q and one n_minus x n_plus Q.T c, whatever the
-    number of energies evaluated.
+    amm's eigenbasis (d, Q) (this module), the Schur pencil's storage with
+    the rotated coupling Q.T c and eigh's residual f (schur), the gap
+    certificate (minmax) and residual norms per energy (verify). The lower
+    block costs at most two n_minus^2 matrices, Q and f, and one
+    n_minus x n_plus Q.T c, whatever the number of energies evaluated.
     Each is computed on first use by remember(); two threads that first use
     an operator at once may both compute a fact, with the same result.
     """
@@ -184,4 +184,4 @@ def lower_eigen(op: BlockOperator) -> tuple[np.ndarray, np.ndarray | None]:
 
 def lambda0(op: BlockOperator) -> float:
     """Largest eigenvalue of the lower block amm, the left gap endpoint: the top d of lower_eigen."""
-    return op.remember("lambda0", lambda: float(lower_eigen(op)[0].max()))
+    return float(lower_eigen(op)[0].max())

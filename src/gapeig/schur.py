@@ -16,14 +16,16 @@ e > lambda0 + GAP_EDGE_MARGIN; everything else is computed on first use.
 The lower block enters only through its resolvent, so the pencil works in
 amm's eigenbasis amm = Q diag(d) Q.T (blockop.lower_eigen; Q is None for a
 diagonal amm): there b + e*I is the diagonal e - d, the coupling is Q.T c,
-and k_e, m_e, forms and residual norms are unchanged. Only l_e and lift
-rotate back by Q. What the pencil needs is kept once per operator in the
-operator's memo, and one structure rule picks the backend there: an
-unrotated operator whose pencil has half-bandwidth w, the widest of p's and
-of c.T c's nonzero patterns, with n_plus >= BAND_RATIO * (w + 1) takes the
-banded path; every other operator the dense one. The rule also picks the one
-storage of p, c and c.T that every product reads, pencil, lift, form and
-residual alike.
+and k_e, m_e and forms are unchanged. Every lower solve of a rotated block
+takes one refinement step against eigh's residual f = Q.T (amm Q - Q diag(d)),
+which 1/(e - d) amplifies next to lambda0. l_e, lift and the residual's lower
+half go back to the operator's own basis by Q. What the pencil needs is
+kept once per operator in the operator's memo, and one structure rule picks
+the backend there: an unrotated operator whose pencil has half-bandwidth w,
+the widest of p's and of c.T c's nonzero patterns, with
+n_plus >= BAND_RATIO * (w + 1) takes the banded path; every other operator
+the dense one. The rule also picks the one storage of p, c and c.T that
+every product reads, pencil, lift, form and residual alike.
 
 - Banded: k_e and m_e are sparse products with the diagonal (b + e)^{-1},
   kept as upper band arrays. Levels and band counts come from LAPACK's
@@ -111,6 +113,8 @@ class _Lower:
             w = _half_bandwidth(p, c)
             if op.n_plus >= BAND_RATIO * (w + 1):
                 self.p, self.c, self.ct, self.w = p, c, c.T.tocsr(), w
+        else:  # eigh's residual in its own basis, Q.T (amm Q - Q diag(d))
+            self.f = self.q.T @ (op.amm @ self.q - self.q * self.d)
 
 
 class SchurSystem:
@@ -124,27 +128,26 @@ class SchurSystem:
                 f"energy {e} is not above lambda0 + {GAP_EDGE_MARGIN:g} = {edge}"
             )
         self.op, self.e, self._lower = op, float(e), lower
-        self._l = self._k = self._km = self._bands = None
+        self._l = self._km = self._bands = None
 
     def _shifted_diag(self) -> np.ndarray:
         # positive: the edge rule gives e > lambda0 = max(d), and e - d > 0 rounds to > 0
         return self.e - self._lower.d
 
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
-        """(b + e*I)^{-1} rhs in amm's eigenbasis, where b + e*I is diagonal."""
+        """(b + e*I)^{-1} rhs in amm's eigenbasis, where b + e*I is diag(e - d) - f;
+        a rotated block takes one refinement step against eigh's residual f."""
         d = self._shifted_diag()
-        return rhs / d if rhs.ndim == 1 else rhs / d[:, None]
+        d = d if rhs.ndim == 1 else d[:, None]
+        y = rhs / d
+        return y if self._lower.q is None else y + (self._lower.f @ y) / d
 
     @property
     def l_e(self) -> np.ndarray:
         """(b + e*I)^{-1} c in the operator's own basis, as a dense matrix."""
         if self._l is None:
-            q, c = self._lower.q, self.op.c
-            if q is None:
-                self._l = self._solve(c)
-            else:  # rotated back, then refined once: eigh's backward error is several Cholesky's
-                l_e = q @ self._solve(self._lower.c)
-                self._l = l_e + q @ self._solve(q.T @ (c + self.op.amm @ l_e - self.e * l_e))
+            q = self._lower.q
+            self._l = self._solve(self.op.c) if q is None else q @ self._solve(self._lower.c)
         return self._l
 
     def _banded(self) -> tuple[np.ndarray, np.ndarray]:
@@ -174,14 +177,7 @@ class SchurSystem:
 
     @property
     def k_e(self) -> np.ndarray:
-        """k_e as a dense matrix; rotated, p - e*I + c.T l_e from the refined l_e, which
-        next to lambda0 is more accurate than the solver's eigenbasis form."""
-        if self._lower.q is None:
-            return self._pencil()[0]
-        if self._k is None:
-            k = self.op.p - self.e * np.eye(self.op.n_plus) + self.op.c.T @ self.l_e
-            self._k = (k + k.T) / 2.0
-        return self._k
+        return self._pencil()[0]
 
     @property
     def m_e(self) -> np.ndarray:
@@ -247,13 +243,17 @@ class SchurSystem:
 
     def residual(self, x: np.ndarray) -> float:
         """||A z - e z|| / ||z|| for z = (x, l_e x); A is applied blockwise, never assembled,
-        and the lower half in amm's eigenbasis, where every norm is the same."""
+        and a rotated lower half is taken back to the operator's own basis first."""
         lower, e = self._lower, self.e
         x = np.asarray(x, dtype=float)
         cx = lower.c @ x
         y = self._solve(cx)
         upper = lower.p @ x + lower.ct @ y - e * x
-        down = cx - self._shifted_diag() * y  # c x + (amm - e) y, with amm - e = -(b + e)
+        if lower.q is None:
+            down = cx - self._shifted_diag() * y  # c x + (amm - e) y, with amm - e = -(b + e)
+        else:
+            y = lower.q @ y
+            down = self.op.c @ x + self.op.amm @ y - e * y
         return math.sqrt(float(upper @ upper + down @ down) / float(x @ x + y @ y))
 
 

@@ -43,7 +43,7 @@ SQRT2 = math.sqrt(2.0)
 
 def test_resolvent_residual(campaign_ops):
     # the lift solves (b + e*I) y = c x; on these dense blocks by a division in amm's
-    # eigenbasis, rotated back
+    # eigenbasis with one refinement step, rotated back
     rng = np.random.default_rng(3)
     for op in campaign_ops[:5]:
         b = -op.amm
@@ -327,8 +327,33 @@ def test_a_dense_lower_block_and_its_rotated_twin_agree():
     x = np.random.default_rng(2).standard_normal(op.n_plus)
     for offset in (1e-3, 0.7, 40.0):
         e = lambda0(op) + offset
-        want = q @ build_schur(twin, e).lift(x)
-        assert np.linalg.norm(build_schur(op, e).lift(x) - want) <= 1e-13 * np.linalg.norm(want)
+        lift = build_schur(op, e).lift(x)
+        want = np.linalg.solve(e * np.eye(op.n_minus) - op.amm, op.c @ x)
+        assert np.linalg.norm(lift - want) <= 1e-13 * np.linalg.norm(want)
+        # the twin's amm is diag(d) exactly, so it misses eigh's residual, which
+        # 1/(e - lambda0) amplifies next to lambda0 and the refinement removes
+        if offset > 0.1:
+            twins = q @ build_schur(twin, e).lift(x)
+            assert np.linalg.norm(lift - twins) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_the_residual_sees_a_wrong_eigenbasis():
+    # residual applies amm to the lower half in the operator's own basis, so
+    # an eigenbasis off by 1e-6 shows in the reported residual as it does in
+    # the assembled A z - e z
+    base = random_gapped(RandomSpec(n_plus=30, n_minus=40, gap_target=1.0, seed=11))
+    d, q = np.linalg.eigh(base.amm)
+    noise = 1e-6 * np.random.default_rng(5).standard_normal(q.shape)
+    for basis, low, high in ((q, 0.0, 1e-13), (q + noise, 1e-8, 1e-4)):
+        op = BlockOperator(p=base.p, c=base.c, amm=base.amm)
+        op.remember("lower_eigen", lambda: (d, basis))
+        level = gap_spectrum(op, 1)[0]
+        s = build_schur(op, level.lambda_k)
+        x = s.vector(1)[1]
+        z = np.concatenate([x, s.lift(x)])
+        want = np.linalg.norm((op.assembled() - level.lambda_k * np.eye(op.dim)) @ z)
+        assert s.residual(x) == pytest.approx(want / np.linalg.norm(z), rel=1e-6)
+        assert low <= level.residual <= high
 
 
 def test_edge_rule_on_every_entry_point(structured_op):
