@@ -45,7 +45,6 @@ from .schur import (
     SchurSystem,
     build_schur,
     mu_k,
-    phi_form,
     q_e_form,
 )
 from .verify import (
@@ -61,7 +60,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BlockOperator", "GapData", "assemble_block", "lambda0",
     "Spectrum", "dense_spectrum", "gap_eigs_bruteforce",
-    "SchurSystem", "build_schur", "q_e_form", "phi_form", "mu_k",
+    "SchurSystem", "build_schur", "q_e_form", "mu_k",
     "MinMaxResult", "energy_of_vector", "lambda_k", "gap_spectrum",
     "lambda1_certificate",
     "VerificationReport", "decomposition_residual", "krein_gap_check",

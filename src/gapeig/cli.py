@@ -9,6 +9,9 @@ Subcommands:
   pollution  stability report for the nu=0.9 channel: gap level drift versus
              dense-spectrum window contents across two grids
 
+The config schema is written once: the top-level keys are ExperimentConfig's
+fields, checked in its __post_init__, and SPECS holds each model kind's and
+subcommand's spec keys with their defaults. main runs every COMMANDS entry.
 Configs are plain JSON; no environment variables are consulted. Reports are
 deterministic for a fixed config (the wall-time column aside).
 """
@@ -24,7 +27,7 @@ import numbers
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from typing import Callable
 
@@ -61,32 +64,43 @@ REPORT_CSV_HEADER = "check,value,passed,params"
 ORACLE_DIM_LIMIT = 1200  # dense ground truth attached only below this size
 
 KINDS = ("dirac", "aps", "random", "matrix-file")
-# the spec keys each model kind (spectrum/converge/verify) or subcommand reads
-SPEC_KEYS = {
-    "dirac": {"nu", "kappa", "n", "r_max", "grading"},
-    "aps": {"modes", "length_l", "n"},
-    "random": {"n_plus", "n_minus", "gap_target"},
-    "matrix-file": {"path"},
-    "hardy": {"nu_values", "n", "r_max"},
-    "pollution": {"nu", "kappa", "r_max", "window", "grading"},
+# every spec key each model kind (spectrum/converge/verify) or subcommand reads,
+# with its default; the default's type is the key's type (int, float or a list
+# of floats), and a None default passes the value through to the model
+SPECS = {
+    "dirac": {"nu": 0.5, "kappa": -1, "n": 600, "r_max": 30.0, "grading": None},
+    "aps": {"modes": [0.0], "length_l": 1.0, "n": 200},
+    "random": {"n_plus": 8, "n_minus": 8, "gap_target": 1.0},
+    "matrix-file": {"path": None},
+    "hardy": {"nu_values": [0.0, 0.5, 0.9, 1.0], "n": 1500, "r_max": 30.0},
+    "pollution": {"nu": 0.9, "kappa": -1, "r_max": 30.0, "window": [-0.5, 0.5],
+                  "grading": None},
 }
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One batch run: a model kind with its spec, solver knobs, output target."""
+    """One batch run; the fields are the config keys, and __post_init__ checks them."""
 
     kind: str
-    spec: dict
+    spec: dict = field(default_factory=dict)
     k_max: int = 1
     tol: float = 1e-10
     out: str | None = None
-    fmt: str = "csv"
+    format: str = "csv"
     seed: int = 0
     grids: tuple[int, ...] | None = None
     count: int = 1
 
     def __post_init__(self) -> None:
+        set_ = partial(object.__setattr__, self)
+        set_("spec", dict(self.spec))
+        set_("k_max", _number(self.k_max, "k_max", int))
+        set_("tol", _number(self.tol, "tol"))
+        set_("seed", _number(self.seed, "seed", int))
+        if self.grids is not None:
+            set_("grids", _numbers(self.grids, "grids", int))
+        set_("count", _number(self.count, "count", int))
         if self.kind not in KINDS:
             raise ConfigParse(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.k_max < 1:
@@ -95,24 +109,12 @@ class ExperimentConfig:
             raise ConfigParse(f"tol must be positive, got {self.tol}")
         if self.out is not None and not isinstance(self.out, str):
             raise ConfigParse(f"out must be a file path, got {self.out!r}")
-        if self.fmt not in ("csv", "json"):
-            raise ConfigParse(f"format must be csv or json, got {self.fmt!r}")
+        if self.format not in ("csv", "json"):
+            raise ConfigParse(f"format must be csv or json, got {self.format!r}")
         if self.count < 1:
             raise ConfigParse(f"count must be at least 1, got {self.count}")
-        if self.grids is not None:
-            grids = tuple(self.grids)
-            if any(b <= a for a, b in zip(grids, grids[1:])):
-                raise ConfigParse(f"grids must be strictly increasing, got {list(grids)}")
-            object.__setattr__(self, "grids", grids)
-
-    def echo(self) -> dict:
-        return {
-            "kind": self.kind, "spec": self.spec, "k_max": self.k_max,
-            "tol": self.tol, "out": self.out, "format": self.fmt,
-            "seed": self.seed,
-            "grids": list(self.grids) if self.grids is not None else None,
-            "count": self.count,
-        }
+        if self.grids is not None and any(b <= a for a, b in zip(self.grids, self.grids[1:])):
+            raise ConfigParse(f"grids must be strictly increasing, got {list(self.grids)}")
 
 
 @dataclass(frozen=True)
@@ -148,7 +150,7 @@ def _number(value, key: str, kind: type = float):
 
 def _numbers(values, key: str, kind: type = float) -> tuple:
     """A JSON list of numbers, each read by _number."""
-    if not isinstance(values, list):
+    if not isinstance(values, (list, tuple)):
         raise ConfigParse(f"{key} must be a list of numbers, got {values!r}")
     return tuple(_number(v, f"{key} entry", kind) for v in values)
 
@@ -176,35 +178,32 @@ def config_from_dict(raw: dict, overrides: dict | None = None) -> ExperimentConf
     data = dict(raw)
     if overrides:
         data.update({k: v for k, v in overrides.items() if v is not None})
-    known = {"kind", "spec", "k_max", "tol", "out", "format", "seed", "grids", "count"}
-    unknown = set(data) - known
+    unknown = set(data) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
         raise ConfigParse(f"unknown config keys: {sorted(unknown)}")
+    if "kind" not in data:
+        raise ConfigParse("missing config key: kind")
     try:
-        return ExperimentConfig(
-            kind=data["kind"],
-            spec=dict(data.get("spec", {})),
-            k_max=_number(data.get("k_max", 1), "k_max", int),
-            tol=_number(data.get("tol", 1e-10), "tol"),
-            out=data.get("out"),
-            fmt=data.get("format", "csv"),
-            seed=_number(data.get("seed", 0), "seed", int),
-            grids=None if data.get("grids") is None else _numbers(data["grids"], "grids", int),
-            count=_number(data.get("count", 1), "count", int),
-        )
-    except KeyError as exc:
-        raise ConfigParse(f"missing config key: {exc.args[0]}") from exc
+        return ExperimentConfig(**data)
     except (TypeError, ValueError) as exc:
         raise ConfigParse(f"bad config value: {exc}") from exc
 
 
-def _checked_spec(config: ExperimentConfig | None, family: str) -> dict:
-    """The config's spec ({} without a config), rejecting keys the family does not read."""
+def _spec(config: ExperimentConfig | None, family: str) -> dict:
+    """The config's spec ({} without one) for a SPECS family: keys and numbers checked."""
     spec = config.spec if config else {}
-    unknown = sorted(set(spec) - SPEC_KEYS[family])
+    unknown = sorted(set(spec) - set(SPECS[family]))
     if unknown:
         raise ConfigParse(f"unknown {family} spec keys: {unknown}")
-    return spec
+    values = {}
+    for key, default in SPECS[family].items():
+        value = spec.get(key, default)
+        if isinstance(default, list):
+            value = _numbers(value, key)
+        elif default is not None:
+            value = _number(value, key, type(default))
+        values[key] = value
+    return values
 
 
 def _dirac_oracle(spec: DiracSpec) -> dict[int, float]:
@@ -261,48 +260,31 @@ class _Unit:
 
 def _units(config: ExperimentConfig) -> list[_Unit]:
     units: list[_Unit] = []
-    kind, spec = config.kind, _checked_spec(config, config.kind)
+    kind, spec = config.kind, _spec(config, config.kind)
     if kind == "dirac":
-        base = DiracSpec(
-            nu=_number(spec.get("nu", 0.5), "nu"),
-            kappa=_number(spec.get("kappa", -1), "kappa", int),
-            n=_number(spec.get("n", 600), "n", int),
-            r_max=_number(spec.get("r_max", 30.0), "r_max"),
-            grading=spec.get("grading"),
-        )
-        grids = config.grids or (base.n,)
-        for n in grids:
+        base = DiracSpec(**spec)
+        for n in config.grids or (base.n,):
             dspec = replace(base, n=n)
             model_id = (f"dirac(nu={dspec.nu:g},kappa={dspec.kappa},"
                         f"r_max={dspec.r_max:g},grading={dspec.grading})")
             units.append(_Unit(model_id, n, build_dirac_coulomb(dspec),
                                partial(_dirac_oracle, dspec), dspec))
     elif kind == "aps":
-        base = ApsSpec(
-            modes=_numbers(spec.get("modes", [0.0]), "modes"),
-            length_l=_number(spec.get("length_l", 1.0), "length_l"),
-            n=_number(spec.get("n", 200), "n", int),
-        )
-        grids = config.grids or (base.n,)
-        for n in grids:
+        base = ApsSpec(**spec)
+        for n in config.grids or (base.n,):
             aspec = replace(base, n=n)
             model_id = f"aps(modes={list(aspec.modes)},L={aspec.length_l:g})"
             units.append(_Unit(model_id, n, build_aps_cylinder(aspec),
                                partial(_aps_oracle, aspec, config.k_max), aspec))
     elif kind == "random":
         for offset in range(config.count):
-            rspec = RandomSpec(
-                n_plus=_number(spec.get("n_plus", 8), "n_plus", int),
-                n_minus=_number(spec.get("n_minus", 8), "n_minus", int),
-                gap_target=_number(spec.get("gap_target", 1.0), "gap_target"),
-                seed=config.seed + offset,
-            )
+            rspec = RandomSpec(**spec, seed=config.seed + offset)
             op = random_gapped(rspec)
             model_id = f"random(seed={rspec.seed},gap={rspec.gap_target:g})"
             units.append(_Unit(model_id, op.dim, op,
                                partial(_dense_oracle, op, config.k_max), rspec))
     else:
-        path = spec.get("path")
+        path = spec["path"]
         if not isinstance(path, str) or not path:
             # a number would reach open() as a file descriptor
             raise ConfigParse(f"matrix-file kind needs spec.path, a file path; got {path!r}")
@@ -416,10 +398,10 @@ def _json_doc(rows: list, config: ExperimentConfig | None) -> str:
     doc = {
         "schema": 1,
         "version": __version__,
-        "config": config.echo() if config is not None else None,
+        "config": asdict(config) if config is not None else None,
         "rows": [asdict(r) for r in rows],
     }
-    return json.dumps(doc, indent=2, default=str, allow_nan=True) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=True) + "\n"
 
 
 def rows_to_json(rows: list[ReportRow], config: ExperimentConfig) -> str:
@@ -433,7 +415,7 @@ def reports_to_csv(reports: list[VerificationReport]) -> str:
     for rep in reports:
         writer.writerow([
             rep.check, _fmt(rep.value), str(rep.passed).lower(),
-            json.dumps(rep.params, default=str, sort_keys=True),
+            json.dumps(rep.params, sort_keys=True),
         ])
     return buf.getvalue()
 
@@ -452,21 +434,24 @@ def _emit(text: str, out: str | None, quiet: bool, summary: str) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_spectrum(args: argparse.Namespace, require_grids: bool = False) -> int:
-    config = load_config(args.config, {"out": args.out, "format": args.format})
-    if require_grids and not config.grids:
-        raise ConfigParse("converge needs a strictly increasing grids list in the config")
+def _cmd_spectrum(config: ExperimentConfig, args: argparse.Namespace) -> int:
     rows = run(config, jobs=args.jobs)
-    text = rows_to_csv(rows) if config.fmt == "csv" else rows_to_json(rows, config)
+    text = rows_to_csv(rows) if config.format == "csv" else rows_to_json(rows, config)
     failed = sum(row_failed(r, config.tol) for r in rows)
     _emit(text, config.out, args.quiet, f"{len(rows)} rows, {failed} failed")
     return 1 if failed else 0
 
 
+def _cmd_converge(config: ExperimentConfig, args: argparse.Namespace) -> int:
+    if not config.grids:
+        raise ConfigParse("converge needs a strictly increasing grids list in the config")
+    return _cmd_spectrum(config, args)
+
+
 def _emit_reports(reports: list[VerificationReport], config: ExperimentConfig | None,
                   args: argparse.Namespace, summary: str | None = None) -> int:
     """Write check reports where the config (or, without one, the flags) says; count failures."""
-    fmt = config.fmt if config else (args.format or "csv")
+    fmt = config.format if config else (args.format or "csv")
     text = reports_to_csv(reports) if fmt == "csv" else reports_to_json(reports, config)
     failed = sum(not rep.passed for rep in reports)
     _emit(text, config.out if config else args.out, args.quiet,
@@ -474,43 +459,30 @@ def _emit_reports(reports: list[VerificationReport], config: ExperimentConfig | 
     return failed
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    config = load_config(args.config, {"out": args.out, "format": args.format})
+def _cmd_verify(config: ExperimentConfig, args: argparse.Namespace) -> int:
     return 1 if _emit_reports(verify_all(config, jobs=args.jobs), config, args) else 0
 
 
-def _cmd_hardy(args: argparse.Namespace) -> int:
-    config = (load_config(args.config, {"out": args.out, "format": args.format})
-              if args.config else None)
-    spec = _checked_spec(config, "hardy")
-    nu_values = _numbers(spec.get("nu_values", [0.0, 0.5, 0.9, 1.0]), "nu_values")
-    n = _number(spec.get("n", 1500), "n", int)
-    r_max = _number(spec.get("r_max", 30.0), "r_max")
-    reports = [hardy_check(nu, n, r_max) for nu in nu_values]
+def _cmd_hardy(config: ExperimentConfig | None, args: argparse.Namespace) -> int:
+    spec = _spec(config, "hardy")
+    reports = [hardy_check(nu, spec["n"], spec["r_max"]) for nu in spec["nu_values"]]
     return 1 if _emit_reports(reports, config, args) else 0
 
 
-def _cmd_pollution(args: argparse.Namespace) -> int:
-    config = (load_config(args.config, {"out": args.out, "format": args.format})
-              if args.config else None)
-    spec = _checked_spec(config, "pollution")
+def _cmd_pollution(config: ExperimentConfig | None, args: argparse.Namespace) -> int:
+    spec = _spec(config, "pollution")
+    window = spec.pop("window")  # the rest are DiracSpec's fields but n
     grids = list(config.grids) if config and config.grids else [600, 1200]
     if len(grids) < 2:
         raise ConfigParse(f"pollution compares two grids; grids needs at least two, got {grids}")
-    tol = config.tol if config else 1e-10
-    nu = _number(spec.get("nu", 0.9), "nu")
-    kappa = _number(spec.get("kappa", -1), "kappa", int)
-    r_max = _number(spec.get("r_max", 30.0), "r_max")
-    window = _numbers(spec.get("window", [-0.5, 0.5]), "window")
+    tol = config.tol if config else ExperimentConfig.tol
     if len(window) != 2:
         raise ConfigParse(f"window must hold two numbers, got {list(window)}")
 
     lam1 = {}
     window_values = {}
     for n in grids:
-        dspec = DiracSpec(nu=nu, kappa=kappa, n=n, r_max=r_max,
-                          grading=spec.get("grading"))
-        op = build_dirac_coulomb(dspec)
+        op = build_dirac_coulomb(DiracSpec(**spec, n=n))
         lam1[n] = lambda_k(op, 1, tol).lambda_k
         values = dense_spectrum(op).values
         window_values[n] = values[(values > window[0]) & (values < window[1])]
@@ -547,15 +519,14 @@ def _cmd_pollution(args: argparse.Namespace) -> int:
     return 0 if stable else 1
 
 
-def _add_common(sub: argparse.ArgumentParser, config_required: bool) -> None:
-    sub.add_argument("--config", required=config_required,
-                     help="path to a JSON experiment config")
-    sub.add_argument("--out", default=None, help="output file (default: stdout)")
-    sub.add_argument("--format", default=None, choices=("csv", "json"),
-                     help="output format override")
-    sub.add_argument("--quiet", action="store_true", help="suppress summary lines")
-    sub.add_argument("--jobs", type=int, default=1,
-                     help="parallel workers across grids/seeds")
+# subcommand -> (handler(config, args), whether --config is required)
+COMMANDS = {
+    "spectrum": (_cmd_spectrum, True),
+    "verify": (_cmd_verify, True),
+    "converge": (_cmd_converge, True),
+    "hardy": (_cmd_hardy, False),
+    "pollution": (_cmd_pollution, False),
+}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -565,23 +536,23 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--version", action="version", version=f"gapeig {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, needs_config in (("spectrum", True), ("verify", True),
-                               ("converge", True), ("hardy", False),
-                               ("pollution", False)):
+    for name, (_, config_required) in COMMANDS.items():
         sub = subs.add_parser(name)
-        _add_common(sub, needs_config)
+        sub.add_argument("--config", required=config_required,
+                         help="path to a JSON experiment config")
+        sub.add_argument("--out", default=None, help="output file (default: stdout)")
+        sub.add_argument("--format", default=None, choices=("csv", "json"),
+                         help="output format override")
+        sub.add_argument("--quiet", action="store_true", help="suppress summary lines")
+        sub.add_argument("--jobs", type=int, default=1,
+                         help="parallel workers across grids/seeds")
 
     args = parser.parse_args(argv)
+    handler, _ = COMMANDS[args.command]
     try:
-        if args.command == "spectrum":
-            return _cmd_spectrum(args)
-        if args.command == "converge":
-            return _cmd_spectrum(args, require_grids=True)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "hardy":
-            return _cmd_hardy(args)
-        return _cmd_pollution(args)
+        config = (load_config(args.config, {"out": args.out, "format": args.format})
+                  if args.config else None)
+        return handler(config, args)
     except OSError as exc:  # a missing file, a directory, an unreadable path
         reason = "file not found" if isinstance(exc, FileNotFoundError) else exc.strerror
         print(f"gapeig: {reason}: {exc.filename or exc}", file=sys.stderr)

@@ -262,14 +262,6 @@ def build_schur(op: BlockOperator, e: float) -> SchurSystem:
     return SchurSystem(op, e)
 
 
-def phi_form(op: BlockOperator, e: float, x: np.ndarray, y: np.ndarray) -> float:
-    """The coupled quadratic form (x+y).T A (x+y) - e*||x+y||^2; defined for every real e."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    value = x @ (op.p @ x) + 2.0 * (y @ (op.c @ x)) + y @ (op.amm @ y)
-    return float(value - e * (x @ x + y @ y))
-
-
 def q_e_form(op: BlockOperator, e: float, x: np.ndarray) -> float:
     """The Schur quadratic form q_e(x, x)."""
     return build_schur(op, e).form(x)[0]

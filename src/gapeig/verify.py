@@ -161,9 +161,9 @@ def sandwich_report(op: BlockOperator, seed: int,
             (norm_lo - bound) / nscale,
         )
     return [
-        VerificationReport("sandwich", worst_sandwich, worst_sandwich <= 1e-10,
+        VerificationReport("sandwich", float(worst_sandwich), bool(worst_sandwich <= 1e-10),
                            {"n_samples": n_samples, "seed": seed}),
-        VerificationReport("norm_chain", worst_chain, worst_chain <= 1e-10,
+        VerificationReport("norm_chain", float(worst_chain), bool(worst_chain <= 1e-10),
                            {"n_samples": n_samples, "seed": seed}),
     ]
 

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,10 +12,11 @@ import pytest
 import gapeig.cli as cli
 import gapeig.minmax as minmax
 import gapeig.schur as schur
-from gapeig import ConfigParse, __version__
+from gapeig import ApsSpec, ConfigParse, DiracSpec, RandomSpec, VerificationReport, __version__
 from gapeig.cli import (
     CSV_HEADER,
     REPORT_CSV_HEADER,
+    ExperimentConfig,
     config_from_dict,
     load_config,
     main,
@@ -78,15 +80,58 @@ class TestConfigParsing:
     def test_overrides_win(self, tmp_path):
         path = _write(tmp_path / "c.json", {"kind": "random", "format": "csv"})
         config = load_config(path, {"format": "json", "out": None})
-        assert config.fmt == "json"
+        assert config.format == "json"
 
-    def test_defaults(self):
+    def test_defaults(self, tmp_path, monkeypatch):
         config = config_from_dict({"kind": "random"})
         assert config.k_max == 1
         assert config.tol == 1e-10
-        assert config.fmt == "csv"
+        assert config.format == "csv"
         assert config.count == 1
         assert config.grids is None
+        assert (config.spec, config.seed, config.out) == ({}, 0, None)
+
+        # an empty spec gets README's defaults in each of the six families; the
+        # builders and the Hardy check record their arguments instead of solving
+        build_dirac = cli.build_dirac_coulomb
+        built, hardy, tols = [], [], []
+        monkeypatch.setattr(cli, "build_dirac_coulomb", lambda spec: built.append(spec))
+        monkeypatch.setattr(cli, "build_aps_cylinder", lambda spec: built.append(spec))
+        cli._units(config_from_dict({"kind": "dirac"}))
+        cli._units(config_from_dict({"kind": "aps"}))
+        assert built == [DiracSpec(nu=0.5, kappa=-1, n=600, r_max=30.0, grading="uniform"),
+                         ApsSpec(modes=(0.0,), length_l=1.0, n=200)]
+        assert [u.spec for u in cli._units(config)] == [
+            RandomSpec(n_plus=8, n_minus=8, gap_target=1.0, seed=0)]
+        with pytest.raises(ConfigParse, match="spec.path.*None"):
+            cli._units(config_from_dict({"kind": "matrix-file"}))
+
+        def record_hardy(nu, n, r_max):
+            hardy.append((nu, n, r_max))
+            return VerificationReport("hardy", 0.0, True, {})
+
+        monkeypatch.setattr(cli, "hardy_check", record_hardy)
+        assert main(["hardy", "--quiet", "--out", str(tmp_path / "hardy.csv")]) == 0
+        assert hardy == [(nu, 1500, 30.0) for nu in (0.0, 0.5, 0.9, 1.0)]
+        assert all(type(n) is int for _, n, _ in hardy)
+
+        built.clear()
+        monkeypatch.setattr(cli, "build_dirac_coulomb", lambda spec: built.append(spec)
+                            or build_dirac(replace(spec, n=spec.n // 10)))
+        monkeypatch.setattr(cli, "lambda_k", lambda op, k, tol: tols.append(tol)
+                            or minmax.lambda_k(op, k, tol))
+        out = tmp_path / "pollution.json"
+        main(["pollution", "--format", "json", "--quiet", "--out", str(out)])
+        assert built == [DiracSpec(nu=0.9, kappa=-1, n=n, r_max=30.0, grading="quadratic")
+                         for n in (600, 1200)]
+        assert tols == [1e-10, 1e-10]
+        rows = json.loads(out.read_text())["rows"]
+        assert [row["params"]["window"] for row in rows[:2]] == [[-0.5, 0.5]] * 2
+
+    @pytest.mark.parametrize("key,value", [("k_max", True), ("count", 2.5), ("tol", "1e-10")])
+    def test_a_direct_config_checks_its_numbers(self, key, value):
+        with pytest.raises(ConfigParse, match=key):
+            ExperimentConfig(kind="random", spec={}, **{key: value})
 
 
 class TestRun:
@@ -187,6 +232,31 @@ class TestSerialization:
         assert doc["version"] == __version__
         assert doc["config"]["kind"] == "matrix-file"
         assert set(doc["rows"][0]) == set(CSV_HEADER.split(","))
+        with open(canonical_matrix_config, encoding="utf-8") as fh:
+            spec = json.load(fh)["spec"]
+        assert list(doc["config"].items()) == [
+            ("kind", "matrix-file"), ("spec", spec), ("k_max", 1), ("tol", 1e-10),
+            ("out", None), ("format", "csv"), ("seed", 0), ("grids", None), ("count", 1)]
+        config = config_from_dict({"kind": "dirac", "grids": [24, 48], "format": "json",
+                                   "out": "x.json", "seed": 3, "count": 2, "k_max": 2})
+        assert json.loads(rows_to_json([], config))["config"] == {
+            "kind": "dirac", "spec": {}, "k_max": 2, "tol": 1e-10, "out": "x.json",
+            "format": "json", "seed": 3, "grids": [24, 48], "count": 2}
+
+    @pytest.mark.parametrize("command,raw", [
+        ("verify", {"kind": "random", "spec": {"n_plus": 5, "n_minus": 4}, "count": 3}),
+        ("verify", {"kind": "dirac", "spec": {"n": 60, "r_max": 20.0}}),
+        ("verify", {"kind": "aps", "spec": {"modes": [0.0, 3.0], "n": 20}}),
+        ("hardy", {"kind": "dirac", "spec": {"nu_values": [0.0, 0.9], "n": 60}}),
+        ("pollution", {"kind": "dirac", "grids": [60, 120]}),
+    ])
+    def test_json_passed_is_a_boolean(self, tmp_path, command, raw):
+        # a numpy bool would reach the JSON writer as the string "True"
+        out = tmp_path / "out.json"
+        cfg = _write(tmp_path / "cfg.json", {**raw, "format": "json", "out": str(out)})
+        main([command, "--config", cfg, "--quiet"])
+        rows = json.loads(out.read_text())["rows"]
+        assert rows and all(type(row["passed"]) is bool for row in rows)
 
 
 class TestMain:
