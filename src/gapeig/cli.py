@@ -94,6 +94,8 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         set_ = partial(object.__setattr__, self)
+        if not isinstance(self.spec, dict):  # dict() would take a list of pairs
+            raise ConfigParse(f"spec must be a JSON object, got {self.spec!r}")
         set_("spec", dict(self.spec))
         set_("k_max", _number(self.k_max, "k_max", int))
         set_("tol", _number(self.tol, "tol"))
@@ -548,6 +550,9 @@ def main(argv: list[str] | None = None) -> int:
                          help="parallel workers across grids/seeds")
 
     args = parser.parse_args(argv)
+    if args.jobs < 1:
+        print(f"gapeig: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return 2
     handler, _ = COMMANDS[args.command]
     try:
         config = (load_config(args.config, {"out": args.out, "format": args.format})

@@ -31,7 +31,7 @@ import numpy as np
 from .blockop import BlockOperator, GapData, lambda0
 from .errors import BracketFailure, KOutOfRange, ZeroVector
 from .oracle import CLUSTER_RTOL
-from .schur import SchurSystem, build_schur, mu_k, mu_k_with_vector, q_value_and_slope
+from .schur import build_schur, mu_k, mu_k_with_vector, q_value_and_slope
 
 LEFT_EDGE_REL = 1e-8
 DEFAULT_LAMBDA_MAX_OFFSET = 1e12
@@ -123,12 +123,6 @@ def energy_of_vector(op: BlockOperator, x: np.ndarray) -> float:
                  lambda e, q: abs(q) <= 1e-12 * norm2 * max(1.0, abs(e)))[0]
 
 
-def _residual(system: SchurSystem, k: int) -> tuple[float, float]:
-    """mu_k at the system's energy and SchurSystem.residual of the k-th pencil vector."""
-    mu, x = system.vector(k)
-    return mu, system.residual(x)
-
-
 def lambda_k(op: BlockOperator, k: int, tol: float = 1e-10) -> MinMaxResult:
     """The k-th gap eigenvalue: root of lam -> mu_k(op, lam, k) above lambda0."""
     if not 1 <= k <= op.n_plus:
@@ -147,37 +141,12 @@ def lambda_k(op: BlockOperator, k: int, tol: float = 1e-10) -> MinMaxResult:
     lam, evals, bracket = _root(level, step, lambda0(op),
                                 lambda lam, mu: abs(mu) <= tol)
     system = build_schur(op, lam)
-    return MinMaxResult(k=k, lambda_k=lam, multiplicity=_multiplicity_at(system),
-                        residual=_residual(system, k)[1], iterations=evals, bracket=bracket)
-
-
-def _multiplicity_at(system: SchurSystem) -> int:
-    """Count pencil levels within the cluster tolerance of a root.
-
-    Near a root every level moves with slope -1 in lam, so levels within
-    1e-8*max(1, |lam|) of zero correspond to eigenvalues within the value
-    clustering tolerance of lam.
-    """
-    band = CLUSTER_RTOL * max(1.0, abs(system.e))
-    return max(1, len(system.values_in_band(band)))
-
-
-def _siblings(op: BlockOperator, res: MinMaxResult, k_max: int,
-              tol: float) -> list[MinMaxResult]:
-    """Levels k+1 .. k+m-1 of a root of multiplicity m, up to the first |mu_j| > tol.
-
-    The tol guard stops the fill at the cluster's end when the band also holds
-    a level below k.
-    """
-    siblings: list[MinMaxResult] = []
-    last = min(k_max, res.k + res.multiplicity - 1)
-    system = build_schur(op, res.lambda_k) if last > res.k else None
-    for j in range(res.k + 1, last + 1):
-        mu_j, residual = _residual(system, j)
-        if abs(mu_j) > tol:
-            break
-        siblings.append(replace(res, k=j, residual=residual, iterations=0))
-    return siblings
+    # near a root every level moves with slope -1 in lam, so levels within
+    # CLUSTER_RTOL*max(1, |lam|) of zero are eigenvalues within the value clustering tolerance
+    band = CLUSTER_RTOL * max(1.0, abs(lam))
+    return MinMaxResult(k=k, lambda_k=lam, multiplicity=max(1, len(system.values_in_band(band))),
+                        residual=system.residual(system.vector(k)[1]), iterations=evals,
+                        bracket=bracket)
 
 
 def gap_spectrum(op: BlockOperator, k_max: int, tol: float = 1e-10) -> list[MinMaxResult]:
@@ -201,7 +170,17 @@ def gap_spectrum(op: BlockOperator, k_max: int, tol: float = 1e-10) -> list[MinM
                 status=f"bracket_failure: {exc}",
             ))
             continue
-        ordered += [res] + _siblings(op, res, k_max, tol)
+        ordered.append(res)
+        # levels k+1 .. k+m-1 of a root of multiplicity m, up to the first |mu_j| > tol;
+        # the guard stops the fill at the cluster's end when the band also holds a level below k
+        last = min(k_max, k + res.multiplicity - 1)
+        if last > k:
+            system = build_schur(op, res.lambda_k)
+            for j in range(k + 1, last + 1):
+                mu_j, x = system.vector(j)
+                if abs(mu_j) > tol:
+                    break
+                ordered.append(replace(res, k=j, residual=system.residual(x), iterations=0))
     return ordered
 
 

@@ -18,14 +18,16 @@ amm's eigenbasis amm = Q diag(d) Q.T (blockop.lower_eigen; Q is None for a
 diagonal amm): there b + e*I is the diagonal e - d, the coupling is Q.T c,
 and k_e, m_e and forms are unchanged. Every lower solve of a rotated block
 takes one refinement step against eigh's residual f = Q.T (amm Q - Q diag(d)),
-which 1/(e - d) amplifies next to lambda0. l_e, lift and the residual's lower
-half go back to the operator's own basis by Q. What the pencil needs is
-kept once per operator in the operator's memo, and one structure rule picks
-the backend there: an unrotated operator whose pencil has half-bandwidth w,
-the widest of p's and of c.T c's nonzero patterns, with
-n_plus >= BAND_RATIO * (w + 1) takes the banded path; every other operator
-the dense one. The rule also picks the one storage of p, c and c.T that
-every product reads, pencil, lift, form and residual alike.
+which 1/(e - d) amplifies next to lambda0. solve_lower is that solve for a
+right-hand side in the operator's own basis (l_e is solve_lower(c), and verify's
+inverse formula reads it); lift and the residual's lower half go back to that
+basis by Q as well. What the pencil needs is kept once per operator in the
+operator's memo, and one structure rule picks the backend there: an
+unrotated operator whose pencil has half-bandwidth w, the widest of p's and
+of c.T c's nonzero patterns, with n_plus >= BAND_RATIO * (w + 1) takes the
+banded path; every other operator the dense one. The rule also picks the one
+storage of p, c and c.T that every product reads, pencil, lift, form and
+residual alike.
 
 - Banded: k_e and m_e are sparse products with the diagonal (b + e)^{-1},
   kept as upper band arrays. Levels and band counts come from LAPACK's
@@ -118,7 +120,7 @@ class _Lower:
 
 
 class SchurSystem:
-    """The pencil (k_e, m_e) and the lift l_e of one operator at one energy e."""
+    """The pencil (k_e, m_e), lift l_e and lower solve solve_lower of one operator at energy e."""
 
     def __init__(self, op: BlockOperator, e: float) -> None:
         lower = op.remember("schur", lambda: _Lower(op))
@@ -142,12 +144,16 @@ class SchurSystem:
         y = rhs / d
         return y if self._lower.q is None else y + (self._lower.f @ y) / d
 
+    def solve_lower(self, rhs: np.ndarray) -> np.ndarray:
+        """(b + e*I)^{-1} rhs for a dense rhs in the operator's own basis, refined as _solve is."""
+        q = self._lower.q
+        return self._solve(rhs) if q is None else q @ self._solve(q.T @ rhs)
+
     @property
     def l_e(self) -> np.ndarray:
         """(b + e*I)^{-1} c in the operator's own basis, as a dense matrix."""
         if self._l is None:
-            q = self._lower.q
-            self._l = self._solve(self.op.c) if q is None else q @ self._solve(self._lower.c)
+            self._l = self.solve_lower(self.op.c)
         return self._l
 
     def _banded(self) -> tuple[np.ndarray, np.ndarray]:

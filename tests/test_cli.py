@@ -407,6 +407,22 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("gapeig: ") and key in err
 
+    @pytest.mark.parametrize("spec", [[["n", 40], ["r_max", 20.0]], "abc"])
+    def test_non_object_spec_exits_two(self, tmp_path, capsys, spec):
+        # a list of pairs must not pass as an object because dict() accepts it
+        cfg = _write(tmp_path / "cfg.json", {"kind": "dirac", "spec": spec})
+        assert main(["spectrum", "--config", cfg, "--quiet"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"gapeig: spec must be a JSON object, got {spec!r}\n"
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_two(self, canonical_matrix_config, capsys, jobs):
+        assert main(["spectrum", "--config", canonical_matrix_config, "--jobs", jobs]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"gapeig: --jobs must be at least 1, got {jobs}\n"
+
     def test_converge_requires_grids(self, tmp_path, capsys):
         cfg = _write(tmp_path / "cfg.json", {"kind": "dirac", "spec": {"nu": 0.5}})
         assert main(["converge", "--config", cfg]) == 2

@@ -30,7 +30,7 @@ from gapeig import (
     mu_k,
     random_gapped,
 )
-from gapeig.minmax import _residual, _root
+from gapeig.minmax import _root
 from gapeig.schur import apply_l, mu_k_with_vector
 
 SQRT2 = math.sqrt(2.0)
@@ -177,6 +177,11 @@ def test_pencil_evaluations_per_root_dirac300(monkeypatch):
     assert res.iterations == len(calls) - 1
 
 
+def _residual(system, k):
+    """SchurSystem.residual of the system's k-th pencil vector."""
+    return system.residual(system.vector(k)[1])
+
+
 def _dense_residual(op, e, k):
     system = build_schur(op, e)
     _, x = system.vector(k)
@@ -190,7 +195,7 @@ def test_residual_is_assembled_operator_residual(campaign_ops):
         res = lambda_k(op, 1)
         # off the root the residual is O(1), so the blockwise product is checked in full
         e = res.lambda_k + 0.25
-        assert _residual(build_schur(op, e), 1)[1] == pytest.approx(
+        assert _residual(build_schur(op, e), 1) == pytest.approx(
             _dense_residual(op, e, 1), rel=1e-10)
         scale = np.linalg.norm(op.assembled(), 2)
         assert res.residual == pytest.approx(_dense_residual(op, res.lambda_k, 1),
@@ -205,7 +210,7 @@ def test_sibling_residual_uses_its_own_vector():
     assert results[1].lambda_k == pytest.approx((1.0 + math.sqrt(13.0)) / 2.0, abs=1e-14)
     system = build_schur(op, results[0].lambda_k)
     for r in results:
-        assert r.residual == _residual(system, r.k)[1]
+        assert r.residual == _residual(system, r.k)
         assert r.residual == pytest.approx(_dense_residual(op, r.lambda_k, r.k), abs=1e-14)
         assert r.residual <= 1e-14
 

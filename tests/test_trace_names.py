@@ -9,8 +9,11 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 import gapeig.minmax as minmax
 import gapeig.schur as schur
+from gapeig import BlockOperator
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -42,3 +45,21 @@ def test_minmax_looks_up_pencil_evaluations_from_schur():
     assert minmax.mu_k is schur.mu_k
     assert minmax.mu_k_with_vector is schur.mu_k_with_vector
     assert minmax.q_value_and_slope is schur.q_value_and_slope
+
+
+def test_every_solved_root_is_one_lambda_k_call(monkeypatch):
+    # the benchmark's per-root ratios divide by the minmax.lambda_k calls, so each
+    # solved root goes through that name once and a filled-in level through none
+    calls = []
+    solve = minmax.lambda_k
+    monkeypatch.setattr(minmax, "lambda_k",
+                        lambda op, k, tol: calls.append(k) or solve(op, k, tol))
+    op = BlockOperator(p=np.diag([2.0, 2.0]), c=np.zeros((1, 2)), amm=np.array([[-1.0]]))
+    rows = minmax.gap_spectrum(op, 2)
+    assert [r.iterations > 0 for r in rows] == [True, False]
+    assert calls == [1]
+
+    calls.clear()
+    minmax.lambda1_certificate(op)
+    minmax.lambda1_certificate(op)
+    assert calls == [1]

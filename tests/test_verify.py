@@ -4,10 +4,12 @@ import scipy.linalg as sla
 
 from gapeig import (
     BlockOperator,
+    DiracSpec,
     NoGap,
     RandomSpec,
     SingularSchur,
     assemble_block,
+    build_dirac_coulomb,
     build_schur,
     decomposition_residual,
     extension_consistency,
@@ -194,6 +196,32 @@ def test_inverse_inside_gap(campaign_ops):
         cert = lambda1_certificate(op)
         for e in gap_fractions(cert.lambda0, cert.lambda1):
             assert inverse_formula_check(op, e) <= 1e-10
+
+
+def test_inverse_formula_on_the_default_dirac_channel():
+    # explicit inverses of k_e and b + e*I read 6.5e-9 and 9.0e-10 at the two
+    # fractions next to lambda0; applied by solves, every fraction meets the bound
+    op = build_dirac_coulomb(DiracSpec(nu=0.5, kappa=-1, r_max=30.0, n=600,
+                                       grading="uniform"))
+    cert = lambda1_certificate(op)
+    for e in gap_fractions(cert.lambda0, cert.lambda1):
+        assert inverse_formula_check(op, e) <= 1e-10
+
+
+@pytest.mark.parametrize("name,backend", [("random-dense", "q"),
+                                          ("banded-dirac-uniform-", "w")])
+def test_inverse_formula_sees_a_perturbed_lift(monkeypatch, name, backend):
+    # a relative 1e-6 error in l_e must read far above the 1e-10 bound, on the
+    # rotated dense path (q set) and on the banded one (w set) alike
+    op = STRUCTURES[name]()
+    cert = lambda1_certificate(op)
+    energies = gap_fractions(cert.lambda0, cert.lambda1)
+    assert getattr(build_schur(op, energies[0])._lower, backend) is not None
+    exact = schur.SchurSystem.l_e
+    monkeypatch.setattr(schur.SchurSystem, "l_e",
+                        property(lambda self: exact.fget(self) * (1.0 + 1e-6)))
+    for e in energies:
+        assert inverse_formula_check(op, e) > 1e-7
 
 
 def test_e_samples_layout(canonical):
