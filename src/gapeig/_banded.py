@@ -45,27 +45,28 @@ def _ptr(arr: np.ndarray, kind=_D):
 
 
 def pencil_eigvals(a_band: np.ndarray, b_band: np.ndarray, *,
-                   index: int | None = None,
+                   index: int | tuple[int, int] | None = None,
                    interval: tuple[float, float] | None = None) -> np.ndarray:
     """Eigenvalues of the pencil (A, B), B positive definite, ascending.
 
     Both matrices come in upper band storage, a_band[w + i - j, j] = A[i, j]
     for i <= j, with the same half-bandwidth w. Exactly one selector: the
-    index-th smallest eigenvalue (1-based), or those in the half-open
+    index-th smallest eigenvalue (1-based), the il-th to iu-th smallest for
+    an inclusive 1-based index range (il, iu), or those in the half-open
     interval (lo, hi]. Neither band array is modified. A B that is not
     positive definite raises NotPositiveDefinite, any other LAPACK failure
     EigFailure.
     """
     rows, n = a_band.shape
+    il, iu = (0, 0) if index is None else index if isinstance(index, tuple) else (index, index)
     # dsbgvx writes through these pointers: sizes are checked before it runs
     if b_band.shape != a_band.shape or (interval is None) == (index is None) or (
-            index is not None and not 1 <= index <= n):
+            index is not None and not 1 <= il <= iu <= n):
         raise ValueError(f"bad banded pencil call: shapes {a_band.shape}, {b_band.shape}, "
                          f"index {index}, interval {interval}")
     ab = np.array(a_band, dtype=float, order="F")
     bb = np.array(b_band, dtype=float, order="F")
     lo, hi = (0.0, 0.0) if interval is None else interval
-    il = iu = 0 if index is None else index
     values, unused = np.zeros(n), np.zeros(1)
     work, iwork, ifail = np.zeros(7 * n), np.zeros(5 * n, np.intc), np.zeros(n, np.intc)
     found, info = ctypes.c_int(0), ctypes.c_int(0)

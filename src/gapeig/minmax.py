@@ -18,11 +18,19 @@ candidate lam + q/||z||^2 equals lam + mu_k(lam) exactly (q = mu_k x.T M x,
 eps*||A|| rounding where mu carries eps*||K||, since the terms of q/||z||^2
 are bounded by ||p - lam|| and ||b + lam|| (c x = (b + lam) l_lam x): roots
 come out near machine precision even when ||K|| is large.
+
+gap_spectrum solves its levels one by one, and every level's _root probes
+the same left edge and doubling energies. It keeps one bracketing ladder per
+call, probe energy -> the k_max lowest pencil values there from one
+eigensolve (SchurSystem.levels), and each lambda_k reads its mu_k from it;
+the Newton steps still solve for their own level and vector. A standalone
+lambda_k probes through mu_k.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -31,7 +39,7 @@ import numpy as np
 from .blockop import BlockOperator, GapData, lambda0
 from .errors import BracketFailure, KOutOfRange, ZeroVector
 from .oracle import CLUSTER_RTOL
-from .schur import build_schur, mu_k, mu_k_with_vector, q_value_and_slope
+from .schur import SchurSystem, build_schur, mu_k, mu_k_with_vector, q_value_and_slope
 
 LEFT_EDGE_REL = 1e-8
 DEFAULT_LAMBDA_MAX_OFFSET = 1e12
@@ -52,8 +60,9 @@ class MinMaxResult:
     """One gap eigenvalue with its root-solve provenance.
 
     residual, ||A z - lambda_k z|| / ||z|| at the lifted pencil vector z, is the
-    error bound; iterations counts the evaluations after the left edge (0 for a
-    level filled in from an earlier root); bracket only certifies the sign,
+    error bound; iterations counts the evaluations after the left edge, probes
+    read from gap_spectrum's shared ladder included (0 for a level filled in
+    from an earlier root); bracket only certifies the sign,
     mu_k > 0 >= mu_k at its ends: its right end is often the last doubling probe.
     """
 
@@ -123,15 +132,32 @@ def energy_of_vector(op: BlockOperator, x: np.ndarray) -> float:
                  lambda e, q: abs(q) <= 1e-12 * norm2 * max(1.0, abs(e)))[0]
 
 
-def lambda_k(op: BlockOperator, k: int, tol: float = 1e-10) -> MinMaxResult:
-    """The k-th gap eigenvalue: root of lam -> mu_k(op, lam, k) above lambda0."""
+class _Ladder(dict):
+    """Probe energy -> the m lowest pencil values there, each row one eigensolve on first read."""
+
+    def __init__(self, op: BlockOperator, m: int) -> None:
+        super().__init__()
+        self.op, self.m = op, m
+
+    def __missing__(self, lam: float) -> np.ndarray:
+        row = self[lam] = SchurSystem(self.op, lam).levels(self.m)
+        return row
+
+
+def lambda_k(op: BlockOperator, k: int, tol: float = 1e-10, *,
+             levels: Mapping[float, np.ndarray] | None = None) -> MinMaxResult:
+    """The k-th gap eigenvalue: root of lam -> mu_k(op, lam, k) above lambda0.
+
+    levels, if given, maps each bracketing probe energy to at least k lowest
+    pencil values there (gap_spectrum's ladder); without it every probe is mu_k.
+    """
     if not 1 <= k <= op.n_plus:
         raise KOutOfRange(f"k must lie in 1..{op.n_plus}, got {k}")
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
 
     def level(lam: float) -> tuple[float, float]:
-        mu = mu_k(op, lam, k)
+        mu = mu_k(op, lam, k) if levels is None else float(levels[lam][k - 1])
         return mu, lam + mu
 
     def step(lam: float) -> tuple[float, float]:
@@ -154,15 +180,17 @@ def gap_spectrum(op: BlockOperator, k_max: int, tol: float = 1e-10) -> list[MinM
 
     A root of multiplicity m also carries the next m-1 levels; those within tol
     at the root are filled in without a fresh solve (iterations 0). Bracket failures
-    are reported per entry with status "bracket_failure" and NaN values.
+    are reported per entry with status "bracket_failure" and NaN values. The
+    levels share one bracketing ladder, so each probe energy is eigensolved once.
     """
     if not 1 <= k_max <= op.n_plus:
         raise KOutOfRange(f"k_max must lie in 1..{op.n_plus}, got {k_max}")
+    ladder = _Ladder(op, k_max)
     ordered: list[MinMaxResult] = []
     while len(ordered) < k_max:
         k = len(ordered) + 1
         try:
-            res = lambda_k(op, k, tol)
+            res = lambda_k(op, k, tol, levels=ladder)
         except BracketFailure as exc:
             ordered.append(MinMaxResult(
                 k=k, lambda_k=math.nan, multiplicity=0, residual=math.nan,

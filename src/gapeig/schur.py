@@ -27,7 +27,8 @@ unrotated operator whose pencil has half-bandwidth w, the widest of p's and
 of c.T c's nonzero patterns, with n_plus >= BAND_RATIO * (w + 1) takes the
 banded path; every other operator the dense one. The rule also picks the one
 storage of p, c and c.T that every product reads, pencil, lift, form and
-residual alike.
+residual alike. value(k) is one level; levels(m) is the m lowest from one
+eigensolve, the row gap_spectrum's bracketing ladder keeps per probe energy.
 
 - Banded: k_e and m_e are sparse products with the diagonal (b + e)^{-1},
   kept as upper band arrays. Levels and band counts come from LAPACK's
@@ -200,12 +201,21 @@ class SchurSystem:
         except np.linalg.LinAlgError as exc:
             raise EigFailure(f"pencil eigensolve at e={self.e} failed: {exc}") from exc
 
+    def _between(self, first: int, last: int) -> np.ndarray:
+        """mu_first(e) <= ... <= mu_last(e), 1-based and inclusive, from one eigensolve."""
+        if self._lower.w is not None:
+            return pencil_eigvals(*self._banded(), index=(first, last))
+        return self._eigh(subset_by_index=[first - 1, last - 1], eigvals_only=True)
+
     def value(self, k: int) -> float:
         """k-th smallest pencil eigenvalue mu_k(e), 1-based."""
         self._check_k(k)
-        if self._lower.w is not None:
-            return float(pencil_eigvals(*self._banded(), index=k)[0])
-        return float(self._eigh(subset_by_index=[k - 1, k - 1], eigvals_only=True)[0])
+        return float(self._between(k, k)[0])
+
+    def levels(self, m: int) -> np.ndarray:
+        """The m smallest pencil eigenvalues mu_1(e) <= ... <= mu_m(e), from one eigensolve."""
+        self._check_k(m)
+        return self._between(1, m)
 
     def vector(self, k: int) -> tuple[float, np.ndarray]:
         """mu_k(e) together with its pencil eigenvector, normalized to x.T m_e x = 1."""
@@ -229,7 +239,7 @@ class SchurSystem:
         return mu, x / np.sqrt(x @ (m_e @ x))
 
     def values_in_band(self, band: float) -> np.ndarray:
-        """Pencil eigenvalues mu with |mu| <= band, ascending."""
+        """Pencil eigenvalues mu in the half-open band (-band, band], ascending."""
         if self._lower.w is not None:
             return pencil_eigvals(*self._banded(), interval=(-band, band))
         return self._eigh(subset_by_value=[-band, band], eigvals_only=True)
@@ -289,7 +299,7 @@ def mu_k_with_vector(op: BlockOperator, lam: float, k: int) -> tuple[float, np.n
 
 
 def pencil_values_in_band(op: BlockOperator, lam: float, band: float) -> np.ndarray:
-    """Pencil eigenvalues mu with |mu| <= band at energy lam, ascending."""
+    """Pencil eigenvalues mu in the half-open band (-band, band] at energy lam, ascending."""
     return build_schur(op, lam).values_in_band(band)
 
 

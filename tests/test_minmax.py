@@ -1,5 +1,6 @@
 import math
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gapeig.minmax as minmax
+import gapeig.schur as schur
 from gapeig import (
     ApsSpec,
     BlockOperator,
@@ -320,13 +322,69 @@ def _beyond_ceiling():
     return _block_op(np.diag([2e12, 3e12]), np.zeros((1, 2)), [[-1.0]])
 
 
-def test_gap_spectrum_partial_results():
-    results = gap_spectrum(_beyond_ceiling(), 2)
+def _count_eigensolves(monkeypatch) -> Counter:
+    """Pencil eigensolves per energy, dense subset eighs and banded dsbgvx calls alike."""
+    solves, energy = Counter(), [None]
+    eigh, bands, eigvals = schur.SchurSystem._eigh, schur.SchurSystem._banded, schur.pencil_eigvals
+
+    def counted_eigh(self, **subset):
+        solves[self.e] += 1
+        return eigh(self, **subset)
+
+    def read_bands(self):  # every banded eigensolve reads its bands just before it runs
+        energy[0] = self.e
+        return bands(self)
+
+    def counted_eigvals(*args, **kwargs):
+        solves[energy[0]] += 1
+        return eigvals(*args, **kwargs)
+
+    monkeypatch.setattr(schur.SchurSystem, "_eigh", counted_eigh)
+    monkeypatch.setattr(schur.SchurSystem, "_banded", read_bands)
+    monkeypatch.setattr(schur, "pencil_eigvals", counted_eigvals)
+    return solves
+
+
+def _ladder_solves(op, solves: Counter) -> list[int]:
+    """Eigensolves at each bracketing energy _root probed: the left edge, then lambda0 + 2^j."""
+    lam0 = lambda0(op)
+    edge = lam0 + max(minmax.LEFT_EDGE_REL, minmax.LEFT_EDGE_REL * abs(lam0))
+    ladder = [edge] + [lam0 + 2.0 ** j for j in range(41)]
+    return [solves[e] for e in ladder if solves[e]]
+
+
+def test_gap_spectrum_solves_each_ladder_energy_once(monkeypatch, campaign_ops):
+    aps = build_aps_cylinder(ApsSpec(modes=(0.0, 3.0, -3.0), length_l=1.0, n=60))
+    for op, roots in ((campaign_ops[0], 5), (aps, 4)):
+        solves = _count_eigensolves(monkeypatch)
+        results = gap_spectrum(op, 5)
+        assert sum(r.iterations > 0 for r in results) == roots
+        ladder = _ladder_solves(op, solves)
+        assert len(ladder) >= 2 and set(ladder) == {1}
+
+
+def test_gap_spectrum_partial_results(monkeypatch):
+    op = _beyond_ceiling()
+    solves = _count_eigensolves(monkeypatch)
+    results = gap_spectrum(op, 2)
     assert len(results) == 2
     for res in results:
         assert res.status.startswith("bracket_failure")
         assert math.isnan(res.lambda_k)
         assert res.multiplicity == 0
+    # the left edge and lambda0 + 1 .. lambda0 + 2^39, below the ceiling, each solved once
+    assert _ladder_solves(op, solves) == [1] * 41
+    assert sum(solves.values()) == 41
+
+
+def test_ladder_levels_match_standalone_roots(campaign_ops):
+    for op in campaign_ops[:10]:
+        for r in gap_spectrum(op, 5):
+            alone = lambda_k(op, r.k)
+            assert abs(r.lambda_k - alone.lambda_k) <= 1e-14 * max(1.0, abs(alone.lambda_k))
+            assert (r.multiplicity, r.iterations) == (alone.multiplicity, alone.iterations)
+        # one level is the same LAPACK call either way
+        assert gap_spectrum(op, 1)[0] == lambda_k(op, 1)
 
 
 def test_lambda_max_failure_message():

@@ -574,3 +574,42 @@ def test_banded_failures_are_gapeig_errors(monkeypatch):
     op = BANDED["banded-aps"]()
     with pytest.raises(EigFailure):
         build_schur(op, 0.7).vector(1)
+
+
+def _small_banded_pencil(n=12, w=2):
+    """Upper band storage of a random symmetric A and a diagonally dominant, so definite, B."""
+    rng = np.random.default_rng(7)
+    a_band = rng.uniform(-1.0, 1.0, (w + 1, n))
+    b_band = rng.uniform(-0.2, 0.2, (w + 1, n))
+    b_band[w] = 2.0
+    return a_band, b_band
+
+
+def test_banded_index_range_matches_dense_eigh():
+    a_band, b_band = _small_banded_pencil()
+    n = a_band.shape[1]
+    ref = sla.eigh(schur._symmetric(a_band).toarray(), schur._symmetric(b_band).toarray(),
+                   eigvals_only=True)
+    for il, iu in ((1, 1), (3, 7), (1, n), (n, n)):
+        got = pencil_eigvals(a_band, b_band, index=(il, iu))
+        assert len(got) == iu - il + 1
+        assert np.abs(got - ref[il - 1:iu]).max() <= 1e-13 * np.abs(ref).max()
+    assert pencil_eigvals(a_band, b_band, index=4)[0] == pytest.approx(ref[3], abs=1e-13)
+
+
+@pytest.mark.parametrize("index", ((0, 3), (5, 4), (1, 13)))
+def test_banded_index_range_is_checked_before_lapack(index):
+    with pytest.raises(ValueError, match="bad banded pencil call"):
+        pencil_eigvals(*_small_banded_pencil(), index=index)
+
+
+@pytest.mark.parametrize("offset", (1e-3, 0.7))
+def test_levels_are_the_lowest_pencil_values(structured_op, offset):
+    s = build_schur(structured_op, lambda0(structured_op) + offset)
+    m = min(5, structured_op.n_plus)
+    levels = s.levels(m)
+    values = [s.value(k) for k in range(1, m + 1)]
+    assert np.abs(levels - values).max() <= 1e-13 * max(1.0, np.abs(values).max())
+    assert s.levels(1)[0] == s.value(1)  # one level is the same LAPACK call
+    with pytest.raises(KOutOfRange):
+        s.levels(structured_op.n_plus + 1)

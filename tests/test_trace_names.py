@@ -53,7 +53,8 @@ def test_every_solved_root_is_one_lambda_k_call(monkeypatch):
     calls = []
     solve = minmax.lambda_k
     monkeypatch.setattr(minmax, "lambda_k",
-                        lambda op, k, tol: calls.append(k) or solve(op, k, tol))
+                        lambda op, k, tol, *, levels=None:
+                        calls.append(k) or solve(op, k, tol, levels=levels))
     op = BlockOperator(p=np.diag([2.0, 2.0]), c=np.zeros((1, 2)), amm=np.array([[-1.0]]))
     rows = minmax.gap_spectrum(op, 2)
     assert [r.iterations > 0 for r in rows] == [True, False]
