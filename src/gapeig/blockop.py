@@ -12,9 +12,9 @@ energy above lambda0 = max eig(amm). Everything downstream (Schur systems,
 min-max levels, verification residuals) consumes this type.
 
 Facts that depend only on an operator (amm's eigenbasis and lambda0, the
-Schur pencil's storage, the gap certificate, verify's residual norms) are
-computed once and kept in the operator's memo, each by the module that
-computes it.
+Schur pencil's storage, the gap certificate) are computed once and kept in
+the operator's memo, each by the module that computes it; nothing that
+depends on an energy is kept there.
 """
 
 from __future__ import annotations
@@ -39,9 +39,7 @@ def _check_finite(m: np.ndarray, what: str) -> float:
 
 
 def _check_symmetric(m: np.ndarray, rtol: float, what: str) -> np.ndarray:
-    """Return the symmetrized copy of m, rejecting asymmetry beyond rtol*||m||."""
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NonSymmetric(f"{what} must be square, got shape {m.shape}")
+    """Return the symmetrized copy of the square m, rejecting asymmetry beyond rtol*||m||."""
     scale = _check_finite(m, what)
     defect = np.linalg.norm(m - m.T)
     if defect > rtol * scale:
@@ -51,19 +49,26 @@ def _check_symmetric(m: np.ndarray, rtol: float, what: str) -> np.ndarray:
     return (m + m.T) / 2.0
 
 
+def _check_cap(n_plus: int, n_minus: int) -> None:
+    """Reject a split with a block larger than BlockOperator.SIZE_CAP."""
+    if max(n_plus, n_minus) > BlockOperator.SIZE_CAP:
+        raise BadSplit(f"block size exceeds cap {BlockOperator.SIZE_CAP}")
+
+
 @dataclass(frozen=True, eq=False)
 class BlockOperator:
     """Immutable 2x2 block realization of a symmetric operator with a gap.
 
-    Construction rejects non-finite entries, symmetrizes p and amm (inputs
-    within 1e-13 relative asymmetry are accepted, anything worse is rejected)
-    and freezes all three arrays, so instances are safe to share read-only
-    across parallel workers.
+    Construction checks the block shapes and SIZE_CAP first, before any
+    arithmetic on the blocks; then it rejects non-finite entries, symmetrizes
+    p and amm (inputs within 1e-13 relative asymmetry are accepted, anything
+    worse is rejected) and freezes all three arrays, so instances are safe to
+    share read-only across parallel workers.
 
     The private memo is the one place for facts derived from the operator:
     amm's eigenbasis (d, Q) (this module), the Schur pencil's storage with
-    the rotated coupling Q.T c and eigh's residual f (schur), the gap
-    certificate (minmax) and residual norms per energy (verify). The lower
+    the rotated coupling Q.T c and eigh's residual f (schur) and the gap
+    certificate (minmax); nothing in it depends on an energy. The lower
     block costs at most two n_minus^2 matrices, Q and f, and one
     n_minus x n_plus Q.T c, whatever the number of energies evaluated.
     Each is computed on first use by remember(); two threads that first use
@@ -80,17 +85,20 @@ class BlockOperator:
     SIZE_CAP = 5000  # per block; guards accidental dense O(N^3) blowups
 
     def __post_init__(self) -> None:
-        p = _check_symmetric(np.asarray(self.p, dtype=float), SYMMETRY_RTOL, "p")
-        amm = _check_symmetric(np.asarray(self.amm, dtype=float), SYMMETRY_RTOL, "amm")
-        c = np.asarray(self.c, dtype=float)
-        _check_finite(c, "c")
+        p, c, amm = (np.asarray(m, dtype=float) for m in (self.p, self.c, self.amm))
+        # shapes and the cap before any O(n^2) arithmetic on a block
+        for what, m in (("p", p), ("amm", amm)):
+            if m.ndim != 2 or m.shape[0] != m.shape[1]:
+                raise NonSymmetric(f"{what} must be square, got shape {m.shape}")
         n_plus, n_minus = p.shape[0], amm.shape[0]
         if n_plus < 1 or n_minus < 1:
             raise BadSplit("both blocks must be at least 1x1")
         if c.shape != (n_minus, n_plus):
             raise BadSplit(f"coupling block must be {n_minus}x{n_plus}, got {c.shape}")
-        if max(n_plus, n_minus) > self.SIZE_CAP:
-            raise BadSplit(f"block size exceeds cap {self.SIZE_CAP}")
+        _check_cap(n_plus, n_minus)
+        p = _check_symmetric(p, SYMMETRY_RTOL, "p")
+        amm = _check_symmetric(amm, SYMMETRY_RTOL, "amm")
+        _check_finite(c, "c")
         for arr in (p, c, amm):
             arr.setflags(write=False)
         object.__setattr__(self, "p", p)
@@ -141,9 +149,10 @@ def assemble_block(full: np.ndarray, n_plus: int) -> BlockOperator:
     """Split a dense symmetric matrix into a BlockOperator at row/column n_plus.
 
     The leading n_plus x n_plus principal block becomes p, the trailing block
-    amm, and the lower-left rectangle c. Non-finite entries are rejected with
-    the block they sit in, input asymmetry beyond 1e-12 relative likewise;
-    within tolerance the matrix is symmetrized first.
+    amm, and the lower-left rectangle c. A block over BlockOperator.SIZE_CAP
+    is rejected before any arithmetic on the matrix. Non-finite entries are
+    rejected with the block they sit in, input asymmetry beyond 1e-12
+    relative likewise; within tolerance the matrix is symmetrized first.
     """
     full = np.asarray(full, dtype=float)
     if full.ndim != 2 or full.shape[0] != full.shape[1] or full.shape[0] < 2:
@@ -151,6 +160,7 @@ def assemble_block(full: np.ndarray, n_plus: int) -> BlockOperator:
     size = full.shape[0]
     if not 1 <= n_plus < size:
         raise BadSplit(f"n_plus must lie in [1, {size - 1}], got {n_plus}")
+    _check_cap(n_plus, size - n_plus)
     upper, lower = slice(None, n_plus), slice(n_plus, None)
     for what, rows, cols in (("p", upper, upper), ("c", lower, upper),
                              ("c.T", upper, lower), ("amm", lower, lower)):

@@ -138,23 +138,33 @@ class ReportRow:
         object.__setattr__(self, "abs_error", err)
 
 
-def _number(value, key: str, kind: type = float):
+def _number(value, key: str, kind: type = float, finite: bool = True):
     """A JSON number as kind (float or int), or ConfigParse naming key.
 
-    Booleans and non-numbers are rejected, and for int so are non-integral values.
+    Booleans and non-numbers are rejected, and for int so are non-integral
+    values. json reads Infinity, NaN and an overflowing literal such as 1e400
+    as floats; with finite (the default) those are rejected too, and so is an
+    integer beyond float range.
     """
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or (
-            kind is int and not float(value).is_integer()):
-        expected = "an integer" if kind is int else "a number"
+    expected = "an integer" if kind is int else "a number"
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigParse(f"{key} must be {expected}, got {value!r}")
-    return kind(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond float range
+        number = math.inf
+    if finite and not math.isfinite(number):
+        raise ConfigParse(f"{key} must be finite, got {value!r}")
+    if kind is int and not number.is_integer():
+        raise ConfigParse(f"{key} must be {expected}, got {value!r}")
+    return int(value) if kind is int else number
 
 
-def _numbers(values, key: str, kind: type = float) -> tuple:
+def _numbers(values, key: str, kind: type = float, finite: bool = True) -> tuple:
     """A JSON list of numbers, each read by _number."""
     if not isinstance(values, (list, tuple)):
         raise ConfigParse(f"{key} must be a list of numbers, got {values!r}")
-    return tuple(_number(v, f"{key} entry", kind) for v in values)
+    return tuple(_number(v, f"{key} entry", kind, finite) for v in values)
 
 
 def _read_json(path: str):
@@ -240,7 +250,8 @@ def _load_matrix_file(path: str) -> BlockOperator:
         raise ConfigParse(f'{path}: expected an object with "matrix" and "n_plus"')
     if not isinstance(raw["matrix"], list):
         raise ConfigParse(f"{path}: matrix must be a list of rows")
-    rows = [_numbers(row, "matrix row") for row in raw["matrix"]]
+    # non-finite entries pass here, so that assemble_block names the block they sit in
+    rows = [_numbers(row, "matrix row", finite=False) for row in raw["matrix"]]
     if len({len(row) for row in rows}) > 1:
         raise ConfigParse(f"{path}: matrix row lengths differ: {[len(row) for row in rows]}")
     return assemble_block(np.array(rows, dtype=float), _number(raw["n_plus"], "n_plus", int))

@@ -1,7 +1,9 @@
 """Machine checks of the structural identities behind the gap construction.
 
-Each check assembles both sides of an identity at matrix scale and returns a
-relative residual (or a margin, for the gap bound). The identities hold
+Each check compares both sides of an identity and returns a relative residual
+(or a margin, for the gap bound). The congruence rows take their norms from
+the blocks of one Schur system at each energy and keep nothing; the inverse
+formula and the gap bound work on the assembled matrix. The identities hold
 algebraically, so residuals sit at roundoff; anything above the stated
 tolerances means a wiring bug, not a math failure.
 """
@@ -32,32 +34,34 @@ class VerificationReport:
     params: dict = field(default_factory=dict)
 
 
-def _extension(op: BlockOperator, e: float) -> np.ndarray:
-    """R_e = U.T diag(k_e, -(b+e)) U with U = [[I, 0], [-l_e, I]], assembled blockwise."""
-    system = build_schur(op, e)
-    bpe = -op.amm + e * np.eye(op.n_minus)
-    bpe_le = bpe @ system.l_e
-    return np.block([
-        [system.k_e - system.l_e.T @ bpe_le, system.l_e.T @ bpe],
-        [bpe_le, -bpe],
-    ])
-
-
 def _congruence(op: BlockOperator, e: float) -> tuple[float, ...]:
-    """||(A - e*I) - R_e||, ||A - e*I|| and ||A||; computed once per energy, for both checks."""
+    """||(A - e*I) - R_e||, ||A - e*I|| and ||A||, from the blocks.
 
-    def norms():
-        full = op.assembled()
-        shifted = full - e * np.eye(op.dim)
-        return tuple(float(np.linalg.norm(m)) for m in (shifted - _extension(op, e), shifted, full))
-
-    return op.remember(f"congruence@{float(e)!r}", norms)
+    R_e = U.T diag(k_e, -(b+e)) U with U = [[I, 0], [-l_e, I]]. Its lower-right block
+    -(b+e) is amm - e*I to the last bit, so only the upper-left and the two coupling
+    blocks of the difference can be nonzero.
+    """
+    system, norm, root2 = build_schur(op, e), np.linalg.norm, math.sqrt(2.0)
+    bpe = e * np.eye(op.n_minus) - op.amm  # the shift first: e*l_e - amm@l_e cancels near lambda0
+    bpe_le = bpe @ system.l_e
+    p_e = op.p - e * np.eye(op.n_plus)
+    upper = p_e - (system.k_e - system.l_e.T @ bpe_le)
+    coupling = root2 * norm(op.c)
+    return (math.hypot(norm(upper), root2 * norm(op.c - bpe_le)),
+            math.hypot(norm(p_e), coupling, norm(bpe)),
+            math.hypot(norm(op.p), coupling, norm(op.amm)))
 
 
 def decomposition_residual(op: BlockOperator, e: float) -> float:
     """Residual of the congruence A - e*I = R_e over max(1, ||A - e*I||)."""
     resid, shifted_norm, _ = _congruence(op, e)
     return resid / max(1.0, shifted_norm)
+
+
+def _check_samples(n_samples: int) -> None:
+    """A sampled check needs a sample: with none, its worst case would pass vacuously."""
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
 
 
 def krein_gap_check(op: BlockOperator, n_samples: int = 200,
@@ -68,6 +72,7 @@ def krein_gap_check(op: BlockOperator, n_samples: int = 200,
     symmetric A, must reach at least (lambda1 - lambda0)/2; random quotients
     ||(A - mid) z||/||z|| can only sit above that singular value.
     """
+    _check_samples(n_samples)
     cert = lambda1_certificate(op)
     if not cert.valid:
         raise NoGap(cert.diagnostic or
@@ -77,7 +82,7 @@ def krein_gap_check(op: BlockOperator, n_samples: int = 200,
     smallest = float(np.abs(dense_spectrum(op).values - mid).min())
     shifted = op.assembled() - mid * np.eye(op.dim)
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((op.dim, max(1, n_samples)))
+    z = rng.standard_normal((op.dim, n_samples))
     quotients = np.linalg.norm(shifted @ z, axis=0) / np.linalg.norm(z, axis=0)
     margin = smallest - half_gap
     tol = 1e-10 * max(1.0, abs(cert.lambda1))
@@ -136,6 +141,7 @@ def inverse_formula_check(op: BlockOperator, e: float) -> float:
 def sandwich_report(op: BlockOperator, seed: int,
                     n_samples: int = 50) -> list[VerificationReport]:
     """Sampled two-sided energy-monotonicity and norm-chain inequalities."""
+    _check_samples(n_samples)
     rng = np.random.default_rng(seed)
     lam0 = lambda0(op)
     worst_sandwich = -math.inf

@@ -12,6 +12,7 @@ from gapeig import (
     assemble_block,
     lambda0,
 )
+from gapeig import blockop
 from gapeig.blockop import lower_eigen
 from gapeig.models import DiracSpec, build_dirac_coulomb
 
@@ -101,6 +102,21 @@ def test_size_cap(monkeypatch):
     monkeypatch.setattr(BlockOperator, "SIZE_CAP", 8)
     with pytest.raises(BadSplit):
         BlockOperator(p=np.eye(9), c=np.zeros((1, 9)), amm=np.array([[-1.0]]))
+
+
+def test_size_cap_comes_before_any_arithmetic_on_the_blocks(monkeypatch):
+    # an over-cap block is rejected before its finite and symmetry checks, so no
+    # n^2 temporary is made for it
+    def refuse(*args, **kwargs):
+        raise AssertionError("an over-cap block reached an O(n^2) check")
+
+    monkeypatch.setattr(BlockOperator, "SIZE_CAP", 3)
+    monkeypatch.setattr(blockop, "_check_symmetric", refuse)
+    monkeypatch.setattr(blockop, "_check_finite", refuse)
+    with pytest.raises(BadSplit, match="cap 3"):
+        BlockOperator(p=np.eye(4), c=np.zeros((1, 4)), amm=np.array([[-1.0]]))
+    with pytest.raises(BadSplit, match="cap 3"):
+        assemble_block(np.diag([1.0, 2.0, 3.0, 4.0, -1.0]), 4)
 
 
 def test_lambda0_scalar():

@@ -30,7 +30,9 @@ SQRT2 = math.sqrt(2.0)
 
 
 def _write(path, payload):
-    path.write_text(json.dumps(payload), encoding="utf-8")
+    """payload as JSON, or as given if it is already JSON text."""
+    text = payload if isinstance(payload, str) else json.dumps(payload)
+    path.write_text(text, encoding="utf-8")
     return str(path)
 
 
@@ -397,9 +399,15 @@ class TestMain:
         ("spectrum", {"kind": "dirac", "spec": {"r_max": 20.0}, "grids": [100.7, 200]},
          "grids"),
         ("spectrum", {"kind": "random", "k_max": True}, "k_max"),
+        # json reads these as inf and nan; json.dumps cannot write 1e400
+        ("spectrum", '{"kind": "random", "spec": {"n_plus": 6, "n_minus": 5}, '
+                     '"tol": 1e400, "k_max": 2}', "tol"),
+        ("spectrum", '{"kind": "random", "tol": Infinity}', "tol"),
+        ("spectrum", '{"kind": "aps", "spec": {"length_l": NaN}}', "length_l"),
+        ("pollution", '{"kind": "dirac", "spec": {"window": [-Infinity, 0.5]}}', "window"),
     ])
     def test_malformed_number_exits_two(self, tmp_path, capsys, command, config, key):
-        if config["kind"] == "matrix-file":
+        if isinstance(config, dict) and config["kind"] == "matrix-file":
             matrix = _write(tmp_path / "m.json", {"matrix": [[1, 2], [3]], "n_plus": 1})
             config = {**config, "spec": {"path": matrix}}
         cfg = _write(tmp_path / "cfg.json", config)

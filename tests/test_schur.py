@@ -19,7 +19,9 @@ from gapeig import (
     build_aps_cylinder,
     build_dirac_coulomb,
     build_schur,
+    decomposition_residual,
     dense_spectrum,
+    extension_consistency,
     gap_spectrum,
     lambda0,
     mu_k,
@@ -287,6 +289,7 @@ def test_the_memo_does_not_grow_with_the_energies_seen():
     for offset in np.geomspace(1e-3, 1e3, 25):
         s = build_schur(op, lambda0(op) + offset)
         s.value(1), s.vector(2), s.l_e, s.lift(x), s.form(x), s.residual(x)
+        decomposition_residual(op, s.e), extension_consistency(op, s.e)
     sandwich_report(op, seed=0, n_samples=20)
     assert set(op._memo) == keys
     assert vars(lower).keys() == held.keys()

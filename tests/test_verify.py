@@ -19,8 +19,8 @@ from gapeig import (
     lambda1_certificate,
     random_gapped,
 )
-from gapeig import schur
-from gapeig.verify import _extension, e_samples, gap_fractions
+from gapeig import schur, verify
+from gapeig.verify import _congruence, e_samples, gap_fractions, sandwich_report
 from test_schur import STRUCTURES
 
 SQRT2 = 2.0 ** 0.5
@@ -51,7 +51,7 @@ def test_decomposition_across_energies(campaign_ops):
             assert decomposition_residual(op, e) <= 1e-11
 
 
-def _congruence(op, e):
+def _dense_congruence(op, e):
     """U.T diag(k_e, amm - e*I) U with U = [[I, 0], [-l_e, I]], as dense products."""
     system = build_schur(op, e)
     u = np.block([
@@ -68,42 +68,73 @@ def _congruence(op, e):
 @pytest.mark.parametrize("name", sorted(STRUCTURES))
 @pytest.mark.parametrize("offset", [0.3, 40.0])
 def test_extension_is_the_congruence(name, offset):
+    # the block norms against the dense residual of the same congruence
     op = STRUCTURES[name]()
     e = lambda0(op) + offset
-    reference = _congruence(op, e)
-    diff = np.linalg.norm(_extension(op, e) - reference)
-    assert diff <= 1e-13 * np.linalg.norm(reference)
+    full = op.assembled()
+    shifted = full - e * np.eye(op.dim)
+    resid, shifted_norm, full_norm = _congruence(op, e)
+    reference = np.linalg.norm(shifted - _dense_congruence(op, e))
+    assert abs(resid - reference) <= 1e-13 * max(1.0, np.linalg.norm(shifted))
+    assert shifted_norm == pytest.approx(np.linalg.norm(shifted), rel=1e-15, abs=0.0)
+    assert full_norm == pytest.approx(np.linalg.norm(full), rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("name", sorted(STRUCTURES))
 def test_both_normalizations_match_their_formulas(name):
+    # the dense formulas round in another order, so the residual gets the same
+    # 1e-13*max(1, ||A - e*I||) as above, before each normalization
     op = STRUCTURES[name]()
+    full = op.assembled()
+    full_scale = max(1.0, np.linalg.norm(full))
     for e in e_samples(op):
-        full = op.assembled()
         shifted = full - e * np.eye(op.dim)
-        reference = _extension(op, e)
-        decomposition = np.linalg.norm(shifted - reference) / max(1.0, np.linalg.norm(shifted))
-        extension = (np.linalg.norm(reference + e * np.eye(op.dim) - full)
-                     / max(1.0, np.linalg.norm(full)))
-        assert decomposition_residual(op, e) == decomposition
-        # the same residual matrix, rounded as (A - e*I) - R_e instead of (R_e + e*I) - A
-        assert abs(extension_consistency(op, e) - extension) <= 1e-13 * max(1.0, abs(e))
+        scale = max(1.0, np.linalg.norm(shifted))
+        reference = _dense_congruence(op, e)
+        decomposition = np.linalg.norm(shifted - reference) / scale
+        extension = np.linalg.norm(reference + e * np.eye(op.dim) - full) / full_scale
+        assert abs(decomposition_residual(op, e) - decomposition) <= 1e-13
+        assert abs(extension_consistency(op, e) - extension) <= 1e-13 * scale / full_scale
 
 
-def test_congruence_built_once_per_energy(monkeypatch):
+def test_congruence_rows_assemble_nothing(monkeypatch):
+    # what the rows keep is checked by test_schur's memo test
     op = random_gapped(RandomSpec(n_plus=8, n_minus=6, gap_target=1.0, seed=5))
-    e = lambda0(op) + 0.5
-    first = (decomposition_residual(op, e), extension_consistency(op, e))
-    assembled = []
-    monkeypatch.setattr(BlockOperator, "assembled",
-                        lambda self: assembled.append(self) or np.zeros((self.dim,) * 2))
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("a checked energy built a second Schur system")
+    def refuse(self):
+        raise AssertionError("a congruence row assembled A")
 
-    monkeypatch.setattr(schur.SchurSystem, "__init__", refuse)
-    assert (decomposition_residual(op, e), extension_consistency(op, e)) == first
-    assert assembled == []
+    monkeypatch.setattr(BlockOperator, "assembled", refuse)
+    for e in e_samples(op):
+        decomposition_residual(op, e), extension_consistency(op, e)
+
+
+def test_congruence_rows_on_the_default_dirac_channel():
+    # e*l_e - amm @ l_e cancels next to lambda0 (5.2e-11 at lambda0 + 1e-3);
+    # with the shift formed first every energy meets the row bound
+    op = build_dirac_coulomb(DiracSpec(nu=0.5, kappa=-1, r_max=30.0, n=600,
+                                       grading="uniform"))
+    for e in e_samples(op, lambda1_certificate(op).lambda1):
+        assert decomposition_residual(op, e) <= 1e-11
+        assert extension_consistency(op, e) <= 1e-11
+
+
+@pytest.mark.parametrize("name,backend", [("random-dense", "q"),
+                                          ("banded-dirac-uniform-", "w")])
+def test_congruence_rows_see_a_perturbed_lift(monkeypatch, name, backend):
+    # a relative 1e-6 error in l_e must read at least ten times the 1e-11 row
+    # bound, on the rotated dense path (q set) and on the banded one (w set)
+    # alike; the least is decomposition at lambda0 + 1e3, 4.2e-10 on random-dense,
+    # where ||A - e*I|| is largest
+    op = STRUCTURES[name]()
+    energies = e_samples(op, lambda1_certificate(op).lambda1)
+    assert getattr(build_schur(op, energies[0])._lower, backend) is not None
+    exact = schur.SchurSystem.l_e
+    monkeypatch.setattr(schur.SchurSystem, "l_e",
+                        property(lambda self: exact.fget(self) * (1.0 + 1e-6)))
+    for e in energies:
+        assert decomposition_residual(op, e) > 1e-10
+        assert extension_consistency(op, e) > 1e-10
 
 
 def test_krein_smallest_singular_value_matches_svd(canonical, campaign_ops):
@@ -139,6 +170,22 @@ def test_krein_random(campaign_ops):
         assert report.value >= -1e-10 * max(1.0, abs(lam1))
         s = report.params["smallest_singular_value"]
         assert report.params["sampled_min_quotient"] >= s - 1e-10 * max(1.0, s)
+
+
+@pytest.mark.parametrize("n_samples", [0, -1])
+@pytest.mark.parametrize("check", [
+    lambda op, n: krein_gap_check(op, n_samples=n),
+    lambda op, n: sandwich_report(op, seed=0, n_samples=n),
+], ids=["krein_gap_check", "sandwich_report"])
+def test_sampled_checks_need_a_sample(monkeypatch, canonical, check, n_samples):
+    # no sample would make each worst case vacuous; nothing runs before the refusal
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sampled check started work without a sample")
+
+    for name in ("lambda0", "lambda1_certificate", "build_schur"):
+        monkeypatch.setattr(verify, name, refuse)
+    with pytest.raises(ValueError, match="n_samples"):
+        check(canonical, n_samples)
 
 
 def test_krein_requires_gap():
