@@ -2,8 +2,9 @@
 
 The package computes eigenvalues inside the gap (lambda0, lambda1, ...) of a
 symmetric block matrix A = [[p, c.T], [c, amm]] by solving the nonlinear
-pencil condition mu_k(lambda) = 0 for the Schur complement at energy lambda,
-and machine-verifies the algebraic identities the construction rests on.
+condition kappa_k(lambda) = 0, kappa_k the k-th eigenvalue of the Schur
+complement at energy lambda, and machine-verifies the algebraic identities
+the construction rests on.
 """
 
 from .blockop import BlockOperator, GapData, assemble_block, lambda0

@@ -12,7 +12,7 @@ energy above lambda0 = max eig(amm). Everything downstream (Schur systems,
 min-max levels, verification residuals) consumes this type.
 
 Facts that depend only on an operator (amm's eigenbasis and lambda0, the
-Schur pencil's storage, the gap certificate) are computed once and kept in
+Schur matrix's storage, the gap certificate) are computed once and kept in
 the operator's memo, each by the module that computes it; nothing that
 depends on an energy is kept there.
 """
@@ -66,7 +66,7 @@ class BlockOperator:
     share read-only across parallel workers.
 
     The private memo is the one place for facts derived from the operator:
-    amm's eigenbasis (d, Q) (this module), the Schur pencil's storage with
+    amm's eigenbasis (d, Q) (this module), the Schur matrix's storage with
     the rotated coupling Q.T c and eigh's residual f (schur) and the gap
     certificate (minmax); nothing in it depends on an energy. The lower
     block costs at most two n_minus^2 matrices, Q and f, and one

@@ -5,7 +5,7 @@ Subcommands:
   converge   same as spectrum but requires a grid list; errors column shows the trend
   verify     structural identity checks (decomposition, Krein bound, extension,
              inverse formula, sandwich/norm-chain sampling, Hardy for radial models)
-  hardy      zero-energy pencil positivity across couplings
+  hardy      zero-energy Schur matrix positivity across couplings
   pollution  stability report for the nu=0.9 channel: gap level drift versus
              dense-spectrum window contents across two grids
 

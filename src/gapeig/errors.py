@@ -22,15 +22,12 @@ class EigFailure(GapeigError):
 
 
 class NotPositiveDefinite(GapeigError):
-    """A matrix the Schur pencil needs positive definite is not.
-
-    Either the shifted lower block b + e*I (e at or below lambda0) or, in
-    rounding, the pencil's Gram matrix m_e.
-    """
+    """The shifted lower block b + e*I is not positive definite: e is not above
+    lambda0 + GAP_EDGE_MARGIN, the Schur system's edge rule."""
 
 
 class KOutOfRange(GapeigError):
-    """Requested pencil index k outside 1..n_plus."""
+    """Requested level index k outside 1..n_plus."""
 
 
 class ZeroVector(GapeigError):

@@ -1,4 +1,4 @@
-"""Nonlinear root solves that turn the Schur pencil into gap eigenvalues.
+"""Nonlinear root solves that turn the Schur matrix into gap eigenvalues.
 
 Both solvers find the one sign change above lambda0 of a function that is
 positive next to lambda0 and negative past its root, with one loop, _root:
@@ -9,20 +9,25 @@ energy derivative is exactly q' = -||z||^2 for the lifted z = (x, l_e x).
 
 energy_of_vector finds, for a fixed upper-block vector x, the energy E(x)
 with q_E(x, x) = 0, the energy functional of the min-max principle.
-lambda_k finds the k-th gap eigenvalue as the sign change of lam -> mu_k(lam):
-an inertia count makes the level positive below the eigenvalue and negative
-above it. Coming off lambda0 the level rises from zero, so bracketing goes by
-sign, never by value. It steps by _newton at the k-th pencil vector x: the
-candidate lam + q/||z||^2 equals lam + mu_k(lam) exactly (q = mu_k x.T M x,
-||z||^2 = x.T M x), so the level crosses zero with slope -1. It carries
-eps*||A|| rounding where mu carries eps*||K||, since the terms of q/||z||^2
-are bounded by ||p - lam|| and ||b + lam|| (c x = (b + lam) l_lam x): roots
-come out near machine precision even when ||K|| is large.
+lambda_k finds the k-th gap eigenvalue as the sign change of
+lam -> kappa_k(lam), the k-th eigenvalue of k_lam. k_lam falls strictly in
+lam, with derivative -(I + l.T l), and by Sylvester's law of inertia it has
+as many negative eigenvalues as A has in (lambda0, lam) once it is positive
+at the left edge, so the level is positive below the eigenvalue and negative
+above it. It steps by _newton at the k-th eigenvector x of k_lam; E is
+stationary at the root's vector, so the step stays quadratic (the safeguarded
+iteration of Voss and Werner for nonlinear eigenproblems with a min-max
+characterization). The candidate is A's Rayleigh quotient at z, with
+eps*||A|| rounding where kappa carries eps*||K||, since the terms of
+q/||z||^2 are bounded by ||p - lam|| and ||b + lam|| (c x = (b + lam) l_lam x):
+roots come out near machine precision even when ||K|| is large. A root's
+multiplicity is an inertia count, the eigenvalues of A within the cluster
+band of it, _count(lam + band) - _count(lam - band).
 
 gap_spectrum solves its levels one by one, and every level's _root probes
 the same left edge and doubling energies. It keeps one bracketing ladder per
-call, probe energy -> the k_max lowest pencil values there from one
-eigensolve (SchurSystem.levels), and each lambda_k reads its mu_k from it;
+call, probe energy -> the k_max lowest values kappa there from one
+eigensolve (SchurSystem.levels), and each lambda_k reads its kappa_k from it;
 the Newton steps still solve for their own level and vector. A standalone
 lambda_k probes through mu_k.
 """
@@ -39,7 +44,8 @@ import numpy as np
 from .blockop import BlockOperator, GapData, lambda0
 from .errors import BracketFailure, KOutOfRange, ZeroVector
 from .oracle import CLUSTER_RTOL
-from .schur import SchurSystem, build_schur, mu_k, mu_k_with_vector, q_value_and_slope
+from .schur import (GAP_EDGE_MARGIN, SchurSystem, build_schur, mu_k, mu_k_with_vector,
+                    q_value_and_slope)
 
 LEFT_EDGE_REL = 1e-8
 DEFAULT_LAMBDA_MAX_OFFSET = 1e12
@@ -59,11 +65,12 @@ _CEILING_MSG = (
 class MinMaxResult:
     """One gap eigenvalue with its root-solve provenance.
 
-    residual, ||A z - lambda_k z|| / ||z|| at the lifted pencil vector z, is the
-    error bound; iterations counts the evaluations after the left edge, probes
+    residual, ||A z - lambda_k z|| / ||z|| at the lifted eigenvector z of k_lambda,
+    is the error bound; multiplicity counts A's eigenvalues within the cluster band
+    of lambda_k; iterations counts the evaluations after the left edge, probes
     read from gap_spectrum's shared ladder included (0 for a level filled in
     from an earlier root); bracket only certifies the sign,
-    mu_k > 0 >= mu_k at its ends: its right end is often the last doubling probe.
+    kappa_k > 0 >= kappa_k at its ends: its right end is often the last doubling probe.
     """
 
     k: int
@@ -132,8 +139,16 @@ def energy_of_vector(op: BlockOperator, x: np.ndarray) -> float:
                  lambda e, q: abs(q) <= 1e-12 * norm2 * max(1.0, abs(e)))[0]
 
 
+def _count(op: BlockOperator, e: float, lam0: float) -> int:
+    """The nonpositive eigenvalues of k_e, 0 at or below the edge: by Sylvester's law A's
+    eigenvalues at or below e past its n_minus lowest, those in (lambda0, e] if k_e > 0 there."""
+    if e <= lam0 + GAP_EDGE_MARGIN:
+        return 0
+    return len(build_schur(op, e).values_in(-math.inf, 0.0))
+
+
 class _Ladder(dict):
-    """Probe energy -> the m lowest pencil values there, each row one eigensolve on first read."""
+    """Probe energy -> the m lowest eigenvalues of k_e there, one eigensolve on first read."""
 
     def __init__(self, op: BlockOperator, m: int) -> None:
         super().__init__()
@@ -146,31 +161,32 @@ class _Ladder(dict):
 
 def lambda_k(op: BlockOperator, k: int, tol: float = 1e-10, *,
              levels: Mapping[float, np.ndarray] | None = None) -> MinMaxResult:
-    """The k-th gap eigenvalue: root of lam -> mu_k(op, lam, k) above lambda0.
+    """The k-th gap eigenvalue: root of lam -> kappa_k(lam) = mu_k(op, lam, k) above lambda0.
 
     levels, if given, maps each bracketing probe energy to at least k lowest
-    pencil values there (gap_spectrum's ladder); without it every probe is mu_k.
+    eigenvalues of k_e there (gap_spectrum's ladder); without it every probe is mu_k.
     """
     if not 1 <= k <= op.n_plus:
         raise KOutOfRange(f"k must lie in 1..{op.n_plus}, got {k}")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
 
     def level(lam: float) -> tuple[float, float]:
-        mu = mu_k(op, lam, k) if levels is None else float(levels[lam][k - 1])
-        return mu, lam + mu
+        kappa = mu_k(op, lam, k) if levels is None else float(levels[lam][k - 1])
+        return kappa, lam + kappa
 
     def step(lam: float) -> tuple[float, float]:
-        mu, x = mu_k_with_vector(op, lam, k)
-        return mu, _newton(op, lam, x)[1]
+        kappa, x = mu_k_with_vector(op, lam, k)
+        return kappa, _newton(op, lam, x)[1]
 
-    lam, evals, bracket = _root(level, step, lambda0(op),
-                                lambda lam, mu: abs(mu) <= tol)
+    lam0 = lambda0(op)
+    lam, evals, bracket = _root(level, step, lam0, lambda lam, kappa: abs(kappa) <= tol)
     system = build_schur(op, lam)
-    # near a root every level moves with slope -1 in lam, so levels within
-    # CLUSTER_RTOL*max(1, |lam|) of zero are eigenvalues within the value clustering tolerance
+    # near a root kappa_j moves as -(lambda_j - lam)||z_j||^2, so a band on kappa is no
+    # band on energies: the eigenvalues within CLUSTER_RTOL*max(1, |lam|) of lam are counted
     band = CLUSTER_RTOL * max(1.0, abs(lam))
-    return MinMaxResult(k=k, lambda_k=lam, multiplicity=max(1, len(system.values_in_band(band))),
+    multiplicity = _count(op, lam + band, lam0) - _count(op, lam - band, lam0)
+    return MinMaxResult(k=k, lambda_k=lam, multiplicity=max(1, multiplicity),
                         residual=system.residual(system.vector(k)[1]), iterations=evals,
                         bracket=bracket)
 
@@ -199,14 +215,14 @@ def gap_spectrum(op: BlockOperator, k_max: int, tol: float = 1e-10) -> list[MinM
             ))
             continue
         ordered.append(res)
-        # levels k+1 .. k+m-1 of a root of multiplicity m, up to the first |mu_j| > tol;
+        # levels k+1 .. k+m-1 of a root of multiplicity m, up to the first |kappa_j| > tol;
         # the guard stops the fill at the cluster's end when the band also holds a level below k
         last = min(k_max, k + res.multiplicity - 1)
         if last > k:
             system = build_schur(op, res.lambda_k)
             for j in range(k + 1, last + 1):
-                mu_j, x = system.vector(j)
-                if abs(mu_j) > tol:
+                kappa_j, x = system.vector(j)
+                if abs(kappa_j) > tol:
                     break
                 ordered.append(replace(res, k=j, residual=system.residual(x), iterations=0))
     return ordered

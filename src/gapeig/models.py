@@ -177,11 +177,13 @@ def build_aps_cylinder(spec: ApsSpec) -> BlockOperator:
 
 
 def hardy_check(nu: float, n: int, r_max: float) -> VerificationReport:
-    """Positivity of the zero-energy Schur pencil for the kappa=-1 channel.
+    """Positivity of the zero-energy Schur matrix k_0 for the kappa=-1 channel.
 
-    The smallest pencil eigenvalue at energy zero is the discrete analogue
-    of the Hardy-type lower bound; it must stay above -1e-3 for couplings
-    up to one (the continuum bound degenerates to zero exactly at nu=1).
+    The smallest eigenvalue of k_0, inf q_0(x, x) / ||x||^2, is the discrete
+    analogue of the Hardy-type lower bound; it must stay above -1e-3 for
+    couplings up to one (the continuum bound degenerates to zero exactly at
+    nu=1). It has the sign of the min-max level at energy zero, and is at or
+    below that level when negative.
     """
     spec = DiracSpec(nu=nu, kappa=-1, n=n, r_max=r_max)
     op = build_dirac_coulomb(spec)

@@ -1,41 +1,45 @@
-"""The Schur pencil at a fixed energy e above the gap's left endpoint.
+"""The Schur matrix at a fixed energy e above the gap's left endpoint.
 
 For e > lambda0 the lower block b + e*I is positive definite, so the upper
 block carries the energy-dependent quadratic form
 
     q_e(x, x) = x.T (p - e) x + (c x).T (b + e)^{-1} (c x),
 
-realized as the matrix k_e = p - e*I + c.T l_e with l_e = (b+e)^{-1} c, and
-weighted by the Gram matrix m_e = I + l_e.T l_e of the e-inner product.
-The min-max levels mu_k are the eigenvalues of the symmetric-definite
-pencil (k_e, m_e); m_e >= I keeps the pencil reduction well conditioned.
+realized as the matrix k_e = p - e*I + c.T l_e with l_e = (b+e)^{-1} c.
+The solver reads only the eigenvalues kappa_k(e) of the standard problem
+k_e x = kappa x. The min-max levels of the paper are the eigenvalues of the
+pencil (k_e, I + l_e.T l_e), whose Gram matrix is positive definite, so by
+Sylvester's law of inertia kappa_k(e) has their sign, and k_e has as many
+negative eigenvalues as A has in (lambda0, e).
 
-SchurSystem is that pencil at one energy and the only way the package
-evaluates anything there. Its constructor enforces the one edge rule
+SchurSystem is k_e at one energy and the only way the package evaluates
+anything there. Its constructor enforces the one edge rule
 e > lambda0 + GAP_EDGE_MARGIN; everything else is computed on first use.
-The lower block enters only through its resolvent, so the pencil works in
+The lower block enters only through its resolvent, so k_e is formed in
 amm's eigenbasis amm = Q diag(d) Q.T (blockop.lower_eigen; Q is None for a
 diagonal amm): there b + e*I is the diagonal e - d, the coupling is Q.T c,
-and k_e, m_e and forms are unchanged. Every lower solve of a rotated block
+and k_e and forms are unchanged. Every lower solve of a rotated block
 takes one refinement step against eigh's residual f = Q.T (amm Q - Q diag(d)),
 which 1/(e - d) amplifies next to lambda0. solve_lower is that solve for a
 right-hand side in the operator's own basis (l_e is solve_lower(c), and verify's
 inverse formula reads it); lift and the residual's lower half go back to that
-basis by Q as well. What the pencil needs is kept once per operator in the
+basis by Q as well. What k_e needs is kept once per operator in the
 operator's memo, and one structure rule picks the backend there: an
-unrotated operator whose pencil has half-bandwidth w, the widest of p's and
+unrotated operator whose k_e has half-bandwidth w, the widest of p's and
 of c.T c's nonzero patterns, with n_plus >= BAND_RATIO * (w + 1) takes the
 banded path; every other operator the dense one. The rule also picks the one
-storage of p, c and c.T that every product reads, pencil, lift, form and
+storage of p, c and c.T that every product reads, k_e, lift, form and
 residual alike. value(k) is one level; levels(m) is the m lowest from one
-eigensolve, the row gap_spectrum's bracketing ladder keeps per probe energy.
+eigensolve, the row gap_spectrum's bracketing ladder keeps per probe energy;
+values_in(lo, hi) is every level in (lo, hi], the count minmax takes
+multiplicities from. All three go through one selection, _select.
 
-- Banded: k_e and m_e are sparse products with the diagonal (b + e)^{-1},
-  kept as upper band arrays. Levels and band counts come from LAPACK's
-  banded generalized solver dsbgvx (gapeig._banded), a level's vector from
-  banded inverse iteration on k_e - sigma*m_e with sigma a few ulps off it.
-  The dense k_e and m_e that verify reads are built from the same bands.
-- Dense: k_e and m_e are dense products and go to a dense generalized eigh.
+- Banded: k_e is a sparse product with the diagonal (b + e)^{-1}, kept as
+  an upper band array. Its eigenvalues come from LAPACK's banded dsbevx
+  (scipy.linalg.eig_banded), a level's vector from banded inverse iteration
+  on k_e - sigma*I with sigma a few ulps off it. The dense k_e that verify
+  reads is built from the same band.
+- Dense: k_e is a dense product and goes to a dense subset eigh.
 
 Solver failures surface as GapeigError subclasses, never as LinAlgError.
 A SchurSystem belongs to its caller.
@@ -49,7 +53,6 @@ import numpy as np
 import scipy.linalg as sla
 from scipy import sparse
 
-from ._banded import pencil_eigvals
 from .blockop import BlockOperator, lambda0, lower_eigen
 from .errors import EigFailure, KOutOfRange, NotPositiveDefinite
 
@@ -60,13 +63,14 @@ SHIFT_ULPS = 4
 
 
 def _half_bandwidth(p: sparse.csr_matrix, c: sparse.csr_matrix) -> int:
-    """The pencil's half-bandwidth w: the widest of p's and of c.T c's nonzero patterns.
+    """k_e's half-bandwidth w: the widest of p's and of c.T c's nonzero patterns.
 
-    The crossover behind BAND_RATIO, measured as one pencil level per energy
-    on 2 cores with OpenBLAS: for w <= 2 the banded path is 3-5x slower at
-    n_plus = 64 (its sparse products cost about 1 ms whatever the size) and
-    2-4x faster from 128 on, 28x at n_plus = 1024 with w = 2; at n_plus =
-    256..1024 it stays ahead up to w of about n_plus/20. 32 is safe for both.
+    The crossover behind BAND_RATIO, measured as one level per energy (dsbevx
+    against a dense subset eigh) on 2 cores with OpenBLAS: the banded path is
+    2-3x slower at n_plus = 64 (its sparse products cost about 0.6 ms whatever
+    the size) and faster from 128 on, 15x at n_plus = 128 and 29x at 1024
+    with w = 2; at n_plus = 256..1024 it stays ahead up to w of about
+    n_plus/8. 32 is safe for both.
     """
     rows, cols = p.nonzero()
     w = int(np.abs(rows - cols).max(initial=0))
@@ -103,7 +107,7 @@ def _full_band(band: np.ndarray) -> np.ndarray:
 
 
 class _Lower:
-    """The facts of one operator that every pencil evaluation reads, in amm's eigenbasis."""
+    """The facts of one operator that every evaluation of k_e reads, in amm's eigenbasis."""
 
     def __init__(self, op: BlockOperator) -> None:
         self.lambda0 = lambda0(op)
@@ -121,7 +125,7 @@ class _Lower:
 
 
 class SchurSystem:
-    """The pencil (k_e, m_e), lift l_e and lower solve solve_lower of one operator at energy e."""
+    """The Schur matrix k_e, lift l_e and lower solve solve_lower of one operator at energy e."""
 
     def __init__(self, op: BlockOperator, e: float) -> None:
         lower = op.remember("schur", lambda: _Lower(op))
@@ -131,7 +135,7 @@ class SchurSystem:
                 f"energy {e} is not above lambda0 + {GAP_EDGE_MARGIN:g} = {edge}"
             )
         self.op, self.e, self._lower = op, float(e), lower
-        self._l = self._km = self._bands = None
+        self._l = self._k = self._band = None
 
     def _shifted_diag(self) -> np.ndarray:
         # positive: the edge rule gives e > lambda0 = max(d), and e - d > 0 rounds to > 0
@@ -157,92 +161,80 @@ class SchurSystem:
             self._l = self.solve_lower(self.op.c)
         return self._l
 
-    def _banded(self) -> tuple[np.ndarray, np.ndarray]:
-        """k_e and m_e in upper band storage; banded path only."""
-        if self._bands is None:
+    def _banded(self) -> np.ndarray:
+        """k_e in upper band storage; banded path only."""
+        if self._band is None:
             lower = self._lower
             lift = lower.c.copy()  # l_e: each row of c divided by its entry of b + e*I
             lift.data /= np.repeat(self._shifted_diag(), np.diff(lower.c.indptr))
             eye = sparse.identity(self.op.n_plus, format="csr")
-            self._bands = (_upper_band(lower.p - self.e * eye + lower.ct @ lift, lower.w),
-                           _upper_band(eye + lift.T @ lift, lower.w))
-        return self._bands
-
-    def _pencil(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._km is None:
-            lower = self._lower
-            if lower.w is not None:
-                self._km = tuple(_symmetric(b).toarray() for b in self._banded())
-            else:
-                # no identity is held across statements: at n=1200 each is 11.5 MB
-                n, e = self.op.n_plus, self.e
-                lift = self._solve(lower.c)  # l_e in amm's eigenbasis
-                k = lower.p - e * np.eye(n) + lower.ct @ lift
-                m = np.eye(n) + lift.T @ lift
-                self._km = ((k + k.T) / 2.0, (m + m.T) / 2.0)
-        return self._km
+            self._band = _upper_band(lower.p - self.e * eye + lower.ct @ lift, lower.w)
+        return self._band
 
     @property
     def k_e(self) -> np.ndarray:
-        return self._pencil()[0]
-
-    @property
-    def m_e(self) -> np.ndarray:
-        return self._pencil()[1]
+        """p - e*I + c.T l_e as a dense symmetric matrix; built from the band if banded."""
+        if self._k is None:
+            lower = self._lower
+            if lower.w is not None:
+                self._k = _symmetric(self._banded()).toarray()
+            else:
+                # no identity is held across statements: at n=1200 each is 11.5 MB
+                k = lower.p - self.e * np.eye(self.op.n_plus) + lower.ct @ self._solve(lower.c)
+                self._k = (k + k.T) / 2.0
+        return self._k
 
     def _check_k(self, k: int) -> None:
         if not 1 <= k <= self.op.n_plus:
             raise KOutOfRange(f"k must lie in 1..{self.op.n_plus}, got {k}")
 
-    def _eigh(self, **subset) -> tuple[np.ndarray, np.ndarray] | np.ndarray:
-        """The dense path's subset eigh of the pencil."""
+    def _select(self, select: str, lo: float, hi: float, vectors: bool = False):
+        """Eigenvalues of k_e, ascending: those of 0-based index lo..hi (select "i") or
+        in the half-open interval (lo, hi] (select "v"). vectors, dense path only, adds
+        the unit eigenvectors. One LAPACK call: dsbevx on the band, else a subset eigh."""
         try:
-            return sla.eigh(*self._pencil(), check_finite=False, **subset)
+            if self._lower.w is not None:
+                return sla.eig_banded(self._banded(), select=select, select_range=(lo, hi),
+                                      eigvals_only=True, check_finite=False)
+            subset = "subset_by_index" if select == "i" else "subset_by_value"
+            return sla.eigh(self.k_e, eigvals_only=not vectors, check_finite=False,
+                            **{subset: [lo, hi]})
         except np.linalg.LinAlgError as exc:
             raise EigFailure(f"pencil eigensolve at e={self.e} failed: {exc}") from exc
 
-    def _between(self, first: int, last: int) -> np.ndarray:
-        """mu_first(e) <= ... <= mu_last(e), 1-based and inclusive, from one eigensolve."""
-        if self._lower.w is not None:
-            return pencil_eigvals(*self._banded(), index=(first, last))
-        return self._eigh(subset_by_index=[first - 1, last - 1], eigvals_only=True)
-
     def value(self, k: int) -> float:
-        """k-th smallest pencil eigenvalue mu_k(e), 1-based."""
+        """k-th smallest eigenvalue kappa_k(e) of k_e, 1-based."""
         self._check_k(k)
-        return float(self._between(k, k)[0])
+        return float(self._select("i", k - 1, k - 1)[0])
 
     def levels(self, m: int) -> np.ndarray:
-        """The m smallest pencil eigenvalues mu_1(e) <= ... <= mu_m(e), from one eigensolve."""
+        """The m smallest eigenvalues kappa_1(e) <= ... <= kappa_m(e) of k_e, in one eigensolve."""
         self._check_k(m)
-        return self._between(1, m)
+        return self._select("i", 0, m - 1)
+
+    def values_in(self, lo: float, hi: float) -> np.ndarray:
+        """Eigenvalues of k_e in the half-open interval (lo, hi], ascending."""
+        return self._select("v", lo, hi)
 
     def vector(self, k: int) -> tuple[float, np.ndarray]:
-        """mu_k(e) together with its pencil eigenvector, normalized to x.T m_e x = 1."""
+        """kappa_k(e) together with its unit eigenvector of k_e."""
         self._check_k(k)
         if self._lower.w is None:
-            vals, vecs = self._eigh(subset_by_index=[k - 1, k - 1])
+            vals, vecs = self._select("i", k - 1, k - 1, vectors=True)
             return float(vals[0]), vecs[:, 0]
-        mu = self.value(k)
-        kb, mb = self._banded()
-        w, m_e = self._lower.w, _symmetric(mb)
-        # a shift a few ulps off mu keeps the LU clear of an exactly zero pivot;
+        kappa = self.value(k)
+        # a shift a few ulps off kappa keeps the LU clear of an exactly zero pivot;
         # the fixed start keeps the vector, and so every report, deterministic
-        shifted = _full_band(kb - (mu + SHIFT_ULPS * np.spacing(abs(mu))) * mb)
+        w, shifted = self._lower.w, _full_band(self._banded())
+        shifted[w] -= kappa + SHIFT_ULPS * np.spacing(abs(kappa))  # row w is the diagonal
         x = np.random.default_rng(0).standard_normal(self.op.n_plus)
         for _ in range(INVERSE_STEPS):
             try:
-                x = sla.solve_banded((w, w), shifted, m_e @ x, check_finite=False)
+                x = sla.solve_banded((w, w), shifted, x, check_finite=False)
             except np.linalg.LinAlgError as exc:
                 raise EigFailure(f"inverse iteration at e={self.e} failed: {exc}") from exc
             x /= np.linalg.norm(x)
-        return mu, x / np.sqrt(x @ (m_e @ x))
-
-    def values_in_band(self, band: float) -> np.ndarray:
-        """Pencil eigenvalues mu in the half-open band (-band, band], ascending."""
-        if self._lower.w is not None:
-            return pencil_eigvals(*self._banded(), interval=(-band, band))
-        return self._eigh(subset_by_value=[-band, band], eigvals_only=True)
+        return kappa, x
 
     def lift(self, x: np.ndarray) -> np.ndarray:
         """l_e x = (b + e*I)^{-1} c x of an upper-block vector, in the operator's own basis."""
@@ -274,7 +266,7 @@ class SchurSystem:
 
 
 def build_schur(op: BlockOperator, e: float) -> SchurSystem:
-    """The Schur pencil at energy e > lambda0 + 1e-10."""
+    """The Schur system at energy e > lambda0 + 1e-10."""
     return SchurSystem(op, e)
 
 
@@ -289,18 +281,22 @@ def q_value_and_slope(op: BlockOperator, e: float, x: np.ndarray) -> tuple[float
 
 
 def mu_k(op: BlockOperator, lam: float, k: int) -> float:
-    """k-th smallest eigenvalue of the pencil (k_lam, m_lam), 1-based."""
+    """k-th smallest eigenvalue kappa_k of k_lam, 1-based."""
     return build_schur(op, lam).value(k)
 
 
 def mu_k_with_vector(op: BlockOperator, lam: float, k: int) -> tuple[float, np.ndarray]:
-    """mu_k together with its pencil eigenvector."""
+    """kappa_k together with its unit eigenvector of k_lam."""
     return build_schur(op, lam).vector(k)
 
 
 def pencil_values_in_band(op: BlockOperator, lam: float, band: float) -> np.ndarray:
-    """Pencil eigenvalues mu in the half-open band (-band, band] at energy lam, ascending."""
-    return build_schur(op, lam).values_in_band(band)
+    """Eigenvalues of k_lam in the half-open band (-band, band], ascending.
+
+    The solver no longer calls this; it stays because perfbench/tracing.py wraps
+    it by name, until ROADMAP item 1 moves the benchmark to in-package counters.
+    """
+    return build_schur(op, lam).values_in(-band, band)
 
 
 def apply_l(op: BlockOperator, e: float, x: np.ndarray) -> np.ndarray:

@@ -34,28 +34,42 @@ class VerificationReport:
     params: dict = field(default_factory=dict)
 
 
-def _congruence(op: BlockOperator, e: float) -> tuple[float, ...]:
-    """||(A - e*I) - R_e||, ||A - e*I|| and ||A||, from the blocks.
+def _relative(resid: float, scale: float) -> float:
+    """resid / scale, where resid <= scale by the triangle inequality: 0 when both are."""
+    return float(resid / scale) if resid else 0.0
+
+
+def _congruence(op: BlockOperator, e: float) -> tuple[float, float, float]:
+    """The residual of A - e*I = R_e, relative and absolute, and ||A||, from the blocks.
 
     R_e = U.T diag(k_e, -(b+e)) U with U = [[I, 0], [-l_e, I]]. Its lower-right block
     -(b+e) is amm - e*I to the last bit, so only the upper-left and the two coupling
-    blocks of the difference can be nonzero.
+    blocks of the difference can be nonzero. The relative residual is the larger of
+    those blocks' normwise backward errors: each block's residual over the sum of the
+    norms of the terms it compares.
     """
     system, norm, root2 = build_schur(op, e), np.linalg.norm, math.sqrt(2.0)
     bpe = e * np.eye(op.n_minus) - op.amm  # the shift first: e*l_e - amm@l_e cancels near lambda0
     bpe_le = bpe @ system.l_e
     p_e = op.p - e * np.eye(op.n_plus)
-    upper = p_e - (system.k_e - system.l_e.T @ bpe_le)
-    coupling = root2 * norm(op.c)
-    return (math.hypot(norm(upper), root2 * norm(op.c - bpe_le)),
-            math.hypot(norm(p_e), coupling, norm(bpe)),
-            math.hypot(norm(op.p), coupling, norm(op.amm)))
+    lifted = system.l_e.T @ bpe_le
+    upper = norm(p_e - (system.k_e - lifted))
+    coupling = norm(op.c - bpe_le)
+    relative = max(_relative(upper, norm(p_e) + norm(system.k_e) + norm(lifted)),
+                   _relative(coupling, norm(op.c) + norm(bpe_le)))
+    return (relative, math.hypot(upper, root2 * coupling),
+            math.hypot(norm(op.p), root2 * norm(op.c), norm(op.amm)))
 
 
 def decomposition_residual(op: BlockOperator, e: float) -> float:
-    """Residual of the congruence A - e*I = R_e over max(1, ||A - e*I||)."""
-    resid, shifted_norm, _ = _congruence(op, e)
-    return resid / max(1.0, shifted_norm)
+    """Relative residual of the congruence A - e*I = R_e, block by block.
+
+    The larger of ||p - e - k_e + l_e.T (e - amm) l_e|| over
+    ||p - e|| + ||k_e|| + ||l_e.T (e - amm) l_e|| and ||c - (e - amm) l_e|| over
+    ||c|| + ||(e - amm) l_e||: a relative error at every energy, where a norm of
+    A - e*I would be dominated by e*I far above lambda0.
+    """
+    return _congruence(op, e)[0]
 
 
 def _check_samples(n_samples: int) -> None:
@@ -104,7 +118,7 @@ def krein_gap_check(op: BlockOperator, n_samples: int = 200,
 
 def extension_consistency(op: BlockOperator, e: float) -> float:
     """Distance between the reassembled extension R_e + e*I and A over max(1, ||A||)."""
-    resid, _, full_norm = _congruence(op, e)
+    _, resid, full_norm = _congruence(op, e)
     return resid / max(1.0, full_norm)
 
 
@@ -115,14 +129,14 @@ def inverse_formula_check(op: BlockOperator, e: float) -> float:
     beyond lambda1 the Schur matrix is singular and SingularSchur is raised.
     """
     system = build_schur(op, e)
-    mu1 = system.value(1)
-    if mu1 <= SINGULAR_RTOL * max(1.0, abs(e)):
+    kappa1 = system.value(1)
+    if kappa1 <= SINGULAR_RTOL * max(1.0, abs(e)):
         raise SingularSchur(
-            f"k_e singular or indefinite at e={e}: smallest pencil value {mu1:.3e}"
+            f"k_e singular or indefinite at e={e}: smallest eigenvalue {kappa1:.3e}"
         )
     # R_e^{-1} = U^{-1} diag(k_e^{-1}, -(b+e)^{-1}) U^{-T} is applied to A - e*I one
     # factor at a time, by solves that overwrite its block rows; no inverse is formed.
-    # the guard gives k_e >= mu1 * m_e >= mu1 * I > 0, so a general solve needs no
+    # the guard gives k_e >= kappa1 * I > 0, so a general solve needs no
     # definiteness check of its own
     n, diag = op.n_plus, np.arange(op.dim)
     rows = op.assembled()

@@ -20,6 +20,7 @@ from gapeig.cli import (
     config_from_dict,
     load_config,
     main,
+    reports_to_csv,
     rows_to_csv,
     rows_to_json,
     run,
@@ -172,14 +173,23 @@ class TestRun:
             assert row.abs_error <= 1e-9
 
     def test_deterministic_modulo_ms(self):
-        config = config_from_dict({
+        # the banded Dirac channel runs inverse iteration from its fixed start
+        random = config_from_dict({
             "kind": "random", "spec": {"n_plus": 6, "n_minus": 5}, "count": 2,
+        })
+        dirac = config_from_dict({
+            "kind": "dirac", "spec": {"nu": 0.5, "kappa": -1, "r_max": 30.0, "n": 300},
+            "k_max": 2,
         })
         strip = lambda rows: [
             (r.model, r.grid, r.k, r.lambda_k, r.multiplicity, r.oracle, r.residual)
             for r in rows
         ]
-        assert strip(run(config)) == strip(run(config))
+        for config in (random, dirac):
+            assert strip(run(config)) == strip(run(config))
+        # verify's rows, bit for bit: nothing is kept from one pass to the next
+        for config in (replace(dirac, k_max=1), replace(random, count=1)):
+            assert reports_to_csv(verify_all(config)) == reports_to_csv(verify_all(config))
 
     def test_jobs_preserve_order(self):
         config = config_from_dict({
@@ -290,9 +300,9 @@ class TestMain:
         assert main(["spectrum", "--config", cfg, "--quiet"]) == 2
         assert "block c has non-finite entries" in capsys.readouterr().err
 
-    def test_strongly_coupled_matrix_file_exits_two(self, tmp_path, capsys):
-        # near lambda0 the Gram matrix m_e loses its identity to rounding, so the
-        # pencil eigensolve fails; that is one "gapeig:" line, not a traceback
+    def test_strongly_coupled_matrix_file_solves(self, tmp_path):
+        # next to lambda0 an explicit Gram matrix I + l_e.T l_e was indefinite in
+        # rounding here and the run exited 2; k_e alone needs no such matrix
         rng = np.random.default_rng(7)
         full = rng.standard_normal((32, 32))
         full = (full + full.T) / 2.0
@@ -300,9 +310,12 @@ class TestMain:
         matrix = _write(tmp_path / "m.json", {"matrix": full.tolist(), "n_plus": 12})
         cfg = _write(tmp_path / "cfg.json",
                      {"kind": "matrix-file", "spec": {"path": matrix}, "k_max": 4})
-        assert main(["spectrum", "--config", cfg, "--quiet"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("gapeig: ") and len(err.splitlines()) == 1
+        assert main(["spectrum", "--config", cfg, "--quiet", "--out",
+                     str(tmp_path / "rows.csv")]) == 0
+        rows = run(load_config(cfg))
+        assert [r.k for r in rows] == [1, 2, 3, 4]
+        for row in rows:
+            assert abs(row.lambda_k - row.oracle) <= 1e-13 * abs(row.oracle)
 
     def test_a_failed_pencil_eigensolve_exits_two(self, canonical_matrix_config, capsys,
                                                   monkeypatch):

@@ -1,8 +1,11 @@
-"""README's "Config files" section documents every config key.
+"""README's "Config files" section documents every config key, and its
+"Layout" section every module.
 
 The top-level keys are the fields of `cli.ExperimentConfig`, and the spec
 keys of each model kind and subcommand are the entries of `cli.SPECS`; a key
-added to either without a backticked mention in that section fails here.
+added to either without a backticked mention in that section fails here. A
+module added to or removed from `src/gapeig/` without its Layout line fails
+too.
 """
 
 from dataclasses import fields
@@ -10,7 +13,8 @@ from pathlib import Path
 
 from gapeig.cli import SPECS, ExperimentConfig
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def _config_section() -> str:
@@ -25,3 +29,11 @@ def test_every_config_and_spec_key_is_documented():
     keys += [name for family, spec in SPECS.items() for name in (family, *spec)]
     missing = sorted({key for key in keys if f"`{key}`" not in section})
     assert not missing
+
+
+def test_layout_lists_exactly_the_modules():
+    text = README.read_text(encoding="utf-8")
+    block = text[text.index("## Layout"):].split("```")[1]
+    listed = {line.split()[0] for line in block.splitlines() if line.startswith("  ")}
+    modules = {path.name for path in (ROOT / "src" / "gapeig").glob("*.py")}
+    assert listed == modules - {"__init__.py", "__main__.py"}

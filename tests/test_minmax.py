@@ -33,6 +33,7 @@ from gapeig import (
     random_gapped,
 )
 from gapeig.minmax import _root
+from gapeig.oracle import CLUSTER_RTOL
 from gapeig.schur import apply_l, mu_k_with_vector
 
 SQRT2 = math.sqrt(2.0)
@@ -234,6 +235,20 @@ def test_gap_spectrum_multiplicity():
     assert results[1].iterations == 0
 
 
+def test_multiplicity_counts_energies_not_levels():
+    # two copies of [[p, 6], [6, -1]] with root 1 and ||z||^2 = 10 there, the second
+    # 5e-9 higher: inside the cluster band 1e-8 in energy, while its level kappa_2
+    # at the first root is ten times that, 5e-8; the inertia count sees both
+    op = _block_op(np.diag([-17.0, -17.0 + 5e-8]), 6.0 * np.eye(2), -np.eye(2))
+    results = gap_spectrum(op, 2)
+    assert [r.multiplicity for r in results] == [2, 2]
+    assert results[0].lambda_k == pytest.approx(1.0, abs=1e-14)
+    assert results[1].lambda_k == pytest.approx(1.0 + 5e-9, abs=1e-14)
+    assert results[1].iterations > 0
+    levels = build_schur(op, results[0].lambda_k).values_in(-CLUSTER_RTOL, CLUSTER_RTOL)
+    assert len(levels) == 1
+
+
 def test_split_level_is_solved_from_its_own_root():
     # 1e-7 apart is 50 times the cluster band at 2, yet within tol = 1e-6
     op = _block_op(np.diag([2.0, 2.0 + 1e-7]), np.zeros((1, 2)), [[-1.0]])
@@ -245,6 +260,8 @@ def test_split_level_is_solved_from_its_own_root():
 
 
 def test_simple_levels_build_one_pencil_per_root(monkeypatch, decoupled23, campaign_ops):
+    # three Schur systems per root: its own for the residual, then the inertia counts
+    # at lambda_k + band and lambda_k - band for the multiplicity; no sibling fill
     calls = []
     original = minmax.build_schur
 
@@ -257,7 +274,9 @@ def test_simple_levels_build_one_pencil_per_root(monkeypatch, decoupled23, campa
         calls.clear()
         results = gap_spectrum(op, k_max)
         assert [r.multiplicity for r in results] == [1] * k_max
-        assert calls == [r.lambda_k for r in results]
+        bands = [CLUSTER_RTOL * max(1.0, abs(r.lambda_k)) for r in results]
+        assert calls == [e for r, band in zip(results, bands)
+                         for e in (r.lambda_k, r.lambda_k + band, r.lambda_k - band)]
 
 
 @st.composite
@@ -323,25 +342,14 @@ def _beyond_ceiling():
 
 
 def _count_eigensolves(monkeypatch) -> Counter:
-    """Pencil eigensolves per energy, dense subset eighs and banded dsbgvx calls alike."""
-    solves, energy = Counter(), [None]
-    eigh, bands, eigvals = schur.SchurSystem._eigh, schur.SchurSystem._banded, schur.pencil_eigvals
+    """Eigensolves of k_e per energy: every one, dense or banded, goes through _select."""
+    solves, select = Counter(), schur.SchurSystem._select
 
-    def counted_eigh(self, **subset):
+    def counted(self, *args, **kwargs):
         solves[self.e] += 1
-        return eigh(self, **subset)
+        return select(self, *args, **kwargs)
 
-    def read_bands(self):  # every banded eigensolve reads its bands just before it runs
-        energy[0] = self.e
-        return bands(self)
-
-    def counted_eigvals(*args, **kwargs):
-        solves[energy[0]] += 1
-        return eigvals(*args, **kwargs)
-
-    monkeypatch.setattr(schur.SchurSystem, "_eigh", counted_eigh)
-    monkeypatch.setattr(schur.SchurSystem, "_banded", read_bands)
-    monkeypatch.setattr(schur, "pencil_eigvals", counted_eigvals)
+    monkeypatch.setattr(schur.SchurSystem, "_select", counted)
     return solves
 
 
@@ -460,3 +468,14 @@ def test_tol_validation(canonical):
         lambda_k(canonical, 1, tol=0.0)
     with pytest.raises(ValueError):
         lambda_k(canonical, 1, tol=-1e-10)
+
+
+@pytest.mark.parametrize("tol", (math.inf, math.nan))
+def test_non_finite_tol_is_rejected(tol):
+    # tol=inf would accept the first Newton step (1.1e-10 off the oracle here), and
+    # gap_spectrum would then fill every level of a cluster without checking one
+    op = random_gapped(RandomSpec(n_plus=9, n_minus=7, seed=3))
+    with pytest.raises(ValueError, match="positive and finite"):
+        lambda_k(op, 1, tol=tol)
+    with pytest.raises(ValueError, match="positive and finite"):
+        gap_spectrum(op, 3, tol=tol)

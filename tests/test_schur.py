@@ -22,13 +22,14 @@ from gapeig import (
     decomposition_residual,
     dense_spectrum,
     extension_consistency,
+    gap_eigs_bruteforce,
     gap_spectrum,
     lambda0,
+    lambda1_certificate,
     mu_k,
     q_e_form,
     random_gapped,
 )
-from gapeig._banded import pencil_eigvals
 from gapeig.minmax import _newton
 from gapeig.verify import sandwich_report
 from gapeig.schur import (
@@ -65,7 +66,7 @@ def test_build_schur_canonical_scalars(canonical):
     s = build_schur(canonical, 1.0)
     assert s.l_e == pytest.approx(np.array([[0.5]]), abs=1e-15)
     assert s.k_e == pytest.approx(np.array([[0.5]]), abs=1e-15)
-    assert s.m_e == pytest.approx(np.array([[1.25]]), abs=1e-15)
+    assert s.value(1) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_build_schur_singular_at_eigenvalue(canonical):
@@ -77,7 +78,6 @@ def test_build_schur_decoupled(decoupled23):
     s = build_schur(decoupled23, 0.5)
     assert np.array_equal(s.l_e, np.zeros((1, 2)))
     assert s.k_e == pytest.approx(np.diag([1.5, 2.5]))
-    assert np.array_equal(s.m_e, np.eye(2))
 
 
 def test_build_schur_requires_margin(canonical):
@@ -151,16 +151,17 @@ def _band_between(values, count, tol):
 def test_banded_pencil_matches_dense_eigh(name, offset):
     op = BANDED[name]()
     s = build_schur(op, lambda0(op) + offset)
-    k_e, m_e = s.k_e, s.m_e
-    ref = sla.eigh(k_e, m_e, eigvals_only=True)
+    k_e = s.k_e
+    ref = np.linalg.eigvalsh(k_e)
     scale = 1e-12 * np.linalg.norm(k_e, 2)
     for k in range(1, 6):
         assert abs(s.value(k) - ref[k - 1]) <= scale
-        mu, x = s.vector(k)
-        assert mu == s.value(k)
-        assert np.linalg.norm(k_e @ x - mu * (m_e @ x)) <= scale
+        kappa, x = s.vector(k)
+        assert kappa == s.value(k)
+        assert np.linalg.norm(x) == pytest.approx(1.0, rel=1e-15)
+        assert np.linalg.norm(k_e @ x - kappa * x) <= scale
     band = _band_between(ref, 5, scale)
-    got = s.values_in_band(band)
+    got = s.values_in(-band, band)
     want = ref[np.abs(ref) <= band]
     assert len(got) == len(want) >= 5
     assert np.abs(got - want).max() <= scale
@@ -172,11 +173,11 @@ def test_banded_vectors_of_a_degenerate_pair_stay_in_its_eigenspace():
     s = build_schur(op, 0.7)
     assert s.value(3) - s.value(2) <= 1e-14 * abs(s.value(2))
     (_, x2), (_, x3) = s.vector(2), s.vector(3)
-    ref_vals, ref_vecs = sla.eigh(s.k_e, s.m_e, subset_by_index=[1, 2])
+    ref_vals, ref_vecs = sla.eigh(s.k_e, subset_by_index=[1, 2])
     assert ref_vals[1] - ref_vals[0] <= 1e-12 * abs(ref_vals[0])
     # each vector lies in the dense pair's eigenspace
     for x in (x2, x3):
-        inside = ref_vecs @ (ref_vecs.T @ (s.m_e @ x))
+        inside = ref_vecs @ (ref_vecs.T @ x)
         assert np.linalg.norm(x - inside) <= 1e-10 * np.linalg.norm(x)
 
 
@@ -204,10 +205,9 @@ def test_pencil_matches_dense_reference(structured_op, offset):
     e = lambda0(op) + offset
     l_ref = np.linalg.solve(-op.amm + e * np.eye(op.n_minus), op.c)
     k_ref = op.p - e * np.eye(op.n_plus) + op.c.T @ l_ref
-    m_ref = np.eye(op.n_plus) + l_ref.T @ l_ref
     s = build_schur(op, e)
     assert _rel(s.k_e, k_ref) <= 1e-12
-    assert _rel(s.m_e, m_ref) <= 1e-12
+    assert np.array_equal(s.k_e, s.k_e.T)
     assert _rel(s.l_e, l_ref) <= 1e-12
 
 
@@ -223,8 +223,8 @@ def test_methods_equal_the_module_functions(structured_op):
         assert value == ref_value
         assert np.array_equal(vec, ref_vec)
     band = abs(s.value(2)) + 1.0
-    assert np.array_equal(s.values_in_band(band), pencil_values_in_band(op, e, band))
-    assert len(s.values_in_band(band)) >= 2
+    assert np.array_equal(s.values_in(-band, band), pencil_values_in_band(op, e, band))
+    assert len(s.values_in(-band, band)) >= 2
     assert np.array_equal(s.lift(x), apply_l(op, e, x))
     assert s.form(x) == q_value_and_slope(op, e, x)
 
@@ -234,7 +234,7 @@ def test_solves_keep_no_lift_matrix(structured_op):
     s = build_schur(op, lambda0(op) + 0.7)
     x = np.ones(op.n_plus)
     s.vector(1)
-    s.values_in_band(1.0)
+    s.values_in(-1.0, 1.0)
     s.lift(x)
     s.form(x)
     assert s._l is None
@@ -385,16 +385,6 @@ def test_edge_rule_on_every_entry_point(structured_op):
                 call(e)
 
 
-def test_gram_matrix_dominates_identity(campaign_ops):
-    for op in campaign_ops[:6]:
-        lam0 = lambda0(op)
-        for offset in (1e-2, 1.0, 50.0):
-            s = build_schur(op, lam0 + offset)
-            assert np.linalg.eigvalsh(s.m_e)[0] >= 1.0 - 1e-12
-            defect = np.linalg.norm(s.k_e - s.k_e.T)
-            assert defect <= 1e-12 * max(1.0, np.linalg.norm(s.k_e))
-
-
 def test_schur_matrix_matches_form(campaign_ops):
     rng = np.random.default_rng(11)
     for op in campaign_ops[:6]:
@@ -413,7 +403,8 @@ def test_q_form_canonical(canonical):
 
 
 def test_mu_canonical_at_zero(canonical):
-    assert mu_k(canonical, 0.0, 1) == pytest.approx(1.0, abs=1e-12)
+    # k_0 = p + c.T (b + 0)^{-1} c = 1 + 1
+    assert mu_k(canonical, 0.0, 1) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_mu_decoupled_second_level(decoupled23):
@@ -528,31 +519,42 @@ def test_energy_derivative_matches_finite_difference(campaign_ops):
 
 
 def test_mu_decreasing_beyond_root(campaign_ops):
-    # mu_1 is monotone only once it turns negative; near lambda0 it rises
-    # from zero, so only the sign structure is global
+    # d k_e / de = -(I + l_e.T l_e) < 0, so kappa_1 falls strictly at every energy,
+    # from the left edge through the root and beyond
     from gapeig import lambda_k
 
     for op in campaign_ops[:5]:
-        lam1 = lambda_k(op, 1).lambda_k
-        grid = lam1 + np.array([0.0, 0.3, 1.0, 3.0, 10.0])
+        lam0, lam1 = lambda0(op), lambda_k(op, 1).lambda_k
+        grid = np.concatenate([lam0 + np.array([1e-6, 1e-3]),
+                               lam1 + np.array([0.0, 0.3, 1.0, 3.0, 10.0])])
         values = [mu_k(op, lam, 1) for lam in grid]
         assert all(a > b for a, b in zip(values, values[1:]))
 
 
 def test_mu_slope_at_root(campaign_ops):
+    # a simple level's slope is x.T (d k_e / de) x = -(1 + ||l_e x||^2) at its unit
+    # vector x (Hellmann-Feynman), the energy slope of the form there
     from gapeig import lambda_k
 
     h = 1e-6
     for op in campaign_ops[:5]:
         lam1 = lambda_k(op, 1).lambda_k
         slope = (mu_k(op, lam1 + h, 1) - mu_k(op, lam1 - h, 1)) / (2.0 * h)
-        assert slope == pytest.approx(-1.0, abs=1e-4)
+        s = build_schur(op, lam1)
+        assert slope == pytest.approx(s.form(s.vector(1)[1])[1], rel=1e-6)
+        assert slope < -1.0
 
 
 def test_mu_rises_from_zero_at_left_edge(campaign_ops):
-    op = campaign_ops[0]
-    lam0 = lambda0(op)
-    assert 0.0 < mu_k(op, lam0 + 1e-6, 1) < 1e-4
+    # the min-max level mu_1 of the pencil (k_e, I + l_e.T l_e) rises from zero next
+    # to lambda0, where the Gram matrix blows up, so bracketing goes by sign; kappa_1
+    # has its sign and stays at least min eig(p) - e, since c.T (b + e)^{-1} c >= 0
+    for op in campaign_ops[:5]:
+        s = build_schur(op, lambda0(op) + 1e-6)
+        gram = np.eye(op.n_plus) + s.l_e.T @ s.l_e
+        mu = sla.eigh(s.k_e, gram, eigvals_only=True, subset_by_index=[0, 0])[0]
+        assert 0.0 < mu < 1e-4
+        assert 0.0 < np.linalg.eigvalsh(op.p)[0] - s.e <= mu_k(op, s.e, 1)
 
 
 def test_sign_characterization(campaign_ops):
@@ -566,44 +568,17 @@ def test_sign_characterization(campaign_ops):
 
 
 def test_banded_failures_are_gapeig_errors(monkeypatch):
-    a_band = np.vstack([np.full(40, 0.5), np.ones(40)])
-    with pytest.raises(NotPositiveDefinite):
-        pencil_eigvals(a_band, np.vstack([np.zeros(40), -np.ones(40)]), index=1)
-
     def singular(*args, **kwargs):
         raise np.linalg.LinAlgError("singular matrix")
 
-    monkeypatch.setattr(schur.sla, "solve_banded", singular)
     op = BANDED["banded-aps"]()
-    with pytest.raises(EigFailure):
+    monkeypatch.setattr(schur.sla, "solve_banded", singular)
+    with pytest.raises(EigFailure, match="inverse iteration"):
         build_schur(op, 0.7).vector(1)
-
-
-def _small_banded_pencil(n=12, w=2):
-    """Upper band storage of a random symmetric A and a diagonally dominant, so definite, B."""
-    rng = np.random.default_rng(7)
-    a_band = rng.uniform(-1.0, 1.0, (w + 1, n))
-    b_band = rng.uniform(-0.2, 0.2, (w + 1, n))
-    b_band[w] = 2.0
-    return a_band, b_band
-
-
-def test_banded_index_range_matches_dense_eigh():
-    a_band, b_band = _small_banded_pencil()
-    n = a_band.shape[1]
-    ref = sla.eigh(schur._symmetric(a_band).toarray(), schur._symmetric(b_band).toarray(),
-                   eigvals_only=True)
-    for il, iu in ((1, 1), (3, 7), (1, n), (n, n)):
-        got = pencil_eigvals(a_band, b_band, index=(il, iu))
-        assert len(got) == iu - il + 1
-        assert np.abs(got - ref[il - 1:iu]).max() <= 1e-13 * np.abs(ref).max()
-    assert pencil_eigvals(a_band, b_band, index=4)[0] == pytest.approx(ref[3], abs=1e-13)
-
-
-@pytest.mark.parametrize("index", ((0, 3), (5, 4), (1, 13)))
-def test_banded_index_range_is_checked_before_lapack(index):
-    with pytest.raises(ValueError, match="bad banded pencil call"):
-        pencil_eigvals(*_small_banded_pencil(), index=index)
+    monkeypatch.setattr(schur.sla, "eig_banded", singular)
+    for solve in (lambda s: s.value(1), lambda s: s.levels(2), lambda s: s.values_in(-1.0, 1.0)):
+        with pytest.raises(EigFailure, match="pencil eigensolve"):
+            solve(build_schur(op, 0.7))
 
 
 @pytest.mark.parametrize("offset", (1e-3, 0.7))
@@ -616,3 +591,46 @@ def test_levels_are_the_lowest_pencil_values(structured_op, offset):
     assert s.levels(1)[0] == s.value(1)  # one level is the same LAPACK call
     with pytest.raises(KOutOfRange):
         s.levels(structured_op.n_plus + 1)
+
+
+def _energies_beside_the_first_levels(op, count=3):
+    """An energy below and one above each of the first count gap levels (clusters),
+    a quarter of the way to the nearest neighbouring level or to lambda0."""
+    lam0 = lambda0(op)
+    floor = lam0 + 1e-8 * max(1.0, abs(lam0))  # APS's kernel sits at lambda0 = 0 to rounding
+    values = [value for value, _ in gap_eigs_bruteforce(op, floor, math.inf)][:count + 1]
+    edges = [lam0, *values]
+    energies = []
+    for j, value in enumerate(values[:count], start=1):
+        below = 0.25 * (value - edges[j - 1])
+        above = 0.25 * (edges[j + 1] - value) if j + 1 < len(edges) else below
+        energies += [value - below, value + above]
+    return energies
+
+
+def test_inertia_count_matches_the_dense_spectrum(structured_op):
+    # A - e*I = U.T diag(k_e, -(b+e)) U, so A has n_minus + neg(k_e) eigenvalues below e
+    # (Sylvester); where k_e > 0 at the edge, neg(k_e) is A's count in (lambda0, e). The
+    # sparse-coupling fixture's p reaches below lambda0, so there it is one more.
+    op = structured_op
+    lam0, spectrum = lambda0(op), dense_spectrum(op).values
+    floor = lam0 + 1e-8 * max(1.0, abs(lam0))
+    gapped = lambda1_certificate(op).valid
+    energies = _energies_beside_the_first_levels(op)
+    assert len(energies) == 6
+    for e in energies:
+        count = len(build_schur(op, e).values_in(-math.inf, 0.0))
+        assert count == int(np.sum(spectrum < e)) - op.n_minus
+        if gapped:
+            assert count == int(np.sum((spectrum > floor) & (spectrum < e)))
+
+
+def test_levels_have_the_signs_of_the_pencil_levels(structured_op):
+    # the min-max levels mu_k are those of the pencil (k_e, I + l_e.T l_e), whose Gram
+    # matrix is positive definite, so kappa_k has mu_k's sign (Sylvester)
+    op = structured_op
+    for e in _energies_beside_the_first_levels(op):
+        s = build_schur(op, e)
+        mu = sla.eigh(s.k_e, np.eye(op.n_plus) + s.l_e.T @ s.l_e, eigvals_only=True)
+        kappa = s.levels(op.n_plus)
+        assert np.array_equal(np.sign(kappa), np.sign(mu))

@@ -73,27 +73,32 @@ def test_extension_is_the_congruence(name, offset):
     e = lambda0(op) + offset
     full = op.assembled()
     shifted = full - e * np.eye(op.dim)
-    resid, shifted_norm, full_norm = _congruence(op, e)
+    _, resid, full_norm = _congruence(op, e)
     reference = np.linalg.norm(shifted - _dense_congruence(op, e))
     assert abs(resid - reference) <= 1e-13 * max(1.0, np.linalg.norm(shifted))
-    assert shifted_norm == pytest.approx(np.linalg.norm(shifted), rel=1e-15, abs=0.0)
     assert full_norm == pytest.approx(np.linalg.norm(full), rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("name", sorted(STRUCTURES))
 def test_both_normalizations_match_their_formulas(name):
-    # the dense formulas round in another order, so the residual gets the same
-    # 1e-13*max(1, ||A - e*I||) as above, before each normalization
+    # the dense formulas round in another order: the decomposition row, a ratio of
+    # block norms, within 1e-13; the extension row after 1e-13*max(1, ||A - e*I||)
+    # on its residual, as above
     op = STRUCTURES[name]()
+    n, norm = op.n_plus, np.linalg.norm
     full = op.assembled()
-    full_scale = max(1.0, np.linalg.norm(full))
+    full_scale = max(1.0, norm(full))
     for e in e_samples(op):
+        system = build_schur(op, e)
         shifted = full - e * np.eye(op.dim)
-        scale = max(1.0, np.linalg.norm(shifted))
         reference = _dense_congruence(op, e)
-        decomposition = np.linalg.norm(shifted - reference) / scale
-        extension = np.linalg.norm(reference + e * np.eye(op.dim) - full) / full_scale
-        assert abs(decomposition_residual(op, e) - decomposition) <= 1e-13
+        bpe_le = (e * np.eye(op.n_minus) - op.amm) @ system.l_e
+        upper = norm((shifted - reference)[:n, :n]) / (
+            norm(op.p - e * np.eye(n)) + norm(system.k_e) + norm(system.l_e.T @ bpe_le))
+        coupling = norm((shifted - reference)[n:, :n]) / (norm(op.c) + norm(bpe_le))
+        extension = norm(reference + e * np.eye(op.dim) - full) / full_scale
+        assert abs(decomposition_residual(op, e) - max(upper, coupling)) <= 1e-13
+        scale = max(1.0, norm(shifted))
         assert abs(extension_consistency(op, e) - extension) <= 1e-13 * scale / full_scale
 
 
@@ -122,18 +127,19 @@ def test_congruence_rows_on_the_default_dirac_channel():
 @pytest.mark.parametrize("name,backend", [("random-dense", "q"),
                                           ("banded-dirac-uniform-", "w")])
 def test_congruence_rows_see_a_perturbed_lift(monkeypatch, name, backend):
-    # a relative 1e-6 error in l_e must read at least ten times the 1e-11 row
-    # bound, on the rotated dense path (q set) and on the banded one (w set)
-    # alike; the least is decomposition at lambda0 + 1e3, 4.2e-10 on random-dense,
-    # where ||A - e*I|| is largest
+    # a relative 1e-8 error in l_e must read at least ten times the 1e-11 row
+    # bound at every energy, on the rotated dense path (q set) and on the banded
+    # one (w set) alike. The decomposition row reads a relative error, 5.0e-9 here
+    # at every energy; over max(1, ||A - e*I||) it read 4.2e-12 at lambda0 + 1e3.
+    # The extension row's least is 1.8e-9, on random-dense.
     op = STRUCTURES[name]()
     energies = e_samples(op, lambda1_certificate(op).lambda1)
     assert getattr(build_schur(op, energies[0])._lower, backend) is not None
     exact = schur.SchurSystem.l_e
     monkeypatch.setattr(schur.SchurSystem, "l_e",
-                        property(lambda self: exact.fget(self) * (1.0 + 1e-6)))
+                        property(lambda self: exact.fget(self) * (1.0 + 1e-8)))
     for e in energies:
-        assert decomposition_residual(op, e) > 1e-10
+        assert decomposition_residual(op, e) > 1e-9
         assert extension_consistency(op, e) > 1e-10
 
 
