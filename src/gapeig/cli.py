@@ -29,7 +29,6 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
-from typing import Callable
 
 import numpy as np
 
@@ -115,6 +114,8 @@ class ExperimentConfig:
             raise ConfigParse(f"format must be csv or json, got {self.format!r}")
         if self.count < 1:
             raise ConfigParse(f"count must be at least 1, got {self.count}")
+        if self.grids == ():
+            raise ConfigParse("grids must not be empty when given")
         if self.grids is not None and any(b <= a for a, b in zip(self.grids, self.grids[1:])):
             raise ConfigParse(f"grids must be strictly increasing, got {list(self.grids)}")
 
@@ -218,30 +219,26 @@ def _spec(config: ExperimentConfig | None, family: str) -> dict:
     return values
 
 
-def _dirac_oracle(spec: DiracSpec) -> dict[int, float]:
-    # a kappa > 0 channel shares the discrete spectrum of -kappa, so its lowest
-    # level is the -kappa ground energy, not the continuum's E(n_r=1)
-    if spec.kappa > 0 or spec.nu >= abs(spec.kappa):
+def _oracle(spec, op: BlockOperator, k_max: int) -> dict[int, float]:
+    """Ground truth by level: closed forms for dirac and aps, else a dense eigensolve."""
+    if isinstance(spec, DiracSpec):
+        # a kappa > 0 channel shares the discrete spectrum of -kappa, so its lowest
+        # level is the -kappa ground energy, not the continuum's E(n_r=1)
+        if spec.kappa > 0 or spec.nu >= abs(spec.kappa):
+            return {}
+        return {1: analytic_dirac_energy(spec.nu, spec.kappa, 0)}
+    if isinstance(spec, ApsSpec):
+        j = np.arange(1, spec.n + 1)
+        sigmas = 2.0 * (spec.n + 1) / spec.length_l * np.sin(j * np.pi / (2 * (spec.n + 1)))
+        values = np.sort(np.concatenate(
+            [np.sqrt(mode * mode + sigmas**2) for mode in spec.modes]
+        ))
+    elif op.dim > ORACLE_DIM_LIMIT:
         return {}
-    return {1: analytic_dirac_energy(spec.nu, spec.kappa, 0)}
-
-
-def _aps_oracle(spec: ApsSpec, k_max: int) -> dict[int, float]:
-    j = np.arange(1, spec.n + 1)
-    sigmas = 2.0 * (spec.n + 1) / spec.length_l * np.sin(j * np.pi / (2 * (spec.n + 1)))
-    values = np.sort(np.concatenate(
-        [np.sqrt(mode * mode + sigmas**2) for mode in spec.modes]
-    ))
+    else:
+        clusters = gap_eigs_bruteforce(op, lambda0(op), math.inf)
+        values = [value for value, mult in clusters for _ in range(mult)]
     return {k: float(values[k - 1]) for k in range(1, min(k_max, len(values)) + 1)}
-
-
-def _dense_oracle(op: BlockOperator, k_max: int) -> dict[int, float]:
-    if op.dim > ORACLE_DIM_LIMIT:
-        return {}
-    lam0 = lambda0(op)
-    clusters = gap_eigs_bruteforce(op, lam0, math.inf)
-    flat = [value for value, mult in clusters for _ in range(mult)]
-    return {k: flat[k - 1] for k in range(1, min(k_max, len(flat)) + 1)}
 
 
 def _load_matrix_file(path: str) -> BlockOperator:
@@ -259,59 +256,59 @@ def _load_matrix_file(path: str) -> BlockOperator:
 
 @dataclass(frozen=True)
 class _Unit:
-    """One independently runnable (model instance, grid, seed) work item.
+    """One independently runnable (model instance, grid, seed) work item, not yet built.
 
-    oracle computes the ground truth by level; only spectrum rows read it.
+    spec is the DiracSpec, ApsSpec or RandomSpec that _build turns into the
+    operator when the unit runs; the unit's work drops it when done. A matrix
+    file's unit carries the operator its file holds, read when the units are listed.
     """
 
     model_id: str
     grid: int
-    op: BlockOperator
-    oracle: Callable[[], dict[int, float]]
-    spec: object
+    spec: DiracSpec | ApsSpec | RandomSpec | BlockOperator
 
 
 def _units(config: ExperimentConfig) -> list[_Unit]:
-    units: list[_Unit] = []
     kind, spec = config.kind, _spec(config, config.kind)
     if kind == "dirac":
         base = DiracSpec(**spec)
-        for n in config.grids or (base.n,):
-            dspec = replace(base, n=n)
-            model_id = (f"dirac(nu={dspec.nu:g},kappa={dspec.kappa},"
-                        f"r_max={dspec.r_max:g},grading={dspec.grading})")
-            units.append(_Unit(model_id, n, build_dirac_coulomb(dspec),
-                               partial(_dirac_oracle, dspec), dspec))
-    elif kind == "aps":
+        specs = [replace(base, n=n) for n in config.grids or (base.n,)]
+        return [_Unit(f"dirac(nu={s.nu:g},kappa={s.kappa},r_max={s.r_max:g},"
+                      f"grading={s.grading})", s.n, s) for s in specs]
+    if kind == "aps":
         base = ApsSpec(**spec)
-        for n in config.grids or (base.n,):
-            aspec = replace(base, n=n)
-            model_id = f"aps(modes={list(aspec.modes)},L={aspec.length_l:g})"
-            units.append(_Unit(model_id, n, build_aps_cylinder(aspec),
-                               partial(_aps_oracle, aspec, config.k_max), aspec))
-    elif kind == "random":
-        for offset in range(config.count):
-            rspec = RandomSpec(**spec, seed=config.seed + offset)
-            op = random_gapped(rspec)
-            model_id = f"random(seed={rspec.seed},gap={rspec.gap_target:g})"
-            units.append(_Unit(model_id, op.dim, op,
-                               partial(_dense_oracle, op, config.k_max), rspec))
-    else:
-        path = spec["path"]
-        if not isinstance(path, str) or not path:
-            # a number would reach open() as a file descriptor
-            raise ConfigParse(f"matrix-file kind needs spec.path, a file path; got {path!r}")
-        op = _load_matrix_file(path)
-        units.append(_Unit(f"matrix-file({path})", op.dim, op,
-                           partial(_dense_oracle, op, config.k_max), None))
-    return units
+        specs = [replace(base, n=n) for n in config.grids or (base.n,)]
+        return [_Unit(f"aps(modes={list(s.modes)},L={s.length_l:g})", s.n, s)
+                for s in specs]
+    if kind == "random":
+        specs = [RandomSpec(**spec, seed=config.seed + i) for i in range(config.count)]
+        return [_Unit(f"random(seed={s.seed},gap={s.gap_target:g})",
+                      s.n_plus + s.n_minus, s) for s in specs]
+    path = spec["path"]
+    if not isinstance(path, str) or not path:
+        # a number would reach open() as a file descriptor
+        raise ConfigParse(f"matrix-file kind needs spec.path, a file path; got {path!r}")
+    op = _load_matrix_file(path)
+    return [_Unit(f"matrix-file({path})", op.dim, op)]
+
+
+def _build(spec) -> BlockOperator:
+    """A unit's operator, built through this module's names when the unit runs."""
+    if isinstance(spec, DiracSpec):
+        return build_dirac_coulomb(spec)
+    if isinstance(spec, ApsSpec):
+        return build_aps_cylinder(spec)
+    if isinstance(spec, RandomSpec):
+        return random_gapped(spec)
+    return spec
 
 
 def _solve_unit(unit: _Unit, config: ExperimentConfig) -> list[ReportRow]:
+    op = _build(unit.spec)
     start = time.perf_counter()
-    results = gap_spectrum(unit.op, config.k_max, config.tol)
+    results = gap_spectrum(op, config.k_max, config.tol)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
-    oracle = unit.oracle()
+    oracle = _oracle(unit.spec, op, config.k_max)
     rows = []
     for res in results:
         rows.append(ReportRow(
@@ -351,7 +348,7 @@ def row_failed(row: ReportRow, tol: float) -> bool:
 
 
 def _verify_unit(unit: _Unit, config: ExperimentConfig) -> list[VerificationReport]:
-    op = unit.op
+    op = _build(unit.spec)
     reports: list[VerificationReport] = []
     cert = lambda1_certificate(op)
     reports.append(VerificationReport(
@@ -378,7 +375,7 @@ def _verify_unit(unit: _Unit, config: ExperimentConfig) -> list[VerificationRepo
         krein.check, krein.value, krein.passed,
         {**krein.params, "model": unit.model_id}))
     reports.extend(sandwich_report(op, seed=config.seed))
-    if config.kind == "dirac" and unit.spec is not None:
+    if isinstance(unit.spec, DiracSpec):
         reports.append(hardy_check(unit.spec.nu, unit.spec.n, unit.spec.r_max))
     return reports
 
@@ -478,6 +475,8 @@ def _cmd_verify(config: ExperimentConfig, args: argparse.Namespace) -> int:
 
 def _cmd_hardy(config: ExperimentConfig | None, args: argparse.Namespace) -> int:
     spec = _spec(config, "hardy")
+    if not spec["nu_values"]:
+        raise ConfigParse("nu_values must not be empty")
     reports = [hardy_check(nu, spec["n"], spec["r_max"]) for nu in spec["nu_values"]]
     return 1 if _emit_reports(reports, config, args) else 0
 
@@ -489,8 +488,8 @@ def _cmd_pollution(config: ExperimentConfig | None, args: argparse.Namespace) ->
     if len(grids) < 2:
         raise ConfigParse(f"pollution compares two grids; grids needs at least two, got {grids}")
     tol = config.tol if config else ExperimentConfig.tol
-    if len(window) != 2:
-        raise ConfigParse(f"window must hold two numbers, got {list(window)}")
+    if len(window) != 2 or not window[0] < window[1]:
+        raise ConfigParse(f"window must hold two increasing numbers, got {list(window)}")
 
     lam1 = {}
     window_values = {}

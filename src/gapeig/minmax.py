@@ -26,18 +26,18 @@ band of it, _count(lam + band) - _count(lam - band).
 
 gap_spectrum solves its levels one by one, and every level's _root probes
 the same left edge and doubling energies. It keeps one bracketing ladder per
-call, probe energy -> the k_max lowest values kappa there from one
-eigensolve (SchurSystem.levels), and each lambda_k reads its kappa_k from it;
-the Newton steps still solve for their own level and vector. A standalone
-lambda_k probes through mu_k.
+call, a cached function from probe energy to the k_max lowest values kappa
+there from one eigensolve (SchurSystem.levels), and each lambda_k reads its
+kappa_k from it; the Newton steps still solve for their own level and
+vector. A standalone lambda_k probes through mu_k.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Callable
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -147,24 +147,13 @@ def _count(op: BlockOperator, e: float, lam0: float) -> int:
     return len(build_schur(op, e).values_in(-math.inf, 0.0))
 
 
-class _Ladder(dict):
-    """Probe energy -> the m lowest eigenvalues of k_e there, one eigensolve on first read."""
-
-    def __init__(self, op: BlockOperator, m: int) -> None:
-        super().__init__()
-        self.op, self.m = op, m
-
-    def __missing__(self, lam: float) -> np.ndarray:
-        row = self[lam] = SchurSystem(self.op, lam).levels(self.m)
-        return row
-
-
 def lambda_k(op: BlockOperator, k: int, tol: float = 1e-10, *,
-             levels: Mapping[float, np.ndarray] | None = None) -> MinMaxResult:
+             levels: Callable[[float], np.ndarray] | None = None) -> MinMaxResult:
     """The k-th gap eigenvalue: root of lam -> kappa_k(lam) = mu_k(op, lam, k) above lambda0.
 
-    levels, if given, maps each bracketing probe energy to at least k lowest
-    eigenvalues of k_e there (gap_spectrum's ladder); without it every probe is mu_k.
+    levels, if given, is called with each bracketing probe energy and returns at
+    least k lowest eigenvalues of k_e there (gap_spectrum's ladder); without it
+    every probe is mu_k.
     """
     if not 1 <= k <= op.n_plus:
         raise KOutOfRange(f"k must lie in 1..{op.n_plus}, got {k}")
@@ -172,7 +161,7 @@ def lambda_k(op: BlockOperator, k: int, tol: float = 1e-10, *,
         raise ValueError(f"tol must be positive and finite, got {tol}")
 
     def level(lam: float) -> tuple[float, float]:
-        kappa = mu_k(op, lam, k) if levels is None else float(levels[lam][k - 1])
+        kappa = mu_k(op, lam, k) if levels is None else float(levels(lam)[k - 1])
         return kappa, lam + kappa
 
     def step(lam: float) -> tuple[float, float]:
@@ -201,7 +190,8 @@ def gap_spectrum(op: BlockOperator, k_max: int, tol: float = 1e-10) -> list[MinM
     """
     if not 1 <= k_max <= op.n_plus:
         raise KOutOfRange(f"k_max must lie in 1..{op.n_plus}, got {k_max}")
-    ladder = _Ladder(op, k_max)
+    # probe energy -> the k_max lowest eigenvalues of k_e there, one eigensolve per energy
+    ladder = cache(lambda lam: SchurSystem(op, lam).levels(k_max))
     ordered: list[MinMaxResult] = []
     while len(ordered) < k_max:
         k = len(ordered) + 1

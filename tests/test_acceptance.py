@@ -182,7 +182,7 @@ def test_criterion_07_hardy_surrogate(capsys):
     report = hardy_check(1.0, 1500, 30.0)
     elapsed = time.perf_counter() - start
     ok = report.value >= -1e-3 and elapsed <= 120.0
-    detail = (f"smallest zero-energy pencil value at nu=1, n=1500: "
+    detail = (f"smallest eigenvalue of k_0 at nu=1, n=1500: "
               f"{report.value:.3e} (>= -1e-3), {elapsed:.1f}s (<= 120s)")
     assert _verdict(capsys, 7, ok, detail)
 

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +13,8 @@ import pytest
 import gapeig.cli as cli
 import gapeig.minmax as minmax
 import gapeig.schur as schur
-from gapeig import ApsSpec, ConfigParse, DiracSpec, RandomSpec, VerificationReport, __version__
+from gapeig import (ApsSpec, BlockOperator, ConfigParse, DiracSpec, RandomSpec,
+                    VerificationReport, __version__)
 from gapeig.cli import (
     CSV_HEADER,
     REPORT_CSV_HEADER,
@@ -94,18 +96,23 @@ class TestConfigParsing:
         assert config.grids is None
         assert (config.spec, config.seed, config.out) == ({}, 0, None)
 
-        # an empty spec gets README's defaults in each of the six families; the
-        # builders and the Hardy check record their arguments instead of solving
+        # an empty spec gets README's defaults in each of the six families; listing
+        # the units builds nothing, and the Hardy check records its arguments
         build_dirac = cli.build_dirac_coulomb
         built, hardy, tols = [], [], []
-        monkeypatch.setattr(cli, "build_dirac_coulomb", lambda spec: built.append(spec))
-        monkeypatch.setattr(cli, "build_aps_cylinder", lambda spec: built.append(spec))
-        cli._units(config_from_dict({"kind": "dirac"}))
-        cli._units(config_from_dict({"kind": "aps"}))
-        assert built == [DiracSpec(nu=0.5, kappa=-1, n=600, r_max=30.0, grading="uniform"),
-                         ApsSpec(modes=(0.0,), length_l=1.0, n=200)]
-        assert [u.spec for u in cli._units(config)] == [
+
+        def refuse(spec):
+            raise AssertionError(f"built {spec} while listing units")
+
+        for name in ("build_dirac_coulomb", "build_aps_cylinder", "random_gapped"):
+            monkeypatch.setattr(cli, name, refuse)
+        units = [unit for kind in ("dirac", "aps", "random")
+                 for unit in cli._units(config_from_dict({"kind": kind}))]
+        assert [unit.spec for unit in units] == [
+            DiracSpec(nu=0.5, kappa=-1, n=600, r_max=30.0, grading="uniform"),
+            ApsSpec(modes=(0.0,), length_l=1.0, n=200),
             RandomSpec(n_plus=8, n_minus=8, gap_target=1.0, seed=0)]
+        assert [unit.grid for unit in units] == [600, 200, 16]
         with pytest.raises(ConfigParse, match="spec.path.*None"):
             cli._units(config_from_dict({"kind": "matrix-file"}))
 
@@ -118,7 +125,6 @@ class TestConfigParsing:
         assert hardy == [(nu, 1500, 30.0) for nu in (0.0, 0.5, 0.9, 1.0)]
         assert all(type(n) is int for _, n, _ in hardy)
 
-        built.clear()
         monkeypatch.setattr(cli, "build_dirac_coulomb", lambda spec: built.append(spec)
                             or build_dirac(replace(spec, n=spec.n // 10)))
         monkeypatch.setattr(cli, "lambda_k", lambda op, k, tol: tols.append(tol)
@@ -198,6 +204,31 @@ class TestRun:
         })
         strip = lambda rows: [(r.model, r.grid, r.k, r.lambda_k) for r in rows]
         assert strip(run(config, jobs=3)) == strip(run(config, jobs=1))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_operators_alive_at_a_solve_are_one_per_worker(self, monkeypatch, jobs):
+        # a unit builds its operator when it runs and drops it when done, so the
+        # operators alive at a solve, and the memory they hold, follow --jobs, not count
+        live = weakref.WeakSet()
+        validate = BlockOperator.__post_init__
+
+        def register(op):
+            validate(op)
+            live.add(op)
+
+        solve_all, solve_root = cli.gap_spectrum, minmax.lambda_k
+        at_solve, at_root = [], []
+        monkeypatch.setattr(BlockOperator, "__post_init__", register)
+        monkeypatch.setattr(cli, "gap_spectrum", lambda op, *args:
+                            at_solve.append(len(live)) or solve_all(op, *args))
+        config = config_from_dict({
+            "kind": "random", "spec": {"n_plus": 6, "n_minus": 5}, "count": 8, "k_max": 2})
+        assert len(run(config, jobs=jobs)) == 16
+        monkeypatch.setattr(minmax, "lambda_k", lambda op, *args, **kwargs:
+                            at_root.append(len(live)) or solve_root(op, *args, **kwargs))
+        assert all(rep.passed for rep in verify_all(config, jobs=jobs))
+        assert len(at_solve) == len(at_root) == 8
+        assert max(at_solve + at_root) <= jobs
 
     def test_dirac_grids_expand_to_units(self):
         config = config_from_dict({
@@ -418,6 +449,12 @@ class TestMain:
         ("spectrum", '{"kind": "random", "tol": Infinity}', "tol"),
         ("spectrum", '{"kind": "aps", "spec": {"length_l": NaN}}', "length_l"),
         ("pollution", '{"kind": "dirac", "spec": {"window": [-Infinity, 0.5]}}', "window"),
+        # an empty or reversed list would run as a clean, empty report
+        ("pollution", {"kind": "dirac", "spec": {"window": [0.5, -0.5]}}, "window"),
+        ("pollution", {"kind": "dirac", "spec": {"window": [0.5, 0.5]}}, "window"),
+        ("hardy", {"kind": "dirac", "spec": {"nu_values": []}}, "nu_values"),
+        ("spectrum", {"kind": "dirac", "spec": {"n": 24}, "grids": []}, "grids"),
+        ("pollution", {"kind": "dirac", "grids": []}, "grids"),
     ])
     def test_malformed_number_exits_two(self, tmp_path, capsys, command, config, key):
         if isinstance(config, dict) and config["kind"] == "matrix-file":

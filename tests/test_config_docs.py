@@ -1,5 +1,5 @@
-"""README's "Config files" section documents every config key, and its
-"Layout" section every module.
+"""README's "Config files" section documents every config key, its
+"Command line" table every subcommand, and its "Layout" section every module.
 
 The top-level keys are the fields of `cli.ExperimentConfig`, and the spec
 keys of each model kind and subcommand are the entries of `cli.SPECS`; a key
@@ -11,24 +11,30 @@ too.
 from dataclasses import fields
 from pathlib import Path
 
-from gapeig.cli import SPECS, ExperimentConfig
+from gapeig.cli import COMMANDS, SPECS, ExperimentConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
 
 
-def _config_section() -> str:
+def _section(heading: str) -> str:
     text = README.read_text(encoding="utf-8")
-    start = text.index("### Config files")
-    return text[start:text.index("\n### ", start)]
+    start = text.index(heading)
+    return text[start:text.index("\n#", start + len(heading))]
 
 
 def test_every_config_and_spec_key_is_documented():
-    section = _config_section()
+    section = _section("### Config files")
     keys = [f.name for f in fields(ExperimentConfig)]
     keys += [name for family, spec in SPECS.items() for name in (family, *spec)]
     missing = sorted({key for key in keys if f"`{key}`" not in section})
     assert not missing
+
+
+def test_subcommand_table_lists_exactly_the_commands():
+    rows = [line.split("|")[1].strip() for line in _section("## Command line").splitlines()
+            if line.startswith("| `")]
+    assert sorted(rows) == sorted(f"`{name}`" for name in COMMANDS)
 
 
 def test_layout_lists_exactly_the_modules():
