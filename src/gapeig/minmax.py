@@ -175,7 +175,7 @@ def lambda_k(op: BlockOperator, k: int, tol: float = 1e-10, *,
     # band on energies: the eigenvalues within CLUSTER_RTOL*max(1, |lam|) of lam are counted
     band = CLUSTER_RTOL * max(1.0, abs(lam))
     multiplicity = _count(op, lam + band, lam0) - _count(op, lam - band, lam0)
-    return MinMaxResult(k=k, lambda_k=lam, multiplicity=max(1, multiplicity),
+    return MinMaxResult(k=k, lambda_k=lam, multiplicity=multiplicity,
                         residual=system.residual(system.vector(k)[1]), iterations=evals,
                         bracket=bracket)
 

@@ -12,6 +12,7 @@ import pytest
 
 import gapeig.cli as cli
 import gapeig.minmax as minmax
+import gapeig.models as models
 import gapeig.schur as schur
 from gapeig import (ApsSpec, BlockOperator, ConfigParse, DiracSpec, RandomSpec,
                     VerificationReport, __version__)
@@ -45,6 +46,20 @@ def canonical_matrix_config(tmp_path):
                     {"matrix": [[1.0, 1.0], [1.0, -1.0]], "n_plus": 1})
     return _write(tmp_path / "cfg.json",
                   {"kind": "matrix-file", "spec": {"path": matrix}})
+
+
+@pytest.fixture
+def live_operators(monkeypatch):
+    """A weak set that every BlockOperator joins when it is built."""
+    live = weakref.WeakSet()
+    validate = BlockOperator.__post_init__
+
+    def register(op):
+        validate(op)
+        live.add(op)
+
+    monkeypatch.setattr(BlockOperator, "__post_init__", register)
+    return live
 
 
 class TestConfigParsing:
@@ -206,19 +221,22 @@ class TestRun:
         assert strip(run(config, jobs=3)) == strip(run(config, jobs=1))
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_operators_alive_at_a_solve_are_one_per_worker(self, monkeypatch, jobs):
+    def test_random_rows_come_in_seed_order(self, jobs):
+        # seeds 7..11 cross a digit boundary, where a sort by the model string
+        # put "random(seed=10,...)" first
+        config = config_from_dict({
+            "kind": "random", "spec": {"n_plus": 6, "n_minus": 5}, "count": 5, "seed": 7})
+        assert [r.model for r in run(config, jobs=jobs)] == [
+            f"random(seed={seed},gap=1)" for seed in range(7, 12)]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_operators_alive_at_a_solve_are_one_per_worker(self, monkeypatch, live_operators,
+                                                            jobs):
         # a unit builds its operator when it runs and drops it when done, so the
         # operators alive at a solve, and the memory they hold, follow --jobs, not count
-        live = weakref.WeakSet()
-        validate = BlockOperator.__post_init__
-
-        def register(op):
-            validate(op)
-            live.add(op)
-
+        live = live_operators
         solve_all, solve_root = cli.gap_spectrum, minmax.lambda_k
         at_solve, at_root = [], []
-        monkeypatch.setattr(BlockOperator, "__post_init__", register)
         monkeypatch.setattr(cli, "gap_spectrum", lambda op, *args:
                             at_solve.append(len(live)) or solve_all(op, *args))
         config = config_from_dict({
@@ -229,6 +247,19 @@ class TestRun:
         assert all(rep.passed for rep in verify_all(config, jobs=jobs))
         assert len(at_solve) == len(at_root) == 8
         assert max(at_solve + at_root) <= jobs
+
+    def test_verify_releases_the_operator_before_the_hardy_row(self, monkeypatch,
+                                                               live_operators):
+        # the Hardy row builds its own kappa=-1 operator, so the unit's must be gone
+        build, at_hardy = models.build_dirac_coulomb, []
+        monkeypatch.setattr(models, "build_dirac_coulomb", lambda spec:
+                            at_hardy.append(len(live_operators)) or build(spec))
+        config = config_from_dict({
+            "kind": "dirac", "spec": {"n": 40, "r_max": 20.0}, "grids": [40, 60]})
+        reports = verify_all(config)
+        assert [rep.check for rep in reports].count("hardy") == 2
+        assert reports[-1].check == "hardy"
+        assert at_hardy == [0, 0]
 
     def test_dirac_grids_expand_to_units(self):
         config = config_from_dict({
@@ -455,6 +486,12 @@ class TestMain:
         ("hardy", {"kind": "dirac", "spec": {"nu_values": []}}, "nu_values"),
         ("spectrum", {"kind": "dirac", "spec": {"n": 24}, "grids": []}, "grids"),
         ("pollution", {"kind": "dirac", "grids": []}, "grids"),
+        # a key the kind ignores would run as if it were absent
+        ("converge", {"kind": "random", "spec": {"n_plus": 6, "n_minus": 5},
+                      "grids": [100, 200, 400]}, "grids"),
+        ("spectrum", {"kind": "matrix-file", "grids": [2]}, "grids"),
+        ("spectrum", {"kind": "dirac", "spec": {"n": 24}, "count": 5}, "count"),
+        ("verify", {"kind": "aps", "spec": {"n": 8}, "count": 2}, "count"),
     ])
     def test_malformed_number_exits_two(self, tmp_path, capsys, command, config, key):
         if isinstance(config, dict) and config["kind"] == "matrix-file":
@@ -464,6 +501,18 @@ class TestMain:
         assert main([command, "--config", cfg, "--quiet"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("gapeig: ") and key in err
+
+    def test_a_root_with_no_counted_eigenvalue_fails_its_row(self, tmp_path, monkeypatch):
+        # equal inertia counts at lambda +- band: the band holds no eigenvalue of A, so
+        # the degenerate pair reads multiplicity 0, neither level is filled in, and the
+        # rows fail on that alone
+        monkeypatch.setattr(minmax, "_count", lambda op, e, lam0: 3)
+        results = minmax.gap_spectrum(models.build_aps_cylinder(ApsSpec((3.0, -3.0), 1.0, 8)), 2)
+        assert [(r.multiplicity, r.iterations > 0) for r in results] == [(0, True)] * 2
+        assert all(r.residual <= 1e-10 for r in results)
+        cfg = _write(tmp_path / "cfg.json",
+                     {"kind": "aps", "spec": {"modes": [3.0, -3.0], "n": 8}, "k_max": 2})
+        assert main(["spectrum", "--config", cfg, "--quiet"]) == 1
 
     @pytest.mark.parametrize("spec", [[["n", 40], ["r_max", 20.0]], "abc"])
     def test_non_object_spec_exits_two(self, tmp_path, capsys, spec):
