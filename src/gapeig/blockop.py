@@ -19,6 +19,7 @@ depends on an energy is kept there.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,23 +31,33 @@ INPUT_SYMMETRY_RTOL = 1e-12
 
 
 def _check_finite(m: np.ndarray, what: str) -> float:
-    """Frobenius norm of m, rejecting NaN and inf entries, which slip past every comparison."""
-    norm = np.linalg.norm(m)
-    # one BLAS pass; a norm that overflows on finite entries is rechecked entrywise
-    if not np.isfinite(norm) and not np.isfinite(m).all():
+    """Largest entry magnitude of m, rejecting NaN and inf, which slip past every comparison."""
+    top = max(m.max(), -m.min())  # a NaN entry makes both NaN
+    if not np.isfinite(top):
         raise NonFinite(f"block {what} has non-finite entries (NaN or inf)")
-    return norm
+    return top
 
 
 def _check_symmetric(m: np.ndarray, rtol: float, what: str) -> np.ndarray:
-    """Return the symmetrized copy of the square m, rejecting asymmetry beyond rtol*||m||."""
-    scale = _check_finite(m, what)
-    defect = np.linalg.norm(m - m.T)
+    """Return the symmetrized copy of the square m, rejecting asymmetry beyond rtol*||m||.
+
+    The copy is 0.5*m + 0.5*m.T, which rounds as (m + m.T)/2 but cannot overflow; m.T
+    is read 64 rows at a time, so no second n x n array is made. ||m - m.T|| is read as
+    2*||m - copy||, and both norms are of rows scaled exactly by a power of two to a
+    largest entry in [0.5, 1), so neither overflows nor vanishes.
+    """
+    exp = math.frexp(_check_finite(m, what))[1]
+    rows = [slice(j, j + 64) for j in range(0, len(m), 64)]
+    sym = np.multiply(m, 0.5)
+    for r in rows:
+        sym[:, r] += 0.5 * m[r].T
+    defect = scale = 0.0
+    for r in rows:
+        defect = math.hypot(defect, np.linalg.norm(np.ldexp(m[r] - sym[r], 1 - exp)))
+        scale = math.hypot(scale, np.linalg.norm(np.ldexp(m[r], -exp)))
     if defect > rtol * scale:
-        raise NonSymmetric(
-            f"{what} asymmetry {defect:.3e} exceeds {rtol:g}*norm ({rtol * scale:.3e})"
-        )
-    return (m + m.T) / 2.0
+        raise NonSymmetric(f"{what} relative asymmetry {defect / scale:.3e} exceeds {rtol:g}")
+    return sym
 
 
 def _check_cap(n_plus: int, n_minus: int) -> None:

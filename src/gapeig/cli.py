@@ -35,7 +35,7 @@ import numpy as np
 from . import __version__
 from .blockop import BlockOperator, assemble_block, lambda0
 from .errors import ConfigParse, GapeigError
-from .minmax import gap_spectrum, lambda1_certificate, lambda_k
+from .minmax import gap_spectrum, lambda_k
 from .models import (
     ApsSpec,
     DiracSpec,
@@ -47,16 +47,7 @@ from .models import (
     random_gapped,
 )
 from .oracle import dense_spectrum, gap_eigs_bruteforce
-from .verify import (
-    VerificationReport,
-    decomposition_residual,
-    e_samples,
-    extension_consistency,
-    gap_fractions,
-    inverse_formula_check,
-    krein_gap_check,
-    sandwich_report,
-)
+from .verify import VerificationReport, operator_reports
 
 CSV_HEADER = "model,grid,k,lambda_k,multiplicity,oracle,abs_error,residual,ms"
 REPORT_CSV_HEADER = "check,value,passed,params"
@@ -352,32 +343,7 @@ def row_failed(row: ReportRow, tol: float) -> bool:
 
 def _verify_unit(unit: _Unit, config: ExperimentConfig) -> list[VerificationReport]:
     op = _build(unit.spec)
-    reports: list[VerificationReport] = []
-    cert = lambda1_certificate(op)
-    reports.append(VerificationReport(
-        "gap_certificate", cert.lambda1 - cert.lambda0, cert.valid,
-        {"model": unit.model_id, "lambda0": cert.lambda0, "lambda1": cert.lambda1,
-         "diagnostic": cert.diagnostic},
-    ))
-    if not cert.valid:
-        return reports
-    for e in e_samples(op, cert.lambda1):
-        value = decomposition_residual(op, e)
-        reports.append(VerificationReport(
-            "decomposition", value, value <= 1e-11, {"model": unit.model_id, "e": e}))
-        value = extension_consistency(op, e)
-        reports.append(VerificationReport(
-            "extension_consistency", value, value <= 1e-11,
-            {"model": unit.model_id, "e": e}))
-    for e in gap_fractions(cert.lambda0, cert.lambda1):
-        value = inverse_formula_check(op, e)
-        reports.append(VerificationReport(
-            "inverse_formula", value, value <= 1e-10, {"model": unit.model_id, "e": e}))
-    krein = krein_gap_check(op, n_samples=200, seed=config.seed)
-    reports.append(VerificationReport(
-        krein.check, krein.value, krein.passed,
-        {**krein.params, "model": unit.model_id}))
-    reports.extend(sandwich_report(op, seed=config.seed))
+    reports = operator_reports(op, unit.model_id, config.seed)
     del op  # the Hardy row builds its own operator; at most one is alive per worker
     if isinstance(unit.spec, DiracSpec):
         reports.append(hardy_check(unit.spec.nu, unit.spec.n, unit.spec.r_max))
@@ -497,11 +463,11 @@ def _cmd_pollution(config: ExperimentConfig | None, args: argparse.Namespace) ->
 
     lam1 = {}
     window_values = {}
-    for n in grids:
-        op = build_dirac_coulomb(DiracSpec(**spec, n=n))
-        lam1[n] = lambda_k(op, 1, tol).lambda_k
+    for dirac in [DiracSpec(**spec, n=n) for n in grids]:  # every grid checked before a build
+        op = build_dirac_coulomb(dirac)
+        lam1[dirac.n] = lambda_k(op, 1, tol).lambda_k
         values = dense_spectrum(op).values
-        window_values[n] = values[(values > window[0]) & (values < window[1])]
+        window_values[dirac.n] = values[(values > window[0]) & (values < window[1])]
 
     reports = []
     for n in grids:
@@ -535,13 +501,13 @@ def _cmd_pollution(config: ExperimentConfig | None, args: argparse.Namespace) ->
     return 0 if stable else 1
 
 
-# subcommand -> (handler(config, args), whether --config is required)
+# subcommand -> (handler(config, args), whether --config is required, whether it reads --jobs)
 COMMANDS = {
-    "spectrum": (_cmd_spectrum, True),
-    "verify": (_cmd_verify, True),
-    "converge": (_cmd_converge, True),
-    "hardy": (_cmd_hardy, False),
-    "pollution": (_cmd_pollution, False),
+    "spectrum": (_cmd_spectrum, True, True),
+    "verify": (_cmd_verify, True, True),
+    "converge": (_cmd_converge, True, True),
+    "hardy": (_cmd_hardy, False, False),
+    "pollution": (_cmd_pollution, False, False),
 }
 
 
@@ -552,7 +518,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--version", action="version", version=f"gapeig {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, (_, config_required) in COMMANDS.items():
+    for name, (_, config_required, parallel) in COMMANDS.items():
         sub = subs.add_parser(name)
         sub.add_argument("--config", required=config_required,
                          help="path to a JSON experiment config")
@@ -560,14 +526,15 @@ def main(argv: list[str] | None = None) -> int:
         sub.add_argument("--format", default=None, choices=("csv", "json"),
                          help="output format override")
         sub.add_argument("--quiet", action="store_true", help="suppress summary lines")
-        sub.add_argument("--jobs", type=int, default=1,
-                         help="parallel workers across grids/seeds")
+        if parallel:
+            sub.add_argument("--jobs", type=int, default=1,
+                             help="parallel workers across grids/seeds")
 
     args = parser.parse_args(argv)
-    if args.jobs < 1:
+    if getattr(args, "jobs", 1) < 1:
         print(f"gapeig: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
         return 2
-    handler, _ = COMMANDS[args.command]
+    handler = COMMANDS[args.command][0]
     try:
         config = (load_config(args.config, {"out": args.out, "format": args.format})
                   if args.config else None)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .blockop import BlockOperator
+from .blockop import BlockOperator, _check_cap
 from .errors import SpecInvalid
 from .schur import build_schur
 from .verify import VerificationReport
@@ -50,6 +50,7 @@ class DiracSpec:
             raise SpecInvalid(f"kappa must be a nonzero integer, got {self.kappa}")
         if self.n < 16:
             raise SpecInvalid(f"n must be at least 16, got {self.n}")
+        _check_cap(self.n, self.n)  # before a builder allocates its n x n blocks
         if not self.r_max > 0:
             raise SpecInvalid(f"r_max must be positive, got {self.r_max}")
         grading = self.grading if self.grading is not None else default_grading(self.nu)
@@ -74,6 +75,7 @@ class ApsSpec:
             raise SpecInvalid(f"length_l must be positive, got {self.length_l}")
         if self.n < 8:
             raise SpecInvalid(f"n must be at least 8, got {self.n}")
+        _check_cap(len(modes) * self.n, len(modes) * (2 * self.n + 1))  # n and 2n + 1 per mode
         object.__setattr__(self, "modes", modes)
 
 
@@ -89,6 +91,7 @@ class RandomSpec:
     def __post_init__(self) -> None:
         if self.n_plus < 1 or self.n_minus < 1:
             raise SpecInvalid("dimensions must be at least 1")
+        _check_cap(self.n_plus, self.n_minus)
         if not self.gap_target > 0:
             raise SpecInvalid(f"gap_target must be positive, got {self.gap_target}")
 

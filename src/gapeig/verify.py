@@ -1,17 +1,17 @@
 """Machine checks of the structural identities behind the gap construction.
 
 Each check compares both sides of an identity and returns a relative residual
-(or a margin, for the gap bound). The congruence rows take their norms from
-the blocks of one Schur system at each energy and keep nothing; the inverse
-formula and the gap bound work on the assembled matrix. The identities hold
-algebraically, so residuals sit at roundoff; anything above the stated
-tolerances means a wiring bug, not a math failure.
+(or a margin, for the gap bound); operator_reports lists one operator's rows with
+their pass bounds. The two congruence rows at an energy share one computation from
+the blocks of one Schur system, and nothing is kept; the inverse formula and the
+gap bound work on the assembled matrix. The identities hold algebraically, so
+residuals sit at roundoff; anything above the stated tolerances means a wiring bug.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -72,21 +72,14 @@ def decomposition_residual(op: BlockOperator, e: float) -> float:
     return _congruence(op, e)[0]
 
 
-def _check_samples(n_samples: int) -> None:
-    """A sampled check needs a sample: with none, its worst case would pass vacuously."""
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
-
-
-def krein_gap_check(op: BlockOperator, n_samples: int = 200,
-                    seed: int = 0) -> VerificationReport:
+def krein_gap_check(op: BlockOperator, seed: int = 0) -> VerificationReport:
     """Distance of the gap midpoint to the spectrum versus the half-gap bound.
 
     The smallest singular value of A - mid*I, min |eig(A) - mid| for the
-    symmetric A, must reach at least (lambda1 - lambda0)/2; random quotients
-    ||(A - mid) z||/||z|| can only sit above that singular value.
+    symmetric A, must reach at least (lambda1 - lambda0)/2; the quotients
+    ||(A - mid) z||/||z|| of 200 random z can only sit above that singular value.
     """
-    _check_samples(n_samples)
+    n_samples = 200
     cert = lambda1_certificate(op)
     if not cert.valid:
         raise NoGap(cert.diagnostic or
@@ -111,7 +104,7 @@ def krein_gap_check(op: BlockOperator, n_samples: int = 200,
             "half_gap": half_gap,
             "smallest_singular_value": smallest,
             "sampled_min_quotient": float(quotients.min()),
-            "n_samples": int(n_samples),
+            "n_samples": n_samples,
         },
     )
 
@@ -152,10 +145,9 @@ def inverse_formula_check(op: BlockOperator, e: float) -> float:
     return float(np.linalg.norm(rows))
 
 
-def sandwich_report(op: BlockOperator, seed: int,
-                    n_samples: int = 50) -> list[VerificationReport]:
-    """Sampled two-sided energy-monotonicity and norm-chain inequalities."""
-    _check_samples(n_samples)
+def sandwich_report(op: BlockOperator, seed: int) -> list[VerificationReport]:
+    """Two-sided energy-monotonicity and norm-chain inequalities over 50 samples."""
+    n_samples = 50
     rng = np.random.default_rng(seed)
     lam0 = lambda0(op)
     worst_sandwich = -math.inf
@@ -185,12 +177,9 @@ def sandwich_report(op: BlockOperator, seed: int,
             (norm_hi - norm_lo) / nscale,
             (norm_lo - bound) / nscale,
         )
-    return [
-        VerificationReport("sandwich", float(worst_sandwich), bool(worst_sandwich <= 1e-10),
-                           {"n_samples": n_samples, "seed": seed}),
-        VerificationReport("norm_chain", float(worst_chain), bool(worst_chain <= 1e-10),
-                           {"n_samples": n_samples, "seed": seed}),
-    ]
+    return [VerificationReport(check, float(worst), bool(worst <= 1e-10),
+                               {"n_samples": n_samples, "seed": seed})
+            for check, worst in (("sandwich", worst_sandwich), ("norm_chain", worst_chain))]
 
 
 def e_samples(op: BlockOperator, lambda1: float | None = None) -> list[float]:
@@ -206,3 +195,30 @@ def e_samples(op: BlockOperator, lambda1: float | None = None) -> list[float]:
 def gap_fractions(lam0: float, lam1: float) -> list[float]:
     """Energies strictly inside (lambda0, lambda1) at five fractions of the gap."""
     return [lam0 + f * (lam1 - lam0) for f in (1e-3, 1e-2, 1e-1, 0.5, 0.9)]
+
+
+def operator_reports(op: BlockOperator, model: str, seed: int) -> list[VerificationReport]:
+    """Every identity row of one operator, with its pass bound: the gap certificate
+    (alone without a certified gap), the two congruence rows at each e_samples energy,
+    the inverse formula at each gap fraction, the Krein bound, and the sampled sandwich
+    and norm-chain rows, which carry no model."""
+    def at(e: float, check: str, value: float, bound: float) -> VerificationReport:
+        return VerificationReport(check, value, value <= bound, {"model": model, "e": e})
+
+    cert = lambda1_certificate(op)
+    reports = [VerificationReport(
+        "gap_certificate", cert.lambda1 - cert.lambda0, cert.valid,
+        {"model": model, "lambda0": cert.lambda0, "lambda1": cert.lambda1,
+         "diagnostic": cert.diagnostic},
+    )]
+    if not cert.valid:
+        return reports
+    for e in e_samples(op, cert.lambda1):
+        relative, resid, full_norm = _congruence(op, e)
+        reports.append(at(e, "decomposition", relative, 1e-11))
+        reports.append(at(e, "extension_consistency", resid / max(1.0, full_norm), 1e-11))
+    for e in gap_fractions(cert.lambda0, cert.lambda1):
+        reports.append(at(e, "inverse_formula", inverse_formula_check(op, e), 1e-10))
+    krein = krein_gap_check(op, seed=seed)
+    reports.append(replace(krein, params={**krein.params, "model": model}))
+    return reports + sandwich_report(op, seed)

@@ -97,7 +97,7 @@ def test_criterion_03_sandwich_and_norm_chain(campaign_ops, capsys):
     worst_chain = -math.inf
     samples = 0
     for i, op in enumerate(campaign_ops[:20]):
-        sandwich, chain = sandwich_report(op, seed=1000 + i, n_samples=50)
+        sandwich, chain = sandwich_report(op, seed=1000 + i)
         worst_sandwich = max(worst_sandwich, sandwich.value)
         worst_chain = max(worst_chain, chain.value)
         samples += 50
@@ -134,7 +134,7 @@ def test_criterion_05_krein_bound(campaign_ops, capsys):
     start = time.perf_counter()
     worst = math.inf
     for op in campaign_ops:
-        report = krein_gap_check(op, n_samples=10)
+        report = krein_gap_check(op)
         worst = min(worst, report.value)
     elapsed = time.perf_counter() - start
     ok = worst >= -1e-10

@@ -87,6 +87,43 @@ def test_assemble_rejects_non_square():
         assemble_block(np.ones((1, 1)), 1)
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_huge_diagonal_entry_is_stored_as_given():
+    # (m + m.T)/2 stored inf for 1e308
+    op = BlockOperator(p=[[1e308]], c=[[1.0]], amm=[[-1.0]])
+    assert op.p[0, 0] == 1e308
+
+
+@pytest.mark.filterwarnings("error")
+def test_huge_finite_coupling_entries_are_finite():
+    # symmetrizing the input matrix overflowed, and c was rejected as non-finite
+    op = assemble_block([[1.0, 1e308], [1e308, -1.0]], 1)
+    assert op.c[0, 0] == 1e308
+
+
+@pytest.mark.parametrize("size", [1e308, 1e-200])
+def test_an_antisymmetric_block_is_rejected_at_any_scale(size):
+    # the norms overflowed to inf (inf > rtol*inf is false) or underflowed to 0,
+    # and the block passed as symmetric and was stored as zeros
+    with pytest.raises(NonSymmetric, match="relative asymmetry 2.000e\\+00"):
+        BlockOperator(p=[[0.0, size], [-size, 0.0]], c=[[1.0, 1.0]], amm=[[-1.0]])
+
+
+def test_symmetrization_rounds_as_the_mean_of_m_and_its_transpose():
+    # the stored block is the correctly rounded mean of m and m.T at every scale,
+    # (m + m.T)/2 to the last bit wherever that sum does not overflow; at 4e307 it
+    # did, and the block held inf
+    rng = np.random.default_rng(7)
+    for scale in (1e-300, 1e-150, 1.0, 1e150, 1e300, 4e307):
+        for _ in range(20):
+            m = rng.standard_normal((30, 30))
+            m = scale * ((m + m.T) / 2.0 + 1e-15 * rng.standard_normal((30, 30)))
+            op = BlockOperator(p=m, c=np.ones((2, 30)), amm=-np.eye(2))
+            assert np.array_equal(op.p, 2.0 * (0.25 * m + 0.25 * m.T))
+            if scale <= 1e300:
+                assert np.array_equal(op.p, (m + m.T) / 2.0)
+
+
 def test_tiny_asymmetry_is_symmetrized():
     full = np.array([[1.0, 1.0 + 1e-15], [1.0, -1.0]])
     op = assemble_block(full, 1)

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -14,6 +15,7 @@ import gapeig.cli as cli
 import gapeig.minmax as minmax
 import gapeig.models as models
 import gapeig.schur as schur
+import gapeig.verify as verify
 from gapeig import (ApsSpec, BlockOperator, ConfigParse, DiracSpec, RandomSpec,
                     VerificationReport, __version__)
 from gapeig.cli import (
@@ -530,6 +532,31 @@ class TestMain:
         assert captured.out == ""
         assert captured.err == f"gapeig: --jobs must be at least 1, got {jobs}\n"
 
+    @pytest.mark.parametrize("command", ["hardy", "pollution"])
+    def test_jobs_is_no_flag_of_the_commands_without_units(self, capsys, command):
+        # neither runs work units, so a --jobs there would be ignored
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,raw", [
+        ("spectrum", {"kind": "dirac", "spec": {"n": 5001}}),
+        ("hardy", {"kind": "dirac", "spec": {"n": 5001}}),
+        ("pollution", {"kind": "dirac", "grids": [100, 5001]}),
+    ])
+    def test_an_over_cap_grid_exits_two_before_any_block_is_built(self, tmp_path, capsys,
+                                                                  command, raw):
+        cfg = _write(tmp_path / "cfg.json", raw)
+        tracemalloc.start()
+        try:
+            assert main([command, "--config", cfg]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().err == "gapeig: block size exceeds cap 5000\n"
+        assert peak < 2**20
+
     def test_converge_requires_grids(self, tmp_path, capsys):
         cfg = _write(tmp_path / "cfg.json", {"kind": "dirac", "spec": {"nu": 0.5}})
         assert main(["converge", "--config", cfg]) == 2
@@ -610,6 +637,16 @@ class TestVerifySubcommand:
                     + tail)
         reports = verify_all(config_from_dict(raw))
         assert [rep.check for rep in reports] == expected
+
+    def test_one_congruence_per_energy(self, monkeypatch):
+        # the decomposition and extension rows at an energy read one congruence
+        calls, congruence = [], verify._congruence
+        monkeypatch.setattr(verify, "_congruence",
+                            lambda op, e: calls.append(e) or congruence(op, e))
+        reports = verify_all(config_from_dict({"kind": "dirac", "spec": {"n": 40,
+                                                                        "r_max": 20.0}}))
+        assert calls == [rep.params["e"] for rep in reports if rep.check == "decomposition"]
+        assert len(calls) == 6
 
     def test_verify_computes_no_oracle(self, monkeypatch):
         calls = []

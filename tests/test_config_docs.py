@@ -1,5 +1,6 @@
 """README's "Config files" section documents every config key, its
-"Command line" table every subcommand, and its "Layout" section every module.
+"Command line" table every subcommand, its "Output" table every check that
+`verify` writes, and its "Layout" section every module.
 
 The top-level keys are the fields of `cli.ExperimentConfig`, and the spec
 keys of each model kind and subcommand are the entries of `cli.SPECS`; a key
@@ -11,7 +12,7 @@ too.
 from dataclasses import fields
 from pathlib import Path
 
-from gapeig.cli import COMMANDS, SPECS, ExperimentConfig
+from gapeig.cli import COMMANDS, SPECS, ExperimentConfig, config_from_dict, verify_all
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -35,6 +36,14 @@ def test_subcommand_table_lists_exactly_the_commands():
     rows = [line.split("|")[1].strip() for line in _section("## Command line").splitlines()
             if line.startswith("| `")]
     assert sorted(rows) == sorted(f"`{name}`" for name in COMMANDS)
+
+
+def test_verify_table_lists_exactly_the_checks():
+    rows = [line.split("|")[1].strip() for line in _section("### Output").splitlines()
+            if line.startswith("| `")]
+    config = config_from_dict({"kind": "dirac", "spec": {"n": 40, "r_max": 20.0}})
+    checks = [rep.check for rep in verify_all(config)]
+    assert rows == [f"`{check}`" for check in dict.fromkeys(checks)]
 
 
 def test_layout_lists_exactly_the_modules():

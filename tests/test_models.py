@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from gapeig import (
     ApsSpec,
+    BadSplit,
     DiracSpec,
     RandomSpec,
     SpecInvalid,
@@ -244,3 +246,29 @@ class TestRandomGapped:
             RandomSpec(n_plus=0, n_minus=5)
         with pytest.raises(SpecInvalid):
             RandomSpec(n_plus=5, n_minus=5, gap_target=0.0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_dirac_coulomb(DiracSpec(nu=0.5, kappa=-1, n=5001, r_max=30.0)),
+    lambda: build_aps_cylinder(ApsSpec(modes=(0.0,), length_l=1.0, n=2500)),
+    lambda: random_gapped(RandomSpec(n_plus=5001, n_minus=1)),
+], ids=["dirac", "aps", "random"])
+def test_an_over_cap_model_is_rejected_before_any_block_is_built(build):
+    # the builders made their dense blocks before BlockOperator refused them:
+    # 573 MiB for Dirac n=5001; APS n=2500 has a 5001-row lower block
+    tracemalloc.start()
+    try:
+        with pytest.raises(BadSplit, match="cap 5000"):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_the_aps_cap_counts_each_modes_lower_block():
+    # each mode adds n upper and 2n + 1 lower coordinates
+    ApsSpec(modes=(0.0,), length_l=1.0, n=2499)
+    ApsSpec(modes=(0.0, 3.0), length_l=1.0, n=1249)
+    with pytest.raises(BadSplit, match="cap 5000"):
+        ApsSpec(modes=(0.0, 3.0), length_l=1.0, n=1250)

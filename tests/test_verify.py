@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -145,7 +147,7 @@ def test_congruence_rows_see_a_perturbed_lift(monkeypatch, name, backend):
 
 def test_krein_smallest_singular_value_matches_svd(canonical, campaign_ops):
     for op in [canonical, *campaign_ops[:10]]:
-        report = krein_gap_check(op, n_samples=5)
+        report = krein_gap_check(op)
         full = op.assembled()
         reference = sla.svdvals(full - report.params["mid"] * np.eye(op.dim))[-1]
         tol = 1e-12 * max(1.0, np.linalg.norm(full, 2))
@@ -170,7 +172,7 @@ def test_krein_equality_case():
 
 def test_krein_random(campaign_ops):
     for op in campaign_ops[:5]:
-        report = krein_gap_check(op, n_samples=60, seed=1)
+        report = krein_gap_check(op, seed=1)
         lam1 = report.params["lambda1"]
         assert report.passed
         assert report.value >= -1e-10 * max(1.0, abs(lam1))
@@ -178,20 +180,29 @@ def test_krein_random(campaign_ops):
         assert report.params["sampled_min_quotient"] >= s - 1e-10 * max(1.0, s)
 
 
-@pytest.mark.parametrize("n_samples", [0, -1])
-@pytest.mark.parametrize("check", [
-    lambda op, n: krein_gap_check(op, n_samples=n),
-    lambda op, n: sandwich_report(op, seed=0, n_samples=n),
-], ids=["krein_gap_check", "sandwich_report"])
-def test_sampled_checks_need_a_sample(monkeypatch, canonical, check, n_samples):
-    # no sample would make each worst case vacuous; nothing runs before the refusal
-    def refuse(*args, **kwargs):
-        raise AssertionError("a sampled check started work without a sample")
+def test_operator_reports_are_the_public_checks(campaign_ops):
+    # each row's value is its public check's, bit for bit, in the rows' order
+    op = campaign_ops[0]
+    cert = lambda1_certificate(op)
+    energies, fractions = e_samples(op, cert.lambda1), gap_fractions(cert.lambda0, cert.lambda1)
+    reports = verify.operator_reports(op, "m", seed=4)
+    assert [rep.check for rep in reports] == (
+        ["gap_certificate"] + ["decomposition", "extension_consistency"] * len(energies)
+        + ["inverse_formula"] * len(fractions) + ["krein_gap", "sandwich", "norm_chain"])
+    rows = iter(reports[1:])
+    for e in energies:
+        assert next(rows).value == decomposition_residual(op, e)
+        assert next(rows).value == extension_consistency(op, e)
+    for e in fractions:
+        assert next(rows).value == inverse_formula_check(op, e)
+    krein = krein_gap_check(op, seed=4)
+    assert next(rows) == replace(krein, params={**krein.params, "model": "m"})
+    assert list(rows) == sandwich_report(op, seed=4)
 
-    for name in ("lambda0", "lambda1_certificate", "build_schur"):
-        monkeypatch.setattr(verify, name, refuse)
-    with pytest.raises(ValueError, match="n_samples"):
-        check(canonical, n_samples)
+
+def test_operator_reports_stop_at_a_failed_certificate():
+    (report,) = verify.operator_reports(_no_gap_op(), "m", seed=0)
+    assert report.check == "gap_certificate" and not report.passed
 
 
 def test_krein_requires_gap():
