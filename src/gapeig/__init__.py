@@ -41,7 +41,7 @@ from .models import (
     hardy_check,
     random_gapped,
 )
-from .oracle import Spectrum, dense_spectrum, gap_eigs_bruteforce
+from .oracle import dense_spectrum, gap_eigs_bruteforce
 from .schur import (
     SchurSystem,
     build_schur,
@@ -60,7 +60,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlockOperator", "GapData", "assemble_block", "lambda0",
-    "Spectrum", "dense_spectrum", "gap_eigs_bruteforce",
+    "dense_spectrum", "gap_eigs_bruteforce",
     "SchurSystem", "build_schur", "q_e_form", "mu_k",
     "MinMaxResult", "energy_of_vector", "lambda_k", "gap_spectrum",
     "lambda1_certificate",

@@ -131,10 +131,9 @@ class BlockOperator:
             return value
 
     def assembled(self) -> np.ndarray:
-        """Dense (n_plus+n_minus)^2 matrix [[p, c.T], [c, amm]]; exactly symmetric."""
-        full = np.block([[self.p, self.c.T], [self.c, self.amm]])
-        assert (full == full.T).all()
-        return full
+        """Dense (n_plus+n_minus)^2 matrix [[p, c.T], [c, amm]], a new C-ordered array;
+        exactly symmetric, as p and amm are stored symmetrized."""
+        return np.block([[self.p, self.c.T], [self.c, self.amm]])
 
 
 @dataclass(frozen=True)

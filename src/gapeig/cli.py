@@ -10,8 +10,9 @@ Subcommands:
              dense-spectrum window contents across two grids
 
 The config schema is written once: the top-level keys are ExperimentConfig's
-fields, checked in its __post_init__, and SPECS holds each model kind's and
-subcommand's spec keys with their defaults. main runs every COMMANDS entry.
+fields, checked in its __post_init__; SPECS holds each model kind's and
+subcommand's spec keys with their defaults, and UNREAD the top-level keys it
+ignores. main runs every COMMANDS entry.
 Configs are plain JSON; no environment variables are consulted. Reports are
 deterministic for a fixed config (the wall-time column aside).
 """
@@ -66,6 +67,9 @@ SPECS = {
     "pollution": {"nu": 0.9, "kappa": -1, "r_max": 30.0, "window": [-0.5, 0.5],
                   "grading": None},
 }
+UNREAD = {"dirac": ("count",), "aps": ("count",), "random": ("grids",),
+          "matrix-file": ("grids", "count"), "hardy": ("k_max", "tol", "seed", "grids", "count"),
+          "pollution": ("k_max", "seed", "count")}
 
 
 @dataclass(frozen=True)
@@ -194,11 +198,17 @@ def config_from_dict(raw: dict, overrides: dict | None = None) -> ExperimentConf
 
 
 def _spec(config: ExperimentConfig | None, family: str) -> dict:
-    """The config's spec ({} without one) for a SPECS family: keys and numbers checked."""
+    """The config's spec ({} without one) for a SPECS family: keys and numbers checked,
+    and each top-level key in the family's UNREAD entry left at its default."""
     spec = config.spec if config else {}
     unknown = sorted(set(spec) - set(SPECS[family]))
     if unknown:
         raise ConfigParse(f"unknown {family} spec keys: {unknown}")
+    for key in UNREAD[family]:
+        if config and getattr(config, key) != getattr(ExperimentConfig, key):
+            raise ConfigParse(f"{family} does not read {key}")
+    if config and config.grids is not None and "n" in spec:  # dirac or aps by now
+        raise ConfigParse(f"{family} does not read spec.n beside grids")
     values = {}
     for key, default in SPECS[family].items():
         value = spec.get(key, default)
@@ -261,10 +271,6 @@ class _Unit:
 
 def _units(config: ExperimentConfig) -> list[_Unit]:
     kind, spec = config.kind, _spec(config, config.kind)
-    if config.grids is not None and kind not in ("dirac", "aps"):
-        raise ConfigParse(f"grids is read only by the dirac and aps kinds, not {kind}")
-    if config.count != 1 and kind != "random":
-        raise ConfigParse(f"count is read only by the random kind, not {kind}")
     if kind == "dirac":
         base = DiracSpec(**spec)
         specs = [replace(base, n=n) for n in config.grids or (base.n,)]
@@ -466,7 +472,7 @@ def _cmd_pollution(config: ExperimentConfig | None, args: argparse.Namespace) ->
     for dirac in [DiracSpec(**spec, n=n) for n in grids]:  # every grid checked before a build
         op = build_dirac_coulomb(dirac)
         lam1[dirac.n] = lambda_k(op, 1, tol).lambda_k
-        values = dense_spectrum(op).values
+        values = dense_spectrum(op)
         window_values[dirac.n] = values[(values > window[0]) & (values < window[1])]
 
     reports = []

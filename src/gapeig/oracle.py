@@ -2,14 +2,14 @@
 
 Small instances are validated end to end against this module; it is built
 and tested before the min-max solver so every solver result can be
-regenerated independently.
+regenerated independently. A spectrum is an ascending array from LAPACK's
+dsyevd, computed in the assembled matrix's own memory: one dim x dim matrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+import scipy.linalg
 
 from .blockop import BlockOperator
 from .errors import EigFailure
@@ -17,25 +17,18 @@ from .errors import EigFailure
 CLUSTER_RTOL = 1e-8
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """All eigenvalues of the assembled matrix, ascending."""
+def dense_spectrum(op: BlockOperator) -> np.ndarray:
+    """Every eigenvalue of the assembled (n_plus+n_minus)^2 matrix, ascending.
 
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-
-def dense_spectrum(op: BlockOperator) -> Spectrum:
-    """Every eigenvalue of the assembled (n_plus+n_minus)^2 matrix, ascending."""
+    dsyevd, numpy's eigvalsh routine, overwrites the assembled matrix: it is C-ordered
+    and exactly symmetric, so its transpose is the same matrix in the Fortran order
+    LAPACK takes without a copy. Its blocks were checked finite on construction.
+    """
     try:
-        values = np.linalg.eigvalsh(op.assembled())
+        return scipy.linalg.eigvalsh(op.assembled().T, overwrite_a=True, check_finite=False,
+                                     driver="evd")
     except np.linalg.LinAlgError as exc:
         raise EigFailure(f"dense eigensolve failed: {exc}") from exc
-    return Spectrum(values=values)
 
 
 def cluster_eigenvalues(values: np.ndarray) -> list[tuple[float, int]]:
@@ -60,6 +53,6 @@ def gap_eigs_bruteforce(op: BlockOperator, lo: float, hi: float) -> list[tuple[f
     """Eigenvalues of the assembled matrix strictly inside (lo, hi), with multiplicities."""
     if not lo < hi:
         raise ValueError(f"need lo < hi, got ({lo}, {hi})")
-    values = dense_spectrum(op).values
+    values = dense_spectrum(op)
     inside = values[(values > lo) & (values < hi)]
     return cluster_eigenvalues(inside)

@@ -231,7 +231,7 @@ def test_criterion_10_stability_vs_pollution(capsys):
     for n in (600, 1200):
         op = build_dirac_coulomb(DiracSpec(nu=0.9, kappa=-1, n=n, r_max=30.0))
         lam1[n] = lambda_k(op, 1).lambda_k
-        values = dense_spectrum(op).values
+        values = dense_spectrum(op)
         window[n] = values[(values > -0.5) & (values < 0.5)]
     drift = abs(lam1[1200] - lam1[600])
     stable_ok = drift <= 5e-3

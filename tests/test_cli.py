@@ -257,7 +257,7 @@ class TestRun:
         monkeypatch.setattr(models, "build_dirac_coulomb", lambda spec:
                             at_hardy.append(len(live_operators)) or build(spec))
         config = config_from_dict({
-            "kind": "dirac", "spec": {"n": 40, "r_max": 20.0}, "grids": [40, 60]})
+            "kind": "dirac", "spec": {"r_max": 20.0}, "grids": [40, 60]})
         reports = verify_all(config)
         assert [rep.check for rep in reports].count("hardy") == 2
         assert reports[-1].check == "hardy"
@@ -494,6 +494,14 @@ class TestMain:
         ("spectrum", {"kind": "matrix-file", "grids": [2]}, "grids"),
         ("spectrum", {"kind": "dirac", "spec": {"n": 24}, "count": 5}, "count"),
         ("verify", {"kind": "aps", "spec": {"n": 8}, "count": 2}, "count"),
+        *[("hardy", {"kind": "dirac", key: value}, f"does not read {key}") for key, value in
+          (("k_max", 5), ("tol", 1e-3), ("seed", 9), ("count", 3), ("grids", [100, 200]))],
+        *[("pollution", {"kind": "dirac", key: value}, f"does not read {key}")
+          for key, value in (("k_max", 7), ("seed", 4), ("count", 2))],
+        ("spectrum", {"kind": "dirac", "spec": {"n": 40}, "grids": [60, 80]}, "spec.n"),
+        ("verify", {"kind": "aps", "spec": {"n": 8}, "grids": [8, 16]}, "spec.n"),
+        # the grids replace n, so an over-cap n is not the error to report
+        ("converge", {"kind": "dirac", "spec": {"n": 5001}, "grids": [300]}, "spec.n"),
     ])
     def test_malformed_number_exits_two(self, tmp_path, capsys, command, config, key):
         if isinstance(config, dict) and config["kind"] == "matrix-file":
@@ -503,6 +511,20 @@ class TestMain:
         assert main([command, "--config", cfg, "--quiet"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("gapeig: ") and key in err
+
+    @pytest.mark.parametrize("command,raw", [
+        ("hardy", {"kind": "random", "spec": {"nu_values": [0.5], "n": 40}, "k_max": 1,
+                   "tol": 1e-10, "seed": 0, "grids": None, "count": 1}),
+        ("spectrum", {"kind": "dirac", "spec": {"n": 40}, "seed": 5}),
+        ("verify", {"kind": "random", "spec": {"n_plus": 5, "n_minus": 4}, "k_max": 3,
+                    "tol": 1e-8}),
+    ])
+    def test_a_key_at_its_default_or_read_elsewhere_is_accepted(self, tmp_path, command,
+                                                                raw):
+        # any kind for hardy; seed on every kind, and k_max and tol for verify, so
+        # that one config serves spectrum and verify
+        cfg = _write(tmp_path / "cfg.json", raw)
+        assert main([command, "--config", cfg, "--quiet"]) == 0
 
     def test_a_root_with_no_counted_eigenvalue_fails_its_row(self, tmp_path, monkeypatch):
         # equal inertia counts at lambda +- band: the band holds no eigenvalue of A, so

@@ -425,7 +425,7 @@ def test_spectrum_matches_dense_window(campaign_ops):
     for op in campaign_ops[:6]:
         lam0 = lambda0(op)
         results = gap_spectrum(op, 3)
-        window = dense_spectrum(op).values
+        window = dense_spectrum(op)
         inside = window[window > lam0 + 1e-9]
         for res, expected in zip(results, inside):
             assert res.lambda_k == pytest.approx(expected, abs=1e-9 * max(1.0, abs(expected)))

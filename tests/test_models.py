@@ -81,7 +81,7 @@ class TestDiracGrid:
         # difference and keeps kappa/r, so it maps the kappa channel onto -kappa
         plus, minus = (
             dense_spectrum(build_dirac_coulomb(
-                DiracSpec(nu=0.5, kappa=sign * kappa, n=100, r_max=30.0, grading=grading))).values
+                DiracSpec(nu=0.5, kappa=sign * kappa, n=100, r_max=30.0, grading=grading)))
             for sign in (1, -1)
         )
         assert np.max(np.abs(plus - minus)) <= 1e-12 * np.max(np.abs(plus))

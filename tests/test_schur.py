@@ -560,7 +560,7 @@ def test_mu_rises_from_zero_at_left_edge(campaign_ops):
 def test_sign_characterization(campaign_ops):
     for op in campaign_ops[:5]:
         lam0 = lambda0(op)
-        gap_values = dense_spectrum(op).values
+        gap_values = dense_spectrum(op)
         lam1 = gap_values[gap_values > lam0 + 1e-9][0]
         delta = 1e-4 * max(1.0, abs(lam1))
         assert mu_k(op, lam1 - delta, 1) > 0.0
@@ -613,7 +613,7 @@ def test_inertia_count_matches_the_dense_spectrum(structured_op):
     # (Sylvester); where k_e > 0 at the edge, neg(k_e) is A's count in (lambda0, e). The
     # sparse-coupling fixture's p reaches below lambda0, so there it is one more.
     op = structured_op
-    lam0, spectrum = lambda0(op), dense_spectrum(op).values
+    lam0, spectrum = lambda0(op), dense_spectrum(op)
     floor = lam0 + 1e-8 * max(1.0, abs(lam0))
     gapped = lambda1_certificate(op).valid
     energies = _energies_beside_the_first_levels(op)
