@@ -103,7 +103,7 @@ class ExperimentConfig:
             raise ConfigParse(f"k_max must be at least 1, got {self.k_max}")
         if not self.tol > 0:
             raise ConfigParse(f"tol must be positive, got {self.tol}")
-        if self.out is not None and not isinstance(self.out, str):
+        if self.out is not None and not (isinstance(self.out, str) and self.out):
             raise ConfigParse(f"out must be a file path, got {self.out!r}")
         if self.format not in ("csv", "json"):
             raise ConfigParse(f"format must be csv or json, got {self.format!r}")
@@ -542,6 +542,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     handler = COMMANDS[args.command][0]
     try:
+        if args.out == "":  # the configless commands read the flag directly
+            raise ConfigParse("--out must be a file path, got ''")
         config = (load_config(args.config, {"out": args.out, "format": args.format})
                   if args.config else None)
         return handler(config, args)

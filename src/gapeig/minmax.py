@@ -24,19 +24,19 @@ roots come out near machine precision even when ||K|| is large. A root's
 multiplicity is an inertia count, the eigenvalues of A within the cluster
 band of it, _count(lam + band) - _count(lam - band).
 
-gap_spectrum solves its levels one by one, and every level's _root probes
-the same left edge and doubling energies. It keeps one bracketing ladder per
-call, a cached function from probe energy to the k_max lowest values kappa
-there from one eigensolve (SchurSystem.levels), and each lambda_k reads its
-kappa_k from it; the Newton steps still solve for their own level and
-vector. A standalone lambda_k probes through mu_k.
+gap_spectrum solves each level 1..k_max as its own root, and every level's
+_root probes the same left edge and doubling energies. It keeps one
+bracketing ladder per call, a cached function from probe energy to the k_max
+lowest values kappa there from one eigensolve (SchurSystem.levels), and each
+lambda_k reads its kappa_k from it; the Newton steps still solve for their
+own level and vector. A standalone lambda_k probes through mu_k.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache, partial
 
 import numpy as np
@@ -68,9 +68,9 @@ class MinMaxResult:
     residual, ||A z - lambda_k z|| / ||z|| at the lifted eigenvector z of k_lambda,
     is the error bound; multiplicity counts A's eigenvalues within the cluster band
     of lambda_k; iterations counts the evaluations after the left edge, probes
-    read from gap_spectrum's shared ladder included (0 for a level filled in
-    from an earlier root); bracket only certifies the sign,
-    kappa_k > 0 >= kappa_k at its ends: its right end is often the last doubling probe.
+    read from gap_spectrum's shared ladder included; bracket only certifies the
+    sign, kappa_k > 0 >= kappa_k at its ends: its right end is often the last
+    doubling probe.
     """
 
     k: int
@@ -183,38 +183,25 @@ def lambda_k(op: BlockOperator, k: int, tol: float = 1e-10, *,
 def gap_spectrum(op: BlockOperator, k_max: int, tol: float = 1e-10) -> list[MinMaxResult]:
     """Gap eigenvalues lambda_1 <= ... <= lambda_{k_max} with multiplicities.
 
-    A root of multiplicity m also carries the next m-1 levels; those within tol
-    at the root are filled in without a fresh solve (iterations 0). Bracket failures
-    are reported per entry with status "bracket_failure" and NaN values. The
-    levels share one bracketing ladder, so each probe energy is eigensolved once.
+    Each level is its own root, so the rows of a multiple level may differ in the
+    last bits. Bracket failures are reported per entry with status "bracket_failure"
+    and NaN values. The levels share one bracketing ladder, so each probe energy is
+    eigensolved once.
     """
     if not 1 <= k_max <= op.n_plus:
         raise KOutOfRange(f"k_max must lie in 1..{op.n_plus}, got {k_max}")
     # probe energy -> the k_max lowest eigenvalues of k_e there, one eigensolve per energy
     ladder = cache(lambda lam: SchurSystem(op, lam).levels(k_max))
     ordered: list[MinMaxResult] = []
-    while len(ordered) < k_max:
-        k = len(ordered) + 1
+    for k in range(1, k_max + 1):
         try:
-            res = lambda_k(op, k, tol, levels=ladder)
+            ordered.append(lambda_k(op, k, tol, levels=ladder))
         except BracketFailure as exc:
             ordered.append(MinMaxResult(
                 k=k, lambda_k=math.nan, multiplicity=0, residual=math.nan,
                 iterations=0, bracket=(math.nan, math.nan),
                 status=f"bracket_failure: {exc}",
             ))
-            continue
-        ordered.append(res)
-        # levels k+1 .. k+m-1 of a root of multiplicity m, up to the first |kappa_j| > tol;
-        # the guard stops the fill at the cluster's end when the band also holds a level below k
-        last = min(k_max, k + res.multiplicity - 1)
-        if last > k:
-            system = build_schur(op, res.lambda_k)
-            for j in range(k + 1, last + 1):
-                kappa_j, x = system.vector(j)
-                if abs(kappa_j) > tol:
-                    break
-                ordered.append(replace(res, k=j, residual=system.residual(x), iterations=0))
     return ordered
 
 

@@ -425,6 +425,22 @@ class TestMain:
         assert proc.stderr.startswith("gapeig: ") and len(proc.stderr.splitlines()) == 1
         assert key in proc.stderr
 
+    @pytest.mark.parametrize("where", ["config", "flag", "flag without config"])
+    def test_empty_out_exits_two(self, canonical_matrix_config, tmp_path, capsys, where):
+        # an empty path names no file, and must not fall back to stdout
+        if where == "config":
+            cfg = _write(tmp_path / "cfg.json", {"kind": "random", "out": ""})
+            argv = ["spectrum", "--config", cfg]
+        elif where == "flag":
+            argv = ["spectrum", "--config", canonical_matrix_config, "--out", ""]
+        else:
+            argv = ["hardy", "--out", ""]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("gapeig: ") and len(err.splitlines()) == 1
+        assert "out must be a file path" in err
+
     def test_directory_as_config_exits_two(self, tmp_path, capsys):
         assert main(["spectrum", "--config", str(tmp_path)]) == 2
         err = capsys.readouterr().err
@@ -528,8 +544,8 @@ class TestMain:
 
     def test_a_root_with_no_counted_eigenvalue_fails_its_row(self, tmp_path, monkeypatch):
         # equal inertia counts at lambda +- band: the band holds no eigenvalue of A, so
-        # the degenerate pair reads multiplicity 0, neither level is filled in, and the
-        # rows fail on that alone
+        # both levels of the degenerate pair, each its own root, read multiplicity 0,
+        # and the rows fail on that alone
         monkeypatch.setattr(minmax, "_count", lambda op, e, lam0: 3)
         results = minmax.gap_spectrum(models.build_aps_cylinder(ApsSpec((3.0, -3.0), 1.0, 8)), 2)
         assert [(r.multiplicity, r.iterations > 0) for r in results] == [(0, True)] * 2

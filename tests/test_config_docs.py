@@ -1,12 +1,14 @@
 """README's "Config files" section documents every config key, its
 "Command line" table every subcommand, its "Output" table every check that
-`verify` writes, and its "Layout" section every module.
+`verify` writes, and its "Layout" section every module; its Python examples
+run against the package as it stands.
 
 The top-level keys are the fields of `cli.ExperimentConfig`, and the spec
 keys of each model kind and subcommand are the entries of `cli.SPECS`; a key
 added to either without a backticked mention in that section fails here. A
 module added to or removed from `src/gapeig/` without its Layout line fails
-too.
+too. The ```python blocks run in order in one namespace, as a reader would
+paste them, so an example that drifts from the API fails.
 """
 
 from dataclasses import fields
@@ -52,3 +54,12 @@ def test_layout_lists_exactly_the_modules():
     listed = {line.split()[0] for line in block.splitlines() if line.startswith("  ")}
     modules = {path.name for path in (ROOT / "src" / "gapeig").glob("*.py")}
     assert listed == modules - {"__init__.py", "__main__.py"}
+
+
+def test_readme_python_examples_run():
+    blocks = README.read_text(encoding="utf-8").split("```python\n")[1:]
+    assert len(blocks) == 3
+    namespace = {}
+    for block in blocks:
+        exec(block[:block.index("```")], namespace)
+    assert abs(namespace["res"].lambda_k - 2.0 ** 0.5) <= 1e-14

@@ -5,6 +5,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -128,17 +129,44 @@ def _dirac300():
     return build_dirac_coulomb(DiracSpec(nu=0.5, kappa=-1, n=300, r_max=30.0, grading="uniform"))
 
 
-def test_bracket_is_certified(campaign_ops):
+def _aps60():
+    return build_aps_cylinder(ApsSpec(modes=(0.0, 3.0, -3.0), length_l=1.0, n=60))
+
+
+def _duplicated(seed):
+    """Two identical copies of a random operator side by side: every level exactly double."""
+    op = random_gapped(RandomSpec(n_plus=6, n_minus=4, seed=seed))
+    return BlockOperator(p=scipy.linalg.block_diag(op.p, op.p),
+                         c=scipy.linalg.block_diag(op.c, op.c),
+                         amm=scipy.linalg.block_diag(op.amm, op.amm))
+
+
+def _assert_certified(op, res):
     # the root lies inside its bracket exactly, with no slack
+    a, b = res.bracket
+    assert a <= res.lambda_k <= b
+    assert mu_k(op, a, res.k) > 0.0
+    assert mu_k(op, b, res.k) <= 0.0
+
+
+def test_bracket_is_certified(campaign_ops):
     aps = build_aps_cylinder(ApsSpec(modes=(0.0, 3.0, -3.0), length_l=1.0, n=100))
     cases = [(_dirac300(), 1)] + [(aps, k) for k in (1, 2, 3)]
     cases += [(op, 1) for op in campaign_ops[:10]]
     for op, k in cases:
-        res = lambda_k(op, k)
-        a, b = res.bracket
-        assert a <= res.lambda_k <= b
-        assert mu_k(op, a, k) > 0.0
-        assert mu_k(op, b, k) <= 0.0
+        _assert_certified(op, lambda_k(op, k))
+    # every row of a gap spectrum is its own root, the rows of a multiple level included
+    spectra = [(_block_op(np.diag([2.0, 2.0 + delta]), np.zeros((1, 2)), [[-1.0]]), 2, tol)
+               for delta, tol in ((5e-11, 1e-10), (5e-9, 1e-6))]
+    spectra += [(_aps60(), 5, 1e-10)] + [(_duplicated(s), 5, 1e-10) for s in range(5)]
+    for op, k_max, tol in spectra:
+        values = dense_spectrum(op)
+        inside = values[values > lambda0(op) + 1e-9]
+        for res in gap_spectrum(op, k_max, tol):
+            assert res.status == "ok"
+            _assert_certified(op, res)
+            expected = inside[res.k - 1]
+            assert abs(res.lambda_k - expected) <= 1e-12 * max(1.0, abs(res.lambda_k))
 
 
 def test_root_survives_newton_candidates_outside_bracket():
@@ -159,9 +187,9 @@ def test_root_survives_newton_candidates_outside_bracket():
 
 
 def test_pencil_evaluations_per_root_dirac300(monkeypatch):
-    # The secant refinement with one Rayleigh polish that the Newton loop
-    # replaced called mu_k 7 times for this root (plus two more pencils for
-    # the polish and the residual, outside these counters).
+    # The Newton loop brackets and refines this root in fewer than 7 pencil
+    # evaluations, probes included; the residual's eigensolve and the two
+    # multiplicity counts are outside these counters.
     calls = []
 
     def counted(name):
@@ -209,7 +237,7 @@ def test_sibling_residual_uses_its_own_vector():
     # two coupled copies of [[2, 1], [1, -1]]: a double level at (1 + sqrt(13))/2
     op = _block_op(np.diag([2.0, 2.0]), np.eye(2), -np.eye(2))
     results = gap_spectrum(op, 2)
-    assert [r.iterations > 0 for r in results] == [True, False]
+    assert [r.iterations > 0 for r in results] == [True, True]
     assert results[1].lambda_k == pytest.approx((1.0 + math.sqrt(13.0)) / 2.0, abs=1e-14)
     system = build_schur(op, results[0].lambda_k)
     for r in results:
@@ -232,7 +260,7 @@ def test_gap_spectrum_multiplicity():
     assert [r.multiplicity for r in results] == [2, 2]
     assert results[0].lambda_k == pytest.approx(2.0, abs=1e-12)
     assert results[1].lambda_k == results[0].lambda_k
-    assert results[1].iterations == 0
+    assert results[1].iterations > 0
 
 
 def test_multiplicity_counts_energies_not_levels():
@@ -261,7 +289,7 @@ def test_split_level_is_solved_from_its_own_root():
 
 def test_simple_levels_build_one_pencil_per_root(monkeypatch, decoupled23, campaign_ops):
     # three Schur systems per root: its own for the residual, then the inertia counts
-    # at lambda_k + band and lambda_k - band for the multiplicity; no sibling fill
+    # at lambda_k + band and lambda_k - band for the multiplicity
     calls = []
     original = minmax.build_schur
 
@@ -300,13 +328,8 @@ def test_rows_never_contradict_their_multiplicities(op, tol):
     for r in results:
         sharing = sum(s.lambda_k == r.lambda_k for s in results)
         assert r.multiplicity >= sharing
-    root = results[0]
-    for r in results:
-        if r.iterations > 0:
-            root = r
-        else:
-            assert root.k < r.k <= root.k + root.multiplicity - 1
-            assert r.lambda_k == root.lambda_k
+    for r in results:  # every row is a solved root
+        assert r.iterations > 0
 
 
 def test_gap_spectrum_single(canonical):
@@ -362,8 +385,7 @@ def _ladder_solves(op, solves: Counter) -> list[int]:
 
 
 def test_gap_spectrum_solves_each_ladder_energy_once(monkeypatch, campaign_ops):
-    aps = build_aps_cylinder(ApsSpec(modes=(0.0, 3.0, -3.0), length_l=1.0, n=60))
-    for op, roots in ((campaign_ops[0], 5), (aps, 4)):
+    for op, roots in ((campaign_ops[0], 5), (_aps60(), 5)):
         solves = _count_eigensolves(monkeypatch)
         results = gap_spectrum(op, 5)
         assert sum(r.iterations > 0 for r in results) == roots
@@ -386,7 +408,7 @@ def test_gap_spectrum_partial_results(monkeypatch):
 
 
 def test_ladder_levels_match_standalone_roots(campaign_ops):
-    for op in campaign_ops[:10]:
+    for op in campaign_ops[:10] + [_aps60()] + [_duplicated(s) for s in range(5)]:
         for r in gap_spectrum(op, 5):
             alone = lambda_k(op, r.k)
             assert abs(r.lambda_k - alone.lambda_k) <= 1e-14 * max(1.0, abs(alone.lambda_k))
@@ -472,8 +494,8 @@ def test_tol_validation(canonical):
 
 @pytest.mark.parametrize("tol", (math.inf, math.nan))
 def test_non_finite_tol_is_rejected(tol):
-    # tol=inf would accept the first Newton step (1.1e-10 off the oracle here), and
-    # gap_spectrum would then fill every level of a cluster without checking one
+    # tol=inf would accept the first Newton step of every level (level 1's is
+    # 1.1e-10 off the oracle here), so neither solver takes it
     op = random_gapped(RandomSpec(n_plus=9, n_minus=7, seed=3))
     with pytest.raises(ValueError, match="positive and finite"):
         lambda_k(op, 1, tol=tol)
