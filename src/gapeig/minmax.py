@@ -181,12 +181,13 @@ def lambda_k(op: BlockOperator, k: int, tol: float = 1e-10, *,
 
 
 def gap_spectrum(op: BlockOperator, k_max: int, tol: float = 1e-10) -> list[MinMaxResult]:
-    """Gap eigenvalues lambda_1 <= ... <= lambda_{k_max} with multiplicities.
+    """Gap eigenvalues lambda_1, ..., lambda_{k_max} with multiplicities, one row per k.
 
-    Each level is its own root, so the rows of a multiple level may differ in the
-    last bits. Bracket failures are reported per entry with status "bracket_failure"
-    and NaN values. The levels share one bracketing ladder, so each probe energy is
-    eigensolved once.
+    Rows come in k order. Each level is its own root, so the rows of a multiple
+    level may differ in the last bits, and their order may invert there: row k + 1
+    can read a few ulp below row k. Bracket failures are reported per entry with
+    status "bracket_failure" and NaN values. The levels share one bracketing ladder,
+    so each probe energy is eigensolved once.
     """
     if not 1 <= k_max <= op.n_plus:
         raise KOutOfRange(f"k_max must lie in 1..{op.n_plus}, got {k_max}")

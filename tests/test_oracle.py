@@ -2,15 +2,20 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from gapeig import (ApsSpec, BlockOperator, DiracSpec, assemble_block, build_aps_cylinder,
-                    build_dirac_coulomb, dense_spectrum, gap_eigs_bruteforce)
+from gapeig import (ApsSpec, BlockOperator, DiracSpec, RandomSpec, assemble_block,
+                    build_aps_cylinder, build_dirac_coulomb, dense_spectrum,
+                    gap_eigs_bruteforce, oracle, random_gapped)
 
 SQRT2 = math.sqrt(2.0)
+# the random campaign's two tall operators
+TALL = [random_gapped(RandomSpec(n_plus=200, n_minus=800, seed=seed))
+        for seed in (1_000_000, 1_000_001)]
 
 
 def test_dense_canonical(canonical):
@@ -87,10 +92,55 @@ def test_trace_identity(campaign_ops):
 
 def test_dense_spectrum_is_numpys_eigvalsh_to_the_bit(campaign_ops):
     # dsyevd is the routine numpy's eigvalsh calls; another LAPACK routine would move the values
-    ops = [*campaign_ops, build_dirac_coulomb(DiracSpec(nu=0.9, kappa=-1, r_max=30.0, n=300)),
-           build_aps_cylinder(ApsSpec((0.0, 3.0, -3.0), 1.0, 50))]
+    ops = [*campaign_ops, *TALL]
     for op in ops:
         assert np.array_equal(dense_spectrum(op), np.linalg.eigvalsh(op.assembled()))
+
+
+BANDED = [DiracSpec(nu=nu, kappa=kappa, r_max=30.0, n=300, grading=grading)
+          for nu in (0.0, 0.5, 0.9, 1.0) for kappa in (-1, 1)
+          for grading in ("uniform", "quadratic")]
+BANDED += [ApsSpec((0.0, 3.0, -3.0), 1.0, n) for n in (50, 400)]
+
+
+def _build(spec):
+    return build_dirac_coulomb(spec) if isinstance(spec, DiracSpec) else build_aps_cylinder(spec)
+
+
+@pytest.mark.parametrize("spec", BANDED, ids=str)
+def test_band_spectrum_agrees_with_dsyevd(spec):
+    # Both solves are backward stable: each value is exact for A + E with
+    # ||E||_2 <= p(dim) eps ||A||_2, so by Weyl the two differ by at most twice
+    # that. p(n) = n / 2, the linear a-priori growth of Householder reduction,
+    # gives the bound dim * eps * ||A||_2 (1.6% of it used at most, on APS n=400).
+    op = _build(spec)
+    assert oracle._band(op) is not None
+    reference = np.linalg.eigvalsh(op.assembled())
+    bound = op.dim * np.finfo(float).eps * np.abs(reference).max()  # ||A||_2
+    assert np.abs(dense_spectrum(op) - reference).max() <= bound
+
+
+def test_a_dense_operator_builds_no_band(campaign_ops, monkeypatch):
+    # the nonzero count rules a dense operator out before any ordering or band is built
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense operator reached the band ordering")
+
+    monkeypatch.setattr(oracle.np, "nonzero", refuse)  # the band's first step
+    for op in [*campaign_ops, *TALL]:
+        assert oracle._band(op) is None
+        dense_spectrum(op)
+
+
+def test_band_spectrum_holds_no_dim_squared_array():
+    # pollution's n=1200 operator: dim 2400, where one dim x dim matrix is 46 MB
+    op = build_dirac_coulomb(DiracSpec(nu=0.9, kappa=-1, r_max=30.0, n=1200))
+    tracemalloc.start()
+    try:
+        dense_spectrum(op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.05 * op.dim**2 * 8
 
 
 PEAK_RSS_GROWTH = """

@@ -185,6 +185,20 @@ def test_krein_holds_one_assembled_matrix():
     assert peak < 1.75 * op.dim**2 * 8
 
 
+def test_krein_applies_the_blocks_without_assembling():
+    # a band spectrum and (A - mid) z block row by block row: the 200-sample block
+    # (1/6 dim^2 doubles at dim 1200) and one block row of products beside it
+    op = build_dirac_coulomb(DiracSpec(nu=0.5, kappa=-1, r_max=30.0, n=600))
+    lambda1_certificate(op)
+    tracemalloc.start()
+    try:
+        krein_gap_check(op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * op.dim**2 * 8
+
+
 def test_krein_random(campaign_ops):
     for op in campaign_ops[:5]:
         report = krein_gap_check(op, seed=1)
