@@ -39,7 +39,11 @@ multiplicities from. All three go through one selection, _select.
   (scipy.linalg.eig_banded), a level's vector from banded inverse iteration
   on k_e - sigma*I with sigma a few ulps off it. The dense k_e that verify
   reads is built from the same band.
-- Dense: k_e is a dense product and goes to a dense subset eigh.
+- Dense: k_e is a dense product and goes to a dense subset eigh. Every dense product
+  at an energy runs on scipy's BLAS (_mul), the library that runs every eigensolve:
+  numpy (scipy_openblas64 0.3.31) and scipy (scipy_openblas32 0.3.30) each bring an
+  OpenBLAS with its own thread pool, and numpy's workers, still spinning after a
+  product, would share the cores with scipy's eigh. Q.T c and f are formed there too.
 
 Solver failures surface as GapeigError subclasses, never as LinAlgError.
 A SchurSystem belongs to its caller.
@@ -106,6 +110,18 @@ def _full_band(band: np.ndarray) -> np.ndarray:
     return full
 
 
+def _mul(a, b: np.ndarray) -> np.ndarray:
+    """a @ b, C-ordered, on scipy's BLAS (a sparse a uses its own @), as (b.T a.T).T: BLAS
+    reads a C-ordered array as its transpose, so no contiguous operand is copied."""
+    if sparse.issparse(a):
+        return a @ b
+    (at, ta), (bt, tb) = ((m, 1) if m.flags.f_contiguous and not m.flags.c_contiguous
+                          else (m.T, 0) for m in (a, b))
+    if b.ndim == 1:
+        return sla.blas.dgemv(1.0, at, b, trans=1 - ta)
+    return sla.blas.dgemm(1.0, bt, at, trans_a=tb, trans_b=ta).T
+
+
 class _Lower:
     """The facts of one operator that every evaluation of k_e reads, in amm's eigenbasis."""
 
@@ -113,7 +129,7 @@ class _Lower:
         self.lambda0 = lambda0(op)
         self.d, self.q = lower_eigen(op)
         # the storage every product reads: CSR copies if banded (w set), else dense
-        c = op.c if self.q is None else self.q.T @ op.c
+        c = op.c if self.q is None else _mul(self.q.T, op.c)
         self.p, self.c, self.ct, self.w = op.p, c, c.T, None
         if self.q is None:
             p, c = sparse.csr_matrix(op.p), sparse.csr_matrix(op.c)
@@ -121,7 +137,7 @@ class _Lower:
             if op.n_plus >= BAND_RATIO * (w + 1):
                 self.p, self.c, self.ct, self.w = p, c, c.T.tocsr(), w
         else:  # eigh's residual in its own basis, Q.T (amm Q - Q diag(d))
-            self.f = self.q.T @ (op.amm @ self.q - self.q * self.d)
+            self.f = _mul(self.q.T, _mul(op.amm, self.q) - self.q * self.d)
 
 
 class SchurSystem:
@@ -147,12 +163,16 @@ class SchurSystem:
         d = self._shifted_diag()
         d = d if rhs.ndim == 1 else d[:, None]
         y = rhs / d
-        return y if self._lower.q is None else y + (self._lower.f @ y) / d
+        if self._lower.q is not None:  # y + (f y)/d, in place: two rhs-sized arrays at most
+            z = _mul(self._lower.f, y)
+            z /= d
+            y += z
+        return y
 
     def solve_lower(self, rhs: np.ndarray) -> np.ndarray:
         """(b + e*I)^{-1} rhs for a dense rhs in the operator's own basis, refined as _solve is."""
         q = self._lower.q
-        return self._solve(rhs) if q is None else q @ self._solve(q.T @ rhs)
+        return self._solve(rhs) if q is None else _mul(q, self._solve(_mul(q.T, rhs)))
 
     @property
     def l_e(self) -> np.ndarray:
@@ -180,7 +200,7 @@ class SchurSystem:
                 self._k = _symmetric(self._banded()).toarray()
             else:
                 # no identity is held across statements: at n=1200 each is 11.5 MB
-                k = lower.p - self.e * np.eye(self.op.n_plus) + lower.ct @ self._solve(lower.c)
+                k = lower.p - self.e * np.eye(self.op.n_plus) + _mul(lower.ct, self._solve(lower.c))
                 self._k = (k + k.T) / 2.0
         return self._k
 
@@ -238,15 +258,15 @@ class SchurSystem:
 
     def lift(self, x: np.ndarray) -> np.ndarray:
         """l_e x = (b + e*I)^{-1} c x of an upper-block vector, in the operator's own basis."""
-        y = self._solve(self._lower.c @ np.asarray(x, dtype=float))
-        return y if self._lower.q is None else self._lower.q @ y
+        y = self._solve(_mul(self._lower.c, np.asarray(x, dtype=float)))
+        return y if self._lower.q is None else _mul(self._lower.q, y)
 
     def form(self, x: np.ndarray) -> tuple[float, float]:
         """q_e(x, x) and its exact energy derivative -(||x||^2 + ||l_e x||^2)."""
         x = np.asarray(x, dtype=float)
-        cx = self._lower.c @ x
+        cx = _mul(self._lower.c, x)
         y = self._solve(cx)
-        q = float(x @ (self._lower.p @ x) - self.e * (x @ x) + cx @ y)
+        q = float(x @ _mul(self._lower.p, x) - self.e * (x @ x) + cx @ y)
         return q, -float(x @ x + y @ y)
 
     def residual(self, x: np.ndarray) -> float:
@@ -254,14 +274,14 @@ class SchurSystem:
         and a rotated lower half is taken back to the operator's own basis first."""
         lower, e = self._lower, self.e
         x = np.asarray(x, dtype=float)
-        cx = lower.c @ x
+        cx = _mul(lower.c, x)
         y = self._solve(cx)
-        upper = lower.p @ x + lower.ct @ y - e * x
+        upper = _mul(lower.p, x) + _mul(lower.ct, y) - e * x
         if lower.q is None:
             down = cx - self._shifted_diag() * y  # c x + (amm - e) y, with amm - e = -(b + e)
         else:
-            y = lower.q @ y
-            down = self.op.c @ x + self.op.amm @ y - e * y
+            y = _mul(lower.q, y)
+            down = _mul(self.op.c, x) + _mul(self.op.amm, y) - e * y
         return math.sqrt(float(upper @ upper + down @ down) / float(x @ x + y @ y))
 
 

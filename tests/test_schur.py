@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from gapeig.minmax import _newton
 from gapeig.verify import sandwich_report
 from gapeig.schur import (
     GAP_EDGE_MARGIN,
+    _mul,
     apply_l,
     mu_k_with_vector,
     pencil_values_in_band,
@@ -634,3 +636,52 @@ def test_levels_have_the_signs_of_the_pencil_levels(structured_op):
         mu = sla.eigh(s.k_e, np.eye(op.n_plus) + s.l_e.T @ s.l_e, eigvals_only=True)
         kappa = s.levels(op.n_plus)
         assert np.array_equal(np.sign(kappa), np.sign(mu))
+
+
+def _layouts(shape, rng):
+    """An array of `shape` stored C-ordered, as a transposed view and as a strided slice."""
+    yield rng.standard_normal(shape)
+    yield rng.standard_normal(shape[::-1]).T
+    yield rng.standard_normal((shape[0] * 2,) + shape[1:])[::2]
+
+
+@pytest.mark.parametrize("k", (1, 7))
+def test_mul_is_matmul_on_every_layout(k):
+    # scipy's dgemm and dgemv against numpy's @: each is within n eps |a| |b| of the exact
+    # product entrywise, for the inner dimension n, so they differ by at most twice that
+    rng = np.random.default_rng(5)
+    for a in _layouts((9, 13), rng):
+        for b in [*_layouts((13, k), rng), *_layouts((13,), rng)]:
+            got, want = _mul(a, b), a @ b
+            assert got.shape == want.shape and got.flags.c_contiguous
+            bound = 2 * a.shape[1] * np.finfo(float).eps * (np.abs(a) @ np.abs(b))
+            assert np.all(np.abs(got - want) <= bound)
+
+
+def test_a_dense_formation_copies_no_operand():
+    # (200, 800), random-campaign's tall shape. Past the memo, forming k_e holds the
+    # refined solve's two n_minus x n_plus arrays, y = c/(e - d) and f y, and a few
+    # n_plus^2 ones (0.25 of a unit here); a copy of c or y adds a unit, one of f four
+    op = random_gapped(RandomSpec(n_plus=200, n_minus=800, gap_target=1.0, seed=1_000_000))
+    build_schur(op, lambda0(op) + 0.5).k_e
+    s = build_schur(op, lambda0(op) + 0.7)
+    tracemalloc.start()
+    try:
+        s.k_e
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.4 * op.n_minus * op.n_plus * 8
+
+
+def test_a_rotated_lower_block_keeps_q_f_and_the_rotated_coupling_only():
+    # the memo budget README states: besides amm's eigenbasis (d, Q), the lower block
+    # keeps f and Q.T c, C-ordered; ct is a view of c and p the operator's own array
+    op = random_gapped(RandomSpec(n_plus=20, n_minus=30, gap_target=1.0, seed=4))
+    lower = build_schur(op, lambda0(op) + 0.5)._lower
+    arrays = {name: m for name, m in vars(lower).items() if isinstance(m, np.ndarray)}
+    assert set(arrays) == {"d", "q", "f", "c", "ct", "p"}
+    d, q = op._memo["lower_eigen"]
+    assert lower.d is d and lower.q is q and lower.p is op.p
+    assert np.shares_memory(lower.ct, lower.c) and lower.ct.shape == lower.c.shape[::-1]
+    assert all(arrays[name].flags.c_contiguous for name in ("q", "f", "c"))

@@ -171,20 +171,6 @@ def test_krein_equality_case():
     assert report.params["half_gap"] == pytest.approx(1.5, abs=1e-13)
 
 
-def test_krein_holds_one_assembled_matrix():
-    # the shift goes on the assembled copy's diagonal, a peak of 1.5 dim^2 doubles with
-    # the 200-sample block; an identity matrix beside the copy would read 2.0
-    op = build_dirac_coulomb(DiracSpec(nu=0.5, kappa=-1, r_max=30.0, n=600))
-    lambda1_certificate(op)
-    tracemalloc.start()
-    try:
-        krein_gap_check(op)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.75 * op.dim**2 * 8
-
-
 def test_krein_applies_the_blocks_without_assembling():
     # a band spectrum and (A - mid) z block row by block row: the 200-sample block
     # (1/6 dim^2 doubles at dim 1200) and one block row of products beside it
