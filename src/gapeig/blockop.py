@@ -74,7 +74,7 @@ class BlockOperator:
     arithmetic on the blocks; then it rejects non-finite entries, symmetrizes
     p and amm (inputs within 1e-13 relative asymmetry are accepted, anything
     worse is rejected) and freezes all three arrays, so instances are safe to
-    share read-only across parallel workers.
+    share read-only across threads.
 
     The private memo is the one place for facts derived from the operator:
     amm's eigenbasis (d, Q) (this module), the Schur matrix's storage with

@@ -27,7 +27,6 @@ import math
 import numbers
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 
@@ -109,6 +108,8 @@ class ExperimentConfig:
             raise ConfigParse(f"format must be csv or json, got {self.format!r}")
         if self.count < 1:
             raise ConfigParse(f"count must be at least 1, got {self.count}")
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise ConfigParse(f"seed must be at least 0, got {self.seed}")
         if self.grids == ():
             raise ConfigParse("grids must not be empty when given")
         if self.grids is not None and any(b <= a for a, b in zip(self.grids, self.grids[1:])):
@@ -325,20 +326,9 @@ def _solve_unit(unit: _Unit, config: ExperimentConfig) -> list[ReportRow]:
     return rows
 
 
-def _map_units(work, config: ExperimentConfig, jobs: int) -> list:
-    """work(unit, config) over every unit of the config, results concatenated in unit order."""
-    units = _units(config)
-    if jobs > 1 and len(units) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(lambda u: work(u, config), units))
-    else:
-        chunks = [work(u, config) for u in units]
-    return [item for chunk in chunks for item in chunk]
-
-
-def run(config: ExperimentConfig, jobs: int = 1) -> list[ReportRow]:
+def run(config: ExperimentConfig) -> list[ReportRow]:
     """Solve every work unit of the config; rows come back in unit order, then by k."""
-    return _map_units(_solve_unit, config, jobs)
+    return [row for unit in _units(config) for row in _solve_unit(unit, config)]
 
 
 def row_failed(row: ReportRow, tol: float) -> bool:
@@ -350,15 +340,15 @@ def row_failed(row: ReportRow, tol: float) -> bool:
 def _verify_unit(unit: _Unit, config: ExperimentConfig) -> list[VerificationReport]:
     op = _build(unit.spec)
     reports = operator_reports(op, unit.model_id, config.seed)
-    del op  # the Hardy row builds its own operator; at most one is alive per worker
+    del op  # the Hardy row builds its own operator; at most one is alive at a time
     if isinstance(unit.spec, DiracSpec):
         reports.append(hardy_check(unit.spec.nu, unit.spec.n, unit.spec.r_max))
     return reports
 
 
-def verify_all(config: ExperimentConfig, jobs: int = 1) -> list[VerificationReport]:
-    """Run the full identity/inequality suite over every work unit of the config."""
-    return _map_units(_verify_unit, config, jobs)
+def verify_all(config: ExperimentConfig) -> list[VerificationReport]:
+    """Run the full identity/inequality suite over every work unit of the config, in order."""
+    return [rep for unit in _units(config) for rep in _verify_unit(unit, config)]
 
 
 def _fmt(value: float | None) -> str:
@@ -421,7 +411,7 @@ def _emit(text: str, out: str | None, quiet: bool, summary: str) -> None:
 
 
 def _cmd_spectrum(config: ExperimentConfig, args: argparse.Namespace) -> int:
-    rows = run(config, jobs=args.jobs)
+    rows = run(config)
     text = rows_to_csv(rows) if config.format == "csv" else rows_to_json(rows, config)
     failed = sum(row_failed(r, config.tol) for r in rows)
     _emit(text, config.out, args.quiet, f"{len(rows)} rows, {failed} failed")
@@ -446,7 +436,7 @@ def _emit_reports(reports: list[VerificationReport], config: ExperimentConfig | 
 
 
 def _cmd_verify(config: ExperimentConfig, args: argparse.Namespace) -> int:
-    return 1 if _emit_reports(verify_all(config, jobs=args.jobs), config, args) else 0
+    return 1 if _emit_reports(verify_all(config), config, args) else 0
 
 
 def _cmd_hardy(config: ExperimentConfig | None, args: argparse.Namespace) -> int:
@@ -507,13 +497,13 @@ def _cmd_pollution(config: ExperimentConfig | None, args: argparse.Namespace) ->
     return 0 if stable else 1
 
 
-# subcommand -> (handler(config, args), whether --config is required, whether it reads --jobs)
+# subcommand -> (handler(config, args), whether --config is required)
 COMMANDS = {
-    "spectrum": (_cmd_spectrum, True, True),
-    "verify": (_cmd_verify, True, True),
-    "converge": (_cmd_converge, True, True),
-    "hardy": (_cmd_hardy, False, False),
-    "pollution": (_cmd_pollution, False, False),
+    "spectrum": (_cmd_spectrum, True),
+    "verify": (_cmd_verify, True),
+    "converge": (_cmd_converge, True),
+    "hardy": (_cmd_hardy, False),
+    "pollution": (_cmd_pollution, False),
 }
 
 
@@ -524,7 +514,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--version", action="version", version=f"gapeig {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, (_, config_required, parallel) in COMMANDS.items():
+    for name, (_, config_required) in COMMANDS.items():
         sub = subs.add_parser(name)
         sub.add_argument("--config", required=config_required,
                          help="path to a JSON experiment config")
@@ -532,14 +522,8 @@ def main(argv: list[str] | None = None) -> int:
         sub.add_argument("--format", default=None, choices=("csv", "json"),
                          help="output format override")
         sub.add_argument("--quiet", action="store_true", help="suppress summary lines")
-        if parallel:
-            sub.add_argument("--jobs", type=int, default=1,
-                             help="parallel workers across grids/seeds")
 
     args = parser.parse_args(argv)
-    if getattr(args, "jobs", 1) < 1:
-        print(f"gapeig: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
-        return 2
     handler = COMMANDS[args.command][0]
     try:
         if args.out == "":  # the configless commands read the flag directly

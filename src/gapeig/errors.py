@@ -14,7 +14,8 @@ class NonFinite(GapeigError):
 
 
 class BadSplit(GapeigError):
-    """Block split index out of range for the given matrix."""
+    """A block or vector does not fit the split: a split index out of range for the
+    given matrix, or an upper-block vector whose shape is not (n_plus,)."""
 
 
 class EigFailure(GapeigError):

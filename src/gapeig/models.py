@@ -94,6 +94,8 @@ class RandomSpec:
         _check_cap(self.n_plus, self.n_minus)
         if not self.gap_target > 0:
             raise SpecInvalid(f"gap_target must be positive, got {self.gap_target}")
+        if self.seed < 0:
+            raise SpecInvalid(f"seed must be at least 0, got {self.seed}")
 
 
 def radial_grid(spec: DiracSpec) -> np.ndarray:

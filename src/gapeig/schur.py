@@ -58,7 +58,7 @@ import scipy.linalg as sla
 from scipy import sparse
 
 from .blockop import BlockOperator, lambda0, lower_eigen
-from .errors import EigFailure, KOutOfRange, NotPositiveDefinite
+from .errors import BadSplit, EigFailure, KOutOfRange, NonFinite, NotPositiveDefinite
 
 GAP_EDGE_MARGIN = 1e-10
 BAND_RATIO = 32  # banded once n_plus >= BAND_RATIO * (w + 1); see _half_bandwidth
@@ -256,14 +256,23 @@ class SchurSystem:
             x /= np.linalg.norm(x)
         return kappa, x
 
+    def _vector(self, x) -> np.ndarray:
+        """x as a finite float vector of the upper block, checked the same on both paths."""
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.op.n_plus,):
+            raise BadSplit(f"vector must have shape ({self.op.n_plus},), got {x.shape}")
+        if not np.isfinite(x).all():
+            raise NonFinite("vector has non-finite entries (NaN or inf)")
+        return x
+
     def lift(self, x: np.ndarray) -> np.ndarray:
         """l_e x = (b + e*I)^{-1} c x of an upper-block vector, in the operator's own basis."""
-        y = self._solve(_mul(self._lower.c, np.asarray(x, dtype=float)))
+        y = self._solve(_mul(self._lower.c, self._vector(x)))
         return y if self._lower.q is None else _mul(self._lower.q, y)
 
     def form(self, x: np.ndarray) -> tuple[float, float]:
         """q_e(x, x) and its exact energy derivative -(||x||^2 + ||l_e x||^2)."""
-        x = np.asarray(x, dtype=float)
+        x = self._vector(x)
         cx = _mul(self._lower.c, x)
         y = self._solve(cx)
         q = float(x @ _mul(self._lower.p, x) - self.e * (x @ x) + cx @ y)
@@ -273,7 +282,7 @@ class SchurSystem:
         """||A z - e z|| / ||z|| for z = (x, l_e x); A is applied blockwise, never assembled,
         and a rotated lower half is taken back to the operator's own basis first."""
         lower, e = self._lower, self.e
-        x = np.asarray(x, dtype=float)
+        x = self._vector(x)
         cx = _mul(lower.c, x)
         y = self._solve(cx)
         upper = _mul(lower.p, x) + _mul(lower.ct, y) - e * x

@@ -214,28 +214,17 @@ class TestRun:
         for config in (replace(dirac, k_max=1), replace(random, count=1)):
             assert reports_to_csv(verify_all(config)) == reports_to_csv(verify_all(config))
 
-    def test_jobs_preserve_order(self):
-        config = config_from_dict({
-            "kind": "random", "spec": {"n_plus": 6, "n_minus": 5},
-            "count": 4, "seed": 9,
-        })
-        strip = lambda rows: [(r.model, r.grid, r.k, r.lambda_k) for r in rows]
-        assert strip(run(config, jobs=3)) == strip(run(config, jobs=1))
-
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_random_rows_come_in_seed_order(self, jobs):
+    def test_random_rows_come_in_seed_order(self):
         # seeds 7..11 cross a digit boundary, where a sort by the model string
         # put "random(seed=10,...)" first
         config = config_from_dict({
             "kind": "random", "spec": {"n_plus": 6, "n_minus": 5}, "count": 5, "seed": 7})
-        assert [r.model for r in run(config, jobs=jobs)] == [
+        assert [r.model for r in run(config)] == [
             f"random(seed={seed},gap=1)" for seed in range(7, 12)]
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_operators_alive_at_a_solve_are_one_per_worker(self, monkeypatch, live_operators,
-                                                            jobs):
+    def test_one_operator_is_alive_at_each_solve(self, monkeypatch, live_operators):
         # a unit builds its operator when it runs and drops it when done, so the
-        # operators alive at a solve, and the memory they hold, follow --jobs, not count
+        # memory a run holds does not grow with count
         live = live_operators
         solve_all, solve_root = cli.gap_spectrum, minmax.lambda_k
         at_solve, at_root = [], []
@@ -243,12 +232,12 @@ class TestRun:
                             at_solve.append(len(live)) or solve_all(op, *args))
         config = config_from_dict({
             "kind": "random", "spec": {"n_plus": 6, "n_minus": 5}, "count": 8, "k_max": 2})
-        assert len(run(config, jobs=jobs)) == 16
+        assert len(run(config)) == 16
         monkeypatch.setattr(minmax, "lambda_k", lambda op, *args, **kwargs:
                             at_root.append(len(live)) or solve_root(op, *args, **kwargs))
-        assert all(rep.passed for rep in verify_all(config, jobs=jobs))
+        assert all(rep.passed for rep in verify_all(config))
         assert len(at_solve) == len(at_root) == 8
-        assert max(at_solve + at_root) <= jobs
+        assert max(at_solve + at_root) <= 1
 
     def test_verify_releases_the_operator_before_the_hardy_row(self, monkeypatch,
                                                                live_operators):
@@ -563,20 +552,28 @@ class TestMain:
         assert captured.out == ""
         assert captured.err == f"gapeig: spec must be a JSON object, got {spec!r}\n"
 
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
-    def test_jobs_below_one_exits_two(self, canonical_matrix_config, capsys, jobs):
-        assert main(["spectrum", "--config", canonical_matrix_config, "--jobs", jobs]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"gapeig: --jobs must be at least 1, got {jobs}\n"
-
-    @pytest.mark.parametrize("command", ["hardy", "pollution"])
-    def test_jobs_is_no_flag_of_the_commands_without_units(self, capsys, command):
-        # neither runs work units, so a --jobs there would be ignored
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_jobs_is_no_flag(self, canonical_matrix_config, capsys, command):
+        # every run is one serial loop over its units; there is no worker count to set
         with pytest.raises(SystemExit) as exc:
-            main([command, "--jobs", "2"])
+            main([command, "--config", canonical_matrix_config, "--jobs", "2"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,raw", [
+        ("spectrum", {"kind": "random", "seed": -1}),
+        ("spectrum", {"kind": "random", "seed": -3, "count": 5}),
+        ("verify", {"kind": "dirac", "spec": {"n": 40}, "seed": -1}),
+        ("verify", {"kind": "aps", "spec": {"n": 8}, "seed": -2}),
+        ("verify", {"kind": "random", "seed": -1}),
+    ])
+    def test_negative_seed_exits_two(self, tmp_path, capsys, command, raw):
+        # numpy's generators take no negative seed; it is a config error, not a traceback
+        cfg = _write(tmp_path / "cfg.json", raw)
+        assert main([command, "--config", cfg, "--quiet"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"gapeig: seed must be at least 0, got {raw['seed']}\n"
 
     @pytest.mark.parametrize("command,raw", [
         ("spectrum", {"kind": "dirac", "spec": {"n": 5001}}),

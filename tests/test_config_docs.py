@@ -1,5 +1,6 @@
 """README's "Config files" section documents every config key, its
-"Command line" table every subcommand, its "Output" table every check that
+"Command line" table every subcommand and that section every flag the parser
+takes and no other, its "Output" table every check that
 `verify` writes, and its "Layout" section every module; its Python examples
 run against the package as it stands.
 
@@ -11,10 +12,13 @@ too. The ```python blocks run in order in one namespace, as a reader would
 paste them, so an example that drifts from the API fails.
 """
 
+import re
 from dataclasses import fields
 from pathlib import Path
 
-from gapeig.cli import COMMANDS, SPECS, ExperimentConfig, config_from_dict, verify_all
+import pytest
+
+from gapeig.cli import COMMANDS, SPECS, ExperimentConfig, config_from_dict, main, verify_all
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -38,6 +42,29 @@ def test_subcommand_table_lists_exactly_the_commands():
     rows = [line.split("|")[1].strip() for line in _section("## Command line").splitlines()
             if line.startswith("| `")]
     assert sorted(rows) == sorted(f"`{name}`" for name in COMMANDS)
+
+
+def _flags(text: str) -> set[str]:
+    return set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", text))
+
+
+def test_command_line_section_names_exactly_the_flags(capsys):
+    options = {}
+    for name in COMMANDS:
+        with pytest.raises(SystemExit):
+            main([name, "--help"])
+        options[name] = _flags(capsys.readouterr().out)
+    text = README.read_text(encoding="utf-8")
+    start = text.index("## Command line")
+    section = text[start:text.index("\n## ", start)]
+    # fenced blocks first, so that their fences do not pair up as inline spans
+    spans = re.findall(r"```(.*?)```", section, re.S)
+    spans += re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", section, flags=re.S))
+    documented = set().union(*map(_flags, spans))
+    undocumented = {name: sorted(flags - documented - {"--help"})
+                    for name, flags in options.items()}
+    assert not any(undocumented.values()), undocumented
+    assert documented <= set().union(*options.values())
 
 
 def test_verify_table_lists_exactly_the_checks():

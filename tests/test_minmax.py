@@ -233,7 +233,7 @@ def test_residual_is_assembled_operator_residual(campaign_ops):
                                              abs=1e-14 * scale)
 
 
-def test_sibling_residual_uses_its_own_vector():
+def test_double_level_rows_use_their_own_vectors():
     # two coupled copies of [[2, 1], [1, -1]]: a double level at (1 + sqrt(13))/2
     op = _block_op(np.diag([2.0, 2.0]), np.eye(2), -np.eye(2))
     results = gap_spectrum(op, 2)

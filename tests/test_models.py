@@ -232,6 +232,10 @@ class TestRandomGapped:
         assert np.array_equal(a.c, b.c)
         assert np.array_equal(a.amm, b.amm)
 
+    def test_negative_seed_is_invalid(self):
+        with pytest.raises(SpecInvalid, match="seed must be at least 0"):
+            RandomSpec(4, 4, seed=-1)
+
     def test_distinct_seeds_differ(self):
         a = random_gapped(RandomSpec(n_plus=6, n_minus=5, seed=1))
         b = random_gapped(RandomSpec(n_plus=6, n_minus=5, seed=2))

@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 import gapeig.schur as schur
 from gapeig import (
     ApsSpec,
+    BadSplit,
     BlockOperator,
     DiracSpec,
     EigFailure,
     KOutOfRange,
+    NonFinite,
     NotPositiveDefinite,
     RandomSpec,
     SchurSystem,
@@ -22,6 +24,7 @@ from gapeig import (
     build_schur,
     decomposition_residual,
     dense_spectrum,
+    energy_of_vector,
     extension_consistency,
     gap_eigs_bruteforce,
     gap_spectrum,
@@ -385,6 +388,30 @@ def test_edge_rule_on_every_entry_point(structured_op):
         for call in entry_points:
             with pytest.raises(NotPositiveDefinite):
                 call(e)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: random_gapped(RandomSpec(n_plus=6, n_minus=9, seed=3)),
+    lambda: _dirac(300, -1, "uniform"),
+], ids=["dense", "banded"])
+def test_a_vector_that_does_not_fit_is_rejected_on_both_paths(build):
+    # the dense path's BLAS and the banded path's scipy.sparse would each raise
+    # their own error, or none for a NaN; the vector is checked where it enters
+    op = build()
+    e = lambda0(op) + 0.7
+    system = build_schur(op, e)
+    entry_points = (system.lift, system.form, system.residual,
+                    lambda x: apply_l(op, e, x), lambda x: q_e_form(op, e, x),
+                    lambda x: q_value_and_slope(op, e, x))
+    n = op.n_plus
+    for x, error in ((np.ones(n + 1), BadSplit), (np.ones(n - 1), BadSplit),
+                     (np.ones((n, 1)), BadSplit), (np.full(n, np.nan), NonFinite),
+                     (np.r_[np.inf, np.ones(n - 1)], NonFinite)):
+        for call in entry_points:
+            with pytest.raises(error):
+                call(x)
+    with pytest.raises(NonFinite):
+        energy_of_vector(op, [np.nan] * n)
 
 
 def test_schur_matrix_matches_form(campaign_ops):
