@@ -12,7 +12,8 @@ Subcommands:
 The config schema is written once: the top-level keys are ExperimentConfig's
 fields, checked in its __post_init__; SPECS holds each model kind's and
 subcommand's spec keys with their defaults, and UNREAD the top-level keys it
-ignores. main runs every COMMANDS entry.
+ignores. main runs every COMMANDS entry on one ExperimentConfig: the --config
+file's, or without one the defaults, with --out and --format laid over it.
 Configs are plain JSON; no environment variables are consulted. Reports are
 deterministic for a fixed config (the wall-time column aside).
 """
@@ -46,7 +47,7 @@ from .models import (
     hardy_check,
     random_gapped,
 )
-from .oracle import dense_spectrum, gap_eigs_bruteforce
+from .oracle import dense_spectrum
 from .verify import VerificationReport, operator_reports
 
 CSV_HEADER = "model,grid,k,lambda_k,multiplicity,oracle,abs_error,residual,ms"
@@ -73,9 +74,10 @@ UNREAD = {"dirac": ("count",), "aps": ("count",), "random": ("grids",),
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One batch run; the fields are the config keys, and __post_init__ checks them."""
+    """One batch run; the fields are the config keys, and __post_init__ checks them.
+    kind defaults to None: spectrum, converge and verify need one, hardy and pollution none."""
 
-    kind: str
+    kind: str | None = None
     spec: dict = field(default_factory=dict)
     k_max: int = 1
     tol: float = 1e-10
@@ -96,7 +98,7 @@ class ExperimentConfig:
         if self.grids is not None:
             set_("grids", _numbers(self.grids, "grids", int))
         set_("count", _number(self.count, "count", int))
-        if self.kind not in KINDS:
+        if self.kind is not None and self.kind not in KINDS:
             raise ConfigParse(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.k_max < 1:
             raise ConfigParse(f"k_max must be at least 1, got {self.k_max}")
@@ -190,25 +192,23 @@ def config_from_dict(raw: dict, overrides: dict | None = None) -> ExperimentConf
     unknown = set(data) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
         raise ConfigParse(f"unknown config keys: {sorted(unknown)}")
-    if "kind" not in data:
-        raise ConfigParse("missing config key: kind")
     try:
         return ExperimentConfig(**data)
     except (TypeError, ValueError) as exc:
         raise ConfigParse(f"bad config value: {exc}") from exc
 
 
-def _spec(config: ExperimentConfig | None, family: str) -> dict:
-    """The config's spec ({} without one) for a SPECS family: keys and numbers checked,
-    and each top-level key in the family's UNREAD entry left at its default."""
-    spec = config.spec if config else {}
+def _spec(config: ExperimentConfig, family: str) -> dict:
+    """The config's spec for a SPECS family: keys and numbers checked, and each
+    top-level key in the family's UNREAD entry left at its default."""
+    spec = config.spec
     unknown = sorted(set(spec) - set(SPECS[family]))
     if unknown:
         raise ConfigParse(f"unknown {family} spec keys: {unknown}")
     for key in UNREAD[family]:
-        if config and getattr(config, key) != getattr(ExperimentConfig, key):
+        if getattr(config, key) != getattr(ExperimentConfig, key):
             raise ConfigParse(f"{family} does not read {key}")
-    if config and config.grids is not None and "n" in spec:  # dirac or aps by now
+    if config.grids is not None and "n" in spec:  # dirac or aps by now
         raise ConfigParse(f"{family} does not read spec.n beside grids")
     values = {}
     for key, default in SPECS[family].items():
@@ -222,7 +222,7 @@ def _spec(config: ExperimentConfig | None, family: str) -> dict:
 
 
 def _oracle(spec, op: BlockOperator, k_max: int) -> dict[int, float]:
-    """Ground truth by level: closed forms for dirac and aps, else a dense eigensolve."""
+    """Ground truth by level: closed forms for dirac and aps, else A's eigenvalues above lambda0."""
     if isinstance(spec, DiracSpec):
         # a kappa > 0 channel shares the discrete spectrum of -kappa, so its lowest
         # level is the -kappa ground energy, not the continuum's E(n_r=1)
@@ -238,8 +238,8 @@ def _oracle(spec, op: BlockOperator, k_max: int) -> dict[int, float]:
     elif op.dim > ORACLE_DIM_LIMIT:
         return {}
     else:
-        clusters = gap_eigs_bruteforce(op, lambda0(op), math.inf)
-        values = [value for value, mult in clusters for _ in range(mult)]
+        values = dense_spectrum(op)
+        values = values[values > lambda0(op)]
     return {k: float(values[k - 1]) for k in range(1, min(k_max, len(values)) + 1)}
 
 
@@ -271,6 +271,8 @@ class _Unit:
 
 
 def _units(config: ExperimentConfig) -> list[_Unit]:
+    if config.kind is None:
+        raise ConfigParse("missing config key: kind")
     kind, spec = config.kind, _spec(config, config.kind)
     if kind == "dirac":
         base = DiracSpec(**spec)
@@ -357,24 +359,27 @@ def _fmt(value: float | None) -> str:
     return repr(float(value))
 
 
-def rows_to_csv(rows: list[ReportRow]) -> str:
+def _csv(header: str, records) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER.split(","))
-    for r in rows:
-        writer.writerow([
-            r.model, r.grid, r.k, _fmt(r.lambda_k), r.multiplicity,
-            _fmt(r.oracle), _fmt(r.abs_error), _fmt(r.residual), f"{r.ms:.3f}",
-        ])
+    writer.writerow(header.split(","))
+    writer.writerows(records)
     return buf.getvalue()
 
 
-def _json_doc(rows: list, config: ExperimentConfig | None) -> str:
+def rows_to_csv(rows: list[ReportRow]) -> str:
+    return _csv(CSV_HEADER, ([
+        r.model, r.grid, r.k, _fmt(r.lambda_k), r.multiplicity,
+        _fmt(r.oracle), _fmt(r.abs_error), _fmt(r.residual), f"{r.ms:.3f}",
+    ] for r in rows))
+
+
+def _json_doc(rows: list, config: ExperimentConfig) -> str:
     """The JSON envelope of both report kinds: one object per row, fields in order."""
     doc = {
         "schema": 1,
         "version": __version__,
-        "config": asdict(config) if config is not None else None,
+        "config": asdict(config),
         "rows": [asdict(r) for r in rows],
     }
     return json.dumps(doc, indent=2, allow_nan=True) + "\n"
@@ -385,27 +390,22 @@ def rows_to_json(rows: list[ReportRow], config: ExperimentConfig) -> str:
 
 
 def reports_to_csv(reports: list[VerificationReport]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(REPORT_CSV_HEADER.split(","))
-    for rep in reports:
-        writer.writerow([
-            rep.check, _fmt(rep.value), str(rep.passed).lower(),
-            json.dumps(rep.params, sort_keys=True),
-        ])
-    return buf.getvalue()
+    return _csv(REPORT_CSV_HEADER, ([
+        rep.check, _fmt(rep.value), str(rep.passed).lower(),
+        json.dumps(rep.params, sort_keys=True),
+    ] for rep in reports))
 
 
-def reports_to_json(reports: list[VerificationReport], config: ExperimentConfig | None) -> str:
+def reports_to_json(reports: list[VerificationReport], config: ExperimentConfig) -> str:
     return _json_doc(reports, config)
 
 
-def _emit(text: str, out: str | None, quiet: bool, summary: str) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+def _emit(text: str, config: ExperimentConfig, quiet: bool, summary: str) -> None:
+    if config.out:
+        with open(config.out, "w", encoding="utf-8") as fh:
             fh.write(text)
         if not quiet:
-            print(f"{summary} -> {out}")
+            print(f"{summary} -> {config.out}")
     else:
         sys.stdout.write(text)
 
@@ -414,7 +414,7 @@ def _cmd_spectrum(config: ExperimentConfig, args: argparse.Namespace) -> int:
     rows = run(config)
     text = rows_to_csv(rows) if config.format == "csv" else rows_to_json(rows, config)
     failed = sum(row_failed(r, config.tol) for r in rows)
-    _emit(text, config.out, args.quiet, f"{len(rows)} rows, {failed} failed")
+    _emit(text, config, args.quiet, f"{len(rows)} rows, {failed} failed")
     return 1 if failed else 0
 
 
@@ -424,14 +424,12 @@ def _cmd_converge(config: ExperimentConfig, args: argparse.Namespace) -> int:
     return _cmd_spectrum(config, args)
 
 
-def _emit_reports(reports: list[VerificationReport], config: ExperimentConfig | None,
+def _emit_reports(reports: list[VerificationReport], config: ExperimentConfig,
                   args: argparse.Namespace, summary: str | None = None) -> int:
-    """Write check reports where the config (or, without one, the flags) says; count failures."""
-    fmt = config.format if config else (args.format or "csv")
-    text = reports_to_csv(reports) if fmt == "csv" else reports_to_json(reports, config)
+    """Write check reports where the config says; count failures."""
+    text = reports_to_csv(reports) if config.format == "csv" else reports_to_json(reports, config)
     failed = sum(not rep.passed for rep in reports)
-    _emit(text, config.out if config else args.out, args.quiet,
-          summary or f"{len(reports)} checks, {failed} failed")
+    _emit(text, config, args.quiet, summary or f"{len(reports)} checks, {failed} failed")
     return failed
 
 
@@ -439,7 +437,7 @@ def _cmd_verify(config: ExperimentConfig, args: argparse.Namespace) -> int:
     return 1 if _emit_reports(verify_all(config), config, args) else 0
 
 
-def _cmd_hardy(config: ExperimentConfig | None, args: argparse.Namespace) -> int:
+def _cmd_hardy(config: ExperimentConfig, args: argparse.Namespace) -> int:
     spec = _spec(config, "hardy")
     if not spec["nu_values"]:
         raise ConfigParse("nu_values must not be empty")
@@ -447,13 +445,12 @@ def _cmd_hardy(config: ExperimentConfig | None, args: argparse.Namespace) -> int
     return 1 if _emit_reports(reports, config, args) else 0
 
 
-def _cmd_pollution(config: ExperimentConfig | None, args: argparse.Namespace) -> int:
+def _cmd_pollution(config: ExperimentConfig, args: argparse.Namespace) -> int:
     spec = _spec(config, "pollution")
     window = spec.pop("window")  # the rest are DiracSpec's fields but n
-    grids = list(config.grids) if config and config.grids else [600, 1200]
+    grids = list(config.grids or (600, 1200))
     if len(grids) < 2:
         raise ConfigParse(f"pollution compares two grids; grids needs at least two, got {grids}")
-    tol = config.tol if config else ExperimentConfig.tol
     if len(window) != 2 or not window[0] < window[1]:
         raise ConfigParse(f"window must hold two increasing numbers, got {list(window)}")
 
@@ -461,17 +458,14 @@ def _cmd_pollution(config: ExperimentConfig | None, args: argparse.Namespace) ->
     window_values = {}
     for dirac in [DiracSpec(**spec, n=n) for n in grids]:  # every grid checked before a build
         op = build_dirac_coulomb(dirac)
-        lam1[dirac.n] = lambda_k(op, 1, tol).lambda_k
+        lam1[dirac.n] = lambda_k(op, 1, config.tol).lambda_k
         values = dense_spectrum(op)
         window_values[dirac.n] = values[(values > window[0]) & (values < window[1])]
 
-    reports = []
-    for n in grids:
-        reports.append(VerificationReport(
-            "window_content", float(len(window_values[n])), True,
-            {"n": n, "window": list(window),
-             "values": [float(v) for v in window_values[n]]},
-        ))
+    reports = [VerificationReport(
+        "window_content", float(len(window_values[n])), True,
+        {"n": n, "window": list(window), "values": [float(v) for v in window_values[n]]},
+    ) for n in grids]
     n_lo, n_hi = grids[0], grids[-1]
     drift = abs(lam1[n_hi] - lam1[n_lo])
     stable = drift <= 5e-3
@@ -526,10 +520,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     handler = COMMANDS[args.command][0]
     try:
-        if args.out == "":  # the configless commands read the flag directly
-            raise ConfigParse("--out must be a file path, got ''")
-        config = (load_config(args.config, {"out": args.out, "format": args.format})
-                  if args.config else None)
+        flags = {"out": args.out, "format": args.format}
+        config = load_config(args.config, flags) if args.config else config_from_dict({}, flags)
         return handler(config, args)
     except OSError as exc:  # a missing file, a directory, an unreadable path
         reason = "file not found" if isinstance(exc, FileNotFoundError) else exc.strerror

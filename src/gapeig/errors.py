@@ -24,7 +24,8 @@ class EigFailure(GapeigError):
 
 class NotPositiveDefinite(GapeigError):
     """The shifted lower block b + e*I is not positive definite: e is not above
-    lambda0 + GAP_EDGE_MARGIN, the Schur system's edge rule."""
+    gap_edge(lambda0) = lambda0 + GAP_EDGE_MARGIN*max(1, |lambda0|), the Schur
+    system's edge rule."""
 
 
 class KOutOfRange(GapeigError):

@@ -2,7 +2,8 @@
 
 Both solvers find the one sign change above lambda0 of a function that is
 positive next to lambda0 and negative past its root, with one loop, _root:
-check the sign at the left edge, bracket by doubling steps from
+check the sign at the left edge, the first float above schur.gap_edge (the
+Schur system's own edge rule), bracket by doubling steps from
 lambda0 + 1, refine by Newton steps kept inside the verified bracket. Both
 refine with one step, _newton: the E-Newton step e - q/q' on q_e(x, x), whose
 energy derivative is exactly q' = -||z||^2 for the lifted z = (x, l_e x).
@@ -44,20 +45,24 @@ import numpy as np
 from .blockop import BlockOperator, GapData, lambda0
 from .errors import BracketFailure, KOutOfRange, ZeroVector
 from .oracle import CLUSTER_RTOL
-from .schur import (GAP_EDGE_MARGIN, SchurSystem, build_schur, mu_k, mu_k_with_vector,
-                    q_value_and_slope)
+from .schur import (GAP_EDGE_MARGIN, SchurSystem, build_schur, gap_edge, mu_k,
+                    mu_k_with_vector, q_value_and_slope)
 
-LEFT_EDGE_REL = 1e-8
 DEFAULT_LAMBDA_MAX_OFFSET = 1e12
 MAX_ROOT_ITERATIONS = 120
 
 _LEFT_EDGE_MSG = (
-    "sign already nonpositive at the left edge next to lambda0: "
-    "the root would sit at or below lambda0, so no gap level exists here"
+    "sign already nonpositive at the left edge, the first energy above lambda0 + "
+    f"{GAP_EDGE_MARGIN:g}*max(1, |lambda0|): the level lies at or below that edge, "
+    "or below lambda0"
 )
 _CEILING_MSG = (
     "no sign change below lambda_max = {:.6g}: the value stays positive, "
     "so the requested level lies beyond the searched range; reported, not guessed"
+)
+_NO_LEVEL_MSG = (
+    "no_level_in_band: the inertia count finds no eigenvalue of A within "
+    f"{CLUSTER_RTOL:g}*max(1, |lambda|) of the root"
 )
 
 
@@ -70,7 +75,7 @@ class MinMaxResult:
     of lambda_k; iterations counts the evaluations after the left edge, probes
     read from gap_spectrum's shared ladder included; bracket only certifies the
     sign, kappa_k > 0 >= kappa_k at its ends: its right end is often the last
-    doubling probe.
+    doubling probe. status is "ok" unless the multiplicity is 0.
     """
 
     k: int
@@ -92,7 +97,7 @@ def _root(probe, step, lam0: float, converged) -> tuple[float, int, tuple[float,
     left edge and the bracket (value > 0 at its left end, <= 0 at its right).
     """
     ceiling = lam0 + DEFAULT_LAMBDA_MAX_OFFSET
-    lo = lam0 + max(LEFT_EDGE_REL, LEFT_EDGE_REL * abs(lam0))
+    lo = math.nextafter(gap_edge(lam0), math.inf)
     value, cand = probe(lo)
     if value <= 0.0:
         raise BracketFailure(_LEFT_EDGE_MSG)
@@ -142,7 +147,7 @@ def energy_of_vector(op: BlockOperator, x: np.ndarray) -> float:
 def _count(op: BlockOperator, e: float, lam0: float) -> int:
     """The nonpositive eigenvalues of k_e, 0 at or below the edge: by Sylvester's law A's
     eigenvalues at or below e past its n_minus lowest, those in (lambda0, e] if k_e > 0 there."""
-    if e <= lam0 + GAP_EDGE_MARGIN:
+    if e <= gap_edge(lam0):
         return 0
     return len(build_schur(op, e).values_in(-math.inf, 0.0))
 
@@ -177,7 +182,7 @@ def lambda_k(op: BlockOperator, k: int, tol: float = 1e-10, *,
     multiplicity = _count(op, lam + band, lam0) - _count(op, lam - band, lam0)
     return MinMaxResult(k=k, lambda_k=lam, multiplicity=multiplicity,
                         residual=system.residual(system.vector(k)[1]), iterations=evals,
-                        bracket=bracket)
+                        bracket=bracket, status="ok" if multiplicity else _NO_LEVEL_MSG)
 
 
 def gap_spectrum(op: BlockOperator, k_max: int, tol: float = 1e-10) -> list[MinMaxResult]:
@@ -185,9 +190,10 @@ def gap_spectrum(op: BlockOperator, k_max: int, tol: float = 1e-10) -> list[MinM
 
     Rows come in k order. Each level is its own root, so the rows of a multiple
     level may differ in the last bits, and their order may invert there: row k + 1
-    can read a few ulp below row k. Bracket failures are reported per entry with
-    status "bracket_failure" and NaN values. The levels share one bracketing ladder,
-    so each probe energy is eigensolved once.
+    can read a few ulp below row k. A row's status is "ok", "no_level_in_band: ..."
+    (a root with multiplicity 0, its value kept) or "bracket_failure: ..." (NaN
+    values), reported per entry. The levels share one bracketing ladder, so each
+    probe energy is eigensolved once.
     """
     if not 1 <= k_max <= op.n_plus:
         raise KOutOfRange(f"k_max must lie in 1..{op.n_plus}, got {k_max}")

@@ -13,8 +13,9 @@ Sylvester's law of inertia kappa_k(e) has their sign, and k_e has as many
 negative eigenvalues as A has in (lambda0, e).
 
 SchurSystem is k_e at one energy and the only way the package evaluates
-anything there. Its constructor enforces the one edge rule
-e > lambda0 + GAP_EDGE_MARGIN; everything else is computed on first use.
+anything there. Its constructor enforces the one edge rule e > gap_edge(lambda0)
+= lambda0 + GAP_EDGE_MARGIN*max(1, |lambda0|), the rule minmax brackets from
+too; everything else is computed on first use.
 The lower block enters only through its resolvent, so k_e is formed in
 amm's eigenbasis amm = Q diag(d) Q.T (blockop.lower_eigen; Q is None for a
 diagonal amm): there b + e*I is the diagonal e - d, the coupling is Q.T c,
@@ -122,6 +123,11 @@ def _mul(a, b: np.ndarray) -> np.ndarray:
     return sla.blas.dgemm(1.0, bt, at, trans_a=tb, trans_b=ta).T
 
 
+def gap_edge(lam0: float) -> float:
+    """The edge lambda0 + GAP_EDGE_MARGIN*max(1, |lambda0|): k_e is formed only above it."""
+    return lam0 + GAP_EDGE_MARGIN * max(1.0, abs(lam0))
+
+
 class _Lower:
     """The facts of one operator that every evaluation of k_e reads, in amm's eigenbasis."""
 
@@ -145,10 +151,10 @@ class SchurSystem:
 
     def __init__(self, op: BlockOperator, e: float) -> None:
         lower = op.remember("schur", lambda: _Lower(op))
-        edge = lower.lambda0 + GAP_EDGE_MARGIN
+        edge = gap_edge(lower.lambda0)
         if not e > edge:
             raise NotPositiveDefinite(
-                f"energy {e} is not above lambda0 + {GAP_EDGE_MARGIN:g} = {edge}"
+                f"energy {e} is not above lambda0 + {GAP_EDGE_MARGIN:g}*max(1, |lambda0|) = {edge}"
             )
         self.op, self.e, self._lower = op, float(e), lower
         self._l = self._k = self._band = None
@@ -295,7 +301,7 @@ class SchurSystem:
 
 
 def build_schur(op: BlockOperator, e: float) -> SchurSystem:
-    """The Schur system at energy e > lambda0 + 1e-10."""
+    """The Schur system at energy e > gap_edge(lambda0)."""
     return SchurSystem(op, e)
 
 

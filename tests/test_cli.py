@@ -82,8 +82,23 @@ class TestConfigParsing:
             config_from_dict({"kind": "random", "bogus": 1})
 
     def test_missing_kind(self):
+        # kind is optional in a config; listing the units of a model needs it
+        assert config_from_dict({}).kind is None
         with pytest.raises(ConfigParse, match="missing config key: kind"):
-            config_from_dict({})
+            cli._units(config_from_dict({}))
+
+    @pytest.mark.parametrize("command,raw,code", [
+        ("spectrum", {"spec": {"n": 40}}, 2),
+        ("converge", {"grids": [40, 80]}, 2),
+        ("verify", {}, 2),
+        ("hardy", {"spec": {"nu_values": [0.5], "n": 40}}, 0),
+        ("pollution", {"grids": [100, 200]}, 0),
+    ])
+    def test_only_the_model_commands_need_a_kind(self, tmp_path, capsys, command, raw, code):
+        cfg = _write(tmp_path / "cfg.json", raw)
+        assert main([command, "--config", cfg, "--quiet"]) == code
+        err = capsys.readouterr().err
+        assert err == ("gapeig: missing config key: kind\n" if code else "")
 
     def test_bad_values(self):
         with pytest.raises(ConfigParse, match="kind"):
@@ -153,6 +168,14 @@ class TestConfigParsing:
         assert tols == [1e-10, 1e-10]
         rows = json.loads(out.read_text())["rows"]
         assert [row["params"]["window"] for row in rows[:2]] == [[-0.5, 0.5]] * 2
+
+        # without --config the JSON envelope echoes the default config the run read
+        for command in ("hardy", "pollution"):
+            out = tmp_path / f"{command}.json"
+            main([command, "--format", "json", "--quiet", "--out", str(out)])
+            assert json.loads(out.read_text())["config"] == {
+                "kind": None, "spec": {}, "k_max": 1, "tol": 1e-10, "out": str(out),
+                "format": "json", "seed": 0, "grids": None, "count": 1}
 
     @pytest.mark.parametrize("key,value", [("k_max", True), ("count", 2.5), ("tol", "1e-10")])
     def test_a_direct_config_checks_its_numbers(self, key, value):
@@ -274,6 +297,18 @@ class TestRun:
         assert all(r.oracle is None and r.abs_error is None for r in rows)
         for record in csv.DictReader(io.StringIO(rows_to_csv(rows))):
             assert record["oracle"] == "" and record["abs_error"] == ""
+
+    def test_split_cluster_rows_each_read_their_own_oracle(self, tmp_path):
+        # two levels 5e-9 apart, inside one cluster band: each row's oracle is its
+        # own eigenvalue of A, not the cluster's mean
+        p, c, amm = np.diag([-17.0, -17.0 + 5e-8]), 6.0 * np.eye(2), -np.eye(2)
+        matrix = _write(tmp_path / "split.json", {
+            "matrix": np.block([[p, c.T], [c, amm]]).tolist(), "n_plus": 2})
+        rows = run(config_from_dict({"kind": "matrix-file", "spec": {"path": matrix},
+                                     "k_max": 2}))
+        # A's levels in the gap are 1 and 1 + 5e-9 (d lambda / d p = 1/10 there)
+        assert [r.oracle for r in rows] == pytest.approx([1.0, 1.0 + 5e-9], rel=1e-14, abs=0.0)
+        assert all(r.abs_error <= 1e-14 for r in rows)
 
 
 class TestSerialization:
@@ -685,13 +720,13 @@ class TestVerifySubcommand:
 
     def test_verify_computes_no_oracle(self, monkeypatch):
         calls = []
-        oracle = cli.gap_eigs_bruteforce
+        oracle = cli.dense_spectrum
 
-        def counted(op, *args):
+        def counted(op):
             calls.append(op)
-            return oracle(op, *args)
+            return oracle(op)
 
-        monkeypatch.setattr(cli, "gap_eigs_bruteforce", counted)
+        monkeypatch.setattr(cli, "dense_spectrum", counted)
         config = config_from_dict({
             "kind": "random", "spec": {"n_plus": 5, "n_minus": 4}, "count": 2})
         verify_all(config)

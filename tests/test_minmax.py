@@ -35,7 +35,7 @@ from gapeig import (
 )
 from gapeig.minmax import _root
 from gapeig.oracle import CLUSTER_RTOL
-from gapeig.schur import apply_l, mu_k_with_vector
+from gapeig.schur import apply_l, gap_edge, mu_k_with_vector
 
 SQRT2 = math.sqrt(2.0)
 
@@ -379,8 +379,7 @@ def _count_eigensolves(monkeypatch) -> Counter:
 def _ladder_solves(op, solves: Counter) -> list[int]:
     """Eigensolves at each bracketing energy _root probed: the left edge, then lambda0 + 2^j."""
     lam0 = lambda0(op)
-    edge = lam0 + max(minmax.LEFT_EDGE_REL, minmax.LEFT_EDGE_REL * abs(lam0))
-    ladder = [edge] + [lam0 + 2.0 ** j for j in range(41)]
+    ladder = [math.nextafter(gap_edge(lam0), math.inf)] + [lam0 + 2.0 ** j for j in range(41)]
     return [solves[e] for e in ladder if solves[e]]
 
 
@@ -426,6 +425,44 @@ def test_no_gap_left_edge():
     op = _block_op([[-5.0]], [[0.0]], [[-1.0]])
     with pytest.raises(BracketFailure, match="left edge"):
         lambda_k(op, 1)
+
+
+def _near_edge(lam0, offset, coupling=0.0):
+    """A level at lam0 + offset beside amm's top eigenvalue lam0, and one at 2."""
+    c = [[0.0, coupling], [coupling, 0.0]]
+    return _block_op(np.diag([lam0 + offset, 2.0]), c, np.diag([lam0, lam0 - 2.0]))
+
+
+@pytest.mark.parametrize("lam0,offset,coupling", [
+    (-1.0, 5e-9, 0.0), (-1.0, 2e-10, 0.0), (-1.0, 5e-9, 1e-12), (-5.0, 1.5e-8, 0.0),
+])
+def test_a_level_just_above_the_edge_is_solved(lam0, offset, coupling):
+    # the left probe is the first float above the Schur system's own edge, so a level
+    # between that edge and lambda0 + 1e-8*max(1, |lambda0|) is bracketed, not lost
+    op = _near_edge(lam0, offset, coupling)
+    rows = gap_spectrum(op, 2)
+    assert [(r.status, r.multiplicity) for r in rows] == [("ok", 1), ("ok", 1)]
+    assert rows[0].lambda_k == pytest.approx(lam0 + offset, rel=1e-12, abs=0.0)
+    assert rows[1].lambda_k == pytest.approx(2.0, rel=1e-12, abs=0.0)
+    assert lambda1_certificate(op).valid is True
+
+
+def test_a_level_at_or_below_the_edge_is_a_left_edge_failure():
+    op = _near_edge(-1.0, 5e-11)
+    row = gap_spectrum(op, 1)[0]
+    assert row.status.startswith("bracket_failure: sign already nonpositive at the left edge")
+    assert "at or below that edge, or below lambda0" in row.status
+    assert math.isnan(row.lambda_k) and row.multiplicity == 0
+
+
+def test_a_root_with_no_level_in_its_band_is_not_ok():
+    # the upper block's 2e12 and 3e13 put eps*||A|| far above the cluster band, so
+    # the root of level 1 misses A's eigenvalue near 0.50000107 by 3.3e-4
+    op = _block_op(np.diag([0.5, 2e12, 3e13]), np.full((2, 3), 1e-3), np.diag([-1.0, -2.0]))
+    res = lambda_k(op, 1)
+    assert res.multiplicity == 0
+    assert res.status.startswith("no_level_in_band: ")
+    assert gap_spectrum(op, 1)[0].status == res.status
 
 
 def test_orthogonal_invariance(campaign_ops):

@@ -40,6 +40,7 @@ from gapeig.schur import (
     GAP_EDGE_MARGIN,
     _mul,
     apply_l,
+    gap_edge,
     mu_k_with_vector,
     pencil_values_in_band,
     q_value_and_slope,
@@ -369,9 +370,8 @@ def test_the_residual_sees_a_wrong_eigenbasis():
         assert low <= level.residual <= high
 
 
-def test_edge_rule_on_every_entry_point(structured_op):
-    op = structured_op
-    lam0 = lambda0(op)
+def _assert_edge_rule(op, energies):
+    """Every entry point refuses each energy, and takes the first float above the edge."""
     x = np.ones(op.n_plus)
     entry_points = (
         lambda e: SchurSystem(op, e),
@@ -383,11 +383,32 @@ def test_edge_rule_on_every_entry_point(structured_op):
         lambda e: q_e_form(op, e, x),
         lambda e: q_value_and_slope(op, e, x),
     )
-    for e in (lam0 + 1e-12, lam0 + 5e-11, lam0 + GAP_EDGE_MARGIN):
-        assert lam0 < e
+    lam0 = lambda0(op)
+    for e in energies:
+        assert lam0 < e <= gap_edge(lam0)
         for call in entry_points:
             with pytest.raises(NotPositiveDefinite):
                 call(e)
+    assert math.isfinite(mu_k(op, math.nextafter(gap_edge(lam0), math.inf), 1))
+
+
+def test_edge_rule_on_every_entry_point(structured_op):
+    lam0 = lambda0(structured_op)
+    _assert_edge_rule(structured_op, (lam0 + 1e-12, lam0 + 5e-11, lam0 + GAP_EDGE_MARGIN))
+
+
+@pytest.mark.parametrize("build,scale", [
+    (lambda: random_gapped(RandomSpec(n_plus=6, n_minus=9, seed=3)), 1e3),
+    (lambda: _dirac(200, -1, "uniform"), 7.0),
+], ids=["dense", "banded"])
+def test_edge_rule_scales_with_lambda0(build, scale):
+    # with |lambda0| > 1 the edge lies GAP_EDGE_MARGIN*|lambda0| above lambda0
+    op = build()
+    op = BlockOperator(p=scale * op.p, c=scale * op.c, amm=scale * op.amm)
+    lam0 = lambda0(op)
+    assert abs(lam0) > 2.0
+    _assert_edge_rule(op, (lam0 + GAP_EDGE_MARGIN, lam0 + 2.0 * GAP_EDGE_MARGIN,
+                           gap_edge(lam0)))
 
 
 @pytest.mark.parametrize("build", [

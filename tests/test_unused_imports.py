@@ -1,6 +1,6 @@
-"""No package module imports a name it never uses.
+"""No package module or test file imports a name it never uses.
 
-`__init__` is exempt: its imports are the package's re-exports. A name
+The package's `__init__` is exempt: its imports are the package's re-exports. A name
 counts as used when it appears anywhere in the module as an identifier, so
 an import kept only for a removed annotation or a deleted helper fails here.
 """
@@ -10,8 +10,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gapeig"
-MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "gapeig"
+MODULES = (sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+           + sorted(TESTS.glob("*.py")))
 
 
 def _unused_imports(source: str) -> list[str]:
