@@ -21,7 +21,7 @@ from .blockop import BlockOperator, lambda0
 from .errors import NoGap, SingularSchur
 from .minmax import lambda1_certificate
 from .oracle import dense_spectrum
-from .schur import build_schur
+from .schur import build_schur, gap_edge
 
 SINGULAR_RTOL = 1e-12
 
@@ -155,15 +155,20 @@ def inverse_formula_check(op: BlockOperator, e: float) -> float:
 
 
 def sandwich_report(op: BlockOperator, seed: int) -> list[VerificationReport]:
-    """Two-sided energy-monotonicity and norm-chain inequalities over 50 samples."""
+    """Two-sided energy-monotonicity and norm-chain inequalities over 50 samples.
+
+    The energies sit at lambda0 + 10^U(-2, 2), raised to the first float above
+    gap_edge(lambda0) where they fall at or below it.
+    """
     n_samples = 50
     rng = np.random.default_rng(seed)
     lam0 = lambda0(op)
+    floor = math.nextafter(gap_edge(lam0), math.inf)
     worst_sandwich = -math.inf
     worst_chain = -math.inf
     for _ in range(n_samples):
         x = rng.standard_normal(op.n_plus)
-        e_lo, e_hi = np.sort(lam0 + 10.0 ** rng.uniform(-2.0, 2.0, 2))
+        e_lo, e_hi = np.sort(np.maximum(lam0 + 10.0 ** rng.uniform(-2.0, 2.0, 2), floor))
         if e_hi - e_lo < 1e-12:
             e_hi = e_lo + 1e-6
         q_lo, slope_lo = build_schur(op, e_lo).form(x)
@@ -193,17 +198,19 @@ def sandwich_report(op: BlockOperator, seed: int) -> list[VerificationReport]:
 
 def e_samples(op: BlockOperator, lambda1: float | None = None) -> list[float]:
     """Energies for identity checks: five log-spaced offsets into (lambda0, lambda0+1e3],
-    plus the gap midpoint when lambda1 is known."""
+    plus the gap midpoint when lambda1 is known, each kept only above gap_edge(lambda0),
+    where the Schur system is formed."""
     lam0 = lambda0(op)
     points = [lam0 + offset for offset in np.logspace(-3.0, 3.0, 5)]
     if lambda1 is not None and np.isfinite(lambda1) and lambda1 > lam0:
         points.append(0.5 * (lam0 + lambda1))
-    return points
+    return [e for e in points if e > gap_edge(lam0)]
 
 
 def gap_fractions(lam0: float, lam1: float) -> list[float]:
-    """Energies strictly inside (lambda0, lambda1) at five fractions of the gap."""
-    return [lam0 + f * (lam1 - lam0) for f in (1e-3, 1e-2, 1e-1, 0.5, 0.9)]
+    """Energies at five fractions of the gap (lambda0, lambda1), kept above gap_edge(lambda0)."""
+    points = [lam0 + f * (lam1 - lam0) for f in (1e-3, 1e-2, 1e-1, 0.5, 0.9)]
+    return [e for e in points if e > gap_edge(lam0)]
 
 
 def operator_reports(op: BlockOperator, model: str, seed: int) -> list[VerificationReport]:

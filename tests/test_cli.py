@@ -405,6 +405,24 @@ class TestMain:
         for row in rows:
             assert abs(row.lambda_k - row.oracle) <= 1e-13 * abs(row.oracle)
 
+    def test_verify_samples_above_a_scaled_edge(self, tmp_path, capsys):
+        # lambda0 <= -1e8 puts the edge at lambda0 + 1e-2 or higher, above verify's
+        # first fixed offset; the rows are reported, and no energy aborts the run
+        cfg = _write(tmp_path / "cfg.json", {"kind": "random", "spec": {"gap_target": 1e8}})
+        out = tmp_path / "rows.csv"
+        assert main(["verify", "--config", cfg, "--out", str(out), "--quiet"]) in (0, 1)
+        assert capsys.readouterr().err == ""
+        assert "sandwich" in out.read_text()
+
+    def test_verify_a_level_next_to_the_edge(self, tmp_path, capsys):
+        p, amm = np.diag([-1.0 + 5e-9, 2.0]), np.diag([-1.0, -3.0])
+        full = np.block([[p, np.zeros((2, 2))], [np.zeros((2, 2)), amm]])
+        matrix = _write(tmp_path / "m.json", {"matrix": full.tolist(), "n_plus": 2})
+        cfg = _write(tmp_path / "cfg.json", {"kind": "matrix-file", "spec": {"path": matrix}})
+        assert main(["verify", "--config", cfg, "--quiet",
+                     "--out", str(tmp_path / "rows.csv")]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_a_failed_pencil_eigensolve_exits_two(self, canonical_matrix_config, capsys,
                                                   monkeypatch):
         # a solver failure is one "gapeig:" line and exit 2, not a traceback

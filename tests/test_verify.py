@@ -24,6 +24,7 @@ from gapeig import (
 )
 from gapeig import schur, verify
 from gapeig.verify import _congruence, e_samples, gap_fractions, sandwich_report
+from test_minmax import _near_edge
 from test_schur import STRUCTURES
 
 SQRT2 = 2.0 ** 0.5
@@ -318,3 +319,32 @@ def test_gap_fractions_layout():
     points = gap_fractions(-1.0, 1.0)
     assert points == pytest.approx([-0.998, -0.98, -0.8, 0.0, 0.8])
     assert all(-1.0 < p < 1.0 for p in points)
+
+
+@pytest.mark.parametrize("gap_target", [1e8, 1e9])
+def test_sample_energies_stay_above_a_scaled_edge(monkeypatch, gap_target):
+    # gap_edge grows with |lambda0|: past 1e7 the fixed offsets 1e-3 (e_samples) and
+    # 10^U(-2, 2) (sandwich) fall at or below it, where a Schur system raises
+    op = random_gapped(RandomSpec(n_plus=8, n_minus=8, gap_target=gap_target, seed=0))
+    edge = schur.gap_edge(lambda0(op))
+    energies, build = [], verify.build_schur
+
+    def record(op, e):
+        energies.append(e)
+        return build(op, e)
+
+    monkeypatch.setattr(verify, "build_schur", record)
+    reports = verify.operator_reports(op, "m", seed=0)
+    assert reports[0].passed and reports[-1].check == "norm_chain"
+    assert len(energies) > 100 and min(energies) > edge
+    assert min(e_samples(op)) > edge
+
+
+def test_verify_passes_next_to_the_edge():
+    # a gap of 5e-9 above lambda0 = -1 is certified; its fractions 1e-3 and 1e-2
+    # fall at or below lambda0 + 1e-10 and are left out
+    op = _near_edge(-1.0, 5e-9)
+    assert gap_fractions(-1.0, -1.0 + 5e-9) == pytest.approx(
+        [-1.0 + 5e-10, -1.0 + 2.5e-9, -1.0 + 4.5e-9], rel=0.0, abs=1e-15)
+    reports = verify.operator_reports(op, "m", seed=0)
+    assert len(reports) > 1 and all(r.passed for r in reports)
