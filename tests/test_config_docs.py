@@ -73,6 +73,9 @@ def test_verify_table_lists_exactly_the_checks():
     config = config_from_dict({"kind": "dirac", "spec": {"n": 40, "r_max": 20.0}})
     checks = [rep.check for rep in verify_all(config)]
     assert rows == [f"`{check}`" for check in dict.fromkeys(checks)]
+    assert rows == [f"`{check}`" for check in (
+        "gap_certificate", "decomposition", "extension_consistency", "inverse_formula",
+        "krein_gap", "sandwich", "norm_chain", "hardy")]
 
 
 def test_layout_lists_exactly_the_modules():
