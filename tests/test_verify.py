@@ -83,6 +83,33 @@ def test_extension_is_the_congruence(name, offset):
     assert abs(_congruence(op, e)[1] - reference) <= tol
 
 
+def _scaled_down():
+    # ||A|| = 0.45, so the extension row divides by 1
+    op = STRUCTURES["random-dense"]()
+    return assemble_block(op.assembled() / 20.0, op.n_plus)
+
+
+NORMED = {**STRUCTURES, "random-dense/20": _scaled_down}
+
+
+@pytest.mark.parametrize("name", sorted(NORMED))
+@pytest.mark.parametrize("offset", [0.3, 40.0])
+def test_extension_is_over_the_norm_of_a(monkeypatch, name, offset):
+    # a relative 1e-8 error in l_e lifts the residual far above roundoff, so the
+    # quotient pins its denominator max(1, ||A||): a block or the sqrt2 dropped from
+    # ||A||, or the 1 dropped from the max, moves it by more than 1e-6
+    op = NORMED[name]()
+    e = lambda0(op) + offset
+    exact = schur.SchurSystem.l_e
+    monkeypatch.setattr(schur.SchurSystem, "l_e",
+                        property(lambda self: exact.fget(self) * (1.0 + 1e-8)))
+    full = op.assembled()
+    shifted = full - e * np.eye(op.dim)
+    reference = np.linalg.norm(shifted - _dense_congruence(op, e))
+    assert _congruence(op, e)[1] == pytest.approx(
+        reference / max(1.0, np.linalg.norm(full)), rel=1e-6)
+
+
 @pytest.mark.parametrize("name", sorted(STRUCTURES))
 def test_both_normalizations_match_their_formulas(name):
     # the dense formulas round in another order: the decomposition row, a ratio of
