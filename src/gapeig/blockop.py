@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadSplit, EigFailure, NonFinite, NonSymmetric
+from .errors import BadSplit, EigFailure, GapeigError, NonFinite, NonSymmetric
 
 SYMMETRY_RTOL = 1e-13
 INPUT_SYMMETRY_RTOL = 1e-12
@@ -36,6 +36,14 @@ def _check_finite(m: np.ndarray, what: str) -> float:
     if not np.isfinite(top):
         raise NonFinite(f"block {what} has non-finite entries (NaN or inf)")
     return top
+
+
+def as_real(m, what: str, error: type[GapeigError]) -> np.ndarray:
+    """m as a float array; complex m raises error, as a float cast would drop its imaginary part."""
+    m = np.asarray(m)
+    if np.iscomplexobj(m):
+        raise error(f"{what} must be real, got complex entries")
+    return np.asarray(m, dtype=float)
 
 
 def _check_symmetric(m: np.ndarray, rtol: float, what: str) -> np.ndarray:
@@ -70,11 +78,11 @@ def _check_cap(n_plus: int, n_minus: int) -> None:
 class BlockOperator:
     """Immutable 2x2 block realization of a symmetric operator with a gap.
 
-    Construction checks the block shapes and SIZE_CAP first, before any
-    arithmetic on the blocks; then it rejects non-finite entries, symmetrizes
-    p and amm (inputs within 1e-13 relative asymmetry are accepted, anything
-    worse is rejected) and freezes all three arrays, so instances are safe to
-    share read-only across threads.
+    Construction rejects complex blocks and checks the shapes and SIZE_CAP
+    before any arithmetic on the blocks; then it rejects non-finite entries,
+    symmetrizes p and amm (inputs within 1e-13 relative asymmetry are accepted,
+    anything worse is rejected) and freezes all three arrays, so instances are
+    safe to share read-only across threads.
 
     The private memo is the one place for facts derived from the operator:
     amm's eigenbasis (d, Q) (this module), the Schur matrix's storage with
@@ -96,7 +104,8 @@ class BlockOperator:
     SIZE_CAP = 5000  # per block; guards accidental dense O(N^3) blowups
 
     def __post_init__(self) -> None:
-        p, c, amm = (np.asarray(m, dtype=float) for m in (self.p, self.c, self.amm))
+        p, c, amm = (as_real(m, what, NonSymmetric)
+                     for what, m in (("p", self.p), ("c", self.c), ("amm", self.amm)))
         # shapes and the cap before any O(n^2) arithmetic on a block
         for what, m in (("p", p), ("amm", amm)):
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -164,7 +173,7 @@ def assemble_block(full: np.ndarray, n_plus: int) -> BlockOperator:
     rejected with the block they sit in, input asymmetry beyond 1e-12
     relative likewise; within tolerance the matrix is symmetrized first.
     """
-    full = np.asarray(full, dtype=float)
+    full = as_real(full, "input matrix", NonSymmetric)
     if full.ndim != 2 or full.shape[0] != full.shape[1] or full.shape[0] < 2:
         raise NonSymmetric(f"need a square matrix of size >= 2, got shape {full.shape}")
     size = full.shape[0]

@@ -42,10 +42,10 @@ from functools import cache, partial
 
 import numpy as np
 
-from .blockop import BlockOperator, GapData, lambda0
-from .errors import BracketFailure, KOutOfRange, ZeroVector
+from .blockop import BlockOperator, GapData, as_real, lambda0
+from .errors import BadSplit, BracketFailure, ZeroVector
 from .oracle import CLUSTER_RTOL
-from .schur import (GAP_EDGE_MARGIN, SchurSystem, build_schur, gap_edge, mu_k,
+from .schur import (GAP_EDGE_MARGIN, SchurSystem, build_schur, check_k, gap_edge, mu_k,
                     mu_k_with_vector, q_value_and_slope)
 
 DEFAULT_LAMBDA_MAX_OFFSET = 1e12
@@ -134,7 +134,7 @@ def _newton(op: BlockOperator, e: float, x: np.ndarray) -> tuple[float, float]:
 
 def energy_of_vector(op: BlockOperator, x: np.ndarray) -> float:
     """The unique E > lambda0 with q_E(x, x) = 0."""
-    x = np.asarray(x, dtype=float)
+    x = as_real(x, "vector", BadSplit)
     norm2 = float(x @ x)
     if norm2 == 0.0:
         raise ZeroVector("energy_of_vector needs a nonzero vector")
@@ -160,8 +160,7 @@ def lambda_k(op: BlockOperator, k: int, tol: float = 1e-10, *,
     least k lowest eigenvalues of k_e there (gap_spectrum's ladder); without it
     every probe is mu_k.
     """
-    if not 1 <= k <= op.n_plus:
-        raise KOutOfRange(f"k must lie in 1..{op.n_plus}, got {k}")
+    check_k(k, op.n_plus)
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be positive and finite, got {tol}")
 
@@ -195,8 +194,7 @@ def gap_spectrum(op: BlockOperator, k_max: int, tol: float = 1e-10) -> list[MinM
     values), reported per entry. The levels share one bracketing ladder, so each
     probe energy is eigensolved once.
     """
-    if not 1 <= k_max <= op.n_plus:
-        raise KOutOfRange(f"k_max must lie in 1..{op.n_plus}, got {k_max}")
+    check_k(k_max, op.n_plus, "k_max")
     # probe energy -> the k_max lowest eigenvalues of k_e there, one eigensolve per energy
     ladder = cache(lambda lam: SchurSystem(op, lam).levels(k_max))
     ordered: list[MinMaxResult] = []

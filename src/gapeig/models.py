@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .blockop import BlockOperator, _check_cap
+from .blockop import BlockOperator, _check_cap, as_real
 from .errors import SpecInvalid
 from .schur import build_schur
 from .verify import VerificationReport
@@ -68,7 +68,7 @@ class ApsSpec:
     n: int
 
     def __post_init__(self) -> None:
-        modes = tuple(float(m) for m in np.atleast_1d(np.asarray(self.modes, dtype=float)))
+        modes = tuple(float(m) for m in np.atleast_1d(as_real(self.modes, "modes", SpecInvalid)))
         if len(modes) == 0:
             raise SpecInvalid("modes must be nonempty")
         if not self.length_l > 0:

@@ -58,7 +58,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy import sparse
 
-from .blockop import BlockOperator, lambda0, lower_eigen
+from .blockop import BlockOperator, as_real, lambda0, lower_eigen
 from .errors import BadSplit, EigFailure, KOutOfRange, NonFinite, NotPositiveDefinite
 
 GAP_EDGE_MARGIN = 1e-10
@@ -126,6 +126,12 @@ def _mul(a, b: np.ndarray) -> np.ndarray:
 def gap_edge(lam0: float) -> float:
     """The edge lambda0 + GAP_EDGE_MARGIN*max(1, |lambda0|): k_e is formed only above it."""
     return lam0 + GAP_EDGE_MARGIN * max(1.0, abs(lam0))
+
+
+def check_k(k: int, n_plus: int, what: str = "k") -> None:
+    """Reject a level index that is not an integer (a float or a bool) or not in 1..n_plus."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 1 <= k <= n_plus:
+        raise KOutOfRange(f"{what} must be an integer in 1..{n_plus}, got {k}")
 
 
 class _Lower:
@@ -210,10 +216,6 @@ class SchurSystem:
                 self._k = (k + k.T) / 2.0
         return self._k
 
-    def _check_k(self, k: int) -> None:
-        if not 1 <= k <= self.op.n_plus:
-            raise KOutOfRange(f"k must lie in 1..{self.op.n_plus}, got {k}")
-
     def _select(self, select: str, lo: float, hi: float, vectors: bool = False):
         """Eigenvalues of k_e, ascending: those of 0-based index lo..hi (select "i") or
         in the half-open interval (lo, hi] (select "v"). vectors, dense path only, adds
@@ -230,12 +232,12 @@ class SchurSystem:
 
     def value(self, k: int) -> float:
         """k-th smallest eigenvalue kappa_k(e) of k_e, 1-based."""
-        self._check_k(k)
+        check_k(k, self.op.n_plus)
         return float(self._select("i", k - 1, k - 1)[0])
 
     def levels(self, m: int) -> np.ndarray:
         """The m smallest eigenvalues kappa_1(e) <= ... <= kappa_m(e) of k_e, in one eigensolve."""
-        self._check_k(m)
+        check_k(m, self.op.n_plus)
         return self._select("i", 0, m - 1)
 
     def values_in(self, lo: float, hi: float) -> np.ndarray:
@@ -244,7 +246,7 @@ class SchurSystem:
 
     def vector(self, k: int) -> tuple[float, np.ndarray]:
         """kappa_k(e) together with its unit eigenvector of k_e."""
-        self._check_k(k)
+        check_k(k, self.op.n_plus)
         if self._lower.w is None:
             vals, vecs = self._select("i", k - 1, k - 1, vectors=True)
             return float(vals[0]), vecs[:, 0]
@@ -264,7 +266,7 @@ class SchurSystem:
 
     def _vector(self, x) -> np.ndarray:
         """x as a finite float vector of the upper block, checked the same on both paths."""
-        x = np.asarray(x, dtype=float)
+        x = as_real(x, "vector", BadSplit)
         if x.shape != (self.op.n_plus,):
             raise BadSplit(f"vector must have shape ({self.op.n_plus},), got {x.shape}")
         if not np.isfinite(x).all():

@@ -141,28 +141,26 @@ def inverse_formula_check(op: BlockOperator, e: float) -> float:
 def sandwich_report(op: BlockOperator, seed: int) -> list[VerificationReport]:
     """Two-sided energy-monotonicity and norm-chain inequalities over 50 samples.
 
-    The energies sit at lambda0 + 10^U(-2, 2), raised to the first float above
-    gap_edge(lambda0) where they fall at or below it.
+    The energies sit at lambda0 + max(1, |lambda0|) * 10^U(-2, 2), above
+    gap_edge(lambda0), which grows with the same scale.
     """
     n_samples = 50
     rng = np.random.default_rng(seed)
     lam0 = lambda0(op)
-    floor = math.nextafter(gap_edge(lam0), math.inf)
+    s = max(1.0, abs(lam0))
     worst_sandwich = -math.inf
     worst_chain = -math.inf
     for _ in range(n_samples):
         x = rng.standard_normal(op.n_plus)
-        e_lo, e_hi = np.sort(np.maximum(lam0 + 10.0 ** rng.uniform(-2.0, 2.0, 2), floor))
-        if e_hi - e_lo < 1e-12:
-            e_hi = e_lo + 1e-6
+        e_lo, e_hi = np.sort(lam0 + s * 10.0 ** rng.uniform(-2.0, 2.0, 2))
         q_lo, slope_lo = build_schur(op, e_lo).form(x)
         q_hi, slope_hi = build_schur(op, e_hi).form(x)
         norm_lo_sq, norm_hi_sq = -slope_lo, -slope_hi
-        scale = max(1.0, abs(q_lo), abs(q_hi))
+        q_scale = max(1.0, abs(q_lo), abs(q_hi))
         gap = e_hi - e_lo
         lower = q_hi + gap * norm_hi_sq - q_lo
         upper = q_lo - (q_hi + gap * norm_lo_sq)
-        worst_sandwich = max(worst_sandwich, lower / scale, upper / scale)
+        worst_sandwich = max(worst_sandwich, lower / q_scale, upper / q_scale)
 
         norm = math.sqrt(float(x @ x))
         norm_hi = math.sqrt(norm_hi_sq)
@@ -181,11 +179,11 @@ def sandwich_report(op: BlockOperator, seed: int) -> list[VerificationReport]:
 
 
 def e_samples(op: BlockOperator, lambda1: float | None = None) -> list[float]:
-    """Energies for identity checks: five log-spaced offsets into (lambda0, lambda0+1e3],
-    plus the gap midpoint when lambda1 is known, each kept only above gap_edge(lambda0),
-    where the Schur system is formed."""
+    """Energies for identity checks: lambda0 plus five log-spaced offsets 10^-3 .. 10^3
+    times max(1, |lambda0|), plus the gap midpoint when lambda1 is known, each kept only
+    above gap_edge(lambda0), where the Schur system is formed."""
     lam0 = lambda0(op)
-    points = [lam0 + offset for offset in np.logspace(-3.0, 3.0, 5)]
+    points = [lam0 + max(1.0, abs(lam0)) * offset for offset in np.logspace(-3.0, 3.0, 5)]
     if lambda1 is not None and np.isfinite(lambda1) and lambda1 > lam0:
         points.append(0.5 * (lam0 + lambda1))
     return [e for e in points if e > gap_edge(lam0)]

@@ -87,6 +87,38 @@ def test_assemble_rejects_non_square():
         assemble_block(np.ones((1, 1)), 1)
 
 
+def test_assemble_rejects_a_complex_matrix():
+    # a float cast kept [[1, 1], [1, -1]], whose level is sqrt(2), not sqrt(6)
+    with pytest.raises(NonSymmetric, match="complex"):
+        assemble_block(np.array([[1, 1 + 2j], [1 - 2j, -1]]), 1)
+
+
+@pytest.mark.parametrize("block", ["p", "c", "amm"])
+def test_operator_rejects_a_complex_block(block):
+    blocks = {"p": np.eye(2), "c": np.ones((1, 2)), "amm": -np.eye(1)}
+    blocks[block] = blocks[block] + 0j
+    with pytest.raises(NonSymmetric, match=block):
+        BlockOperator(**blocks)
+
+
+@pytest.mark.parametrize("block", ["p", "amm"])
+def test_operator_rejects_a_non_square_block(block):
+    blocks = {"p": np.eye(2), "c": np.ones((2, 2)), "amm": -np.eye(2)}
+    blocks[block] = np.ones((2, 3))
+    with pytest.raises(NonSymmetric, match=f"{block} must be square"):
+        BlockOperator(**blocks)
+
+
+def test_operator_rejects_an_empty_block():
+    with pytest.raises(BadSplit, match="at least 1x1"):
+        BlockOperator(p=np.eye(2), c=np.ones((0, 2)), amm=np.ones((0, 0)))
+
+
+def test_operator_rejects_a_coupling_of_the_wrong_shape():
+    with pytest.raises(BadSplit, match="coupling block must be 1x2"):
+        BlockOperator(p=np.eye(2), c=np.ones((2, 1)), amm=-np.eye(1))
+
+
 @pytest.mark.filterwarnings("error")
 def test_a_huge_diagonal_entry_is_stored_as_given():
     # (m + m.T)/2 stored inf for 1e308

@@ -65,6 +65,11 @@ def live_operators(monkeypatch):
 
 
 class TestConfigParsing:
+    def test_a_value_that_breaks_a_check_is_a_bad_config_value(self):
+        # an array kind makes `kind in KINDS` ambiguous: a ValueError, not a traceback
+        with pytest.raises(ConfigParse, match="bad config value"):
+            config_from_dict({"kind": np.array(["dirac", "aps"])})
+
     def test_malformed_json_reports_position(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"kind": "random",}', encoding="utf-8")
@@ -195,6 +200,20 @@ class TestRun:
         assert row.abs_error <= 1e-12
         assert row.residual <= 1e-10
         assert row.ms >= 0.0
+
+    def test_no_oracle_past_the_dimension_limit(self, monkeypatch):
+        monkeypatch.setattr(cli, "ORACLE_DIM_LIMIT", 10)
+        config = config_from_dict({
+            "kind": "random", "spec": {"n_plus": 8, "n_minus": 8}, "k_max": 2})
+        rows = run(config)
+        assert len(rows) == 2
+        assert all(r.oracle is None and r.abs_error is None for r in rows)
+
+    def test_matrix_must_be_a_list_of_rows(self, tmp_path):
+        path = _write(tmp_path / "m.json", {"matrix": {"0": [1.0]}, "n_plus": 1})
+        config = config_from_dict({"kind": "matrix-file", "spec": {"path": path}})
+        with pytest.raises(ConfigParse, match="matrix must be a list of rows"):
+            run(config)
 
     def test_missing_matrix_path(self):
         with pytest.raises(ConfigParse, match="spec.path"):
@@ -406,13 +425,15 @@ class TestMain:
             assert abs(row.lambda_k - row.oracle) <= 1e-13 * abs(row.oracle)
 
     def test_verify_samples_above_a_scaled_edge(self, tmp_path, capsys):
-        # lambda0 <= -1e8 puts the edge at lambda0 + 1e-2 or higher, above verify's
-        # first fixed offset; the rows are reported, and no energy aborts the run
+        # lambda0 <= -1e8 puts the edge at lambda0 + 1e-2 or higher; verify's offsets grow
+        # with max(1, |lambda0|) like the edge, so every row is reported and passes
         cfg = _write(tmp_path / "cfg.json", {"kind": "random", "spec": {"gap_target": 1e8}})
         out = tmp_path / "rows.csv"
-        assert main(["verify", "--config", cfg, "--out", str(out), "--quiet"]) in (0, 1)
+        assert main(["verify", "--config", cfg, "--out", str(out), "--quiet"]) == 0
         assert capsys.readouterr().err == ""
-        assert "sandwich" in out.read_text()
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert "sandwich" in {row["check"] for row in rows}
+        assert all(row["passed"] == "true" for row in rows)
 
     def test_verify_a_level_next_to_the_edge(self, tmp_path, capsys):
         p, amm = np.diag([-1.0 + 5e-9, 2.0]), np.diag([-1.0, -3.0])
@@ -434,6 +455,12 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("gapeig: ") and len(err.splitlines()) == 1
         assert "pencil eigensolve" in err
+
+    def test_an_integer_beyond_float_range_exits_two(self, tmp_path, capsys):
+        # json reads the literal as an exact int, whose float() overflows
+        cfg = _write(tmp_path / "cfg.json", '{"kind": "random", "k_max": 1' + "0" * 400 + "}")
+        assert main(["spectrum", "--config", cfg, "--quiet"]) == 2
+        assert "k_max must be finite" in capsys.readouterr().err
 
     def test_malformed_config_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

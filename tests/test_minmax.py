@@ -522,6 +522,27 @@ def test_k_out_of_range(canonical):
         gap_spectrum(canonical, 0)
 
 
+@pytest.mark.parametrize("k", [1.5, 2.0, True])
+def test_lambda_k_and_gap_spectrum_need_an_integer_level(decoupled23, k):
+    # lambda_k(op, 1.5) returned level 1, and gap_spectrum(op, 2.0) a bare TypeError
+    with pytest.raises(KOutOfRange, match="integer"):
+        lambda_k(decoupled23, k)
+    with pytest.raises(KOutOfRange, match="k_max must be an integer"):
+        gap_spectrum(decoupled23, k)
+    assert lambda_k(decoupled23, np.int64(2)) == lambda_k(decoupled23, 2)
+    assert gap_spectrum(decoupled23, np.int64(2)) == gap_spectrum(decoupled23, 2)
+
+
+def test_the_first_row_of_a_one_level_spectrum_is_a_standalone_lambda_k(campaign_ops):
+    # at k_max = 1 the ladder's subset eigensolve is the same LAPACK call as mu_k's, so
+    # the row is lambda_k's to the bit; at a larger k_max it can differ in the last bits
+    dirac = build_dirac_coulomb(DiracSpec(nu=0.5, kappa=-1, n=300, r_max=30.0))
+    for op in [*campaign_ops[:20], dirac]:
+        row, alone = gap_spectrum(op, 1)[0], lambda_k(op, 1)
+        for name in row.__dataclass_fields__:
+            assert getattr(row, name) == getattr(alone, name), name
+
+
 def test_tol_validation(canonical):
     with pytest.raises(ValueError):
         lambda_k(canonical, 1, tol=0.0)

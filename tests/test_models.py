@@ -136,6 +136,11 @@ class TestAnalyticOracle:
 
 
 class TestApsCylinder:
+    def test_complex_modes_are_rejected(self):
+        # a float cast read the mode 1 + 2j as 1
+        with pytest.raises(SpecInvalid, match="modes must be real"):
+            ApsSpec(modes=(0.0, 1.0 + 2.0j), length_l=1.0, n=8)
+
     def test_validation(self):
         with pytest.raises(SpecInvalid):
             ApsSpec(modes=(), length_l=math.pi, n=32)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from gapeig import (ApsSpec, BlockOperator, DiracSpec, RandomSpec, assemble_block,
+from gapeig import (ApsSpec, BlockOperator, DiracSpec, EigFailure, RandomSpec, assemble_block,
                     build_aps_cylinder, build_dirac_coulomb, dense_spectrum,
                     gap_eigs_bruteforce, oracle, random_gapped)
 
@@ -118,6 +118,21 @@ def test_band_spectrum_agrees_with_dsyevd(spec):
     reference = np.linalg.eigvalsh(op.assembled())
     bound = op.dim * np.finfo(float).eps * np.abs(reference).max()  # ||A||_2
     assert np.abs(dense_spectrum(op) - reference).max() <= bound
+
+
+@pytest.mark.parametrize("build,solver", [
+    (lambda: random_gapped(RandomSpec(n_plus=6, n_minus=5, seed=0)), "eigvalsh"),
+    (lambda: build_dirac_coulomb(DiracSpec(nu=0.5, kappa=-1, n=300, r_max=30.0)),
+     "eig_banded"),
+], ids=["dense", "banded"])
+def test_a_failed_eigensolve_is_an_eig_failure(monkeypatch, build, solver):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+    op = build()
+    monkeypatch.setattr(oracle.scipy.linalg, solver, fail)
+    with pytest.raises(EigFailure, match="dense eigensolve failed"):
+        dense_spectrum(op)
 
 
 def test_a_dense_operator_builds_no_band(campaign_ops, monkeypatch):

@@ -417,7 +417,8 @@ def test_edge_rule_scales_with_lambda0(build, scale):
 ], ids=["dense", "banded"])
 def test_a_vector_that_does_not_fit_is_rejected_on_both_paths(build):
     # the dense path's BLAS and the banded path's scipy.sparse would each raise
-    # their own error, or none for a NaN; the vector is checked where it enters
+    # their own error, or none for a NaN, and a float cast dropped an imaginary
+    # part; the vector is checked where it enters
     op = build()
     e = lambda0(op) + 0.7
     system = build_schur(op, e)
@@ -427,12 +428,24 @@ def test_a_vector_that_does_not_fit_is_rejected_on_both_paths(build):
     n = op.n_plus
     for x, error in ((np.ones(n + 1), BadSplit), (np.ones(n - 1), BadSplit),
                      (np.ones((n, 1)), BadSplit), (np.full(n, np.nan), NonFinite),
-                     (np.r_[np.inf, np.ones(n - 1)], NonFinite)):
+                     (np.r_[np.inf, np.ones(n - 1)], NonFinite), (np.ones(n) + 1j, BadSplit)):
         for call in entry_points:
             with pytest.raises(error):
                 call(x)
     with pytest.raises(NonFinite):
         energy_of_vector(op, [np.nan] * n)
+    with pytest.raises(BadSplit, match="complex"):
+        energy_of_vector(op, [1.0 + 1.0j] + [0.0] * (n - 1))
+
+
+@pytest.mark.parametrize("k", [1.5, 1.0, True])
+def test_a_level_index_must_be_an_integer(decoupled23, k):
+    # 1 <= k <= n_plus held for 1.5, which read level 1
+    system = build_schur(decoupled23, 0.5)
+    for call in (system.value, system.levels, system.vector, lambda k: mu_k(decoupled23, 0.5, k)):
+        with pytest.raises(KOutOfRange, match="integer"):
+            call(k)
+    assert system.value(np.int64(2)) == system.value(2)
 
 
 def test_schur_matrix_matches_form(campaign_ops):

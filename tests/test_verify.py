@@ -302,6 +302,15 @@ def test_inverse_singular_at_eigenvalue(canonical):
         inverse_formula_check(canonical, 2.0)
 
 
+def test_a_failed_schur_solve_is_singular_schur(canonical, monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(verify.np.linalg, "solve", fail)
+    with pytest.raises(SingularSchur, match="Singular matrix"):
+        inverse_formula_check(canonical, 0.0)
+
+
 def test_inverse_inside_gap(campaign_ops):
     for op in campaign_ops[:5]:
         cert = lambda1_certificate(op)
@@ -354,8 +363,8 @@ def test_gap_fractions_layout():
 
 @pytest.mark.parametrize("gap_target", [1e8, 1e9])
 def test_sample_energies_stay_above_a_scaled_edge(monkeypatch, gap_target):
-    # gap_edge grows with |lambda0|: past 1e7 the fixed offsets 1e-3 (e_samples) and
-    # 10^U(-2, 2) (sandwich) fall at or below it, where a Schur system raises
+    # gap_edge grows with |lambda0|, and so do the offsets of e_samples (1e-3 and up)
+    # and of the sandwich (10^U(-2, 2)): past 1e7 fixed offsets would fall below it
     op = random_gapped(RandomSpec(n_plus=8, n_minus=8, gap_target=gap_target, seed=0))
     edge = schur.gap_edge(lambda0(op))
     energies, build = [], verify.build_schur
