@@ -11,6 +11,14 @@ block is stored as amm = -b, so b = -amm is positive definite shifted by any
 energy above lambda0 = max eig(amm). Everything downstream (Schur systems,
 min-max levels, verification residuals) consumes this type.
 
+A block is stored as given: a dense array, or, when passed as scipy.sparse,
+a canonical read-only CSR array (no explicit zeros, sorted indices), checked
+in O(nnz) under the same rules as a dense one. Only this module knows the
+storage: other modules read a block's nonzeros through nonzeros(), the block
+as a dense array through dense(), its norm through block_norm() and the whole
+matrix through BlockOperator.assembled(). Arithmetic with a dense array
+(m - e*I, m @ x) gives the same dense result for either storage.
+
 Facts that depend only on an operator (amm's eigenbasis and lambda0, the
 Schur matrix's storage, the gap certificate) are computed once and kept in
 the operator's memo, each by the module that computes it; nothing that
@@ -23,6 +31,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from .errors import BadSplit, EigFailure, GapeigError, NonFinite, NonSymmetric
 
@@ -30,39 +39,65 @@ SYMMETRY_RTOL = 1e-13
 INPUT_SYMMETRY_RTOL = 1e-12
 
 
-def _check_finite(m: np.ndarray, what: str) -> float:
+def _values(m) -> np.ndarray:
+    """The stored entries of m: a sparse block's nonzeros, a dense block itself."""
+    return m.data if sparse.issparse(m) else m
+
+
+def _canonical(m: sparse.csr_array) -> sparse.csr_array:
+    """m in place with duplicates summed, indices sorted and explicit zeros removed."""
+    m.sum_duplicates()
+    m.eliminate_zeros()
+    return m
+
+
+def _check_finite(m, what: str) -> float:
     """Largest entry magnitude of m, rejecting NaN and inf, which slip past every comparison."""
-    top = max(m.max(), -m.min())  # a NaN entry makes both NaN
+    values = _values(m)
+    top = max(values.max(initial=0.0), -values.min(initial=0.0))  # a NaN entry makes both NaN
     if not np.isfinite(top):
         raise NonFinite(f"block {what} has non-finite entries (NaN or inf)")
     return top
 
 
-def as_real(m, what: str, error: type[GapeigError]) -> np.ndarray:
-    """m as a float array; complex m raises error, as a float cast would drop its imaginary part."""
-    m = np.asarray(m)
+def as_real(m, what: str, error: type[GapeigError]):
+    """m as a float array, or as a canonical float CSR copy when m is scipy.sparse; complex
+    m raises error, as a float cast would drop its imaginary part, and so does an object
+    array holding a complex entry."""
+    dense = not sparse.issparse(m)
+    m = np.asarray(m) if dense else m
     if np.iscomplexobj(m):
         raise error(f"{what} must be real, got complex entries")
-    return np.asarray(m, dtype=float)
+    try:
+        return np.asarray(m, dtype=float) if dense else _canonical(
+            sparse.csr_array(m, dtype=float, copy=True))
+    except TypeError as exc:  # float() of a complex object
+        raise error(f"{what} must be real: {exc}") from exc
 
 
-def _check_symmetric(m: np.ndarray, rtol: float, what: str) -> np.ndarray:
+def _check_symmetric(m, rtol: float, what: str):
     """Return the symmetrized copy of the square m, rejecting asymmetry beyond rtol*||m||.
 
-    The copy is 0.5*m + 0.5*m.T, which rounds as (m + m.T)/2 but cannot overflow; m.T
-    is read 64 rows at a time, so no second n x n array is made. ||m - m.T|| is read as
-    2*||m - copy||, and both norms are of rows scaled exactly by a power of two to a
-    largest entry in [0.5, 1), so neither overflows nor vanishes.
+    The copy is 0.5*m + 0.5*m.T, which rounds as (m + m.T)/2 but cannot overflow.
+    ||m - m.T|| is read as 2*||m - copy||, and both norms are of entries scaled exactly
+    by a power of two to a largest entry in [0.5, 1), so neither overflows nor vanishes.
+    A sparse m is symmetrized as CSR and its norms are of its stored values, in O(nnz);
+    a dense m.T is read 64 rows at a time, so no second n x n array is made.
     """
     exp = math.frexp(_check_finite(m, what))[1]
-    rows = [slice(j, j + 64) for j in range(0, len(m), 64)]
-    sym = np.multiply(m, 0.5)
-    for r in rows:
-        sym[:, r] += 0.5 * m[r].T
-    defect = scale = 0.0
-    for r in rows:
-        defect = math.hypot(defect, np.linalg.norm(np.ldexp(m[r] - sym[r], 1 - exp)))
-        scale = math.hypot(scale, np.linalg.norm(np.ldexp(m[r], -exp)))
+    if sparse.issparse(m):
+        sym = _canonical((0.5 * m + 0.5 * m.T).tocsr())
+        defect = np.linalg.norm(np.ldexp((m - sym).data, 1 - exp))
+        scale = np.linalg.norm(np.ldexp(m.data, -exp))
+    else:
+        rows = [slice(j, j + 64) for j in range(0, len(m), 64)]
+        sym = np.multiply(m, 0.5)
+        for r in rows:
+            sym[:, r] += 0.5 * m[r].T
+        defect = scale = 0.0
+        for r in rows:
+            defect = math.hypot(defect, np.linalg.norm(np.ldexp(m[r] - sym[r], 1 - exp)))
+            scale = math.hypot(scale, np.linalg.norm(np.ldexp(m[r], -exp)))
     if defect > rtol * scale:
         raise NonSymmetric(f"{what} relative asymmetry {defect / scale:.3e} exceeds {rtol:g}")
     return sym
@@ -78,11 +113,13 @@ def _check_cap(n_plus: int, n_minus: int) -> None:
 class BlockOperator:
     """Immutable 2x2 block realization of a symmetric operator with a gap.
 
-    Construction rejects complex blocks and checks the shapes and SIZE_CAP
-    before any arithmetic on the blocks; then it rejects non-finite entries,
-    symmetrizes p and amm (inputs within 1e-13 relative asymmetry are accepted,
-    anything worse is rejected) and freezes all three arrays, so instances are
-    safe to share read-only across threads.
+    Each block is a dense array or, when passed as scipy.sparse, a canonical
+    CSR array (see the module docstring). Construction rejects complex blocks
+    and checks the shapes and SIZE_CAP before any arithmetic on the blocks;
+    then it rejects non-finite entries, symmetrizes p and amm (inputs within
+    1e-13 relative asymmetry are accepted, anything worse is rejected) and
+    freezes all three blocks, a sparse block's data, indices and indptr
+    alike, so instances are safe to share read-only across threads.
 
     The private memo is the one place for facts derived from the operator:
     amm's eigenbasis (d, Q) (this module), the Schur matrix's storage with
@@ -94,9 +131,9 @@ class BlockOperator:
     an operator at once may both compute a fact, with the same result.
     """
 
-    p: np.ndarray
-    c: np.ndarray
-    amm: np.ndarray
+    p: np.ndarray | sparse.csr_array
+    c: np.ndarray | sparse.csr_array
+    amm: np.ndarray | sparse.csr_array
     n_plus: int = field(init=False)
     n_minus: int = field(init=False)
     _memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
@@ -119,8 +156,9 @@ class BlockOperator:
         p = _check_symmetric(p, SYMMETRY_RTOL, "p")
         amm = _check_symmetric(amm, SYMMETRY_RTOL, "amm")
         _check_finite(c, "c")
-        for arr in (p, c, amm):
-            arr.setflags(write=False)
+        for m in (p, c, amm):
+            for arr in (m.data, m.indices, m.indptr) if sparse.issparse(m) else (m,):
+                arr.setflags(write=False)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "amm", amm)
@@ -141,8 +179,19 @@ class BlockOperator:
 
     def assembled(self) -> np.ndarray:
         """Dense (n_plus+n_minus)^2 matrix [[p, c.T], [c, amm]], a new C-ordered array;
-        exactly symmetric, as p and amm are stored symmetrized."""
-        return np.block([[self.p, self.c.T], [self.c, self.amm]])
+        exactly symmetric, as p and amm are stored symmetrized. A sparse block is
+        scattered into it, with no dense temporary."""
+        n = self.n_plus
+        full = np.zeros((self.dim, self.dim))
+        upper, lower = slice(None, n), slice(n, None)
+        for rows, cols, m in ((upper, upper, self.p), (lower, upper, self.c),
+                              (upper, lower, self.c.T), (lower, lower, self.amm)):
+            if sparse.issparse(m):
+                m = m.tocoo()
+                full[rows, cols][m.coords] = m.data
+            else:
+                full[rows, cols] = m
+        return full
 
 
 @dataclass(frozen=True)
@@ -192,6 +241,29 @@ def assemble_block(full: np.ndarray, n_plus: int) -> BlockOperator:
     )
 
 
+def nonzeros(m, limit: int | None = None) -> sparse.csr_array | None:
+    """Block m's nonzeros as a canonical CSR array, or None when there are more than limit.
+
+    A block stored sparse is returned itself, read-only; a dense one is counted first
+    and copied only within the limit.
+    """
+    if sparse.issparse(m):
+        return m if limit is None or m.nnz <= limit else None
+    if limit is not None and np.count_nonzero(m) > limit:
+        return None
+    return sparse.csr_array(m)
+
+
+def dense(m) -> np.ndarray:
+    """Block m as a dense array: a dense block itself, read-only; a sparse one densified."""
+    return m.toarray() if sparse.issparse(m) else m
+
+
+def block_norm(m) -> float:
+    """The Frobenius norm of block m; a sparse block's is that of its stored nonzeros."""
+    return float(np.linalg.norm(_values(m)))
+
+
 def lower_eigen(op: BlockOperator) -> tuple[np.ndarray, np.ndarray | None]:
     """amm = Q diag(d) Q.T as (d, Q), once per operator: one eigh, d ascending.
 
@@ -199,12 +271,14 @@ def lower_eigen(op: BlockOperator) -> tuple[np.ndarray, np.ndarray | None]:
     """
 
     def compute():
-        diag = np.diagonal(op.amm)
-        # diagonal when all of amm's nonzeros sit on its diagonal; no n_minus^2 temporary
-        if np.count_nonzero(op.amm) == np.count_nonzero(diag):
-            return diag, None
+        # diagonal when all of amm's nonzeros, at most n_minus, sit on its diagonal
+        amm = nonzeros(op.amm, op.n_minus)
+        if amm is not None:
+            diag = amm.diagonal()
+            if amm.nnz == np.count_nonzero(diag):
+                return diag, None
         try:
-            return tuple(np.linalg.eigh(op.amm))
+            return tuple(np.linalg.eigh(dense(op.amm)))
         except np.linalg.LinAlgError as exc:
             raise EigFailure(f"eigensolve on amm failed: {exc}") from exc
 

@@ -2,6 +2,8 @@
 cylinder boundary operator, a discrete Hardy-type positivity check, and
 seeded random matrices for property campaigns, gapped by construction
 (K_e >= p - e > 0 below min eig p, so lambda1 >= min eig p > 0 > lambda0).
+The Dirac and cylinder builders return their diagonal and banded blocks as
+scipy.sparse CSR arrays, O(n) in memory; the random generator's are dense.
 
 The Dirac channel at coupling nu and angular number kappa is discretized on
 a radial grid r_i = r_max * (i/n)^g (g = 1 uniform, g = 2 quadratic) with
@@ -19,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
+from scipy import sparse
 
 from .blockop import BlockOperator, _check_cap, as_real
 from .errors import SpecInvalid
@@ -31,6 +33,14 @@ GRADING_THRESHOLD = 0.7  # quadratic grading resolves the origin above this coup
 
 def default_grading(nu: float) -> str:
     return "quadratic" if nu > GRADING_THRESHOLD else "uniform"
+
+
+def _check_size(value, what: str, least: int) -> None:
+    """Reject a size that is not an integer (a float or a bool) or is below least."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise SpecInvalid(f"{what} must be an integer, got {value!r}")
+    if value < least:
+        raise SpecInvalid(f"{what} must be at least {least}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -48,9 +58,8 @@ class DiracSpec:
             raise SpecInvalid(f"nu must lie in [0, 1], got {self.nu}")
         if self.kappa == 0 or int(self.kappa) != self.kappa:
             raise SpecInvalid(f"kappa must be a nonzero integer, got {self.kappa}")
-        if self.n < 16:
-            raise SpecInvalid(f"n must be at least 16, got {self.n}")
-        _check_cap(self.n, self.n)  # before a builder allocates its n x n blocks
+        _check_size(self.n, "n", 16)
+        _check_cap(self.n, self.n)
         if not self.r_max > 0:
             raise SpecInvalid(f"r_max must be positive, got {self.r_max}")
         grading = self.grading if self.grading is not None else default_grading(self.nu)
@@ -73,8 +82,7 @@ class ApsSpec:
             raise SpecInvalid("modes must be nonempty")
         if not self.length_l > 0:
             raise SpecInvalid(f"length_l must be positive, got {self.length_l}")
-        if self.n < 8:
-            raise SpecInvalid(f"n must be at least 8, got {self.n}")
+        _check_size(self.n, "n", 8)
         _check_cap(len(modes) * self.n, len(modes) * (2 * self.n + 1))  # n and 2n + 1 per mode
         object.__setattr__(self, "modes", modes)
 
@@ -89,8 +97,8 @@ class RandomSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_plus < 1 or self.n_minus < 1:
-            raise SpecInvalid("dimensions must be at least 1")
+        _check_size(self.n_plus, "n_plus", 1)
+        _check_size(self.n_minus, "n_minus", 1)
         _check_cap(self.n_plus, self.n_minus)
         if not self.gap_target > 0:
             raise SpecInvalid(f"gap_target must be positive, got {self.gap_target}")
@@ -106,10 +114,10 @@ def radial_grid(spec: DiracSpec) -> np.ndarray:
 
 
 def build_dirac_coulomb(spec: DiracSpec) -> BlockOperator:
-    """One radial channel as a BlockOperator.
+    """One radial channel as a BlockOperator with CSR blocks.
 
     p = diag(1 - nu/r), amm = diag(-1 - nu/r), and the coupling is the
-    weight-conjugated antisymmetric central difference plus kappa/r.
+    weight-conjugated antisymmetric central difference plus kappa/r, tridiagonal.
     """
     g = 2 if spec.grading == "quadratic" else 1
     n, r_max = spec.n, spec.r_max
@@ -120,9 +128,10 @@ def build_dirac_coulomb(spec: DiracSpec) -> BlockOperator:
     ext = np.concatenate(([r_lo], r, [r_hi]))
     w = (ext[2:] - ext[:-2]) / 2.0
     off = 1.0 / (2.0 * np.sqrt(w[:-1] * w[1:]))
-    c = np.diag(off, 1) - np.diag(off, -1) + spec.kappa * np.diag(1.0 / r)
-    p = np.diag(1.0 - spec.nu / r)
-    amm = np.diag(-1.0 - spec.nu / r)
+    c = sparse.diags_array([-off, spec.kappa * (1.0 / r), off], offsets=[-1, 0, 1],
+                           format="csr")
+    p = sparse.diags_array(1.0 - spec.nu / r, format="csr")
+    amm = sparse.diags_array(-1.0 - spec.nu / r, format="csr")
     return BlockOperator(p=p, c=c, amm=amm)
 
 
@@ -140,10 +149,11 @@ def analytic_dirac_energy(nu: float, kappa: int, n_r: int) -> float:
     return 1.0 / math.sqrt(1.0 + (nu / (n_r + gamma)) ** 2)
 
 
-def forward_difference(n: int, length_l: float) -> np.ndarray:
-    """The (n+1) x n Dirichlet forward-difference matrix on an interval."""
+def forward_difference(n: int, length_l: float) -> sparse.csr_array:
+    """The (n+1) x n Dirichlet forward-difference matrix on an interval, as CSR."""
     h = length_l / (n + 1)
-    return (np.eye(n + 1, n) - np.eye(n + 1, n, k=-1)) / h
+    return sparse.diags_array([np.full(n, 1.0 / h), np.full(n, -1.0 / h)], offsets=[0, -1],
+                              shape=(n + 1, n), format="csr")
 
 
 def aps_sigma_min(n: int, length_l: float) -> float:
@@ -152,7 +162,7 @@ def aps_sigma_min(n: int, length_l: float) -> float:
 
 
 def build_aps_cylinder(spec: ApsSpec) -> BlockOperator:
-    """The cylinder operator, block-diagonal over boundary modes.
+    """The cylinder operator, block-diagonal over boundary modes, with CSR blocks.
 
     Both diagonal blocks vanish, so the whole operator is its coupling. Per
     mode the coupling stacks the forward difference over an injected mass
@@ -161,9 +171,11 @@ def build_aps_cylinder(spec: ApsSpec) -> BlockOperator:
     exact and the per-mode levels sqrt(mode^2 + sigma_j^2) closed-form.
     """
     d_f = forward_difference(spec.n, spec.length_l)
-    c = sla.block_diag(*(np.vstack([d_f, -mode * np.eye(spec.n)]) for mode in spec.modes))
+    c = sparse.block_diag([sparse.vstack([d_f, -mode * sparse.eye_array(spec.n)])
+                           for mode in spec.modes], format="csr")
     lower, upper = c.shape
-    return BlockOperator(p=np.zeros((upper, upper)), c=c, amm=np.zeros((lower, lower)))
+    return BlockOperator(p=sparse.csr_array((upper, upper)), c=c,
+                         amm=sparse.csr_array((lower, lower)))
 
 
 def hardy_check(nu: float, n: int, r_max: float) -> VerificationReport:

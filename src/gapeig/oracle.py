@@ -6,8 +6,8 @@ regenerated independently. A spectrum is every eigenvalue of A, ascending,
 with no Schur complement. One structure rule picks the LAPACK routine: an
 operator that is banded once its lower rows are interleaved with the upper
 columns goes to the band solver dsbevd, with A built as a band from the
-blocks' nonzeros; every other operator to dsyevd in the assembled matrix's
-own memory, one dim x dim matrix.
+blocks' nonzeros (blockop.nonzeros); every other operator to dsyevd in the
+assembled matrix's own memory, one dim x dim matrix.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .blockop import BlockOperator
+from .blockop import BlockOperator, nonzeros
 from .errors import EigFailure
 from .schur import BAND_RATIO
 
@@ -27,28 +27,32 @@ def _band(op: BlockOperator) -> np.ndarray | None:
 
     Each lower row goes right after the upper column where its row of c starts
     (a row of c that is empty goes last), one stable sort. A is banded when
-    dim >= BAND_RATIO * (w + 1) for the half-bandwidth w of that order; a
-    nonzero count above dim * (2w + 1) at the widest w allowed rules that out
-    before anything is built.
+    dim >= BAND_RATIO * (w + 1) for the half-bandwidth w of that order. The blocks
+    are read through blockop.nonzeros, in O(nnz) for a sparse one; a nonzero count
+    above dim * (2w + 1) at the widest w allowed rules that out before anything
+    is built.
     """
     n, dim = op.n_plus, op.dim
-    widest = dim // BAND_RATIO - 1
-    nonzeros = np.count_nonzero(op.p) + 2 * np.count_nonzero(op.c) + np.count_nonzero(op.amm)
-    if nonzeros > dim * (2 * widest + 1):
-        return None
-    rows, cols = np.nonzero(op.c)  # row by row, each row's columns ascending
+    budget = dim * (2 * (dim // BAND_RATIO - 1) + 1)
+    blocks = []
+    for m, copies in ((op.p, 1), (op.c, 2), (op.amm, 1)):  # c sits in both triangles
+        nz = nonzeros(m, budget // copies)
+        if nz is None:
+            return None
+        budget -= copies * nz.nnz
+        blocks.append(nz.tocoo())  # row by row, each row's columns ascending
+    p, c, amm = blocks
+    rows, cols = c.coords
     start = np.full(op.n_minus, float(n))
     filled, first = np.unique(rows, return_index=True)
     start[filled] = cols[first] + 0.5
     at = np.empty(dim, dtype=np.intp)
     at[np.argsort(np.concatenate([np.arange(n), start]), kind="stable")] = np.arange(dim)
     # A's nonzeros, positions in that order: p's, c's in both triangles, amm's
-    p_rows, p_cols = np.nonzero(op.p)
-    m_rows, m_cols = np.nonzero(op.amm)
-    coupling = op.c[rows, cols]
+    (p_rows, p_cols), (m_rows, m_cols) = p.coords, amm.coords
     i = at[np.concatenate([p_rows, rows + n, cols, m_rows + n])]
     j = at[np.concatenate([p_cols, cols, rows + n, m_cols + n])]
-    values = np.concatenate([op.p[p_rows, p_cols], coupling, coupling, op.amm[m_rows, m_cols]])
+    values = np.concatenate([p.data, c.data, c.data, amm.data])
     w = int(np.abs(i - j).max(initial=0))
     if dim < BAND_RATIO * (w + 1):
         return None

@@ -30,8 +30,10 @@ unrotated operator whose k_e has half-bandwidth w, the widest of p's and
 of c.T c's nonzero patterns, with n_plus >= BAND_RATIO * (w + 1) takes the
 banded path; every other operator the dense one. The rule also picks the one
 storage of p, c and c.T that every product reads, k_e, lift, form and
-residual alike. value(k) is one level; levels(m) is the m lowest from one
-eigensolve, the row gap_spectrum's bracketing ladder keeps per probe energy;
+residual alike: CSR from blockop.nonzeros on the banded path (a model
+operator's own stored p and c, no copy), blockop.dense arrays on the dense
+one. value(k) is one level; levels(m) is the m lowest from one eigensolve,
+the row gap_spectrum's bracketing ladder keeps per probe energy;
 values_in(lo, hi) is every level in (lo, hi], the count minmax takes
 multiplicities from. All three go through one selection, _select.
 
@@ -58,7 +60,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy import sparse
 
-from .blockop import BlockOperator, as_real, lambda0, lower_eigen
+from .blockop import BlockOperator, as_real, dense, lambda0, lower_eigen, nonzeros
 from .errors import BadSplit, EigFailure, KOutOfRange, NonFinite, NotPositiveDefinite
 
 GAP_EDGE_MARGIN = 1e-10
@@ -67,7 +69,7 @@ INVERSE_STEPS = 3
 SHIFT_ULPS = 4
 
 
-def _half_bandwidth(p: sparse.csr_matrix, c: sparse.csr_matrix) -> int:
+def _half_bandwidth(p: sparse.csr_array, c: sparse.csr_array) -> int:
     """k_e's half-bandwidth w: the widest of p's and of c.T c's nonzero patterns.
 
     The crossover behind BAND_RATIO, measured as one level per energy (dsbevx
@@ -89,15 +91,15 @@ def _half_bandwidth(p: sparse.csr_matrix, c: sparse.csr_matrix) -> int:
     return w
 
 
-def _upper_band(m: sparse.spmatrix, w: int) -> np.ndarray:
+def _upper_band(m: sparse.csr_array, w: int) -> np.ndarray:
     """Upper band storage, band[w + i - j, j] = m[i, j] for i <= j."""
     return np.array([np.pad(m.diagonal(t), (t, 0)) for t in range(w, -1, -1)])
 
 
-def _symmetric(band: np.ndarray) -> sparse.csr_matrix:
+def _symmetric(band: np.ndarray) -> sparse.csr_array:
     """The symmetric matrix whose upper band storage is band."""
     w, n = band.shape[0] - 1, band.shape[1]
-    upper = sparse.dia_matrix((band, np.arange(w, -1, -1)), shape=(n, n))
+    upper = sparse.dia_array((band, np.arange(w, -1, -1)), shape=(n, n))
     return (upper + sparse.triu(upper, 1).T).tocsr()
 
 
@@ -140,15 +142,17 @@ class _Lower:
     def __init__(self, op: BlockOperator) -> None:
         self.lambda0 = lambda0(op)
         self.d, self.q = lower_eigen(op)
-        # the storage every product reads: CSR copies if banded (w set), else dense
-        c = op.c if self.q is None else _mul(self.q.T, op.c)
-        self.p, self.c, self.ct, self.w = op.p, c, c.T, None
+        # the storage every product reads: p and c as CSR if banded (w set), else dense
+        self.w = None
         if self.q is None:
-            p, c = sparse.csr_matrix(op.p), sparse.csr_matrix(op.c)
+            p, c = nonzeros(op.p), nonzeros(op.c)
             w = _half_bandwidth(p, c)
             if op.n_plus >= BAND_RATIO * (w + 1):
                 self.p, self.c, self.ct, self.w = p, c, c.T.tocsr(), w
-        else:  # eigh's residual in its own basis, Q.T (amm Q - Q diag(d))
+        if self.w is None:
+            c = dense(op.c) if self.q is None else _mul(self.q.T, dense(op.c))
+            self.p, self.c, self.ct = dense(op.p), c, c.T
+        if self.q is not None:  # eigh's residual in its own basis, Q.T (amm Q - Q diag(d))
             self.f = _mul(self.q.T, _mul(op.amm, self.q) - self.q * self.d)
 
 
@@ -190,7 +194,7 @@ class SchurSystem:
     def l_e(self) -> np.ndarray:
         """(b + e*I)^{-1} c in the operator's own basis, as a dense matrix."""
         if self._l is None:
-            self._l = self.solve_lower(self.op.c)
+            self._l = self.solve_lower(dense(self.op.c))
         return self._l
 
     def _banded(self) -> np.ndarray:
@@ -199,7 +203,7 @@ class SchurSystem:
             lower = self._lower
             lift = lower.c.copy()  # l_e: each row of c divided by its entry of b + e*I
             lift.data /= np.repeat(self._shifted_diag(), np.diff(lower.c.indptr))
-            eye = sparse.identity(self.op.n_plus, format="csr")
+            eye = sparse.eye_array(self.op.n_plus, format="csr")
             self._band = _upper_band(lower.p - self.e * eye + lower.ct @ lift, lower.w)
         return self._band
 

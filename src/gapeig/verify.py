@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .blockop import BlockOperator, lambda0
+from .blockop import BlockOperator, block_norm, lambda0
 from .errors import NoGap, SingularSchur
 from .minmax import lambda1_certificate
 from .oracle import dense_spectrum
@@ -48,7 +48,8 @@ def _congruence(op: BlockOperator, e: float) -> tuple[float, float]:
     -(b+e) is amm - e*I to the last bit, so only the upper-left and the two coupling
     blocks of the difference can be nonzero. The relative residual is the larger of
     those blocks' normwise backward errors: each block's residual over the sum of the
-    norms of the terms it compares.
+    norms of the terms it compares. A block enters each difference beside a dense array,
+    which gives a dense result in either storage; its own norm is blockop.block_norm's.
     """
     system, norm, root2 = build_schur(op, e), np.linalg.norm, math.sqrt(2.0)
     bpe = e * np.eye(op.n_minus) - op.amm  # the shift first: e*l_e - amm@l_e cancels near lambda0
@@ -58,8 +59,8 @@ def _congruence(op: BlockOperator, e: float) -> tuple[float, float]:
     upper = norm(p_e - (system.k_e - lifted))
     coupling = norm(op.c - bpe_le)
     relative = max(_relative(upper, norm(p_e) + norm(system.k_e) + norm(lifted)),
-                   _relative(coupling, norm(op.c) + norm(bpe_le)))
-    full_norm = math.hypot(norm(op.p), root2 * norm(op.c), norm(op.amm))
+                   _relative(coupling, block_norm(op.c) + norm(bpe_le)))
+    full_norm = math.hypot(block_norm(op.p), root2 * block_norm(op.c), block_norm(op.amm))
     return relative, math.hypot(upper, root2 * coupling) / max(1.0, full_norm)
 
 

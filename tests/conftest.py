@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from gapeig import BlockOperator, RandomSpec, assemble_block, random_gapped
 
 CANONICAL = np.array([[1.0, 1.0], [1.0, -1.0]])
+
+
+def dense(m):
+    """A block as a dense array, whether the operator stores it dense or as scipy.sparse."""
+    return m.toarray() if sparse.issparse(m) else np.asarray(m)
 
 
 @pytest.fixture()

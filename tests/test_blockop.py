@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy import sparse
 
 from gapeig import (
     BadSplit,
@@ -13,7 +14,7 @@ from gapeig import (
     lambda0,
 )
 from gapeig import blockop
-from gapeig.blockop import lower_eigen
+from gapeig.blockop import lower_eigen, nonzeros
 from gapeig.models import DiracSpec, build_dirac_coulomb
 
 
@@ -53,8 +54,9 @@ BAD_VALUES = (np.nan, np.inf, -np.inf)
 def test_operator_rejects_non_finite(block, bad):
     blocks = {"p": np.eye(2), "c": np.ones((3, 2)), "amm": -np.eye(3)}
     blocks[block][0, 0] = bad
-    with pytest.raises(NonFinite, match=f"block {block} "):
-        BlockOperator(**blocks)
+    for store in (np.asarray, sparse.csr_array):
+        with pytest.raises(NonFinite, match=f"block {block} "):
+            BlockOperator(**{name: store(m) for name, m in blocks.items()})
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -88,35 +90,41 @@ def test_assemble_rejects_non_square():
 
 
 def test_assemble_rejects_a_complex_matrix():
-    # a float cast kept [[1, 1], [1, -1]], whose level is sqrt(2), not sqrt(6)
-    with pytest.raises(NonSymmetric, match="complex"):
-        assemble_block(np.array([[1, 1 + 2j], [1 - 2j, -1]]), 1)
+    # a float cast kept [[1, 1], [1, -1]], whose level is sqrt(2), not sqrt(6); an
+    # object array holding a complex entry failed in the cast with a bare TypeError
+    for full in (np.array([[1, 1 + 2j], [1 - 2j, -1]]),
+                 np.array([[1, 1j], [-1j, -1]], dtype=object)):
+        with pytest.raises(NonSymmetric, match="complex"):
+            assemble_block(full, 1)
 
 
 @pytest.mark.parametrize("block", ["p", "c", "amm"])
 def test_operator_rejects_a_complex_block(block):
     blocks = {"p": np.eye(2), "c": np.ones((1, 2)), "amm": -np.eye(1)}
-    blocks[block] = blocks[block] + 0j
-    with pytest.raises(NonSymmetric, match=block):
-        BlockOperator(**blocks)
+    for bad in (blocks[block] + 0j, np.array(blocks[block] + 0j, dtype=object),
+                sparse.csr_array(blocks[block] + 0j)):
+        with pytest.raises(NonSymmetric, match=block):
+            BlockOperator(**{**blocks, block: bad})
 
 
 @pytest.mark.parametrize("block", ["p", "amm"])
 def test_operator_rejects_a_non_square_block(block):
     blocks = {"p": np.eye(2), "c": np.ones((2, 2)), "amm": -np.eye(2)}
-    blocks[block] = np.ones((2, 3))
-    with pytest.raises(NonSymmetric, match=f"{block} must be square"):
-        BlockOperator(**blocks)
+    for bad in (np.ones((2, 3)), sparse.csr_array(np.ones((2, 3)))):
+        with pytest.raises(NonSymmetric, match=f"{block} must be square"):
+            BlockOperator(**{**blocks, block: bad})
 
 
 def test_operator_rejects_an_empty_block():
-    with pytest.raises(BadSplit, match="at least 1x1"):
-        BlockOperator(p=np.eye(2), c=np.ones((0, 2)), amm=np.ones((0, 0)))
+    for store in (np.asarray, sparse.csr_array):
+        with pytest.raises(BadSplit, match="at least 1x1"):
+            BlockOperator(p=store(np.eye(2)), c=store(np.ones((0, 2))), amm=store(np.ones((0, 0))))
 
 
 def test_operator_rejects_a_coupling_of_the_wrong_shape():
-    with pytest.raises(BadSplit, match="coupling block must be 1x2"):
-        BlockOperator(p=np.eye(2), c=np.ones((2, 1)), amm=-np.eye(1))
+    for store in (np.asarray, sparse.csr_array):
+        with pytest.raises(BadSplit, match="coupling block must be 1x2"):
+            BlockOperator(p=store(np.eye(2)), c=store(np.ones((2, 1))), amm=store(-np.eye(1)))
 
 
 @pytest.mark.filterwarnings("error")
@@ -137,8 +145,10 @@ def test_huge_finite_coupling_entries_are_finite():
 def test_an_antisymmetric_block_is_rejected_at_any_scale(size):
     # the norms overflowed to inf (inf > rtol*inf is false) or underflowed to 0,
     # and the block passed as symmetric and was stored as zeros
-    with pytest.raises(NonSymmetric, match="relative asymmetry 2.000e\\+00"):
-        BlockOperator(p=[[0.0, size], [-size, 0.0]], c=[[1.0, 1.0]], amm=[[-1.0]])
+    for store in (np.asarray, sparse.csr_array):
+        with pytest.raises(NonSymmetric, match="relative asymmetry 2.000e\\+00"):
+            BlockOperator(p=store(np.array([[0.0, size], [-size, 0.0]])), c=[[1.0, 1.0]],
+                          amm=[[-1.0]])
 
 
 def test_symmetrization_rounds_as_the_mean_of_m_and_its_transpose():
@@ -182,10 +192,73 @@ def test_size_cap_comes_before_any_arithmetic_on_the_blocks(monkeypatch):
     monkeypatch.setattr(BlockOperator, "SIZE_CAP", 3)
     monkeypatch.setattr(blockop, "_check_symmetric", refuse)
     monkeypatch.setattr(blockop, "_check_finite", refuse)
-    with pytest.raises(BadSplit, match="cap 3"):
-        BlockOperator(p=np.eye(4), c=np.zeros((1, 4)), amm=np.array([[-1.0]]))
+    for store in (np.asarray, sparse.csr_array):
+        with pytest.raises(BadSplit, match="cap 3"):
+            BlockOperator(p=store(np.eye(4)), c=store(np.zeros((1, 4))), amm=store([[-1.0]]))
     with pytest.raises(BadSplit, match="cap 3"):
         assemble_block(np.diag([1.0, 2.0, 3.0, 4.0, -1.0]), 4)
+
+
+def _sparse_blocks():
+    """p tridiagonal, c with an empty row, amm diagonal with a zero: all as CSR."""
+    p = np.diag([2.0, 3.0, 4.0]) + np.diag([0.5, -0.25], 1) + np.diag([0.5, -0.25], -1)
+    c = np.array([[1.0, 0.0, 2.0], [0.0, 0.0, 0.0], [0.0, -1.0, 0.0], [3.0, 0.0, 0.0]])
+    amm = np.diag([-1.0, 0.0, -2.0, -0.5])
+    return {name: sparse.csr_array(m) for name, m in (("p", p), ("c", c), ("amm", amm))}
+
+
+def test_a_sparse_block_is_stored_canonical_and_read_only():
+    blocks = _sparse_blocks()
+    # p as COO with a duplicate entry and an explicit zero; c as CSR with unsorted
+    # indices in its first row and an explicit zero in its second
+    p = sparse.coo_array(([1.0, 1.0, 3.0, 0.0, 4.0, 0.5, 0.5, -0.25, -0.25],
+                          ([0, 0, 1, 2, 2, 0, 1, 1, 2], [0, 0, 1, 0, 2, 1, 0, 2, 1])), shape=(3, 3))
+    c = sparse.csr_array(([2.0, 1.0, 0.0, -1.0, 3.0], [2, 0, 1, 1, 0], [0, 2, 3, 4, 5]),
+                         shape=(4, 3))
+    op = BlockOperator(p=p, c=c, amm=blocks["amm"])
+    for m in (op.p, op.c, op.amm):
+        assert isinstance(m, sparse.csr_array) and m.dtype == float
+        assert m.has_canonical_format and np.all(m.data != 0.0)
+        for arr in (m.data, m.indices, m.indptr):
+            with pytest.raises(ValueError):
+                arr[0] = arr[0]
+    for name, nnz in (("p", 7), ("c", 4), ("amm", 3)):
+        assert np.array_equal(getattr(op, name).toarray(), blocks[name].toarray())
+        assert getattr(op, name).nnz == nnz
+    assert nonzeros(op.amm) is op.amm
+    # the caller's arrays are copied, not frozen
+    c.data[1] = 5.0
+    assert op.c.toarray()[0, 0] == 1.0
+
+
+@pytest.mark.parametrize("block", ("p", "amm"))
+def test_a_sparse_block_is_symmetrized_like_its_dense_twin(block):
+    # beyond 1e-13 relative asymmetry a sparse block is rejected; within it, it is
+    # stored as the dense twin's symmetrized block, to the bit
+    rng = np.random.default_rng(3)
+    for defect, accepted in ((1e-15, True), (1e-14, True), (1e-12, False), (1.0, False)):
+        blocks = _sparse_blocks()
+        m = blocks[block].toarray()
+        m[np.nonzero(m)] *= 1.0 + defect * rng.standard_normal(np.count_nonzero(m))
+        m[0, 2] = defect  # one entry whose mirror is zero
+        blocks[block] = sparse.csr_array(m)
+        twin = {name: b.toarray() for name, b in blocks.items()}
+        if not accepted:
+            for given in (blocks, twin):
+                with pytest.raises(NonSymmetric, match=f"{block} relative asymmetry"):
+                    BlockOperator(**given)
+            continue
+        ours, theirs = BlockOperator(**blocks), BlockOperator(**twin)
+        assert np.array_equal(getattr(ours, block).toarray(), getattr(theirs, block))
+
+
+def test_assembled_scatters_sparse_blocks_as_their_dense_twin():
+    blocks = _sparse_blocks()
+    ours = BlockOperator(**blocks)
+    theirs = BlockOperator(**{name: m.toarray() for name, m in blocks.items()})
+    assert np.array_equal(ours.assembled(), theirs.assembled())
+    assert lower_eigen(ours)[1] is None
+    assert np.array_equal(lower_eigen(ours)[0], lower_eigen(theirs)[0])
 
 
 def test_lambda0_scalar():

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy import sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +26,7 @@ from gapeig import (
     lambda_k,
     random_gapped,
 )
+from conftest import dense
 from gapeig import schur
 from gapeig.models import forward_difference, radial_grid
 
@@ -44,6 +46,13 @@ class TestDiracSpec:
         with pytest.raises(SpecInvalid):
             DiracSpec(nu=0.5, kappa=-1, n=64, r_max=20.0, grading="cubic")
 
+    def test_a_size_must_be_an_integer(self):
+        # n=300.5 built a 301-point grid
+        for n in (300.5, 300.0, True):
+            with pytest.raises(SpecInvalid, match="n must be an integer"):
+                DiracSpec(nu=0.5, kappa=-1, n=n, r_max=20.0)
+        assert DiracSpec(nu=0.5, kappa=-1, n=np.int64(64), r_max=20.0).n == 64
+
     def test_grading_defaults(self):
         assert DiracSpec(nu=0.5, kappa=-1, n=64, r_max=20.0).grading == "uniform"
         assert DiracSpec(nu=0.7, kappa=-1, n=64, r_max=20.0).grading == "uniform"
@@ -53,6 +62,13 @@ class TestDiracSpec:
 
 
 class TestDiracGrid:
+    def test_blocks_are_csr(self):
+        for op in (build_dirac_coulomb(DiracSpec(nu=0.5, kappa=-1, n=32, r_max=10.0)),
+                   build_aps_cylinder(ApsSpec(modes=(0.0, 3.0), length_l=1.0, n=8))):
+            for m in (op.p, op.c, op.amm):
+                assert isinstance(m, sparse.csr_array)
+        assert isinstance(forward_difference(8, 1.0), sparse.csr_array)
+
     def test_last_node_exact(self):
         for grading in ("uniform", "quadratic"):
             spec = DiracSpec(nu=0.5, kappa=-1, n=50, r_max=17.0, grading=grading)
@@ -70,9 +86,9 @@ class TestDiracGrid:
         spec = DiracSpec(nu=0.5, kappa=-2, n=32, r_max=10.0)
         op = build_dirac_coulomb(spec)
         r = radial_grid(spec)
-        d = op.c + 2.0 * np.diag(1.0 / r)
+        d = dense(op.c) + 2.0 * np.diag(1.0 / r)
         assert np.linalg.norm(d + d.T) <= 1e-12 * np.linalg.norm(d)
-        assert np.count_nonzero(op.p - np.diag(np.diagonal(op.p))) == 0
+        assert np.count_nonzero(dense(op.p) - np.diag(np.diagonal(dense(op.p)))) == 0
 
     @pytest.mark.parametrize("grading", ["uniform", "quadratic"])
     @pytest.mark.parametrize("kappa", [1, 2])
@@ -149,9 +165,15 @@ class TestApsCylinder:
         with pytest.raises(SpecInvalid):
             ApsSpec(modes=(0.0,), length_l=math.pi, n=4)
 
+    def test_a_size_must_be_an_integer(self):
+        for n in (8.5, 8.0, True):
+            with pytest.raises(SpecInvalid, match="n must be an integer"):
+                ApsSpec(modes=(0.0,), length_l=1.0, n=n)
+        assert ApsSpec(modes=(0.0,), length_l=1.0, n=np.int32(8)).n == 8
+
     def test_sigma_min_closed_form(self):
         for n, length in ((12, math.pi), (33, 2.0)):
-            smallest = sla.svdvals(forward_difference(n, length))[-1]
+            smallest = sla.svdvals(dense(forward_difference(n, length)))[-1]
             assert smallest == pytest.approx(aps_sigma_min(n, length), rel=1e-12)
 
     def test_zero_mode_reaches_sigma_min(self):
@@ -256,6 +278,14 @@ class TestRandomGapped:
         with pytest.raises(SpecInvalid):
             RandomSpec(n_plus=5, n_minus=5, gap_target=0.0)
 
+    def test_a_size_must_be_an_integer(self):
+        # n_plus=8.5 failed in the generator with a bare TypeError
+        for dims in ((8.5, 5), (5, 2.0), (True, 5)):
+            with pytest.raises(SpecInvalid, match="must be an integer"):
+                RandomSpec(*dims)
+        op = random_gapped(RandomSpec(n_plus=np.int64(6), n_minus=np.int32(5)))
+        assert (op.n_plus, op.n_minus) == (6, 5)
+
 
 @pytest.mark.parametrize("build", [
     lambda: build_dirac_coulomb(DiracSpec(nu=0.5, kappa=-1, n=5001, r_max=30.0)),
@@ -273,6 +303,23 @@ def test_an_over_cap_model_is_rejected_before_any_block_is_built(build):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_dirac_coulomb(DiracSpec(nu=0.9, kappa=-1, n=5000, r_max=30.0)),
+    lambda: build_aps_cylinder(ApsSpec(modes=(0.0,), length_l=1.0, n=2499)),
+], ids=["dirac", "aps"])
+def test_a_model_at_the_cap_is_built_and_solved_in_o_n_memory(build):
+    # the dense blocks of Dirac n=5000 took 959 MiB to build; as CSR the build and
+    # the banded solve of the first level each peak near 1 MiB
+    tracemalloc.start()
+    try:
+        rows = gap_spectrum(build(), 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows[0].status == "ok"
+    assert peak < 4 * 2**20
 
 
 def test_the_aps_cap_counts_each_modes_lower_block():

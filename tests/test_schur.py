@@ -4,10 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy import sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gapeig.schur as schur
+from conftest import dense
 from gapeig import (
     ApsSpec,
     BadSplit,
@@ -152,6 +154,31 @@ def _band_between(values, count, tol):
     return 0.5 * (mags[gaps[0]] + mags[gaps[0] + 1]) if len(gaps) else 2.0 * mags[-1]
 
 
+@pytest.mark.parametrize("name", sorted(n for n in STRUCTURES if "dirac" in n or "aps" in n))
+def test_a_model_and_its_dense_twin_give_identical_results(name):
+    # a model operator stores CSR blocks; the same blocks stored dense take the same path
+    op = STRUCTURES[name]()
+    twin = BlockOperator(p=dense(op.p), c=dense(op.c), amm=dense(op.amm))
+    assert gap_spectrum(op, 3) == gap_spectrum(twin, 3)
+    assert np.array_equal(dense_spectrum(op), dense_spectrum(twin))
+
+
+def test_sparse_storage_of_a_rotated_operator_agrees_with_dense():
+    # a sparse amm that is not diagonal takes the rotated path; its products run on
+    # scipy.sparse, so the levels agree to rounding, and the assembled spectrum exactly
+    op = random_gapped(RandomSpec(n_plus=30, n_minus=40, gap_target=1.0, seed=11))
+    twin = BlockOperator(p=sparse.csr_array(op.p), c=sparse.csr_array(op.c),
+                         amm=sparse.csr_array(op.amm))
+    ours, theirs = gap_spectrum(op, 5), gap_spectrum(twin, 5)
+    assert [r.status for r in ours + theirs] == ["ok"] * 10
+    for a, b in zip(ours, theirs):
+        assert abs(a.lambda_k - b.lambda_k) <= 1e-13 * abs(a.lambda_k)
+        assert a.multiplicity == b.multiplicity
+    assert np.array_equal(dense_spectrum(op), dense_spectrum(twin))
+    e = lambda0(op) + 0.7
+    assert _rel(build_schur(twin, e).l_e, build_schur(op, e).l_e) <= 1e-13
+
+
 @pytest.mark.parametrize("name", sorted(BANDED))
 @pytest.mark.parametrize("offset", (1e-3, 0.7, 40.0))
 def test_banded_pencil_matches_dense_eigh(name, offset):
@@ -209,8 +236,9 @@ def _rel(a, b):
 def test_pencil_matches_dense_reference(structured_op, offset):
     op = structured_op
     e = lambda0(op) + offset
-    l_ref = np.linalg.solve(-op.amm + e * np.eye(op.n_minus), op.c)
-    k_ref = op.p - e * np.eye(op.n_plus) + op.c.T @ l_ref
+    p, c, amm = dense(op.p), dense(op.c), dense(op.amm)
+    l_ref = np.linalg.solve(-amm + e * np.eye(op.n_minus), c)
+    k_ref = p - e * np.eye(op.n_plus) + c.T @ l_ref
     s = build_schur(op, e)
     assert _rel(s.k_e, k_ref) <= 1e-12
     assert np.array_equal(s.k_e, s.k_e.T)

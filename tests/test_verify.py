@@ -24,6 +24,7 @@ from gapeig import (
 )
 from gapeig import schur, verify
 from gapeig.verify import _congruence, e_samples, gap_fractions, sandwich_report
+from conftest import dense
 from test_minmax import _near_edge
 from test_schur import STRUCTURES
 
@@ -123,10 +124,11 @@ def test_both_normalizations_match_their_formulas(name):
         system = build_schur(op, e)
         shifted = full - e * np.eye(op.dim)
         reference = _dense_congruence(op, e)
-        bpe_le = (e * np.eye(op.n_minus) - op.amm) @ system.l_e
+        p, c, amm = dense(op.p), dense(op.c), dense(op.amm)
+        bpe_le = (e * np.eye(op.n_minus) - amm) @ system.l_e
         upper = norm((shifted - reference)[:n, :n]) / (
-            norm(op.p - e * np.eye(n)) + norm(system.k_e) + norm(system.l_e.T @ bpe_le))
-        coupling = norm((shifted - reference)[n:, :n]) / (norm(op.c) + norm(bpe_le))
+            norm(p - e * np.eye(n)) + norm(system.k_e) + norm(system.l_e.T @ bpe_le))
+        coupling = norm((shifted - reference)[n:, :n]) / (norm(c) + norm(bpe_le))
         extension = norm(reference + e * np.eye(op.dim) - full) / full_scale
         assert abs(decomposition_residual(op, e) - max(upper, coupling)) <= 1e-13
         scale = max(1.0, norm(shifted))
