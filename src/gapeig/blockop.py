@@ -37,6 +37,30 @@ from .errors import BadSplit, EigFailure, GapeigError, NonFinite, NonSymmetric
 
 SYMMETRY_RTOL = 1e-13
 INPUT_SYMMETRY_RTOL = 1e-12
+_KINDS = {True: (int, np.integer), False: (int, float, np.integer, np.floating)}  # check_number
+
+
+def check_number(value, what: str, error: type[GapeigError], low=-math.inf, high=math.inf, *,
+                 integer: bool = False, above: bool = False, below: bool = False):
+    """value if it is a finite number in [low, high], above and below excluding low and high;
+    else error naming what. A bool is no number, a float no integer (numpy integers pass),
+    and NaN, inf or an int beyond float range not finite."""
+    if type(value) is not (int if integer else float) and (  # k and e pass here per solve
+            isinstance(value, bool) or not isinstance(value, _KINDS[integer])):
+        raise error(f"{what} must be {'an integer' if integer else 'real'}, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int beyond float range
+        finite = False
+    if not finite:
+        raise error(f"{what} must be finite, got "
+                    f"{'an integer beyond float range' if isinstance(value, int) else value}")
+    if (value <= low if above else value < low) or (value >= high if below else value > high):
+        domain = (f"lie in {'[('[above]}{low}, {high}{'])'[below]}" if high < math.inf
+                  else "be positive" if above and low == 0
+                  else f"be {'above' if above else 'at least'} {low}")
+        raise error(f"{what} must {domain}, got {value}")
+    return value
 
 
 def _values(m) -> np.ndarray:
@@ -225,10 +249,8 @@ def assemble_block(full: np.ndarray, n_plus: int) -> BlockOperator:
     full = as_real(full, "input matrix", NonSymmetric)
     if full.ndim != 2 or full.shape[0] != full.shape[1] or full.shape[0] < 2:
         raise NonSymmetric(f"need a square matrix of size >= 2, got shape {full.shape}")
-    size = full.shape[0]
-    if not 1 <= n_plus < size:
-        raise BadSplit(f"n_plus must lie in [1, {size - 1}], got {n_plus}")
-    _check_cap(n_plus, size - n_plus)
+    check_number(n_plus, "n_plus", BadSplit, 1, len(full) - 1, integer=True)
+    _check_cap(n_plus, len(full) - n_plus)
     upper, lower = slice(None, n_plus), slice(n_plus, None)
     for what, rows, cols in (("p", upper, upper), ("c", lower, upper),
                              ("c.T", upper, lower), ("amm", lower, lower)):

@@ -34,7 +34,7 @@ from functools import partial
 import numpy as np
 
 from . import __version__
-from .blockop import BlockOperator, assemble_block, lambda0
+from .blockop import BlockOperator, assemble_block, check_number, lambda0
 from .errors import ConfigParse, GapeigError
 from .minmax import gap_spectrum, lambda_k
 from .models import (
@@ -42,6 +42,7 @@ from .models import (
     DiracSpec,
     RandomSpec,
     analytic_dirac_energy,
+    aps_levels,
     build_aps_cylinder,
     build_dirac_coulomb,
     hardy_check,
@@ -100,18 +101,14 @@ class ExperimentConfig:
         set_("count", _number(self.count, "count", int))
         if self.kind is not None and self.kind not in KINDS:
             raise ConfigParse(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if self.k_max < 1:
-            raise ConfigParse(f"k_max must be at least 1, got {self.k_max}")
-        if not self.tol > 0:
-            raise ConfigParse(f"tol must be positive, got {self.tol}")
+        check_number(self.k_max, "k_max", ConfigParse, 1, integer=True)
+        check_number(self.tol, "tol", ConfigParse, 0, above=True)
         if self.out is not None and not (isinstance(self.out, str) and self.out):
             raise ConfigParse(f"out must be a file path, got {self.out!r}")
         if self.format not in ("csv", "json"):
             raise ConfigParse(f"format must be csv or json, got {self.format!r}")
-        if self.count < 1:
-            raise ConfigParse(f"count must be at least 1, got {self.count}")
-        if self.seed < 0:  # numpy's generators take no negative seed
-            raise ConfigParse(f"seed must be at least 0, got {self.seed}")
+        check_number(self.count, "count", ConfigParse, 1, integer=True)
+        check_number(self.seed, "seed", ConfigParse, 0, integer=True)  # as numpy's seeds
         if self.grids == ():
             raise ConfigParse("grids must not be empty when given")
         if self.grids is not None and any(b <= a for a, b in zip(self.grids, self.grids[1:])):
@@ -230,11 +227,7 @@ def _oracle(spec, op: BlockOperator, k_max: int) -> dict[int, float]:
             return {}
         return {1: analytic_dirac_energy(spec.nu, spec.kappa, 0)}
     if isinstance(spec, ApsSpec):
-        j = np.arange(1, spec.n + 1)
-        sigmas = 2.0 * (spec.n + 1) / spec.length_l * np.sin(j * np.pi / (2 * (spec.n + 1)))
-        values = np.sort(np.concatenate(
-            [np.sqrt(mode * mode + sigmas**2) for mode in spec.modes]
-        ))
+        values = aps_levels(spec)
     elif op.dim > ORACLE_DIM_LIMIT:
         return {}
     else:
@@ -491,14 +484,9 @@ def _cmd_pollution(config: ExperimentConfig, args: argparse.Namespace) -> int:
     return 0 if stable else 1
 
 
-# subcommand -> (handler(config, args), whether --config is required)
-COMMANDS = {
-    "spectrum": (_cmd_spectrum, True),
-    "verify": (_cmd_verify, True),
-    "converge": (_cmd_converge, True),
-    "hardy": (_cmd_hardy, False),
-    "pollution": (_cmd_pollution, False),
-}
+# subcommand -> handler(config, args); a model command's missing kind is _units' error
+COMMANDS = {"spectrum": _cmd_spectrum, "verify": _cmd_verify, "converge": _cmd_converge,
+            "hardy": _cmd_hardy, "pollution": _cmd_pollution}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -508,17 +496,16 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--version", action="version", version=f"gapeig {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, (_, config_required) in COMMANDS.items():
+    for name in COMMANDS:
         sub = subs.add_parser(name)
-        sub.add_argument("--config", required=config_required,
-                         help="path to a JSON experiment config")
+        sub.add_argument("--config", help="path to a JSON experiment config")
         sub.add_argument("--out", default=None, help="output file (default: stdout)")
         sub.add_argument("--format", default=None, choices=("csv", "json"),
                          help="output format override")
         sub.add_argument("--quiet", action="store_true", help="suppress summary lines")
 
     args = parser.parse_args(argv)
-    handler = COMMANDS[args.command][0]
+    handler = COMMANDS[args.command]
     try:
         flags = {"out": args.out, "format": args.format}
         config = load_config(args.config, flags) if args.config else config_from_dict({}, flags)

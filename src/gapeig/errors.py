@@ -10,7 +10,7 @@ class NonSymmetric(GapeigError):
 
 
 class NonFinite(GapeigError):
-    """Input block holds a NaN or infinite entry."""
+    """A block or vector holds a NaN or infinite entry, or a Schur energy is no finite real."""
 
 
 class BadSplit(GapeigError):
@@ -29,7 +29,7 @@ class NotPositiveDefinite(GapeigError):
 
 
 class KOutOfRange(GapeigError):
-    """Requested level index k outside 1..n_plus."""
+    """A level index (k, m or k_max) that is not an integer in 1..n_plus."""
 
 
 class ZeroVector(GapeigError):

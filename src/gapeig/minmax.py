@@ -42,11 +42,11 @@ from functools import cache, partial
 
 import numpy as np
 
-from .blockop import BlockOperator, GapData, as_real, lambda0
-from .errors import BadSplit, BracketFailure, ZeroVector
+from .blockop import BlockOperator, GapData, as_real, check_number, lambda0
+from .errors import BadSplit, BracketFailure, KOutOfRange, ZeroVector
 from .oracle import CLUSTER_RTOL
-from .schur import (GAP_EDGE_MARGIN, SchurSystem, build_schur, check_k, gap_edge, mu_k,
-                    mu_k_with_vector, q_value_and_slope)
+from .schur import (GAP_EDGE_MARGIN, SchurSystem, build_schur, gap_edge, mu_k, mu_k_with_vector,
+                    q_value_and_slope)
 
 DEFAULT_LAMBDA_MAX_OFFSET = 1e12
 MAX_ROOT_ITERATIONS = 120
@@ -160,7 +160,7 @@ def lambda_k(op: BlockOperator, k: int, tol: float = 1e-10, *,
     least k lowest eigenvalues of k_e there (gap_spectrum's ladder); without it
     every probe is mu_k.
     """
-    check_k(k, op.n_plus)
+    check_number(k, "k", KOutOfRange, 1, op.n_plus, integer=True)
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be positive and finite, got {tol}")
 
@@ -194,7 +194,7 @@ def gap_spectrum(op: BlockOperator, k_max: int, tol: float = 1e-10) -> list[MinM
     values), reported per entry. The levels share one bracketing ladder, so each
     probe energy is eigensolved once.
     """
-    check_k(k_max, op.n_plus, "k_max")
+    check_number(k_max, "k_max", KOutOfRange, 1, op.n_plus, integer=True)
     # probe energy -> the k_max lowest eigenvalues of k_e there, one eigensolve per energy
     ladder = cache(lambda lam: SchurSystem(op, lam).levels(k_max))
     ordered: list[MinMaxResult] = []

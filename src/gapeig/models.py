@@ -1,9 +1,9 @@
-"""Concrete gapped operators: radial Coulomb-coupled Dirac channels, the
-cylinder boundary operator, a discrete Hardy-type positivity check, and
-seeded random matrices for property campaigns, gapped by construction
-(K_e >= p - e > 0 below min eig p, so lambda1 >= min eig p > 0 > lambda0).
-The Dirac and cylinder builders return their diagonal and banded blocks as
-scipy.sparse CSR arrays, O(n) in memory; the random generator's are dense.
+"""Concrete gapped operators: radial Coulomb-coupled Dirac channels, the cylinder
+boundary operator, a discrete Hardy-type positivity check, and seeded random matrices
+for property campaigns, gapped by construction (K_e >= p - e > 0 below min eig p, so
+lambda1 >= min eig p > 0 > lambda0). Each spec checks its numbers by blockop.check_number
+(SpecInvalid). The Dirac and cylinder builders return their diagonal and banded blocks
+as scipy.sparse CSR arrays, O(n) in memory; the random generator's are dense.
 
 The Dirac channel at coupling nu and angular number kappa is discretized on
 a radial grid r_i = r_max * (i/n)^g (g = 1 uniform, g = 2 quadratic) with
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .blockop import BlockOperator, _check_cap, as_real
+from .blockop import BlockOperator, _check_cap, check_number
 from .errors import SpecInvalid
 from .schur import build_schur
 from .verify import VerificationReport
@@ -35,17 +35,9 @@ def default_grading(nu: float) -> str:
     return "quadratic" if nu > GRADING_THRESHOLD else "uniform"
 
 
-def _check_size(value, what: str, least: int) -> None:
-    """Reject a size that is not an integer (a float or a bool) or is below least."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise SpecInvalid(f"{what} must be an integer, got {value!r}")
-    if value < least:
-        raise SpecInvalid(f"{what} must be at least {least}, got {value}")
-
-
 @dataclass(frozen=True)
 class DiracSpec:
-    """Parameters of one radial channel: coupling, angular number, grid."""
+    """One radial channel: nu in [0, 1], nonzero integer kappa, integer n >= 16, r_max > 0."""
 
     nu: float
     kappa: int
@@ -54,14 +46,12 @@ class DiracSpec:
     grading: str | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.nu <= 1.0:
-            raise SpecInvalid(f"nu must lie in [0, 1], got {self.nu}")
-        if self.kappa == 0 or int(self.kappa) != self.kappa:
-            raise SpecInvalid(f"kappa must be a nonzero integer, got {self.kappa}")
-        _check_size(self.n, "n", 16)
+        check_number(self.nu, "nu", SpecInvalid, 0, 1)
+        kappa = abs(int(check_number(self.kappa, "kappa", SpecInvalid, integer=True)))
+        check_number(kappa, "|kappa|", SpecInvalid, 1)
+        check_number(self.n, "n", SpecInvalid, 16, integer=True)
         _check_cap(self.n, self.n)
-        if not self.r_max > 0:
-            raise SpecInvalid(f"r_max must be positive, got {self.r_max}")
+        check_number(self.r_max, "r_max", SpecInvalid, 0, above=True)
         grading = self.grading if self.grading is not None else default_grading(self.nu)
         if grading not in ("uniform", "quadratic"):
             raise SpecInvalid(f"grading must be uniform or quadratic, got {grading!r}")
@@ -70,26 +60,26 @@ class DiracSpec:
 
 @dataclass(frozen=True)
 class ApsSpec:
-    """Boundary-operator modes and interval grid for the cylinder model."""
+    """The cylinder: nonempty finite real boundary modes, length_l > 0, integer n >= 8."""
 
     modes: tuple[float, ...]
     length_l: float
     n: int
 
     def __post_init__(self) -> None:
-        modes = tuple(float(m) for m in np.atleast_1d(as_real(self.modes, "modes", SpecInvalid)))
+        modes = tuple(float(check_number(m, "modes", SpecInvalid))
+                      for m in np.atleast_1d(np.asarray(self.modes, dtype=object)))
         if len(modes) == 0:
             raise SpecInvalid("modes must be nonempty")
-        if not self.length_l > 0:
-            raise SpecInvalid(f"length_l must be positive, got {self.length_l}")
-        _check_size(self.n, "n", 8)
+        check_number(self.length_l, "length_l", SpecInvalid, 0, above=True)
+        check_number(self.n, "n", SpecInvalid, 8, integer=True)
         _check_cap(len(modes) * self.n, len(modes) * (2 * self.n + 1))  # n and 2n + 1 per mode
         object.__setattr__(self, "modes", modes)
 
 
 @dataclass(frozen=True)
 class RandomSpec:
-    """Dimensions, gap size, and seed for the random gapped generator."""
+    """Random operators: integer n_plus, n_minus >= 1, gap_target > 0, integer seed >= 0."""
 
     n_plus: int
     n_minus: int
@@ -97,13 +87,11 @@ class RandomSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _check_size(self.n_plus, "n_plus", 1)
-        _check_size(self.n_minus, "n_minus", 1)
+        check_number(self.n_plus, "n_plus", SpecInvalid, 1, integer=True)
+        check_number(self.n_minus, "n_minus", SpecInvalid, 1, integer=True)
         _check_cap(self.n_plus, self.n_minus)
-        if not self.gap_target > 0:
-            raise SpecInvalid(f"gap_target must be positive, got {self.gap_target}")
-        if self.seed < 0:
-            raise SpecInvalid(f"seed must be at least 0, got {self.seed}")
+        check_number(self.gap_target, "gap_target", SpecInvalid, 0, above=True)
+        check_number(self.seed, "seed", SpecInvalid, 0, integer=True)
 
 
 def radial_grid(spec: DiracSpec) -> np.ndarray:
@@ -136,13 +124,12 @@ def build_dirac_coulomb(spec: DiracSpec) -> BlockOperator:
 
 
 def analytic_dirac_energy(nu: float, kappa: int, n_r: int) -> float:
-    """Closed-form bound-state energy in (0, 1]; independent ground truth only."""
-    if kappa == 0 or int(kappa) != kappa:
-        raise SpecInvalid(f"kappa must be a nonzero integer, got {kappa}")
-    if not 0.0 <= nu < abs(kappa):
-        raise SpecInvalid(f"need 0 <= nu < |kappa|, got nu={nu}, kappa={kappa}")
-    if n_r < 0 or int(n_r) != n_r:
-        raise SpecInvalid(f"n_r must be a nonnegative integer, got {n_r}")
+    """Closed-form bound-state energy in (0, 1]; independent ground truth only. kappa is
+    a nonzero integer, nu in [0, |kappa|) and n_r an integer >= 0 (SpecInvalid)."""
+    size = abs(int(check_number(kappa, "kappa", SpecInvalid, integer=True)))
+    check_number(size, "|kappa|", SpecInvalid, 1)
+    check_number(nu, "nu", SpecInvalid, 0, size, below=True)
+    check_number(n_r, "n_r", SpecInvalid, 0, integer=True)
     if n_r == 0 and kappa > 0:
         raise SpecInvalid("the state (n_r=0, kappa>0) does not exist")
     gamma = math.sqrt(kappa * kappa - nu * nu)
@@ -156,9 +143,17 @@ def forward_difference(n: int, length_l: float) -> sparse.csr_array:
                               shape=(n + 1, n), format="csr")
 
 
+def aps_levels(spec: ApsSpec) -> np.ndarray:
+    """The cylinder's levels above lambda0 = 0, ascending: sqrt(mode^2 + sigma_j^2) for each
+    mode and forward-difference singular value sigma_j = 2(n+1)/L sin(j pi/(2(n+1)))."""
+    j = np.arange(1, spec.n + 1)
+    sigmas = 2.0 * (spec.n + 1) / spec.length_l * np.sin(j * np.pi / (2 * (spec.n + 1)))
+    return np.sort(np.concatenate([np.sqrt(mode * mode + sigmas**2) for mode in spec.modes]))
+
+
 def aps_sigma_min(n: int, length_l: float) -> float:
-    """Smallest singular value of the forward difference, in closed form."""
-    return 2.0 * (n + 1) / length_l * math.sin(math.pi / (2.0 * (n + 1)))
+    """Smallest singular value of the forward difference: the zero mode's lowest level."""
+    return float(aps_levels(ApsSpec(modes=(0.0,), length_l=length_l, n=n))[0])
 
 
 def build_aps_cylinder(spec: ApsSpec) -> BlockOperator:

@@ -28,20 +28,20 @@ def _band(op: BlockOperator) -> np.ndarray | None:
     Each lower row goes right after the upper column where its row of c starts
     (a row of c that is empty goes last), one stable sort. A is banded when
     dim >= BAND_RATIO * (w + 1) for the half-bandwidth w of that order. The blocks
-    are read through blockop.nonzeros, in O(nnz) for a sparse one; a nonzero count
-    above dim * (2w + 1) at the widest w allowed rules that out before anything
-    is built.
+    are read through blockop.nonzeros, in O(nnz) for a sparse one, c first, as it
+    counts twice; a nonzero count above dim * (2w + 1) at the widest w allowed
+    rules that out before anything is built.
     """
     n, dim = op.n_plus, op.dim
     budget = dim * (2 * (dim // BAND_RATIO - 1) + 1)
     blocks = []
-    for m, copies in ((op.p, 1), (op.c, 2), (op.amm, 1)):  # c sits in both triangles
+    for m, copies in ((op.c, 2), (op.p, 1), (op.amm, 1)):  # c sits in both triangles
         nz = nonzeros(m, budget // copies)
         if nz is None:
             return None
         budget -= copies * nz.nnz
         blocks.append(nz.tocoo())  # row by row, each row's columns ascending
-    p, c, amm = blocks
+    c, p, amm = blocks
     rows, cols = c.coords
     start = np.full(op.n_minus, float(n))
     filled, first = np.unique(rows, return_index=True)

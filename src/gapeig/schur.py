@@ -13,9 +13,9 @@ Sylvester's law of inertia kappa_k(e) has their sign, and k_e has as many
 negative eigenvalues as A has in (lambda0, e).
 
 SchurSystem is k_e at one energy and the only way the package evaluates
-anything there. Its constructor enforces the one edge rule e > gap_edge(lambda0)
-= lambda0 + GAP_EDGE_MARGIN*max(1, |lambda0|), the rule minmax brackets from
-too; everything else is computed on first use.
+anything there. Its constructor rejects a NaN or infinite e (NonFinite), then enforces
+the one edge rule e > gap_edge(lambda0) = lambda0 + GAP_EDGE_MARGIN*max(1, |lambda0|),
+the rule minmax brackets from too; everything else is computed on first use.
 The lower block enters only through its resolvent, so k_e is formed in
 amm's eigenbasis amm = Q diag(d) Q.T (blockop.lower_eigen; Q is None for a
 diagonal amm): there b + e*I is the diagonal e - d, the coupling is Q.T c,
@@ -60,7 +60,8 @@ import numpy as np
 import scipy.linalg as sla
 from scipy import sparse
 
-from .blockop import BlockOperator, as_real, dense, lambda0, lower_eigen, nonzeros
+from .blockop import (BlockOperator, as_real, check_number, dense, lambda0, lower_eigen,
+                      nonzeros)
 from .errors import BadSplit, EigFailure, KOutOfRange, NonFinite, NotPositiveDefinite
 
 GAP_EDGE_MARGIN = 1e-10
@@ -130,12 +131,6 @@ def gap_edge(lam0: float) -> float:
     return lam0 + GAP_EDGE_MARGIN * max(1.0, abs(lam0))
 
 
-def check_k(k: int, n_plus: int, what: str = "k") -> None:
-    """Reject a level index that is not an integer (a float or a bool) or not in 1..n_plus."""
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 1 <= k <= n_plus:
-        raise KOutOfRange(f"{what} must be an integer in 1..{n_plus}, got {k}")
-
-
 class _Lower:
     """The facts of one operator that every evaluation of k_e reads, in amm's eigenbasis."""
 
@@ -160,6 +155,7 @@ class SchurSystem:
     """The Schur matrix k_e, lift l_e and lower solve solve_lower of one operator at energy e."""
 
     def __init__(self, op: BlockOperator, e: float) -> None:
+        check_number(e, "energy", NonFinite)
         lower = op.remember("schur", lambda: _Lower(op))
         edge = gap_edge(lower.lambda0)
         if not e > edge:
@@ -236,12 +232,12 @@ class SchurSystem:
 
     def value(self, k: int) -> float:
         """k-th smallest eigenvalue kappa_k(e) of k_e, 1-based."""
-        check_k(k, self.op.n_plus)
+        check_number(k, "k", KOutOfRange, 1, self.op.n_plus, integer=True)
         return float(self._select("i", k - 1, k - 1)[0])
 
     def levels(self, m: int) -> np.ndarray:
         """The m smallest eigenvalues kappa_1(e) <= ... <= kappa_m(e) of k_e, in one eigensolve."""
-        check_k(m, self.op.n_plus)
+        check_number(m, "m", KOutOfRange, 1, self.op.n_plus, integer=True)
         return self._select("i", 0, m - 1)
 
     def values_in(self, lo: float, hi: float) -> np.ndarray:
@@ -250,7 +246,7 @@ class SchurSystem:
 
     def vector(self, k: int) -> tuple[float, np.ndarray]:
         """kappa_k(e) together with its unit eigenvector of k_e."""
-        check_k(k, self.op.n_plus)
+        check_number(k, "k", KOutOfRange, 1, self.op.n_plus, integer=True)
         if self._lower.w is None:
             vals, vecs = self._select("i", k - 1, k - 1, vectors=True)
             return float(vals[0]), vecs[:, 0]

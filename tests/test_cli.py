@@ -104,6 +104,12 @@ class TestConfigParsing:
         assert main([command, "--config", cfg, "--quiet"]) == code
         err = capsys.readouterr().err
         assert err == ("gapeig: missing config key: kind\n" if code else "")
+        if code:  # without --config a model command fails as on an empty config file
+            empty = _write(tmp_path / "empty.json", {})
+            assert main([command, "--config", empty, "--quiet"]) == 2
+            expected = capsys.readouterr().err
+            assert main([command, "--quiet"]) == 2
+            assert capsys.readouterr().err == expected and len(expected.splitlines()) == 1
 
     def test_bad_values(self):
         with pytest.raises(ConfigParse, match="kind"):

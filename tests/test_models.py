@@ -28,7 +28,7 @@ from gapeig import (
 )
 from conftest import dense
 from gapeig import schur
-from gapeig.models import forward_difference, radial_grid
+from gapeig.models import aps_levels, forward_difference, radial_grid
 
 
 class TestDiracSpec:
@@ -175,6 +175,17 @@ class TestApsCylinder:
         for n, length in ((12, math.pi), (33, 2.0)):
             smallest = sla.svdvals(dense(forward_difference(n, length)))[-1]
             assert smallest == pytest.approx(aps_sigma_min(n, length), rel=1e-12)
+
+    @pytest.mark.parametrize("spec", [ApsSpec((0.0, 1.0), math.pi, 16),
+                                      ApsSpec((0.0, 3.0, -3.0), 1.0, 50)], ids=str)
+    def test_closed_form_levels_are_the_dense_spectrum_above_zero(self, spec):
+        # A = [[0, c.T], [c, 0]]: its eigenvalues above lambda0 = 0 are c's singular values
+        levels = aps_levels(spec)
+        op = build_aps_cylinder(spec)
+        top = dense_spectrum(op)[-len(levels):]
+        assert levels.shape == (len(spec.modes) * spec.n,)
+        assert np.abs(top - levels).max() <= op.dim * np.finfo(float).eps * levels[-1]
+        assert aps_sigma_min(spec.n, spec.length_l) == levels[0]
 
     def test_zero_mode_reaches_sigma_min(self):
         spec = ApsSpec(modes=(0.0,), length_l=math.pi, n=32)

@@ -11,6 +11,7 @@ import scipy.linalg as sla
 from gapeig import (ApsSpec, BlockOperator, DiracSpec, EigFailure, RandomSpec, assemble_block,
                     build_aps_cylinder, build_dirac_coulomb, dense_spectrum,
                     gap_eigs_bruteforce, oracle, random_gapped)
+from gapeig.blockop import nonzeros
 
 SQRT2 = math.sqrt(2.0)
 # the random campaign's two tall operators
@@ -144,6 +145,22 @@ def test_a_dense_operator_builds_no_band(campaign_ops, monkeypatch):
     for op in [*campaign_ops, *TALL]:
         assert oracle._band(op) is None
         dense_spectrum(op)
+
+
+def test_a_tall_operator_is_ruled_out_by_its_coupling_first(monkeypatch):
+    # p's 40 000 nonzeros fit the band budget, c's 160 000 do not: p is never copied
+    read = []
+
+    def counted(m, limit=None):
+        nz = nonzeros(m, limit)
+        read.append((m.shape, nz is not None))
+        return nz
+
+    monkeypatch.setattr(oracle, "nonzeros", counted)
+    for op in TALL:
+        read.clear()
+        assert oracle._band(op) is None
+        assert read == [((op.n_minus, op.n_plus), False)]
 
 
 def test_band_spectrum_holds_no_dim_squared_array():
