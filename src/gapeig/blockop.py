@@ -282,8 +282,12 @@ def dense(m) -> np.ndarray:
 
 
 def block_norm(m) -> float:
-    """The Frobenius norm of block m; a sparse block's is that of its stored nonzeros."""
-    return float(np.linalg.norm(_values(m)))
+    """The Frobenius norm of block m; a sparse block's is that of its stored nonzeros, summed
+    by einsum, which calls no BLAS: a BLAS dot splits a long sum by thread, so its last
+    bits would depend on the BLAS thread count."""
+    if sparse.issparse(m):
+        return math.sqrt(float(np.einsum("i,i->", m.data, m.data)))
+    return float(np.linalg.norm(m))
 
 
 def lower_eigen(op: BlockOperator) -> tuple[np.ndarray, np.ndarray | None]:

@@ -173,6 +173,8 @@ def _read_json(path: str):
         raise ConfigParse(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise ConfigParse(f"{path}: unreadable JSON: {exc}") from exc
 
 
 def load_config(path: str, overrides: dict | None = None) -> ExperimentConfig:

@@ -23,14 +23,14 @@ and k_e and forms are unchanged. Every lower solve of a rotated block
 takes one refinement step against eigh's residual f = Q.T (amm Q - Q diag(d)),
 which 1/(e - d) amplifies next to lambda0. solve_lower is that solve for a
 right-hand side in the operator's own basis (l_e is solve_lower(c), and verify's
-inverse formula reads it); lift and the residual's lower half go back to that
-basis by Q as well. What k_e needs is kept once per operator in the
-operator's memo, and one structure rule picks the backend there: an
-unrotated operator whose k_e has half-bandwidth w, the widest of p's and
-of c.T c's nonzero patterns, with n_plus >= BAND_RATIO * (w + 1) takes the
-banded path; every other operator the dense one. The rule also picks the one
-storage of p, c and c.T that every product reads, k_e, lift, form and
-residual alike: CSR from blockop.nonzeros on the banded path (a model
+inverse formula reads it, with solve_k, k_e's own solve); lift and the
+residual's lower half go back to that basis by Q as well. What k_e needs is
+kept once per operator in the operator's memo, and one structure rule picks
+the backend there: an unrotated operator whose k_e has half-bandwidth w, the
+widest of p's and of c.T c's nonzero patterns, with n_plus >= BAND_RATIO * (w + 1)
+takes the banded path; every other operator the dense one. The rule also picks
+the one storage of p, c and c.T that every product reads, k_e, l_e, lift, form
+and residual alike: CSR from blockop.nonzeros on the banded path (a model
 operator's own stored p and c, no copy), blockop.dense arrays on the dense
 one. value(k) is one level; levels(m) is the m lowest from one eigensolve,
 the row gap_spectrum's bracketing ladder keeps per probe energy;
@@ -40,13 +40,16 @@ multiplicities from. All three go through one selection, _select.
 - Banded: k_e is a sparse product with the diagonal (b + e)^{-1}, kept as
   an upper band array. Its eigenvalues come from LAPACK's banded dsbevx
   (scipy.linalg.eig_banded), a level's vector from banded inverse iteration
-  on k_e - sigma*I with sigma a few ulps off it. The dense k_e that verify
-  reads is built from the same band.
+  on k_e - sigma*I with sigma a few ulps off it. Nothing dense is built:
+  l_e is the CSR lift the band is formed from, k_e the symmetric CSR matrix
+  of the band, and solve_k an LU solve with partial pivoting on the band.
 - Dense: k_e is a dense product and goes to a dense subset eigh. Every dense product
   at an energy runs on scipy's BLAS (_mul), the library that runs every eigensolve:
   numpy (scipy_openblas64 0.3.31) and scipy (scipy_openblas32 0.3.30) each bring an
   OpenBLAS with its own thread pool, and numpy's workers, still spinning after a
   product, would share the cores with scipy's eigh. Q.T c and f are formed there too.
+  solve_k alone, which only verify reads, is numpy's general solve: on scipy's LU
+  verify's dense rows took longer, as the two pools contended the other way.
 
 Solver failures surface as GapeigError subclasses, never as LinAlgError.
 A SchurSystem belongs to its caller.
@@ -62,7 +65,8 @@ from scipy import sparse
 
 from .blockop import (BlockOperator, as_real, check_number, dense, lambda0, lower_eigen,
                       nonzeros)
-from .errors import BadSplit, EigFailure, KOutOfRange, NonFinite, NotPositiveDefinite
+from .errors import (BadSplit, EigFailure, KOutOfRange, NonFinite, NotPositiveDefinite,
+                     SingularSchur)
 
 GAP_EDGE_MARGIN = 1e-10
 BAND_RATIO = 32  # banded once n_plus >= BAND_RATIO * (w + 1); see _half_bandwidth
@@ -187,41 +191,65 @@ class SchurSystem:
         return self._solve(rhs) if q is None else _mul(q, self._solve(_mul(q.T, rhs)))
 
     @property
-    def l_e(self) -> np.ndarray:
-        """(b + e*I)^{-1} c in the operator's own basis, as a dense matrix."""
+    def banded(self) -> bool:
+        """Whether the structure rule put this operator on the banded path."""
+        return self._lower.w is not None
+
+    def _lift(self) -> sparse.csr_array:
+        """l_e on the banded path: each row of c divided by its entry of b + e*I."""
+        lift = self._lower.c.copy()
+        lift.data /= np.repeat(self._shifted_diag(), np.diff(lift.indptr))
+        return lift
+
+    @property
+    def l_e(self) -> np.ndarray | sparse.csr_array:
+        """(b + e*I)^{-1} c in the operator's own basis: CSR if banded, else dense."""
         if self._l is None:
-            self._l = self.solve_lower(dense(self.op.c))
+            self._l = self._lift() if self.banded else self.solve_lower(dense(self.op.c))
         return self._l
 
     def _banded(self) -> np.ndarray:
         """k_e in upper band storage; banded path only."""
         if self._band is None:
             lower = self._lower
-            lift = lower.c.copy()  # l_e: each row of c divided by its entry of b + e*I
-            lift.data /= np.repeat(self._shifted_diag(), np.diff(lower.c.indptr))
             eye = sparse.eye_array(self.op.n_plus, format="csr")
-            self._band = _upper_band(lower.p - self.e * eye + lower.ct @ lift, lower.w)
+            self._band = _upper_band(lower.p - self.e * eye + lower.ct @ self._lift(), lower.w)
         return self._band
 
     @property
-    def k_e(self) -> np.ndarray:
-        """p - e*I + c.T l_e as a dense symmetric matrix; built from the band if banded."""
+    def k_e(self) -> np.ndarray | sparse.csr_array:
+        """p - e*I + c.T l_e, exactly symmetric: CSR made from the band if banded, else dense."""
         if self._k is None:
             lower = self._lower
-            if lower.w is not None:
-                self._k = _symmetric(self._banded()).toarray()
+            if self.banded:  # from the band, as c.T @ lift is not bit-symmetric
+                self._k = _symmetric(self._banded())
             else:
                 # no identity is held across statements: at n=1200 each is 11.5 MB
                 k = lower.p - self.e * np.eye(self.op.n_plus) + _mul(lower.ct, self._solve(lower.c))
                 self._k = (k + k.T) / 2.0
         return self._k
 
+    def solve_k(self, rhs: np.ndarray) -> np.ndarray:
+        """k_e^{-1} rhs for dense (n_plus, m) columns rhs, by LU with partial pivoting.
+        Banded: on the band (dgbsv, dgtsv for w = 1); a column that is exactly zero has
+        the solution zero and is not solved. Dense: numpy's general solve (see the
+        module docstring). A failed solve raises SingularSchur."""
+        try:
+            if not self.banded:
+                return np.linalg.solve(self.k_e, rhs)
+            w, x, live = self._lower.w, np.zeros(rhs.shape), rhs.any(axis=0)
+            x[:, live] = sla.solve_banded((w, w), _full_band(self._banded()), rhs[:, live],
+                                          check_finite=False)
+            return x
+        except np.linalg.LinAlgError as exc:
+            raise SingularSchur(f"k_e singular at e={self.e}: {exc}") from exc
+
     def _select(self, select: str, lo: float, hi: float, vectors: bool = False):
         """Eigenvalues of k_e, ascending: those of 0-based index lo..hi (select "i") or
         in the half-open interval (lo, hi] (select "v"). vectors, dense path only, adds
         the unit eigenvectors. One LAPACK call: dsbevx on the band, else a subset eigh."""
         try:
-            if self._lower.w is not None:
+            if self.banded:
                 return sla.eig_banded(self._banded(), select=select, select_range=(lo, hi),
                                       eigvals_only=True, check_finite=False)
             subset = "subset_by_index" if select == "i" else "subset_by_value"
@@ -247,7 +275,7 @@ class SchurSystem:
     def vector(self, k: int) -> tuple[float, np.ndarray]:
         """kappa_k(e) together with its unit eigenvector of k_e."""
         check_number(k, "k", KOutOfRange, 1, self.op.n_plus, integer=True)
-        if self._lower.w is None:
+        if not self.banded:
             vals, vecs = self._select("i", k - 1, k - 1, vectors=True)
             return float(vals[0]), vecs[:, 0]
         kappa = self.value(k)

@@ -3,10 +3,13 @@
 Each check compares both sides of an identity and returns a relative residual
 (or a margin, for the gap bound); operator_reports lists one operator's rows with
 their pass bounds. The two congruence rows at an energy share one computation from
-the blocks of one Schur system, and nothing is kept; the inverse formula works on
-the assembled matrix. The gap bound reads the oracle's spectrum (a band solve for a
-banded operator). The identities hold algebraically, so residuals sit at roundoff;
-anything above the stated tolerances means a wiring bug.
+the blocks of one Schur system, and nothing is kept. Every term is in the storage
+of the system's products: CSR on the banded path, where the congruence costs
+O(nnz) and the inverse formula reads A - e*I COLUMN_BLOCK columns at a time, so
+neither holds a dim x dim matrix; dense on the dense path, where the inverse
+formula overwrites the assembled matrix. The gap bound reads the oracle's spectrum
+(a band solve for a banded operator). The identities hold algebraically, so
+residuals sit at roundoff; anything above the stated tolerances means a wiring bug.
 """
 
 from __future__ import annotations
@@ -15,14 +18,16 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy import sparse
 
-from .blockop import BlockOperator, block_norm, lambda0
+from .blockop import BlockOperator, block_norm, lambda0, nonzeros
 from .errors import NoGap, SingularSchur
 from .minmax import lambda1_certificate
 from .oracle import dense_spectrum
-from .schur import build_schur, gap_edge
+from .schur import SchurSystem, build_schur, gap_edge
 
 SINGULAR_RTOL = 1e-12
+COLUMN_BLOCK = 64  # columns of A - e*I per block of the banded inverse formula
 
 
 @dataclass(frozen=True)
@@ -40,6 +45,17 @@ def _relative(resid: float, scale: float) -> float:
     return float(resid / scale) if resid else 0.0
 
 
+def _blocks(system: SchurSystem):
+    """The operator's p, c and amm, and the identity's constructor, in the storage of the
+    system's products: CSR on the banded path, so every term costs O(nnz); on the dense
+    path the blocks as stored and np.eye, whose mixed arithmetic gives dense results."""
+    op = system.op
+    if system.banded:
+        return (*(nonzeros(m) for m in (op.p, op.c, op.amm)),
+                lambda n: sparse.eye_array(n, format="csr"))
+    return op.p, op.c, op.amm, np.eye
+
+
 def _congruence(op: BlockOperator, e: float) -> tuple[float, float]:
     """The residual of A - e*I = R_e from the blocks: the decomposition row's relative
     residual and the extension row's ||A - e*I - R_e|| / max(1, ||A||).
@@ -48,18 +64,20 @@ def _congruence(op: BlockOperator, e: float) -> tuple[float, float]:
     -(b+e) is amm - e*I to the last bit, so only the upper-left and the two coupling
     blocks of the difference can be nonzero. The relative residual is the larger of
     those blocks' normwise backward errors: each block's residual over the sum of the
-    norms of the terms it compares. A block enters each difference beside a dense array,
-    which gives a dense result in either storage; its own norm is blockop.block_norm's.
+    norms of the terms it compares. Every term is in the storage of the system's
+    products (_blocks) and every norm is blockop.block_norm's, of the stored entries.
     """
-    system, norm, root2 = build_schur(op, e), np.linalg.norm, math.sqrt(2.0)
-    bpe = e * np.eye(op.n_minus) - op.amm  # the shift first: e*l_e - amm@l_e cancels near lambda0
-    bpe_le = bpe @ system.l_e
-    p_e = op.p - e * np.eye(op.n_plus)
-    lifted = system.l_e.T @ bpe_le
-    upper = norm(p_e - (system.k_e - lifted))
-    coupling = norm(op.c - bpe_le)
-    relative = max(_relative(upper, norm(p_e) + norm(system.k_e) + norm(lifted)),
-                   _relative(coupling, block_norm(op.c) + norm(bpe_le)))
+    system, root2 = build_schur(op, e), math.sqrt(2.0)
+    p, c, amm, eye = _blocks(system)
+    l_e, k_e = system.l_e, system.k_e
+    # the shift first: e*l_e - amm@l_e cancels near lambda0
+    bpe_le = (e * eye(op.n_minus) - amm) @ l_e
+    p_e = p - e * eye(op.n_plus)
+    lifted = l_e.T @ bpe_le
+    upper = block_norm(p_e - (k_e - lifted))
+    coupling = block_norm(c - bpe_le)
+    relative = max(_relative(upper, block_norm(p_e) + block_norm(k_e) + block_norm(lifted)),
+                   _relative(coupling, block_norm(c) + block_norm(bpe_le)))
     full_norm = math.hypot(block_norm(op.p), root2 * block_norm(op.c), block_norm(op.amm))
     return relative, math.hypot(upper, root2 * coupling) / max(1.0, full_norm)
 
@@ -109,11 +127,25 @@ def extension_consistency(op: BlockOperator, e: float) -> float:
     return _congruence(op, e)[1]
 
 
+def _apply_inverse(system: SchurSystem, upper: np.ndarray, lower: np.ndarray) -> None:
+    """R_e^{-1} = U^{-1} diag(k_e^{-1}, -(b+e)^{-1}) U^{-T}, applied in place to the upper
+    and lower block rows of some columns, one factor at a time by solves; no inverse
+    is formed."""
+    l_e = system.l_e
+    upper += l_e.T @ lower  # U^{-T}
+    upper[:] = system.solve_k(upper)
+    lower[:] = l_e @ upper - system.solve_lower(lower)  # -(b+e)^{-1}, then U^{-1}
+
+
 def inverse_formula_check(op: BlockOperator, e: float) -> float:
     """Residual ||R_e^{-1}(A - e*I) - I||_F of the three-factor inverse formula.
 
     Valid only strictly inside the gap, where k_e is invertible; at or
     beyond lambda1 the Schur matrix is singular and SingularSchur is raised.
+    A dense operator's assembled A - e*I is overwritten whole. A banded one's is
+    read from CSR COLUMN_BLOCK columns at a time, and the squares of each block
+    are summed by einsum, which calls no BLAS, so the row does not depend on
+    the BLAS thread count and holds O(dim * COLUMN_BLOCK) memory.
     """
     system = build_schur(op, e)
     kappa1 = system.value(1)
@@ -121,22 +153,26 @@ def inverse_formula_check(op: BlockOperator, e: float) -> float:
         raise SingularSchur(
             f"k_e singular or indefinite at e={e}: smallest eigenvalue {kappa1:.3e}"
         )
-    # R_e^{-1} = U^{-1} diag(k_e^{-1}, -(b+e)^{-1}) U^{-T} is applied to A - e*I one
-    # factor at a time, by solves that overwrite its block rows; no inverse is formed.
-    # the guard gives k_e >= kappa1 * I > 0, so a general solve needs no
-    # definiteness check of its own
-    n, diag = op.n_plus, np.arange(op.dim)
-    rows = op.assembled()
-    rows[diag, diag] -= e
-    upper, lower = rows[:n], rows[n:]
-    upper += system.l_e.T @ lower  # U^{-T}
-    try:
-        upper[:] = np.linalg.solve(system.k_e, upper)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSchur(f"k_e singular at e={e}: {exc}") from exc
-    lower[:] = system.l_e @ upper - system.solve_lower(lower)  # -(b+e)^{-1}, then U^{-1}
-    rows[diag, diag] -= 1.0
-    return float(np.linalg.norm(rows))
+    # the guard gives k_e >= kappa1 * I > 0, so solve_k meets an invertible k_e
+    n, dim = op.n_plus, op.dim
+    if not system.banded:
+        diag = np.arange(dim)
+        rows = op.assembled()
+        rows[diag, diag] -= e
+        _apply_inverse(system, rows[:n], rows[n:])
+        rows[diag, diag] -= 1.0
+        return float(np.linalg.norm(rows))
+    p, c, amm, eye = _blocks(system)
+    shifted = sparse.block_array([[p - e * eye(n), c.T], [c, amm - e * eye(op.n_minus)]],
+                                 format="csc")
+    total = 0.0
+    for first in range(0, dim, COLUMN_BLOCK):
+        cols = shifted[:, first:first + COLUMN_BLOCK].toarray()
+        _apply_inverse(system, cols[:n], cols[n:])
+        diag = np.arange(cols.shape[1])
+        cols[first + diag, diag] -= 1.0
+        total += float(np.einsum("ij,ij->", cols, cols))
+    return math.sqrt(total)
 
 
 def sandwich_report(op: BlockOperator, seed: int) -> list[VerificationReport]:

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -468,6 +469,14 @@ class TestMain:
         assert main(["spectrum", "--config", cfg, "--quiet"]) == 2
         assert "k_max must be finite" in capsys.readouterr().err
 
+    def test_an_integer_past_the_digit_limit_exits_two(self, tmp_path, capsys):
+        # json's int() refuses a literal of more than 4300 digits with a ValueError
+        cfg = _write(tmp_path / "cfg.json", '{"kind": "random", "k_max": 1' + "0" * 5000 + "}")
+        assert main(["spectrum", "--config", cfg, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("gapeig: ") and len(err.splitlines()) == 1
+        assert "digits" in err
+
     def test_malformed_config_exits_two(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{", encoding="utf-8")
@@ -499,6 +508,23 @@ class TestMain:
         assert proc.stdout == ""
         assert proc.stderr.startswith("gapeig: ") and len(proc.stderr.splitlines()) == 1
         assert key in proc.stderr
+
+    @pytest.mark.parametrize("config", [
+        {"kind": "dirac", "spec": {"nu": 0.5, "kappa": -1, "r_max": 30.0,
+                                   "grading": "uniform"}, "grids": [300, 600, 1200]},
+        {"kind": "aps", "spec": {"modes": [0.0, 3.0, -3.0], "length_l": 1.0, "n": 200}},
+    ], ids=["dirac-grids", "aps-modes"])
+    def test_verify_output_does_not_depend_on_the_blas_thread_count(self, tmp_path, config):
+        # BLAS splits a reduction by thread, so a row summed there moves in its last bits
+        cfg = _write(tmp_path / "cfg.json", config)
+        runs = [subprocess.run(
+            [sys.executable, "-m", "gapeig", "verify", "--config", cfg, "--format", "csv"],
+            capture_output=True, env={**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                                      "OMP_NUM_THREADS": threads},
+        ) for threads in ("1", "2")]
+        assert runs[0].stdout.count(b"\n") > 20
+        assert [(r.returncode, r.stdout, r.stderr) for r in runs[1:]] == [
+            (runs[0].returncode, runs[0].stdout, runs[0].stderr)]
 
     @pytest.mark.parametrize("where", ["config", "flag", "flag without config"])
     def test_empty_out_exits_two(self, canonical_matrix_config, tmp_path, capsys, where):

@@ -6,12 +6,14 @@ import pytest
 import scipy.linalg as sla
 
 from gapeig import (
+    ApsSpec,
     BlockOperator,
     DiracSpec,
     NoGap,
     RandomSpec,
     SingularSchur,
     assemble_block,
+    build_aps_cylinder,
     build_dirac_coulomb,
     build_schur,
     decomposition_residual,
@@ -22,7 +24,7 @@ from gapeig import (
     lambda1_certificate,
     random_gapped,
 )
-from gapeig import schur, verify
+from gapeig import blockop, schur, verify
 from gapeig.verify import _congruence, e_samples, gap_fractions, sandwich_report
 from conftest import dense
 from test_minmax import _near_edge
@@ -61,10 +63,10 @@ def _dense_congruence(op, e):
     system = build_schur(op, e)
     u = np.block([
         [np.eye(op.n_plus), np.zeros((op.n_plus, op.n_minus))],
-        [-system.l_e, np.eye(op.n_minus)],
+        [-blockop.dense(system.l_e), np.eye(op.n_minus)],
     ])
     middle = np.block([
-        [system.k_e, np.zeros((op.n_plus, op.n_minus))],
+        [blockop.dense(system.k_e), np.zeros((op.n_plus, op.n_minus))],
         [np.zeros((op.n_minus, op.n_plus)), op.amm - e * np.eye(op.n_minus)],
     ])
     return u.T @ middle @ u
@@ -125,9 +127,10 @@ def test_both_normalizations_match_their_formulas(name):
         shifted = full - e * np.eye(op.dim)
         reference = _dense_congruence(op, e)
         p, c, amm = dense(op.p), dense(op.c), dense(op.amm)
-        bpe_le = (e * np.eye(op.n_minus) - amm) @ system.l_e
+        k_e, l_e = blockop.dense(system.k_e), blockop.dense(system.l_e)
+        bpe_le = (e * np.eye(op.n_minus) - amm) @ l_e
         upper = norm((shifted - reference)[:n, :n]) / (
-            norm(p - e * np.eye(n)) + norm(system.k_e) + norm(system.l_e.T @ bpe_le))
+            norm(p - e * np.eye(n)) + norm(k_e) + norm(l_e.T @ bpe_le))
         coupling = norm((shifted - reference)[n:, :n]) / (norm(c) + norm(bpe_le))
         extension = norm(reference + e * np.eye(op.dim) - full) / full_scale
         assert abs(decomposition_residual(op, e) - max(upper, coupling)) <= 1e-13
@@ -311,6 +314,47 @@ def test_a_failed_schur_solve_is_singular_schur(canonical, monkeypatch):
     monkeypatch.setattr(verify.np.linalg, "solve", fail)
     with pytest.raises(SingularSchur, match="Singular matrix"):
         inverse_formula_check(canonical, 0.0)
+
+
+def test_a_failed_banded_schur_solve_is_singular_schur(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    op = STRUCTURES["banded-aps"]()
+    cert = lambda1_certificate(op)
+    e = gap_fractions(cert.lambda0, cert.lambda1)[3]
+    monkeypatch.setattr(schur.sla, "solve_banded", fail)
+    with pytest.raises(SingularSchur, match="singular matrix"):
+        inverse_formula_check(op, e)
+
+
+def test_banded_reports_hold_less_than_one_assembled_matrix():
+    # the inverse formula reads A - e*I from CSR a block of columns at a time and the
+    # congruence rows multiply CSR blocks, so no dim x dim matrix is ever held
+    op = build_dirac_coulomb(DiracSpec(nu=0.5, kappa=-1, r_max=30.0, n=1200))
+    tracemalloc.start()
+    try:
+        verify.operator_reports(op, "m", seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < op.dim**2 * 8
+
+
+@pytest.mark.parametrize("build", (
+    lambda: build_dirac_coulomb(DiracSpec(nu=0.5, kappa=-1, r_max=30.0, n=600)),
+    lambda: build_aps_cylinder(ApsSpec(modes=(0.0, 3.0, -3.0), length_l=1.0, n=400)),
+), ids=("dirac-600", "aps-400"))
+def test_banded_reports_assemble_nothing_and_solve_nothing_dense(monkeypatch, build):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense work on a banded operator")
+
+    op = build()
+    monkeypatch.setattr(BlockOperator, "assembled", refuse)
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    reports = verify.operator_reports(op, "m", seed=0)
+    assert [r.check for r in reports].count("inverse_formula") == 5
+    assert reports[-1].check == "norm_chain"
 
 
 def test_inverse_inside_gap(campaign_ops):
