@@ -41,18 +41,20 @@ _KINDS = {True: (int, np.integer), False: (int, float, np.integer, np.floating)}
 
 
 def check_number(value, what: str, error: type[GapeigError], low=-math.inf, high=math.inf, *,
-                 integer: bool = False, above: bool = False, below: bool = False):
+                 integer: bool = False, above: bool = False, below: bool = False,
+                 finite: bool = True):
     """value if it is a finite number in [low, high], above and below excluding low and high;
     else error naming what. A bool is no number, a float no integer (numpy integers pass),
-    and NaN, inf or an int beyond float range not finite."""
+    and NaN, inf or an int beyond float range not finite. finite=False lets NaN and inf
+    through, for a caller that reports them itself; an int beyond float range stays out."""
     if type(value) is not (int if integer else float) and (  # k and e pass here per solve
             isinstance(value, bool) or not isinstance(value, _KINDS[integer])):
         raise error(f"{what} must be {'an integer' if integer else 'real'}, got {value!r}")
     try:
-        finite = math.isfinite(value)
+        ok = math.isfinite(value) or not finite
     except OverflowError:  # an int beyond float range
-        finite = False
-    if not finite:
+        ok = False
+    if not ok:
         raise error(f"{what} must be finite, got "
                     f"{'an integer beyond float range' if isinstance(value, int) else value}")
     if (value <= low if above else value < low) or (value >= high if below else value > high):
@@ -274,6 +276,11 @@ def nonzeros(m, limit: int | None = None) -> sparse.csr_array | None:
     if limit is not None and np.count_nonzero(m) > limit:
         return None
     return sparse.csr_array(m)
+
+
+def upper_band(m: sparse.csr_array, w: int) -> np.ndarray:
+    """The symmetric m's upper band storage, band[w + i - j, j] = m[i, j] for i <= j."""
+    return np.array([np.pad(m.diagonal(t), (t, 0)) for t in range(w, -1, -1)])
 
 
 def dense(m) -> np.ndarray:

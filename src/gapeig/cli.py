@@ -25,7 +25,6 @@ import csv
 import io
 import json
 import math
-import numbers
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -93,22 +92,18 @@ class ExperimentConfig:
         if not isinstance(self.spec, dict):  # dict() would take a list of pairs
             raise ConfigParse(f"spec must be a JSON object, got {self.spec!r}")
         set_("spec", dict(self.spec))
-        set_("k_max", _number(self.k_max, "k_max", int))
-        set_("tol", _number(self.tol, "tol"))
-        set_("seed", _number(self.seed, "seed", int))
+        set_("k_max", _number(self.k_max, "k_max", int, 1))
+        set_("tol", _number(self.tol, "tol", float, 0, above=True))
+        set_("seed", _number(self.seed, "seed", int, 0))  # as numpy's seeds
         if self.grids is not None:
             set_("grids", _numbers(self.grids, "grids", int))
-        set_("count", _number(self.count, "count", int))
+        set_("count", _number(self.count, "count", int, 1))
         if self.kind is not None and self.kind not in KINDS:
             raise ConfigParse(f"kind must be one of {KINDS}, got {self.kind!r}")
-        check_number(self.k_max, "k_max", ConfigParse, 1, integer=True)
-        check_number(self.tol, "tol", ConfigParse, 0, above=True)
         if self.out is not None and not (isinstance(self.out, str) and self.out):
             raise ConfigParse(f"out must be a file path, got {self.out!r}")
         if self.format not in ("csv", "json"):
             raise ConfigParse(f"format must be csv or json, got {self.format!r}")
-        check_number(self.count, "count", ConfigParse, 1, integer=True)
-        check_number(self.seed, "seed", ConfigParse, 0, integer=True)  # as numpy's seeds
         if self.grids == ():
             raise ConfigParse("grids must not be empty when given")
         if self.grids is not None and any(b <= a for a, b in zip(self.grids, self.grids[1:])):
@@ -134,33 +129,20 @@ class ReportRow:
         object.__setattr__(self, "abs_error", err)
 
 
-def _number(value, key: str, kind: type = float, finite: bool = True):
-    """A JSON number as kind (float or int), or ConfigParse naming key.
-
-    Booleans and non-numbers are rejected, and for int so are non-integral
-    values. json reads Infinity, NaN and an overflowing literal such as 1e400
-    as floats; with finite (the default) those are rejected too, and so is an
-    integer beyond float range.
-    """
-    expected = "an integer" if kind is int else "a number"
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigParse(f"{key} must be {expected}, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:  # an integer literal beyond float range
-        number = math.inf
-    if finite and not math.isfinite(number):
-        raise ConfigParse(f"{key} must be finite, got {value!r}")
-    if kind is int and not number.is_integer():
-        raise ConfigParse(f"{key} must be {expected}, got {value!r}")
-    return int(value) if kind is int else number
+def _number(value, key: str, kind: type = float, low=-math.inf, **rule):
+    """A JSON number as kind (float or int); check_number(value, key, ConfigParse, low,
+    **rule) decides whether it is acceptable. JSON writes 600 as readily as 600.0, so
+    for an int key an integral float is first taken as the int it equals."""
+    if kind is int and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    return kind(check_number(value, key, ConfigParse, low, integer=kind is int, **rule))
 
 
-def _numbers(values, key: str, kind: type = float, finite: bool = True) -> tuple:
+def _numbers(values, key: str, kind: type = float, **rule) -> tuple:
     """A JSON list of numbers, each read by _number."""
     if not isinstance(values, (list, tuple)):
         raise ConfigParse(f"{key} must be a list of numbers, got {values!r}")
-    return tuple(_number(v, f"{key} entry", kind, finite) for v in values)
+    return tuple(_number(v, f"{key} entry", kind, **rule) for v in values)
 
 
 def _read_json(path: str):

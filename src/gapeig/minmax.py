@@ -44,7 +44,7 @@ import numpy as np
 
 from .blockop import BlockOperator, GapData, as_real, check_number, lambda0
 from .errors import BadSplit, BracketFailure, KOutOfRange, ZeroVector
-from .oracle import CLUSTER_RTOL
+from .oracle import CLUSTER_RTOL, cluster_band
 from .schur import (GAP_EDGE_MARGIN, SchurSystem, build_schur, gap_edge, mu_k, mu_k_with_vector,
                     q_value_and_slope)
 
@@ -176,8 +176,8 @@ def lambda_k(op: BlockOperator, k: int, tol: float = 1e-10, *,
     lam, evals, bracket = _root(level, step, lam0, lambda lam, kappa: abs(kappa) <= tol)
     system = build_schur(op, lam)
     # near a root kappa_j moves as -(lambda_j - lam)||z_j||^2, so a band on kappa is no
-    # band on energies: the eigenvalues within CLUSTER_RTOL*max(1, |lam|) of lam are counted
-    band = CLUSTER_RTOL * max(1.0, abs(lam))
+    # band on energies: the eigenvalues within the oracle's cluster band of lam are counted
+    band = cluster_band(lam)
     multiplicity = _count(op, lam + band, lam0) - _count(op, lam - band, lam0)
     return MinMaxResult(k=k, lambda_k=lam, multiplicity=multiplicity,
                         residual=system.residual(system.vector(k)[1]), iterations=evals,

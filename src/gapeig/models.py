@@ -29,6 +29,8 @@ from .schur import build_schur
 from .verify import VerificationReport
 
 GRADING_THRESHOLD = 0.7  # quadratic grading resolves the origin above this coupling
+# random_gapped's largest intermediate is p + p.T, up to 6 * max(1, gap_target)
+GAP_TARGET_MAX = np.finfo(float).max / 6
 
 
 def default_grading(nu: float) -> str:
@@ -79,7 +81,8 @@ class ApsSpec:
 
 @dataclass(frozen=True)
 class RandomSpec:
-    """Random operators: integer n_plus, n_minus >= 1, gap_target > 0, integer seed >= 0."""
+    """Random operators: integer n_plus, n_minus >= 1, gap_target in (0, GAP_TARGET_MAX],
+    integer seed >= 0."""
 
     n_plus: int
     n_minus: int
@@ -90,7 +93,7 @@ class RandomSpec:
         check_number(self.n_plus, "n_plus", SpecInvalid, 1, integer=True)
         check_number(self.n_minus, "n_minus", SpecInvalid, 1, integer=True)
         _check_cap(self.n_plus, self.n_minus)
-        check_number(self.gap_target, "gap_target", SpecInvalid, 0, above=True)
+        check_number(self.gap_target, "gap_target", SpecInvalid, 0, GAP_TARGET_MAX, above=True)
         check_number(self.seed, "seed", SpecInvalid, 0, integer=True)
 
 

@@ -5,17 +5,19 @@ and tested before the min-max solver so every solver result can be
 regenerated independently. A spectrum is every eigenvalue of A, ascending,
 with no Schur complement. One structure rule picks the LAPACK routine: an
 operator that is banded once its lower rows are interleaved with the upper
-columns goes to the band solver dsbevd, with A built as a band from the
-blocks' nonzeros (blockop.nonzeros); every other operator to dsyevd in the
-assembled matrix's own memory, one dim x dim matrix.
+columns goes to the band solver dsbevd, with A's band written by
+blockop.upper_band (which writes k_e's band too) from the blocks' nonzeros
+(blockop.nonzeros); every other operator to dsyevd in the assembled
+matrix's own memory, one dim x dim matrix.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
+from scipy import sparse
 
-from .blockop import BlockOperator, nonzeros
+from .blockop import BlockOperator, nonzeros, upper_band
 from .errors import EigFailure
 from .schur import BAND_RATIO
 
@@ -56,10 +58,7 @@ def _band(op: BlockOperator) -> np.ndarray | None:
     w = int(np.abs(i - j).max(initial=0))
     if dim < BAND_RATIO * (w + 1):
         return None
-    upper = i <= j
-    band = np.zeros((w + 1, dim))
-    band[w + i[upper] - j[upper], j[upper]] = values[upper]
-    return band
+    return upper_band(sparse.csr_array((values, (i, j)), shape=(dim, dim)), w)
 
 
 def dense_spectrum(op: BlockOperator) -> np.ndarray:
@@ -81,18 +80,23 @@ def dense_spectrum(op: BlockOperator) -> np.ndarray:
         raise EigFailure(f"dense eigensolve failed: {exc}") from exc
 
 
+def cluster_band(value: float) -> float:
+    """CLUSTER_RTOL*max(1, |value|): eigenvalues this close to value are one cluster."""
+    return CLUSTER_RTOL * max(1.0, abs(value))
+
+
 def cluster_eigenvalues(values: np.ndarray) -> list[tuple[float, int]]:
     """Group an ascending value list into (representative, multiplicity) clusters.
 
-    Neighbors closer than CLUSTER_RTOL*max(1, |value|) merge inclusively; the
-    representative is the cluster mean.
+    Neighbors within cluster_band of the upper one merge; the representative is
+    the cluster mean.
     """
     out: list[tuple[float, int]] = []
     i = 0
     values = np.asarray(values, dtype=float)
     while i < len(values):
         j = i + 1
-        while j < len(values) and values[j] - values[j - 1] <= CLUSTER_RTOL * max(1.0, abs(values[j])):
+        while j < len(values) and values[j] - values[j - 1] <= cluster_band(values[j]):
             j += 1
         out.append((float(values[i:j].mean()), j - i))
         i = j

@@ -64,7 +64,7 @@ import scipy.linalg as sla
 from scipy import sparse
 
 from .blockop import (BlockOperator, as_real, check_number, dense, lambda0, lower_eigen,
-                      nonzeros)
+                      nonzeros, upper_band)
 from .errors import (BadSplit, EigFailure, KOutOfRange, NonFinite, NotPositiveDefinite,
                      SingularSchur)
 
@@ -94,11 +94,6 @@ def _half_bandwidth(p: sparse.csr_array, c: sparse.csr_array) -> int:
         last = c.indices[c.indptr[1:][filled] - 1]
         w = max(w, int((last - first).max()))
     return w
-
-
-def _upper_band(m: sparse.csr_array, w: int) -> np.ndarray:
-    """Upper band storage, band[w + i - j, j] = m[i, j] for i <= j."""
-    return np.array([np.pad(m.diagonal(t), (t, 0)) for t in range(w, -1, -1)])
 
 
 def _symmetric(band: np.ndarray) -> sparse.csr_array:
@@ -205,7 +200,11 @@ class SchurSystem:
     def l_e(self) -> np.ndarray | sparse.csr_array:
         """(b + e*I)^{-1} c in the operator's own basis: CSR if banded, else dense."""
         if self._l is None:
-            self._l = self._lift() if self.banded else self.solve_lower(dense(self.op.c))
+            if self.banded:
+                self._l = self._lift()
+            else:  # _Lower.c already holds Q.T c: only the way back rotates
+                q, lift = self._lower.q, self._solve(self._lower.c)
+                self._l = lift if q is None else _mul(q, lift)
         return self._l
 
     def _banded(self) -> np.ndarray:
@@ -213,7 +212,7 @@ class SchurSystem:
         if self._band is None:
             lower = self._lower
             eye = sparse.eye_array(self.op.n_plus, format="csr")
-            self._band = _upper_band(lower.p - self.e * eye + lower.ct @ self._lift(), lower.w)
+            self._band = upper_band(lower.p - self.e * eye + lower.ct @ self._lift(), lower.w)
         return self._band
 
     @property

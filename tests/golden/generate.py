@@ -1,0 +1,107 @@
+"""Write the golden outputs that tests/test_golden.py holds the CLI to.
+
+Each entry of RUNS is one `gapeig` command: a subcommand, a config (None runs
+on the defaults) and an output format. `python tests/golden/generate.py`
+runs every one in a child process with one BLAS thread, from this folder so
+that a matrix file's relative path is the model column, and writes
+
+  <name>.<format>   its stdout, with the wall-time `ms` field stripped
+  index.json        each run's exit code, and the environment
+
+A change that moves golden bytes regenerates them with this script and lists
+every moved row, with its old and new value, in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import platform
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy
+import scipy
+
+HERE = Path(__file__).resolve().parent
+SRC = HERE.parents[1] / "src"
+THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+
+DIRAC = {"nu": 0.5, "kappa": -1, "r_max": 30.0, "grading": "uniform"}
+CONFIGS = {
+    "dirac": {"kind": "dirac", "spec": DIRAC, "grids": [300, 600, 1200], "k_max": 3},
+    "aps": {"kind": "aps", "spec": {"modes": [0.0, 3.0, -3.0], "length_l": 1.0, "n": 400},
+            "k_max": 7},
+    "random": {"kind": "random", "count": 20, "k_max": 5},
+    "matrix": {"kind": "matrix-file", "spec": {"path": "canonical.json"}},
+    "dirac600": {"kind": "dirac", "spec": {**DIRAC, "n": 600}},
+    "random6": {"kind": "random", "count": 6},
+}
+# file name -> (subcommand, CONFIGS key or None for the defaults, format); the
+# random runs' JSON would repeat their CSV values in a thousand lines each
+RUNS = {
+    f"{command}{'_' + config if config else ''}.{fmt}": (command, config, fmt)
+    for command, config, formats in [
+        ("spectrum", "dirac", ("csv", "json")),
+        ("spectrum", "aps", ("csv", "json")),
+        ("spectrum", "random", ("csv",)),
+        ("spectrum", "matrix", ("csv", "json")),
+        ("converge", "dirac", ("csv", "json")),
+        ("verify", "dirac600", ("csv", "json")),
+        ("verify", "random6", ("csv",)),
+        ("hardy", None, ("csv",)),
+        ("pollution", None, ("csv",)),
+    ]
+    for fmt in formats
+}
+
+
+def environment() -> dict:
+    """What the golden bytes depend on besides the source: libraries and machine."""
+    blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": numpy.__version__, "scipy": scipy.__version__,
+            "blas": f"{blas.get('name')} {blas.get('openblas configuration')}",
+            "machine": platform.machine(), "threads": THREADS}
+
+
+def strip_ms(text: str) -> str:
+    """text without the wall-time field: a spectrum CSV's last column, a JSON row's ms."""
+    if text.startswith("model,") and text.split("\n", 1)[0].endswith(",ms"):
+        return re.sub(r",[^,\n]*$", "", text, flags=re.M)
+    return re.sub(r',\n *"ms": [^\n]*', "", text)
+
+
+def run(name: str, workdir: str) -> tuple[int, str]:
+    """(exit code, stdout with ms stripped) of one RUNS entry; its config is written to workdir."""
+    command, config, fmt = RUNS[name]
+    argv = [command, "--format", fmt]
+    if config is not None:
+        path = os.path.join(workdir, f"{config}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(CONFIGS[config], fh)
+        argv += ["--config", path]
+    env = {**os.environ, **THREADS, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-m", "gapeig", *argv], cwd=HERE, env=env,
+                          capture_output=True, text=True, check=False)
+    if proc.returncode not in (0, 1):
+        raise RuntimeError(f"gapeig {' '.join(argv)} exited {proc.returncode}: {proc.stderr}")
+    return proc.returncode, strip_ms(proc.stdout)
+
+
+def main() -> int:
+    index = {"environment": environment(), "runs": {}}
+    with tempfile.TemporaryDirectory() as workdir:
+        for name in RUNS:
+            code, text = run(name, workdir)
+            (HERE / name).write_text(text, encoding="utf-8")
+            index["runs"][name] = {"exit": code}
+    (HERE / "index.json").write_text(json.dumps(index, indent=2) + "\n", encoding="utf-8")
+    print(f"{len(RUNS)} golden outputs -> {HERE}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -358,3 +358,17 @@ def test_gapdata_validity_margin():
     assert GapData(lambda0=0.0, lambda1=1.0).valid
     assert not GapData(lambda0=0.0, lambda1=5e-13).valid
     assert not GapData(lambda0=0.0, lambda1=float("nan")).valid
+
+
+def test_upper_band_is_the_lapack_upper_layout():
+    # band[w + i - j, j] = m[i, j] for i <= j, the storage dsbevd and dsbevx read
+    rng = np.random.default_rng(3)
+    full = np.triu(rng.standard_normal((9, 9))) * (np.abs(np.subtract.outer(
+        np.arange(9), np.arange(9))) <= 2)
+    full = full + np.triu(full, 1).T
+    band = blockop.upper_band(sparse.csr_array(full), 2)
+    expected = np.zeros((3, 9))
+    for i, j in zip(*np.nonzero(np.triu(full))):
+        expected[2 + i - j, j] = full[i, j]
+    assert np.array_equal(band, expected)
+    assert np.allclose(sla.eig_banded(band, eigvals_only=True), np.linalg.eigvalsh(full))

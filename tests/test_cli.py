@@ -469,6 +469,14 @@ class TestMain:
         assert main(["spectrum", "--config", cfg, "--quiet"]) == 2
         assert "k_max must be finite" in capsys.readouterr().err
 
+    def test_a_gap_target_past_the_generator_bound_exits_two(self, tmp_path, capsys):
+        # it passed the rule, and numpy's OverflowError then ended the run with a traceback
+        cfg = _write(tmp_path / "cfg.json", {"kind": "random", "spec": {"gap_target": 1e308}})
+        assert main(["spectrum", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("gapeig: gap_target must lie in (0, ")
+
     def test_an_integer_past_the_digit_limit_exits_two(self, tmp_path, capsys):
         # json's int() refuses a literal of more than 4300 digits with a ValueError
         cfg = _write(tmp_path / "cfg.json", '{"kind": "random", "k_max": 1' + "0" * 5000 + "}")

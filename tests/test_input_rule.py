@@ -82,7 +82,7 @@ PARAMETERS = [
     ("RandomSpec", "n_plus", lambda v: _random(n_plus=v), SpecInvalid, 1, [0]),
     ("RandomSpec", "n_minus", lambda v: _random(n_minus=v), SpecInvalid, 1, [0]),
     ("RandomSpec", "gap_target", lambda v: _random(gap_target=v), SpecInvalid, 1.0,
-     [0.0, -1.0]),
+     [0.0, -1.0, 1e308]),
     ("RandomSpec", "seed", lambda v: _random(seed=v), SpecInvalid, 3, [-1]),
     ("analytic_dirac_energy", "nu", lambda v: _analytic(nu=v), SpecInvalid, 0.5,
      [-0.1, 1.0, 1.5]),

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -28,7 +29,7 @@ from gapeig import (
 )
 from conftest import dense
 from gapeig import schur
-from gapeig.models import aps_levels, forward_difference, radial_grid
+from gapeig.models import GAP_TARGET_MAX, aps_levels, forward_difference, radial_grid
 
 
 class TestDiracSpec:
@@ -278,6 +279,15 @@ class TestRandomGapped:
         a = random_gapped(RandomSpec(n_plus=6, n_minus=5, seed=1))
         b = random_gapped(RandomSpec(n_plus=6, n_minus=5, seed=2))
         assert not np.array_equal(a.c, b.c)
+
+    def test_the_largest_gap_target_draws_without_a_warning(self):
+        # warnings are errors here, so an overflow to inf in any product fails the test;
+        # one float past the bound is no spec (1e308 passed, then numpy's uniform overflowed)
+        op = random_gapped(RandomSpec(4, 4, gap_target=GAP_TARGET_MAX, seed=5))
+        assert all(np.isfinite(block).all() for block in (op.p, op.c, op.amm))
+        assert GAP_TARGET_MAX == sys.float_info.max / 6
+        with pytest.raises(SpecInvalid, match=r"^gap_target must lie in \(0, "):
+            RandomSpec(4, 4, gap_target=np.nextafter(GAP_TARGET_MAX, math.inf))
 
     def test_gap_scales_with_target(self):
         op = random_gapped(RandomSpec(n_plus=6, n_minus=5, gap_target=4.0, seed=3))

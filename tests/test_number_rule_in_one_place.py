@@ -1,15 +1,15 @@
-"""The package tests whether a number is a bool in two places only.
+"""The package tests whether a number is a bool in one place only.
 
-blockop.check_number is the one rule for every scalar the package takes in, and
-cli._number reads JSON numbers (JSON takes 600.0 as an integer). An
-isinstance(..., bool) test anywhere else in src/gapeig is a second copy of the rule.
+blockop.check_number is the one rule for every scalar the package takes in, the
+CLI's JSON numbers included. An isinstance(..., bool) test anywhere else in
+src/gapeig is a second copy of the rule.
 """
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "gapeig"
-ALLOWED = {("blockop", "check_number"), ("cli", "_number")}
+ALLOWED = {("blockop", "check_number")}
 
 
 def _bool_tests(source: str, module: str) -> set[tuple[str, str]]:
@@ -39,7 +39,7 @@ def test_the_check_sees_a_bool_test():
     assert _bool_tests(source, "m") == {("m", "size"), ("m", "<module>")}
 
 
-def test_only_the_number_rule_and_the_json_reader_test_for_bool():
+def test_only_the_number_rule_tests_for_bool():
     found = set()
     for path in sorted(PACKAGE.glob("*.py")):
         found |= _bool_tests(path.read_text(encoding="utf-8"), path.stem)

@@ -776,3 +776,13 @@ def test_a_rotated_lower_block_keeps_q_f_and_the_rotated_coupling_only():
     assert lower.d is d and lower.q is q and lower.p is op.p
     assert np.shares_memory(lower.ct, lower.c) and lower.ct.shape == lower.c.shape[::-1]
     assert all(arrays[name].flags.c_contiguous for name in ("q", "f", "c"))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a_dense_lift_reads_the_stored_rotated_coupling(seed):
+    # l_e solves against _Lower.c, which already holds Q.T c; rotating c again gave the
+    # same bytes at one more n_minus^2 n_plus product
+    op = random_gapped(RandomSpec(n_plus=5 + 3 * seed, n_minus=3 + 4 * seed, seed=seed))
+    system = build_schur(op, lambda0(op) + 0.3)
+    assert not system.banded and system._lower.q is not None
+    assert np.array_equal(system.l_e, system.solve_lower(np.asarray(op.c)))
