@@ -20,9 +20,9 @@ matrix through BlockOperator.assembled(). Arithmetic with a dense array
 (m - e*I, m @ x) gives the same dense result for either storage.
 
 Facts that depend only on an operator (amm's eigenbasis and lambda0, the
-Schur matrix's storage, the gap certificate) are computed once and kept in
-the operator's memo, each by the module that computes it; nothing that
-depends on an energy is kept there.
+bound on its spectrum, the Schur matrix's storage, the gap certificate) are
+computed once and kept in the operator's memo, each by the module that
+computes it; nothing that depends on an energy is kept there.
 """
 
 from __future__ import annotations
@@ -148,11 +148,11 @@ class BlockOperator:
     alike, so instances are safe to share read-only across threads.
 
     The private memo is the one place for facts derived from the operator:
-    amm's eigenbasis (d, Q) (this module), the Schur matrix's storage with
-    the rotated coupling Q.T c and eigh's residual f (schur) and the gap
-    certificate (minmax); nothing in it depends on an energy. The lower
-    block costs at most two n_minus^2 matrices, Q and f, and one
-    n_minus x n_plus Q.T c, whatever the number of energies evaluated.
+    amm's eigenbasis (d, Q) and the spectrum bound (this module), the Schur
+    matrix's storage with the rotated coupling Q.T c and eigh's residual f
+    (schur) and the gap certificate (minmax); nothing in it depends on an
+    energy. The lower block costs at most two n_minus^2 matrices, Q and f,
+    and one n_minus x n_plus Q.T c, whatever the number of energies evaluated.
     Each is computed on first use by remember(); two threads that first use
     an operator at once may both compute a fact, with the same result.
     """
@@ -321,3 +321,10 @@ def lower_eigen(op: BlockOperator) -> tuple[np.ndarray, np.ndarray | None]:
 def lambda0(op: BlockOperator) -> float:
     """Largest eigenvalue of the lower block amm, the left gap endpoint: the top d of lower_eigen."""
     return float(lower_eigen(op)[0].max())
+
+
+def spectrum_bound(op: BlockOperator) -> float:
+    """dim * max|a_ij|, once per operator, in O(nnz): no eigenvalue of A lies beyond it in
+    magnitude, as none exceeds A's largest absolute row sum. inf past float range."""
+    return op.remember("spectrum_bound", lambda: op.dim * float(max(
+        _check_finite(m, what) for what, m in (("p", op.p), ("c", op.c), ("amm", op.amm)))))

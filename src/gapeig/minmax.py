@@ -3,10 +3,11 @@
 Both solvers find the one sign change above lambda0 of a function that is
 positive next to lambda0 and negative past its root, with one loop, _root:
 check the sign at the left edge, the first float above schur.gap_edge (the
-Schur system's own edge rule), bracket by doubling steps from
-lambda0 + 1, refine by Newton steps kept inside the verified bracket. Both
-refine with one step, _newton: the E-Newton step e - q/q' on q_e(x, x), whose
-energy derivative is exactly q' = -||z||^2 for the lifted z = (x, l_e x).
+Schur system's own edge rule), bracket by doubling steps from lambda0 + 1 up
+to a ceiling from blockop.spectrum_bound, refine by Newton steps kept inside
+the verified bracket. Both refine with one step, _newton: the E-Newton step
+e - q/q' on q_e(x, x), whose energy derivative is exactly q' = -||z||^2 for
+the lifted z = (x, l_e x).
 
 energy_of_vector finds, for a fixed upper-block vector x, the energy E(x)
 with q_E(x, x) = 0, the energy functional of the min-max principle.
@@ -36,19 +37,19 @@ own level and vector. A standalone lambda_k probes through mu_k.
 from __future__ import annotations
 
 import math
+import re
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cache, partial
 
 import numpy as np
 
-from .blockop import BlockOperator, GapData, as_real, check_number, lambda0
-from .errors import BadSplit, BracketFailure, KOutOfRange, ZeroVector
+from .blockop import BlockOperator, GapData, as_real, check_number, lambda0, spectrum_bound
+from .errors import BadSplit, BracketFailure, GapeigError, KOutOfRange, ZeroVector
 from .oracle import CLUSTER_RTOL, cluster_band
 from .schur import (GAP_EDGE_MARGIN, SchurSystem, build_schur, gap_edge, mu_k, mu_k_with_vector,
                     q_value_and_slope)
 
-DEFAULT_LAMBDA_MAX_OFFSET = 1e12
 MAX_ROOT_ITERATIONS = 120
 
 _LEFT_EDGE_MSG = (
@@ -57,8 +58,8 @@ _LEFT_EDGE_MSG = (
     "or below lambda0"
 )
 _CEILING_MSG = (
-    "no sign change below lambda_max = {:.6g}: the value stays positive, "
-    "so the requested level lies beyond the searched range; reported, not guessed"
+    "no sign change up to {:.6g}: the value stays positive up to the bound "
+    "dim*max|a_ij| on lambda_max or the end of float range; reported, not guessed"
 )
 _NO_LEVEL_MSG = (
     "no_level_in_band: the inertia count finds no eigenvalue of A within "
@@ -75,7 +76,8 @@ class MinMaxResult:
     of lambda_k; iterations counts the evaluations after the left edge, probes
     read from gap_spectrum's shared ladder included; bracket only certifies the
     sign, kappa_k > 0 >= kappa_k at its ends: its right end is often the last
-    doubling probe. status is "ok" unless the multiplicity is 0.
+    doubling probe. status is "ok" unless the multiplicity is 0; a gap_spectrum row
+    whose solve raised holds the error there instead, with NaN values.
     """
 
     k: int
@@ -87,16 +89,20 @@ class MinMaxResult:
     status: str = "ok"
 
 
-def _root(probe, step, lam0: float, converged) -> tuple[float, int, tuple[float, float]]:
+def _root(probe, step, lam0: float, top: float,
+          converged) -> tuple[float, int, tuple[float, float]]:
     """The sign change above lam0 of a function probed as (value, Newton candidate).
 
     probe serves the left edge and the bracketing, step the refinement; at
-    least one step runs. Once converged(lam, value) holds after a step, or
+    least one step runs. The root lies at or below top, a bound on A's spectrum,
+    so the first doubling probe past it is lam0 + 1 or under lam0 + 2 (top - lam0):
+    the doubling stops past width 2 (top - lam0) + 1, or at a probe beyond float
+    range, with a BracketFailure. Once converged(lam, value) holds after a step, or
     the bracket has shrunk to rounding, that step's candidate is returned,
     clamped into the bracket. Returns the root, the evaluations after the
     left edge and the bracket (value > 0 at its left end, <= 0 at its right).
     """
-    ceiling = lam0 + DEFAULT_LAMBDA_MAX_OFFSET
+    cap = 2.0 * (top - lam0) + 1.0
     lo = math.nextafter(gap_edge(lam0), math.inf)
     value, cand = probe(lo)
     if value <= 0.0:
@@ -104,8 +110,8 @@ def _root(probe, step, lam0: float, converged) -> tuple[float, int, tuple[float,
     evals, width = 0, 1.0
     while True:
         hi = lam0 + width
-        if hi > ceiling:
-            raise BracketFailure(_CEILING_MSG.format(ceiling))
+        if width > cap or not math.isfinite(hi):
+            raise BracketFailure(_CEILING_MSG.format(lo))
         if hi > lo:
             hi_value, hi_cand = probe(hi)
             evals += 1
@@ -140,7 +146,7 @@ def energy_of_vector(op: BlockOperator, x: np.ndarray) -> float:
         raise ZeroVector("energy_of_vector needs a nonzero vector")
 
     newton = partial(_newton, op, x=x)
-    return _root(newton, newton, lambda0(op),
+    return _root(newton, newton, lambda0(op), spectrum_bound(op),
                  lambda e, q: abs(q) <= 1e-12 * norm2 * max(1.0, abs(e)))[0]
 
 
@@ -173,7 +179,8 @@ def lambda_k(op: BlockOperator, k: int, tol: float = 1e-10, *,
         return kappa, _newton(op, lam, x)[1]
 
     lam0 = lambda0(op)
-    lam, evals, bracket = _root(level, step, lam0, lambda lam, kappa: abs(kappa) <= tol)
+    lam, evals, bracket = _root(level, step, lam0, spectrum_bound(op),
+                                lambda lam, kappa: abs(kappa) <= tol)
     system = build_schur(op, lam)
     # near a root kappa_j moves as -(lambda_j - lam)||z_j||^2, so a band on kappa is no
     # band on energies: the eigenvalues within the oracle's cluster band of lam are counted
@@ -190,9 +197,11 @@ def gap_spectrum(op: BlockOperator, k_max: int, tol: float = 1e-10) -> list[MinM
     Rows come in k order. Each level is its own root, so the rows of a multiple
     level may differ in the last bits, and their order may invert there: row k + 1
     can read a few ulp below row k. A row's status is "ok", "no_level_in_band: ..."
-    (a root with multiplicity 0, its value kept) or "bracket_failure: ..." (NaN
-    values), reported per entry. The levels share one bracketing ladder, so each
-    probe energy is eigensolved once.
+    (a root with multiplicity 0, its value kept) or, when solving the level raised a
+    GapeigError, the error's name in snake case and its message, such as
+    "bracket_failure: ..." or "eig_failure: ..." (NaN values): a failure stays in its
+    row. The levels share one bracketing ladder, so each probe energy is eigensolved
+    once.
     """
     check_number(k_max, "k_max", KOutOfRange, 1, op.n_plus, integer=True)
     # probe energy -> the k_max lowest eigenvalues of k_e there, one eigensolve per energy
@@ -201,11 +210,11 @@ def gap_spectrum(op: BlockOperator, k_max: int, tol: float = 1e-10) -> list[MinM
     for k in range(1, k_max + 1):
         try:
             ordered.append(lambda_k(op, k, tol, levels=ladder))
-        except BracketFailure as exc:
+        except GapeigError as exc:
+            name = re.sub(r"(?<!^)(?=[A-Z])", "_", type(exc).__name__).lower()
             ordered.append(MinMaxResult(
                 k=k, lambda_k=math.nan, multiplicity=0, residual=math.nan,
-                iterations=0, bracket=(math.nan, math.nan),
-                status=f"bracket_failure: {exc}",
+                iterations=0, bracket=(math.nan, math.nan), status=f"{name}: {exc}",
             ))
     return ordered
 

@@ -225,7 +225,8 @@ class SchurSystem:
             else:
                 # no identity is held across statements: at n=1200 each is 11.5 MB
                 k = lower.p - self.e * np.eye(self.op.n_plus) + _mul(lower.ct, self._solve(lower.c))
-                self._k = (k + k.T) / 2.0
+                k *= 0.5  # (k + k.T) / 2 to the bit, with no overflow past half of float range
+                self._k = k + k.T
         return self._k
 
     def solve_k(self, rhs: np.ndarray) -> np.ndarray:

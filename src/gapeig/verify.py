@@ -4,10 +4,11 @@ Each check compares both sides of an identity and returns a relative residual
 (or a margin, for the gap bound); operator_reports lists one operator's rows with
 their pass bounds. The two congruence rows at an energy share one computation from
 the blocks of one Schur system, and nothing is kept. Every term is in the storage
-of the system's products: CSR on the banded path, where the congruence costs
-O(nnz) and the inverse formula reads A - e*I COLUMN_BLOCK columns at a time, so
-neither holds a dim x dim matrix; dense on the dense path, where the inverse
-formula overwrites the assembled matrix. The gap bound reads the oracle's spectrum
+of the system's products, which _blocks alone chooses: CSR on the banded path, where
+the congruence costs O(nnz) and neither check holds a dim x dim matrix; dense on the
+dense path. The inverse formula has one loop for both: it stacks A - e*I from the
+blocks and reads it COLUMN_BLOCK columns at a time when banded, all dim columns in
+one block when dense. The gap bound reads the oracle's spectrum
 (a band solve for a banded operator). The identities hold algebraically, so
 residuals sit at roundoff; anything above the stated tolerances means a wiring bug.
 """
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy import sparse
 
-from .blockop import BlockOperator, block_norm, lambda0, nonzeros
+from .blockop import BlockOperator, block_norm, dense, lambda0, nonzeros
 from .errors import NoGap, SingularSchur
 from .minmax import lambda1_certificate
 from .oracle import dense_spectrum
@@ -46,14 +47,18 @@ def _relative(resid: float, scale: float) -> float:
 
 
 def _blocks(system: SchurSystem):
-    """The operator's p, c and amm, and the identity's constructor, in the storage of the
-    system's products: CSR on the banded path, so every term costs O(nnz); on the dense
-    path the blocks as stored and np.eye, whose mixed arithmetic gives dense results."""
+    """The operator's p, c and amm, the identity's constructor, the stacking of a 2x2 block
+    list and the column width the inverse formula reads at a time, in the storage of the
+    system's products: CSR blocks stacked to CSC and COLUMN_BLOCK columns on the banded
+    path, so every term costs O(nnz); on the dense path the blocks as stored, np.eye, whose
+    mixed arithmetic gives dense results, np.block and all dim columns at once."""
     op = system.op
     if system.banded:
         return (*(nonzeros(m) for m in (op.p, op.c, op.amm)),
-                lambda n: sparse.eye_array(n, format="csr"))
-    return op.p, op.c, op.amm, np.eye
+                lambda n: sparse.eye_array(n, format="csr"),
+                lambda rows: sparse.block_array(rows, format="csc"), COLUMN_BLOCK)
+    return (op.p, op.c, op.amm, np.eye,
+            lambda rows: np.block([[dense(m) for m in row] for row in rows]), op.dim)
 
 
 def _congruence(op: BlockOperator, e: float) -> tuple[float, float]:
@@ -68,7 +73,7 @@ def _congruence(op: BlockOperator, e: float) -> tuple[float, float]:
     products (_blocks) and every norm is blockop.block_norm's, of the stored entries.
     """
     system, root2 = build_schur(op, e), math.sqrt(2.0)
-    p, c, amm, eye = _blocks(system)
+    p, c, amm, eye, *_ = _blocks(system)
     l_e, k_e = system.l_e, system.k_e
     # the shift first: e*l_e - amm@l_e cancels near lambda0
     bpe_le = (e * eye(op.n_minus) - amm) @ l_e
@@ -142,10 +147,11 @@ def inverse_formula_check(op: BlockOperator, e: float) -> float:
 
     Valid only strictly inside the gap, where k_e is invertible; at or
     beyond lambda1 the Schur matrix is singular and SingularSchur is raised.
-    A dense operator's assembled A - e*I is overwritten whole. A banded one's is
-    read from CSR COLUMN_BLOCK columns at a time, and the squares of each block
-    are summed by einsum, which calls no BLAS, so the row does not depend on
-    the BLAS thread count and holds O(dim * COLUMN_BLOCK) memory.
+    A - e*I is stacked from _blocks in the system's storage and read width columns
+    at a time: COLUMN_BLOCK columns of CSC on the banded path, in O(dim * COLUMN_BLOCK)
+    memory, and all of them in one dense block otherwise, so k_e is solved once. The
+    squares of each block are summed by einsum, which calls no BLAS, so the row does
+    not depend on the BLAS thread count.
     """
     system = build_schur(op, e)
     kappa1 = system.value(1)
@@ -154,20 +160,12 @@ def inverse_formula_check(op: BlockOperator, e: float) -> float:
             f"k_e singular or indefinite at e={e}: smallest eigenvalue {kappa1:.3e}"
         )
     # the guard gives k_e >= kappa1 * I > 0, so solve_k meets an invertible k_e
-    n, dim = op.n_plus, op.dim
-    if not system.banded:
-        diag = np.arange(dim)
-        rows = op.assembled()
-        rows[diag, diag] -= e
-        _apply_inverse(system, rows[:n], rows[n:])
-        rows[diag, diag] -= 1.0
-        return float(np.linalg.norm(rows))
-    p, c, amm, eye = _blocks(system)
-    shifted = sparse.block_array([[p - e * eye(n), c.T], [c, amm - e * eye(op.n_minus)]],
-                                 format="csc")
+    n = op.n_plus
+    p, c, amm, eye, stack, width = _blocks(system)
+    shifted = stack([[p - e * eye(n), c.T], [c, amm - e * eye(op.n_minus)]])
     total = 0.0
-    for first in range(0, dim, COLUMN_BLOCK):
-        cols = shifted[:, first:first + COLUMN_BLOCK].toarray()
+    for first in range(0, op.dim, width):
+        cols = dense(shifted[:, first:first + width])
         _apply_inverse(system, cols[:n], cols[n:])
         diag = np.arange(cols.shape[1])
         cols[first + diag, diag] -= 1.0

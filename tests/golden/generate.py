@@ -5,15 +5,20 @@ on the defaults) and an output format. `python tests/golden/generate.py`
 runs every one in a child process with one BLAS thread, from this folder so
 that a matrix file's relative path is the model column, and writes
 
-  <name>.<format>   its stdout, with the wall-time `ms` field stripped
+  <name>.<format>   its stdout, with a JSON row's wall-time `ms` field stripped
   index.json        each run's exit code, and the environment
 
-A change that moves golden bytes regenerates them with this script and lists
-every moved row, with its old and new value, in CHANGES.md.
+`python tests/golden/generate.py --diff` runs the same commands and writes
+nothing: it prints each moved row as file:line, the CSV column (none for a JSON
+line), the old and the new value, and each changed exit code, and exits 1 if
+anything moved. A change that moves golden bytes regenerates them with this
+script and lists every moved row, with its old and new value, in CHANGES.md.
 """
 
 from __future__ import annotations
 
+import argparse
+import csv
 import json
 import os
 import platform
@@ -21,6 +26,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy
@@ -68,10 +74,29 @@ def environment() -> dict:
 
 
 def strip_ms(text: str) -> str:
-    """text without the wall-time field: a spectrum CSV's last column, a JSON row's ms."""
-    if text.startswith("model,") and text.split("\n", 1)[0].endswith(",ms"):
-        return re.sub(r",[^,\n]*$", "", text, flags=re.M)
+    """text without the wall-time field, a JSON row's ms; the CSV has none."""
     return re.sub(r',\n *"ms": [^\n]*', "", text)
+
+
+def moved_rows(old: str, new: str, is_csv: bool) -> list[tuple[int, str, str, str]]:
+    """(line, column, old value, new value) of each difference between two outputs, lines
+    counted from 1. A CSV line is read by csv, each differing field named by the header's
+    column; any other line is compared whole, with no column. A line only one side has
+    reads "" on the other."""
+    moved = []
+    lines = zip_longest(old.splitlines(), new.splitlines(), fillvalue="")
+    header = next(csv.reader([old.split("\n", 1)[0]]), []) if is_csv else []
+    for number, (was, now) in enumerate(lines, 1):
+        if was == now:
+            continue
+        if not is_csv:
+            moved.append((number, "", was.strip(), now.strip()))
+            continue
+        fields = zip_longest(*(next(csv.reader([line]), []) for line in (was, now)),
+                             fillvalue="")
+        moved += [(number, header[i] if i < len(header) else str(i + 1), a, b)
+                  for i, (a, b) in enumerate(fields) if a != b]
+    return moved
 
 
 def run(name: str, workdir: str) -> tuple[int, str]:
@@ -91,9 +116,32 @@ def run(name: str, workdir: str) -> tuple[int, str]:
     return proc.returncode, strip_ms(proc.stdout)
 
 
-def main() -> int:
-    index = {"environment": environment(), "runs": {}}
+def diff(workdir: str) -> int:
+    """Print every moved row and changed exit code against the golden files; 1 if any."""
+    recorded = json.loads((HERE / "index.json").read_text(encoding="utf-8"))["runs"]
+    moved = 0
+    for name in RUNS:
+        code, text = run(name, workdir)
+        if code != recorded[name]["exit"]:
+            moved += 1
+            print(f"{name}: exit {recorded[name]['exit']} -> {code}")
+        old = (HERE / name).read_text(encoding="utf-8")
+        for line, column, was, now in moved_rows(old, text, name.endswith(".csv")):
+            moved += 1
+            print(f"{name}:{line}{' ' + column if column else ''}: {was} -> {now}")
+    print(f"{moved} moved across {len(RUNS)} golden outputs")
+    return 1 if moved else 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("--diff", action="store_true",
+                        help="print the rows that moved and write nothing")
+    args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as workdir:
+        if args.diff:
+            return diff(workdir)
+        index = {"environment": environment(), "runs": {}}
         for name in RUNS:
             code, text = run(name, workdir)
             (HERE / name).write_text(text, encoding="utf-8")

@@ -372,3 +372,20 @@ def test_upper_band_is_the_lapack_upper_layout():
         expected[2 + i - j, j] = full[i, j]
     assert np.array_equal(band, expected)
     assert np.allclose(sla.eig_banded(band, eigvals_only=True), np.linalg.eigvalsh(full))
+
+
+def test_spectrum_bound_holds_every_eigenvalue(campaign_ops):
+    # dim * max|a_ij|, from each block's stored entries and kept in the memo
+    dirac = build_dirac_coulomb(DiracSpec(nu=0.5, kappa=-1, r_max=30.0, n=200))
+    for op in campaign_ops[:5] + [dirac]:
+        full = op.assembled()
+        bound = blockop.spectrum_bound(op)
+        assert bound == op.dim * np.abs(full).max()
+        assert np.abs(np.linalg.eigvalsh(full)).max() <= bound
+        assert op._memo["spectrum_bound"] == bound
+
+
+def test_spectrum_bound_past_float_range_is_inf():
+    # a Python float product: no overflow warning, which the suite would raise
+    op = BlockOperator(p=np.diag([2.0, 1.7e308]), c=np.zeros((1, 2)), amm=[[-1.0]])
+    assert blockop.spectrum_bound(op) == np.inf

@@ -244,8 +244,9 @@ class TestRun:
             assert row.oracle is not None
             assert row.abs_error <= 1e-9
 
-    def test_deterministic_modulo_ms(self):
-        # the banded Dirac channel runs inverse iteration from its fixed start
+    def test_deterministic_csv(self):
+        # the banded Dirac channel runs inverse iteration from its fixed start; the CSV
+        # holds no wall time, so two runs' whole texts agree
         random = config_from_dict({
             "kind": "random", "spec": {"n_plus": 6, "n_minus": 5}, "count": 2,
         })
@@ -253,12 +254,8 @@ class TestRun:
             "kind": "dirac", "spec": {"nu": 0.5, "kappa": -1, "r_max": 30.0, "n": 300},
             "k_max": 2,
         })
-        strip = lambda rows: [
-            (r.model, r.grid, r.k, r.lambda_k, r.multiplicity, r.oracle, r.residual)
-            for r in rows
-        ]
         for config in (random, dirac):
-            assert strip(run(config)) == strip(run(config))
+            assert rows_to_csv(run(config)) == rows_to_csv(run(config))
         # verify's rows, bit for bit: nothing is kept from one pass to the next
         for config in (replace(dirac, k_max=1), replace(random, count=1)):
             assert reports_to_csv(verify_all(config)) == reports_to_csv(verify_all(config))
@@ -357,7 +354,7 @@ class TestSerialization:
         assert doc["schema"] == 1
         assert doc["version"] == __version__
         assert doc["config"]["kind"] == "matrix-file"
-        assert set(doc["rows"][0]) == set(CSV_HEADER.split(","))
+        assert set(doc["rows"][0]) == set(CSV_HEADER.split(",")) | {"ms"}
         with open(canonical_matrix_config, encoding="utf-8") as fh:
             spec = json.load(fh)["spec"]
         assert list(doc["config"].items()) == [
@@ -451,17 +448,44 @@ class TestMain:
                      "--out", str(tmp_path / "rows.csv")]) == 0
         assert capsys.readouterr().err == ""
 
-    def test_a_failed_pencil_eigensolve_exits_two(self, canonical_matrix_config, capsys,
-                                                  monkeypatch):
-        # a solver failure is one "gapeig:" line and exit 2, not a traceback
-        def fail(*args, **kwargs):
-            raise np.linalg.LinAlgError("the leading minor of order 7 is not positive definite")
+    @pytest.mark.parametrize("target", [schur.sla, np.linalg])
+    def test_a_failed_eigensolve_stays_in_its_unit(self, tmp_path, capsys, monkeypatch,
+                                                   target):
+        # seed 1's pencil (scipy) or amm (numpy) eigensolve fails; its rows read NaN, the
+        # run goes on, the other units' rows are those of a clean run, and it exits 1
+        raw = {"kind": "random", "spec": {"n_plus": 6, "n_minus": 5}, "count": 3,
+               "k_max": 2}
+        cfg = _write(tmp_path / "cfg.json", raw)
+        clean = run(config_from_dict(raw))
+        poisoned, build, eigh = [False], cli._build, target.eigh
 
-        monkeypatch.setattr(schur.sla, "eigh", fail)
-        assert main(["spectrum", "--config", canonical_matrix_config, "--quiet"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("gapeig: ") and len(err.splitlines()) == 1
-        assert "pencil eigensolve" in err
+        def tracked(spec):
+            poisoned[0] = spec.seed == 1
+            return build(spec)
+
+        def flaky(*args, **kwargs):
+            if poisoned[0]:
+                raise np.linalg.LinAlgError("the leading minor of order 7 is not positive "
+                                            "definite")
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_build", tracked)
+        monkeypatch.setattr(target, "eigh", flaky)
+        statuses = []
+        monkeypatch.setattr(cli, "gap_spectrum", lambda *args: [
+            statuses.append(r.status) or r for r in minmax.gap_spectrum(*args)])
+        rows = run(config_from_dict(raw))
+        keep = lambda row: replace(row, ms=0.0)
+        assert [keep(r) for r in rows if "seed=1" not in r.model] == [
+            keep(r) for r in clean if "seed=1" not in r.model]
+        failed = [r for r in rows if "seed=1" in r.model]
+        assert len(failed) == 2 and all(math.isnan(r.lambda_k) for r in failed)
+        assert all(r.multiplicity == 0 for r in failed)
+        assert [s.split(":")[0] for s in statuses] == ["ok"] * 2 + ["eig_failure"] * 2 + ["ok"] * 2
+        # a failed amm eigensolve fails the dense oracle too, whose column stays empty
+        assert all((r.oracle is None) == (target is np.linalg) for r in failed)
+        assert main(["spectrum", "--config", cfg, "--quiet"]) == 1
+        assert capsys.readouterr().err == ""
 
     def test_an_integer_beyond_float_range_exits_two(self, tmp_path, capsys):
         # json reads the literal as an exact int, whose float() overflows

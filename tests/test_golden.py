@@ -2,8 +2,8 @@
 
 Each golden run is a `gapeig` command run in a child process with one BLAS
 thread (tests/golden/generate.py lists them and writes the files). Its stdout,
-with the wall-time `ms` field stripped, must equal the golden file byte for
-byte, and its exit code the one recorded. On a machine whose libraries differ
+with a JSON row's wall-time `ms` field stripped, must equal the golden file byte
+for byte (a CSV, with nothing stripped), and its exit code the one recorded. On a machine whose libraries differ
 from the ones recorded in index.json, the bytes may move in their last bits:
 there numbers are compared to a relative 1e-9 (absolute 1e-12 near zero), the
 rest of the text exactly, and the test prints that it did so.
@@ -64,12 +64,27 @@ def test_output_matches_the_golden_bytes(name, tmp_path):
 
 def test_only_the_ms_field_is_stripped():
     header = "model,grid,k,lambda_k,multiplicity,oracle,abs_error,residual"
-    row = '"m(a=1,b=2)",3,1,0.5,1,,,1e-16'
-    assert generate.strip_ms(f"{header},ms\n{row},12.345\n") == f"{header}\n{row}\n"
+    spectrum = f'{header}\n"m(a=1,b=2)",3,1,0.5,1,,,1e-16\n'
     report = 'check,value,passed,params\nkrein_gap,0.5,true,"{""n"": 3}"\n'
+    assert generate.strip_ms(spectrum) == spectrum
     assert generate.strip_ms(report) == report
     record = '    {\n      "residual": 1e-16,\n      "ms": 12.345\n    }'
     assert generate.strip_ms(record) == '    {\n      "residual": 1e-16\n    }'
+
+
+def test_moved_rows_names_each_moved_field():
+    old = 'check,value,passed,params\nkrein_gap,0.5,true,"{""n"": 3}"\nsandwich,1e-16,true,{}\n'
+    new = 'check,value,passed,params\nkrein_gap,0.5,true,"{""n"": 4}"\nsandwich,2e-16,false,{}\n'
+    assert generate.moved_rows(old, old, True) == []
+    assert generate.moved_rows(old, new, True) == [
+        (2, "params", '{"n": 3}', '{"n": 4}'), (3, "value", "1e-16", "2e-16"),
+        (3, "passed", "true", "false")]
+    # a row only one side has; a JSON line is one field
+    assert generate.moved_rows(old, old + "hardy,1,true,{}\n", True) == [
+        (4, "check", "", "hardy"), (4, "value", "", "1"), (4, "passed", "", "true"),
+        (4, "params", "", "{}")]
+    assert generate.moved_rows('{\n  "value": 1.0\n}', '{\n  "value": 1.5\n}', False) == [
+        (2, "", '"value": 1.0', '"value": 1.5')]
 
 
 def test_a_moved_last_digit_is_close_but_not_equal():

@@ -179,7 +179,7 @@ def test_root_survives_newton_candidates_outside_bracket():
         steps.append(cand)
         return value, cand
 
-    lam, evals, (a, b) = _root(newton, newton, 0.0, lambda lam, v: abs(v) <= 1e-14)
+    lam, evals, (a, b) = _root(newton, newton, 0.0, root, lambda lam, v: abs(v) <= 1e-14)
     assert lam == pytest.approx(root, abs=1e-14)
     assert a <= lam <= b and (a, b) != (2.0, 4.0)
     assert any(not 2.0 < cand < 4.0 for cand in steps)
@@ -359,9 +359,14 @@ def test_concurrent_first_use_matches_serial(campaign_ops):
     assert all(r == serial for r in results)
 
 
-def _beyond_ceiling():
-    # levels at 2e12 and 3e12 lie above the constant ceiling lambda0 + 1e12
+def _far_levels():
+    # levels at 2e12 and 3e12, past the absolute ceiling lambda0 + 1e12 the ladder once had
     return _block_op(np.diag([2e12, 3e12]), np.zeros((1, 2)), [[-1.0]])
+
+
+def _past_float_range():
+    # level 2 lies above lambda0 + 2^1023, the ladder's last finite probe
+    return _block_op(np.diag([2.0, 1.7e308]), np.zeros((1, 2)), [[-1.0]])
 
 
 def _count_eigensolves(monkeypatch) -> Counter:
@@ -379,7 +384,7 @@ def _count_eigensolves(monkeypatch) -> Counter:
 def _ladder_solves(op, solves: Counter) -> list[int]:
     """Eigensolves at each bracketing energy _root probed: the left edge, then lambda0 + 2^j."""
     lam0 = lambda0(op)
-    ladder = [math.nextafter(gap_edge(lam0), math.inf)] + [lam0 + 2.0 ** j for j in range(41)]
+    ladder = [math.nextafter(gap_edge(lam0), math.inf)] + [lam0 + 2.0 ** j for j in range(1024)]
     return [solves[e] for e in ladder if solves[e]]
 
 
@@ -392,18 +397,25 @@ def test_gap_spectrum_solves_each_ladder_energy_once(monkeypatch, campaign_ops):
         assert len(ladder) >= 2 and set(ladder) == {1}
 
 
+def test_levels_far_above_lambda0_solve():
+    # the ceiling comes from the operator's spectrum bound, so no fixed offset cuts them off
+    for op, levels in ((_far_levels(), [2e12, 3e12]),
+                       (_block_op(np.diag([0.5, 2e12, 3e13]), np.zeros((1, 3)), [[-1.0]]),
+                        [0.5, 2e12, 3e13])):
+        results = gap_spectrum(op, len(levels))
+        assert [r.status for r in results] == ["ok"] * len(levels)
+        assert [r.lambda_k for r in results] == pytest.approx(levels, rel=1e-15)
+
+
 def test_gap_spectrum_partial_results(monkeypatch):
-    op = _beyond_ceiling()
+    op = _past_float_range()
     solves = _count_eigensolves(monkeypatch)
-    results = gap_spectrum(op, 2)
-    assert len(results) == 2
-    for res in results:
-        assert res.status.startswith("bracket_failure")
-        assert math.isnan(res.lambda_k)
-        assert res.multiplicity == 0
-    # the left edge and lambda0 + 1 .. lambda0 + 2^39, below the ceiling, each solved once
-    assert _ladder_solves(op, solves) == [1] * 41
-    assert sum(solves.values()) == 41
+    first, second = gap_spectrum(op, 2)
+    assert (first.lambda_k, first.multiplicity, first.status) == (2.0, 1, "ok")
+    assert second.status.startswith("bracket_failure")
+    assert math.isnan(second.lambda_k) and second.multiplicity == 0
+    # the left edge and lambda0 + 1 .. lambda0 + 2^1023, the finite probes, each solved once
+    assert _ladder_solves(op, solves) == [1] * 1025
 
 
 def test_ladder_levels_match_standalone_roots(campaign_ops):
@@ -417,8 +429,9 @@ def test_ladder_levels_match_standalone_roots(campaign_ops):
 
 
 def test_lambda_max_failure_message():
-    with pytest.raises(BracketFailure, match="lambda_max"):
-        lambda_k(_beyond_ceiling(), 1)
+    with pytest.raises(BracketFailure, match=r"up to 8\.98847e\+307: .* lambda_max or the end "
+                                             "of float range"):
+        lambda_k(_past_float_range(), 2)
 
 
 def test_no_gap_left_edge():

@@ -357,6 +357,34 @@ def test_banded_reports_assemble_nothing_and_solve_nothing_dense(monkeypatch, bu
     assert reports[-1].check == "norm_chain"
 
 
+def test_inverse_formula_reads_column_blocks_and_assembles_nothing(monkeypatch):
+    # one loop for both storages: a dense A - e*I is read as one block of dim columns,
+    # so k_e is solved once; a banded one COLUMN_BLOCK columns of CSC at a time
+    def refuse(self):
+        raise AssertionError("the inverse formula assembled A")
+
+    widths, solve_k = [], schur.SchurSystem.solve_k
+    monkeypatch.setattr(BlockOperator, "assembled", refuse)
+    monkeypatch.setattr(schur.SchurSystem, "solve_k",
+                        lambda self, rhs: widths.append(rhs.shape[1]) or solve_k(self, rhs))
+    for op, expected in (
+            (random_gapped(RandomSpec(n_plus=70, n_minus=60, gap_target=1.0, seed=2)), [130]),
+            (build_dirac_coulomb(DiracSpec(nu=0.5, kappa=-1, r_max=30.0, n=100)),
+             [verify.COLUMN_BLOCK] * 3 + [200 - 3 * verify.COLUMN_BLOCK])):
+        cert = lambda1_certificate(op)
+        widths.clear()
+        assert inverse_formula_check(op, gap_fractions(cert.lambda0, cert.lambda1)[3]) <= 1e-10
+        assert widths == expected
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the extension row divides an absolute residual by max(1, ||A||), while the lifted "
+    "term l_e.T (e - amm) l_e grows as 1/(e - lambda0): 1.6e-11 at lambda0 + 1e-3"))
+def test_aps_extension_next_to_lambda0_meets_its_bound():
+    op = build_aps_cylinder(ApsSpec(modes=(0.0, 3.0, -3.0), length_l=1.0, n=400))
+    assert extension_consistency(op, lambda0(op) + 1e-3) <= 1e-11
+
+
 def test_inverse_inside_gap(campaign_ops):
     for op in campaign_ops[:5]:
         cert = lambda1_certificate(op)
