@@ -19,6 +19,10 @@ as a dense array through dense(), its norm through block_norm() and the whole
 matrix through BlockOperator.assembled(). Arithmetic with a dense array
 (m - e*I, m @ x) gives the same dense result for either storage.
 
+Every BLAS and LAPACK call of the package runs on scipy's OpenBLAS: dense
+products go through mul(), sums of squares through sum_squares(), which
+calls no BLAS, and the eigensolves and solves are scipy's (see mul).
+
 Facts that depend only on an operator (amm's eigenbasis and lambda0, the
 bound on its spectrum, the Schur matrix's storage, the gap certificate) are
 computed once and kept in the operator's memo, each by the module that
@@ -31,6 +35,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as sla
 from scipy import sparse
 
 from .errors import BadSplit, EigFailure, GapeigError, NonFinite, NonSymmetric
@@ -106,24 +111,24 @@ def _check_symmetric(m, rtol: float, what: str):
 
     The copy is 0.5*m + 0.5*m.T, which rounds as (m + m.T)/2 but cannot overflow.
     ||m - m.T|| is read as 2*||m - copy||, and both norms are of entries scaled exactly
-    by a power of two to a largest entry in [0.5, 1), so neither overflows nor vanishes.
+    by a power of two to a largest entry in [0.5, 1), so neither overflows nor vanishes;
+    their squares are summed by sum_squares.
     A sparse m is symmetrized as CSR and its norms are of its stored values, in O(nnz);
     a dense m.T is read 64 rows at a time, so no second n x n array is made.
     """
     exp = math.frexp(_check_finite(m, what))[1]
     if sparse.issparse(m):
         sym = _canonical((0.5 * m + 0.5 * m.T).tocsr())
-        defect = np.linalg.norm(np.ldexp((m - sym).data, 1 - exp))
-        scale = np.linalg.norm(np.ldexp(m.data, -exp))
+        defect = sum_squares(np.ldexp((m - sym).data, 1 - exp))
+        scale = sum_squares(np.ldexp(m.data, -exp))
     else:
         rows = [slice(j, j + 64) for j in range(0, len(m), 64)]
         sym = np.multiply(m, 0.5)
         for r in rows:
             sym[:, r] += 0.5 * m[r].T
-        defect = scale = 0.0
-        for r in rows:
-            defect = math.hypot(defect, np.linalg.norm(np.ldexp(m[r] - sym[r], 1 - exp)))
-            scale = math.hypot(scale, np.linalg.norm(np.ldexp(m[r], -exp)))
+        defect = sum(sum_squares(np.ldexp(m[r] - sym[r], 1 - exp)) for r in rows)
+        scale = sum(sum_squares(np.ldexp(m[r], -exp)) for r in rows)
+    defect, scale = math.sqrt(defect), math.sqrt(scale)
     if defect > rtol * scale:
         raise NonSymmetric(f"{what} relative asymmetry {defect / scale:.3e} exceeds {rtol:g}")
     return sym
@@ -288,17 +293,42 @@ def dense(m) -> np.ndarray:
     return m.toarray() if sparse.issparse(m) else m
 
 
+def sum_squares(x: np.ndarray) -> float:
+    """The sum of the squares of a 1-D or 2-D array's entries, by einsum, which calls no BLAS:
+    numpy's norm is a BLAS dot, which OpenBLAS splits by thread above 10000 entries, so its
+    last bits would depend on the BLAS thread count, and it wakes numpy's thread pool."""
+    subscripts = "ij"[:x.ndim]
+    return float(np.einsum(f"{subscripts},{subscripts}->", x, x))
+
+
 def block_norm(m) -> float:
-    """The Frobenius norm of block m; a sparse block's is that of its stored nonzeros, summed
-    by einsum, which calls no BLAS: a BLAS dot splits a long sum by thread, so its last
-    bits would depend on the BLAS thread count."""
-    if sparse.issparse(m):
-        return math.sqrt(float(np.einsum("i,i->", m.data, m.data)))
-    return float(np.linalg.norm(m))
+    """The Frobenius norm of block m, from sum_squares; a sparse block's is that of its
+    stored nonzeros."""
+    return math.sqrt(sum_squares(_values(m)))
+
+
+def mul(a, b: np.ndarray) -> np.ndarray:
+    """a @ b, C-ordered, on scipy's BLAS (a sparse a uses its own @), as (b.T a.T).T: BLAS
+    reads a C-ordered array as its transpose, so no contiguous operand is copied.
+
+    Every matrix-matrix and matrix-vector product of the package goes through here:
+    numpy (scipy_openblas64 0.3.31) and scipy (scipy_openblas32 0.3.30) each bring an
+    OpenBLAS with its own thread pool, and numpy's workers, still spinning after a
+    product, would share the cores with scipy's. Only 1-D dots x @ x stay on numpy; at
+    most SIZE_CAP long, they run on one thread: OpenBLAS splits a dot above 10000 entries.
+    """
+    if sparse.issparse(a):
+        return a @ b
+    (at, ta), (bt, tb) = ((m, 1) if m.flags.f_contiguous and not m.flags.c_contiguous
+                          else (m.T, 0) for m in (a, b))
+    if b.ndim == 1:
+        return sla.blas.dgemv(1.0, at, b, trans=1 - ta)
+    return sla.blas.dgemm(1.0, bt, at, trans_a=tb, trans_b=ta).T
 
 
 def lower_eigen(op: BlockOperator) -> tuple[np.ndarray, np.ndarray | None]:
-    """amm = Q diag(d) Q.T as (d, Q), once per operator: one eigh, d ascending.
+    """amm = Q diag(d) Q.T as (d, Q), once per operator: one eigh (LAPACK's dsyevd, on
+    scipy's OpenBLAS like every product; see mul), d ascending and Q C-ordered.
 
     A diagonal amm is its own eigenbasis, (its diagonal, None), with no eigensolve.
     """
@@ -311,7 +341,8 @@ def lower_eigen(op: BlockOperator) -> tuple[np.ndarray, np.ndarray | None]:
             if amm.nnz == np.count_nonzero(diag):
                 return diag, None
         try:
-            return tuple(np.linalg.eigh(dense(op.amm)))
+            d, q = sla.eigh(dense(op.amm), driver="evd", check_finite=False)
+            return d, np.ascontiguousarray(q)
         except np.linalg.LinAlgError as exc:
             raise EigFailure(f"eigensolve on amm failed: {exc}") from exc
 

@@ -21,9 +21,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 from scipy import sparse
 
-from .blockop import BlockOperator, _check_cap, check_number
+from .blockop import BlockOperator, _check_cap, check_number, mul
 from .errors import SpecInvalid
 from .schur import build_schur
 from .verify import VerificationReport
@@ -197,7 +198,7 @@ def hardy_check(nu: float, n: int, r_max: float) -> VerificationReport:
 
 
 def _random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
-    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    q, r = sla.qr(rng.standard_normal((n, n)), check_finite=False)
     return q * np.sign(np.diagonal(r))
 
 
@@ -215,8 +216,8 @@ def random_gapped(spec: RandomSpec) -> BlockOperator:
     q_minus = _random_orthogonal(rng, spec.n_minus)
     p_eigs = rng.uniform(0.3 * scale, 3.0 * scale, spec.n_plus)
     amm_eigs = rng.uniform(-spec.gap_target - 2.0 * scale, -spec.gap_target, spec.n_minus)
-    p = (q_plus * p_eigs) @ q_plus.T
-    amm = (q_minus * amm_eigs) @ q_minus.T
+    p = mul(q_plus * p_eigs, q_plus.T)
+    amm = mul(q_minus * amm_eigs, q_minus.T)
     c = rng.standard_normal((spec.n_minus, spec.n_plus))
     c *= 0.5 * scale / math.sqrt(max(spec.n_plus, spec.n_minus))
     # pre-symmetrized: q diag q.T alone sits near BlockOperator's 1e-13 bound at n=800

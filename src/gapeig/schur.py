@@ -44,12 +44,8 @@ multiplicities from. All three go through one selection, _select.
   l_e is the CSR lift the band is formed from, k_e the symmetric CSR matrix
   of the band, and solve_k an LU solve with partial pivoting on the band.
 - Dense: k_e is a dense product and goes to a dense subset eigh. Every dense product
-  at an energy runs on scipy's BLAS (_mul), the library that runs every eigensolve:
-  numpy (scipy_openblas64 0.3.31) and scipy (scipy_openblas32 0.3.30) each bring an
-  OpenBLAS with its own thread pool, and numpy's workers, still spinning after a
-  product, would share the cores with scipy's eigh. Q.T c and f are formed there too.
-  solve_k alone, which only verify reads, is numpy's general solve: on scipy's LU
-  verify's dense rows took longer, as the two pools contended the other way.
+  runs on scipy's BLAS (blockop.mul), Q.T c and f included, and solve_k is LAPACK's
+  dgesv from scipy, so no call of this module wakes numpy's BLAS thread pool.
 
 Solver failures surface as GapeigError subclasses, never as LinAlgError.
 A SchurSystem belongs to its caller.
@@ -63,7 +59,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy import sparse
 
-from .blockop import (BlockOperator, as_real, check_number, dense, lambda0, lower_eigen,
+from .blockop import (BlockOperator, as_real, check_number, dense, lambda0, lower_eigen, mul,
                       nonzeros, upper_band)
 from .errors import (BadSplit, EigFailure, KOutOfRange, NonFinite, NotPositiveDefinite,
                      SingularSchur)
@@ -113,16 +109,12 @@ def _full_band(band: np.ndarray) -> np.ndarray:
     return full
 
 
-def _mul(a, b: np.ndarray) -> np.ndarray:
-    """a @ b, C-ordered, on scipy's BLAS (a sparse a uses its own @), as (b.T a.T).T: BLAS
-    reads a C-ordered array as its transpose, so no contiguous operand is copied."""
-    if sparse.issparse(a):
-        return a @ b
-    (at, ta), (bt, tb) = ((m, 1) if m.flags.f_contiguous and not m.flags.c_contiguous
-                          else (m.T, 0) for m in (a, b))
-    if b.ndim == 1:
-        return sla.blas.dgemv(1.0, at, b, trans=1 - ta)
-    return sla.blas.dgemm(1.0, bt, at, trans_a=tb, trans_b=ta).T
+def _squares(u: np.ndarray, v: np.ndarray) -> tuple[float, int]:
+    """(total, s) with total * 4**s = u @ u + v @ v: the vectors are scaled by 2**-s first,
+    s from math.frexp of their largest entry, so no square overflows."""
+    s = math.frexp(max(np.abs(u).max(initial=0.0), np.abs(v).max(initial=0.0)))[1]
+    u, v = np.ldexp(u, -s), np.ldexp(v, -s)
+    return float(u @ u + v @ v), s
 
 
 def gap_edge(lam0: float) -> float:
@@ -144,10 +136,10 @@ class _Lower:
             if op.n_plus >= BAND_RATIO * (w + 1):
                 self.p, self.c, self.ct, self.w = p, c, c.T.tocsr(), w
         if self.w is None:
-            c = dense(op.c) if self.q is None else _mul(self.q.T, dense(op.c))
+            c = dense(op.c) if self.q is None else mul(self.q.T, dense(op.c))
             self.p, self.c, self.ct = dense(op.p), c, c.T
         if self.q is not None:  # eigh's residual in its own basis, Q.T (amm Q - Q diag(d))
-            self.f = _mul(self.q.T, _mul(op.amm, self.q) - self.q * self.d)
+            self.f = mul(self.q.T, mul(op.amm, self.q) - self.q * self.d)
 
 
 class SchurSystem:
@@ -175,7 +167,7 @@ class SchurSystem:
         d = d if rhs.ndim == 1 else d[:, None]
         y = rhs / d
         if self._lower.q is not None:  # y + (f y)/d, in place: two rhs-sized arrays at most
-            z = _mul(self._lower.f, y)
+            z = mul(self._lower.f, y)
             z /= d
             y += z
         return y
@@ -183,7 +175,7 @@ class SchurSystem:
     def solve_lower(self, rhs: np.ndarray) -> np.ndarray:
         """(b + e*I)^{-1} rhs for a dense rhs in the operator's own basis, refined as _solve is."""
         q = self._lower.q
-        return self._solve(rhs) if q is None else _mul(q, self._solve(_mul(q.T, rhs)))
+        return self._solve(rhs) if q is None else mul(q, self._solve(mul(q.T, rhs)))
 
     @property
     def banded(self) -> bool:
@@ -204,7 +196,7 @@ class SchurSystem:
                 self._l = self._lift()
             else:  # _Lower.c already holds Q.T c: only the way back rotates
                 q, lift = self._lower.q, self._solve(self._lower.c)
-                self._l = lift if q is None else _mul(q, lift)
+                self._l = lift if q is None else mul(q, lift)
         return self._l
 
     def _banded(self) -> np.ndarray:
@@ -224,7 +216,7 @@ class SchurSystem:
                 self._k = _symmetric(self._banded())
             else:
                 # no identity is held across statements: at n=1200 each is 11.5 MB
-                k = lower.p - self.e * np.eye(self.op.n_plus) + _mul(lower.ct, self._solve(lower.c))
+                k = lower.p - self.e * np.eye(self.op.n_plus) + mul(lower.ct, self._solve(lower.c))
                 k *= 0.5  # (k + k.T) / 2 to the bit, with no overflow past half of float range
                 self._k = k + k.T
         return self._k
@@ -232,11 +224,16 @@ class SchurSystem:
     def solve_k(self, rhs: np.ndarray) -> np.ndarray:
         """k_e^{-1} rhs for dense (n_plus, m) columns rhs, by LU with partial pivoting.
         Banded: on the band (dgbsv, dgtsv for w = 1); a column that is exactly zero has
-        the solution zero and is not solved. Dense: numpy's general solve (see the
-        module docstring). A failed solve raises SingularSchur."""
+        the solution zero and is not solved. Dense: scipy's dgesv, without the condition
+        estimate (and its warning) of scipy.linalg.solve. A singular k_e raises
+        SingularSchur."""
         try:
             if not self.banded:
-                return np.linalg.solve(self.k_e, rhs)
+                x, info = sla.lapack.dgesv(self.k_e, rhs)[2:]
+                if info > 0:
+                    raise SingularSchur(f"k_e singular at e={self.e}: "
+                                        f"pivot {info} of its LU is exactly zero")
+                return x
             w, x, live = self._lower.w, np.zeros(rhs.shape), rhs.any(axis=0)
             x[:, live] = sla.solve_banded((w, w), _full_band(self._banded()), rhs[:, live],
                                           check_finite=False)
@@ -289,7 +286,7 @@ class SchurSystem:
                 x = sla.solve_banded((w, w), shifted, x, check_finite=False)
             except np.linalg.LinAlgError as exc:
                 raise EigFailure(f"inverse iteration at e={self.e} failed: {exc}") from exc
-            x /= np.linalg.norm(x)
+            x /= math.sqrt(x @ x)
         return kappa, x
 
     def _vector(self, x) -> np.ndarray:
@@ -303,31 +300,34 @@ class SchurSystem:
 
     def lift(self, x: np.ndarray) -> np.ndarray:
         """l_e x = (b + e*I)^{-1} c x of an upper-block vector, in the operator's own basis."""
-        y = self._solve(_mul(self._lower.c, self._vector(x)))
-        return y if self._lower.q is None else _mul(self._lower.q, y)
+        y = self._solve(mul(self._lower.c, self._vector(x)))
+        return y if self._lower.q is None else mul(self._lower.q, y)
 
     def form(self, x: np.ndarray) -> tuple[float, float]:
         """q_e(x, x) and its exact energy derivative -(||x||^2 + ||l_e x||^2)."""
         x = self._vector(x)
-        cx = _mul(self._lower.c, x)
+        cx = mul(self._lower.c, x)
         y = self._solve(cx)
-        q = float(x @ _mul(self._lower.p, x) - self.e * (x @ x) + cx @ y)
+        q = float(x @ mul(self._lower.p, x) - self.e * (x @ x) + cx @ y)
         return q, -float(x @ x + y @ y)
 
     def residual(self, x: np.ndarray) -> float:
         """||A z - e z|| / ||z|| for z = (x, l_e x); A is applied blockwise, never assembled,
-        and a rotated lower half is taken back to the operator's own basis first."""
+        and a rotated lower half is taken back to the operator's own basis first. The
+        numerator's and the denominator's vectors are each scaled by a power of two before
+        their squares are summed, so neither overflows; in range the scaling is exact."""
         lower, e = self._lower, self.e
         x = self._vector(x)
-        cx = _mul(lower.c, x)
+        cx = mul(lower.c, x)
         y = self._solve(cx)
-        upper = _mul(lower.p, x) + _mul(lower.ct, y) - e * x
+        upper = mul(lower.p, x) + mul(lower.ct, y) - e * x
         if lower.q is None:
             down = cx - self._shifted_diag() * y  # c x + (amm - e) y, with amm - e = -(b + e)
         else:
-            y = _mul(lower.q, y)
-            down = _mul(self.op.c, x) + _mul(self.op.amm, y) - e * y
-        return math.sqrt(float(upper @ upper + down @ down) / float(x @ x + y @ y))
+            y = mul(lower.q, y)
+            down = mul(self.op.c, x) + mul(self.op.amm, y) - e * y
+        (top, s), (bottom, t) = _squares(upper, down), _squares(x, y)
+        return math.ldexp(math.sqrt(top / bottom), s - t)
 
 
 def build_schur(op: BlockOperator, e: float) -> SchurSystem:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy import sparse
 
-from .blockop import BlockOperator, block_norm, dense, lambda0, nonzeros
+from .blockop import BlockOperator, block_norm, dense, lambda0, mul, nonzeros, sum_squares
 from .errors import NoGap, SingularSchur
 from .minmax import lambda1_certificate
 from .oracle import dense_spectrum
@@ -70,15 +70,16 @@ def _congruence(op: BlockOperator, e: float) -> tuple[float, float]:
     blocks of the difference can be nonzero. The relative residual is the larger of
     those blocks' normwise backward errors: each block's residual over the sum of the
     norms of the terms it compares. Every term is in the storage of the system's
-    products (_blocks) and every norm is blockop.block_norm's, of the stored entries.
+    products (_blocks), a dense product is blockop.mul's and every norm is
+    blockop.block_norm's, of the stored entries.
     """
     system, root2 = build_schur(op, e), math.sqrt(2.0)
     p, c, amm, eye, *_ = _blocks(system)
     l_e, k_e = system.l_e, system.k_e
     # the shift first: e*l_e - amm@l_e cancels near lambda0
-    bpe_le = (e * eye(op.n_minus) - amm) @ l_e
+    bpe_le = mul(e * eye(op.n_minus) - amm, l_e)
     p_e = p - e * eye(op.n_plus)
-    lifted = l_e.T @ bpe_le
+    lifted = mul(l_e.T, bpe_le)
     upper = block_norm(p_e - (k_e - lifted))
     coupling = block_norm(c - bpe_le)
     relative = max(_relative(upper, block_norm(p_e) + block_norm(k_e) + block_norm(lifted)),
@@ -137,9 +138,9 @@ def _apply_inverse(system: SchurSystem, upper: np.ndarray, lower: np.ndarray) ->
     and lower block rows of some columns, one factor at a time by solves; no inverse
     is formed."""
     l_e = system.l_e
-    upper += l_e.T @ lower  # U^{-T}
+    upper += mul(l_e.T, lower)  # U^{-T}
     upper[:] = system.solve_k(upper)
-    lower[:] = l_e @ upper - system.solve_lower(lower)  # -(b+e)^{-1}, then U^{-1}
+    lower[:] = mul(l_e, upper) - system.solve_lower(lower)  # -(b+e)^{-1}, then U^{-1}
 
 
 def inverse_formula_check(op: BlockOperator, e: float) -> float:
@@ -150,8 +151,7 @@ def inverse_formula_check(op: BlockOperator, e: float) -> float:
     A - e*I is stacked from _blocks in the system's storage and read width columns
     at a time: COLUMN_BLOCK columns of CSC on the banded path, in O(dim * COLUMN_BLOCK)
     memory, and all of them in one dense block otherwise, so k_e is solved once. The
-    squares of each block are summed by einsum, which calls no BLAS, so the row does
-    not depend on the BLAS thread count.
+    squares of each block are summed by blockop.sum_squares, which calls no BLAS.
     """
     system = build_schur(op, e)
     kappa1 = system.value(1)
@@ -169,7 +169,7 @@ def inverse_formula_check(op: BlockOperator, e: float) -> float:
         _apply_inverse(system, cols[:n], cols[n:])
         diag = np.arange(cols.shape[1])
         cols[first + diag, diag] -= 1.0
-        total += float(np.einsum("ij,ij->", cols, cols))
+        total += sum_squares(cols)
     return math.sqrt(total)
 
 

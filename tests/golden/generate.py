@@ -66,10 +66,13 @@ RUNS = {
 
 
 def environment() -> dict:
-    """What the golden bytes depend on besides the source: libraries and machine."""
-    blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    """What the golden bytes depend on besides the source: libraries and machine. Each
+    library names the BLAS it was built with; the package's arithmetic runs on scipy's."""
+    blas = {lib.__name__: lib.show_config(mode="dicts")["Build Dependencies"]["blas"]
+            for lib in (numpy, scipy)}
     return {"numpy": numpy.__version__, "scipy": scipy.__version__,
-            "blas": f"{blas.get('name')} {blas.get('openblas configuration')}",
+            "blas": {name: f"{b.get('name')} {b.get('openblas configuration')}"
+                     for name, b in blas.items()},
             "machine": platform.machine(), "threads": THREADS}
 
 

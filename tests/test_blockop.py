@@ -281,7 +281,7 @@ def _refuse_eigensolves(monkeypatch):
         def refuse(*args, _name=name, **kwargs):
             raise AssertionError(f"{_name} called")
 
-        monkeypatch.setattr(np.linalg, name, refuse)
+        monkeypatch.setattr(blockop.sla, name, refuse)
 
 
 @pytest.mark.parametrize("amm", (np.diag([-2.0, -0.5, -3.0]), np.zeros((3, 3))))
@@ -304,7 +304,7 @@ def test_a_failed_lower_eigensolve_is_an_eig_failure(monkeypatch, campaign_ops):
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(np.linalg, "eigh", fail)
+    monkeypatch.setattr(blockop.sla, "eigh", fail)
     op = BlockOperator(p=campaign_ops[0].p, c=campaign_ops[0].c, amm=campaign_ops[0].amm)
     with pytest.raises(EigFailure, match="eigensolve on amm failed"):
         lambda0(op)

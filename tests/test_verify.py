@@ -308,12 +308,22 @@ def test_inverse_singular_at_eigenvalue(canonical):
 
 
 def test_a_failed_schur_solve_is_singular_schur(canonical, monkeypatch):
-    def fail(*args, **kwargs):
-        raise np.linalg.LinAlgError("Singular matrix")
+    # dgesv reports a zero pivot by its info, not by an exception
+    def fail(a, b, *args, **kwargs):
+        return a, np.arange(1, len(a) + 1), b, 2
 
-    monkeypatch.setattr(verify.np.linalg, "solve", fail)
-    with pytest.raises(SingularSchur, match="Singular matrix"):
+    monkeypatch.setattr(schur.sla.lapack, "dgesv", fail)
+    with pytest.raises(SingularSchur, match="pivot 2 of its LU is exactly zero"):
         inverse_formula_check(canonical, 0.0)
+
+
+def test_an_exactly_singular_dense_schur_matrix_is_singular_schur():
+    # k_1 = diag(1, 2) - 1 + 0 = diag(0, 1): its LU meets an exactly zero pivot
+    op = BlockOperator(p=np.diag([1.0, 2.0]), c=np.zeros((1, 2)), amm=np.array([[-1.0]]))
+    system = build_schur(op, 1.0)
+    assert not system.banded and np.array_equal(system.k_e, np.diag([0.0, 1.0]))
+    with pytest.raises(SingularSchur, match="k_e singular at e=1.0"):
+        system.solve_k(np.ones((2, 1)))
 
 
 def test_a_failed_banded_schur_solve_is_singular_schur(monkeypatch):
@@ -351,7 +361,7 @@ def test_banded_reports_assemble_nothing_and_solve_nothing_dense(monkeypatch, bu
 
     op = build()
     monkeypatch.setattr(BlockOperator, "assembled", refuse)
-    monkeypatch.setattr(np.linalg, "solve", refuse)
+    monkeypatch.setattr(schur.sla.lapack, "dgesv", refuse)
     reports = verify.operator_reports(op, "m", seed=0)
     assert [r.check for r in reports].count("inverse_formula") == 5
     assert reports[-1].check == "norm_chain"
