@@ -45,7 +45,7 @@ INPUT_SYMMETRY_RTOL = 1e-12
 _KINDS = {True: (int, np.integer), False: (int, float, np.integer, np.floating)}  # check_number
 
 
-def check_number(value, what: str, error: type[GapeigError], low=-math.inf, high=math.inf, *,
+def check_number(value, what: str, error: type[Exception], low=-math.inf, high=math.inf, *,
                  integer: bool = False, above: bool = False, below: bool = False,
                  finite: bool = True):
     """value if it is a finite number in [low, high], above and below excluding low and high;
@@ -303,8 +303,18 @@ def sum_squares(x: np.ndarray) -> float:
 
 def block_norm(m) -> float:
     """The Frobenius norm of block m, from sum_squares; a sparse block's is that of its
-    stored nonzeros."""
-    return math.sqrt(sum_squares(_values(m)))
+    stored nonzeros. A sum past float range is taken again on the entries scaled by 2**-s,
+    s from math.frexp of the largest, so the norm is inf only when it lies past float
+    range itself; in range nothing is scaled."""
+    values = _values(m)
+    total = sum_squares(values)
+    if not math.isinf(total):
+        return math.sqrt(total)
+    s = math.frexp(np.abs(values).max())[1]
+    try:
+        return math.ldexp(math.sqrt(sum_squares(np.ldexp(values, -s))), s)
+    except OverflowError:
+        return math.inf
 
 
 def mul(a, b: np.ndarray) -> np.ndarray:

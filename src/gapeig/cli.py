@@ -4,7 +4,8 @@ Subcommands:
   spectrum   gap eigenvalues for one model config (optionally across grids)
   converge   same as spectrum but requires a grid list; errors column shows the trend
   verify     structural identity checks (decomposition, Krein bound, extension,
-             inverse formula, sandwich/norm-chain sampling, Hardy for radial models)
+             inverse formula, sandwich and norm chain as matrix inequalities between
+             neighbouring energies, Hardy for radial models); draws no random numbers
   hardy      zero-energy Schur matrix positivity across couplings
   pollution  stability report for the nu=0.9 channel: gap level drift versus
              dense-spectrum window contents across two grids
@@ -16,8 +17,9 @@ ignores. main runs every COMMANDS entry on one ExperimentConfig: the --config
 file's, or without one the defaults, with --out and --format laid over it.
 Configs are plain JSON; no environment variables are consulted. Reports are
 deterministic for a fixed config; only a JSON spectrum row's wall time, ms, is not.
-A solver failure in one unit stays in its rows (NaN values, so the run exits 1);
-input and config errors exit 2.
+A solver failure in one unit stays in its rows, so the run exits 1: a level's NaN
+values in spectrum and converge, a failed gap_certificate row in verify. Input and
+config errors exit 2.
 """
 
 from __future__ import annotations
@@ -323,7 +325,7 @@ def row_failed(row: ReportRow, tol: float) -> bool:
 
 def _verify_unit(unit: _Unit, config: ExperimentConfig) -> list[VerificationReport]:
     op = _build(unit.spec)
-    reports = operator_reports(op, unit.model_id, config.seed)
+    reports = operator_reports(op, unit.model_id)
     del op  # the Hardy row builds its own operator; at most one is alive at a time
     if isinstance(unit.spec, DiracSpec):
         reports.append(hardy_check(unit.spec.nu, unit.spec.n, unit.spec.r_max))

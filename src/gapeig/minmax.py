@@ -167,8 +167,7 @@ def lambda_k(op: BlockOperator, k: int, tol: float = 1e-10, *,
     every probe is mu_k.
     """
     check_number(k, "k", KOutOfRange, 1, op.n_plus, integer=True)
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    check_number(tol, "tol", ValueError, 0, above=True)
 
     def level(lam: float) -> tuple[float, float]:
         kappa = mu_k(op, lam, k) if levels is None else float(levels(lam)[k - 1])
@@ -191,6 +190,12 @@ def lambda_k(op: BlockOperator, k: int, tol: float = 1e-10, *,
                         bracket=bracket, status="ok" if multiplicity else _NO_LEVEL_MSG)
 
 
+def _status(exc: GapeigError) -> str:
+    """A failed solve's status: the error's name in snake case and its message, such as
+    "bracket_failure: ..." or "eig_failure: ..."."""
+    return f"{re.sub(r'(?<!^)(?=[A-Z])', '_', type(exc).__name__).lower()}: {exc}"
+
+
 def gap_spectrum(op: BlockOperator, k_max: int, tol: float = 1e-10) -> list[MinMaxResult]:
     """Gap eigenvalues lambda_1, ..., lambda_{k_max} with multiplicities, one row per k.
 
@@ -211,23 +216,24 @@ def gap_spectrum(op: BlockOperator, k_max: int, tol: float = 1e-10) -> list[MinM
         try:
             ordered.append(lambda_k(op, k, tol, levels=ladder))
         except GapeigError as exc:
-            name = re.sub(r"(?<!^)(?=[A-Z])", "_", type(exc).__name__).lower()
             ordered.append(MinMaxResult(
                 k=k, lambda_k=math.nan, multiplicity=0, residual=math.nan,
-                iterations=0, bracket=(math.nan, math.nan), status=f"{name}: {exc}",
+                iterations=0, bracket=(math.nan, math.nan), status=_status(exc),
             ))
     return ordered
 
 
 def lambda1_certificate(op: BlockOperator) -> GapData:
-    """Gap endpoints (lambda0, lambda1) and whether they certify a gap; solved once per operator."""
+    """Gap endpoints (lambda0, lambda1) and whether they certify a gap; solved once per operator.
+    A GapeigError while solving them leaves lambda1 NaN (lambda0 too if it raised there),
+    with the error's failure status as the diagnostic."""
 
     def certify() -> GapData:
-        lam0 = lambda0(op)
+        lam0 = math.nan
         try:
-            lam1 = lambda_k(op, 1, 1e-10).lambda_k
-        except BracketFailure as exc:
-            return GapData(lambda0=lam0, lambda1=math.nan, diagnostic=str(exc))
-        return GapData(lambda0=lam0, lambda1=lam1)
+            lam0 = lambda0(op)
+            return GapData(lambda0=lam0, lambda1=lambda_k(op, 1, 1e-10).lambda_k)
+        except GapeigError as exc:
+            return GapData(lambda0=lam0, lambda1=math.nan, diagnostic=_status(exc))
 
     return op.remember("lambda1_certificate", certify)

@@ -35,7 +35,9 @@ operator's own stored p and c, no copy), blockop.dense arrays on the dense
 one. value(k) is one level; levels(m) is the m lowest from one eigensolve,
 the row gap_spectrum's bracketing ladder keeps per probe energy;
 values_in(lo, hi) is every level in (lo, hi], the count minmax takes
-multiplicities from. All three go through one selection, _select.
+multiplicities from; lowest(m) is the lowest eigenvalue of another symmetric
+matrix in k_e's storage and band, verify's sandwich sides. All four go through
+one selection, _select.
 
 - Banded: k_e is a sparse product with the diagonal (b + e)^{-1}, kept as
   an upper band array. Its eigenvalues come from LAPACK's banded dsbevx
@@ -93,10 +95,13 @@ def _half_bandwidth(p: sparse.csr_array, c: sparse.csr_array) -> int:
 
 
 def _symmetric(band: np.ndarray) -> sparse.csr_array:
-    """The symmetric matrix whose upper band storage is band."""
+    """The symmetric matrix whose upper band storage is band, by one conversion: dia
+    storage holds entry (j - offset, j) in column j, so band's rows are the diagonals
+    w..0 as they stand, and diagonal -t is diagonal t moved t columns left."""
     w, n = band.shape[0] - 1, band.shape[1]
-    upper = sparse.dia_array((band, np.arange(w, -1, -1)), shape=(n, n))
-    return (upper + sparse.triu(upper, 1).T).tocsr()
+    lower = [np.pad(band[w - t, t:], (0, t)) for t in range(1, w + 1)]
+    return sparse.dia_array((np.vstack([band, *lower]), np.arange(w, -w - 1, -1)),
+                            shape=(n, n)).tocsr()
 
 
 def _full_band(band: np.ndarray) -> np.ndarray:
@@ -241,17 +246,19 @@ class SchurSystem:
         except np.linalg.LinAlgError as exc:
             raise SingularSchur(f"k_e singular at e={self.e}: {exc}") from exc
 
-    def _select(self, select: str, lo: float, hi: float, vectors: bool = False):
-        """Eigenvalues of k_e, ascending: those of 0-based index lo..hi (select "i") or
-        in the half-open interval (lo, hi] (select "v"). vectors, dense path only, adds
-        the unit eigenvectors. One LAPACK call: dsbevx on the band, else a subset eigh."""
+    def _select(self, select: str, lo: float, hi: float, vectors: bool = False, m=None):
+        """Eigenvalues of k_e, or of the symmetric m given in k_e's storage, ascending: those
+        of 0-based index lo..hi (select "i") or in the half-open interval (lo, hi] (select
+        "v"). vectors, dense path only, adds the unit eigenvectors. One LAPACK call: dsbevx
+        on the band (m's upper band of k_e's width w), else a subset eigh."""
         try:
             if self.banded:
-                return sla.eig_banded(self._banded(), select=select, select_range=(lo, hi),
+                band = self._banded() if m is None else upper_band(m, self._lower.w)
+                return sla.eig_banded(band, select=select, select_range=(lo, hi),
                                       eigvals_only=True, check_finite=False)
             subset = "subset_by_index" if select == "i" else "subset_by_value"
-            return sla.eigh(self.k_e, eigvals_only=not vectors, check_finite=False,
-                            **{subset: [lo, hi]})
+            return sla.eigh(self.k_e if m is None else m, eigvals_only=not vectors,
+                            check_finite=False, **{subset: [lo, hi]})
         except np.linalg.LinAlgError as exc:
             raise EigFailure(f"pencil eigensolve at e={self.e} failed: {exc}") from exc
 
@@ -268,6 +275,11 @@ class SchurSystem:
     def values_in(self, lo: float, hi: float) -> np.ndarray:
         """Eigenvalues of k_e in the half-open interval (lo, hi], ascending."""
         return self._select("v", lo, hi)
+
+    def lowest(self, m) -> float:
+        """The lowest eigenvalue of a symmetric matrix m in k_e's storage, CSR whose band
+        is no wider than k_e's or dense, by value(1)'s eigensolve."""
+        return float(self._select("i", 0, 0, m=m)[0])
 
     def vector(self, k: int) -> tuple[float, np.ndarray]:
         """kappa_k(e) together with its unit eigenvector of k_e."""

@@ -8,9 +8,10 @@ of the system's products, which _blocks alone chooses: CSR on the banded path, w
 the congruence costs O(nnz) and neither check holds a dim x dim matrix; dense on the
 dense path. The inverse formula has one loop for both: it stacks A - e*I from the
 blocks and reads it COLUMN_BLOCK columns at a time when banded, all dim columns in
-one block when dense. The gap bound reads the oracle's spectrum
-(a band solve for a banded operator). The identities hold algebraically, so
-residuals sit at roundoff; anything above the stated tolerances means a wiring bug.
+one block when dense. The gap bound reads the oracle's spectrum (a band solve for a
+banded operator), the sandwich and norm chain lowest eigenvalues; no check draws a
+random number. The identities hold algebraically, so residuals sit at roundoff;
+anything above the stated tolerances means a wiring bug.
 """
 
 from __future__ import annotations
@@ -173,44 +174,42 @@ def inverse_formula_check(op: BlockOperator, e: float) -> float:
     return math.sqrt(total)
 
 
-def sandwich_report(op: BlockOperator, seed: int) -> list[VerificationReport]:
-    """Two-sided energy-monotonicity and norm-chain inequalities over 50 samples.
+def sandwich_report(op: BlockOperator, model: str,
+                    energies: list[float]) -> list[VerificationReport]:
+    """The sandwich and norm-chain rows: the Schur form's energy monotonicity as matrix
+    inequalities at each neighbouring pair e_lo < e_hi of the sorted energies.
 
-    The energies sit at lambda0 + max(1, |lambda0|) * 10^U(-2, 2), above
-    gap_edge(lambda0), which grows with the same scale.
+    With g = e_hi - e_lo, G_e = I + l_e.T l_e (||z||^2 = x.T G_e x) and rho = (e_hi -
+    lambda0)/(e_lo - lambda0), the form's bounds hold for every x as k_lo - k_hi - g G_hi,
+    k_hi - k_lo + g G_lo (sandwich), G_lo - G_hi and rho^2 G_hi - G_lo (norm chain) >= 0,
+    since k_lo - k_hi = g (I + l_lo.T l_hi); ||x|| <= ||z_hi|| holds as G_hi - I is a Gram
+    matrix. A row's value is the worst -lowest eigenvalue of a side, formed from the
+    systems' own k_e and l_e, over its scale max(1, ||k_lo||_F, ||k_hi||_F) or
+    max(1, ||G_lo||_F): the sampled rows' scales for a unit x. As g G_hi <= k_lo - k_hi,
+    g G_lo <= rho (k_lo - k_hi) and G_lo <= rho^2 G_hi, no term exceeds 2 rho^2 <= 2000
+    scales between neighbouring e_samples, so rounding stays near 1e-13 of the scale.
     """
-    n_samples = 50
-    rng = np.random.default_rng(seed)
-    lam0 = lambda0(op)
-    s = max(1.0, abs(lam0))
-    worst_sandwich = -math.inf
-    worst_chain = -math.inf
-    for _ in range(n_samples):
-        x = rng.standard_normal(op.n_plus)
-        e_lo, e_hi = np.sort(lam0 + s * 10.0 ** rng.uniform(-2.0, 2.0, 2))
-        q_lo, slope_lo = build_schur(op, e_lo).form(x)
-        q_hi, slope_hi = build_schur(op, e_hi).form(x)
-        norm_lo_sq, norm_hi_sq = -slope_lo, -slope_hi
-        q_scale = max(1.0, abs(q_lo), abs(q_hi))
-        gap = e_hi - e_lo
-        lower = q_hi + gap * norm_hi_sq - q_lo
-        upper = q_lo - (q_hi + gap * norm_lo_sq)
-        worst_sandwich = max(worst_sandwich, lower / q_scale, upper / q_scale)
-
-        norm = math.sqrt(float(x @ x))
-        norm_hi = math.sqrt(norm_hi_sq)
-        norm_lo = math.sqrt(norm_lo_sq)
-        bound = (e_hi - lam0) / (e_lo - lam0) * norm_hi
-        nscale = max(1.0, norm_lo)
-        worst_chain = max(
-            worst_chain,
-            (norm - norm_hi) / nscale,
-            (norm_hi - norm_lo) / nscale,
-            (norm_lo - bound) / nscale,
-        )
-    return [VerificationReport(check, float(worst), bool(worst <= 1e-10),
-                               {"n_samples": n_samples, "seed": seed})
-            for check, worst in (("sandwich", worst_sandwich), ("norm_chain", worst_chain))]
+    lam0, last = lambda0(op), None
+    worst = {"sandwich": (-math.inf, {}), "norm_chain": (-math.inf, {})}
+    for e_hi in sorted(energies):
+        system = build_schur(op, e_hi)
+        k_hi, l_hi = system.k_e, system.l_e
+        g_hi = _blocks(system)[3](op.n_plus) + mul(l_hi.T, l_hi)
+        if last is not None:
+            e_lo, k_lo, g_lo = last
+            gap, rho = e_hi - e_lo, (e_hi - lam0) / (e_lo - lam0)
+            k_scale = max(1.0, block_norm(k_lo), block_norm(k_hi))
+            g_scale = max(1.0, block_norm(g_lo))
+            for check, side, scale in (("sandwich", k_lo - k_hi - gap * g_hi, k_scale),
+                                       ("sandwich", k_hi - k_lo + gap * g_lo, k_scale),
+                                       ("norm_chain", g_lo - g_hi, g_scale),
+                                       ("norm_chain", rho * rho * g_hi - g_lo, g_scale)):
+                value = -system.lowest(side) / scale
+                if not (math.isnan(worst[check][0]) or value <= worst[check][0]):  # NaN stays
+                    worst[check] = value, {"model": model, "e_lo": e_lo, "e_hi": e_hi}
+        last = e_hi, k_hi, g_hi
+    return [VerificationReport(check, value, bool(value <= 1e-10), params)
+            for check, (value, params) in worst.items()]
 
 
 def e_samples(op: BlockOperator, lambda1: float | None = None) -> list[float]:
@@ -230,11 +229,11 @@ def gap_fractions(lam0: float, lam1: float) -> list[float]:
     return [e for e in points if e > gap_edge(lam0)]
 
 
-def operator_reports(op: BlockOperator, model: str, seed: int) -> list[VerificationReport]:
+def operator_reports(op: BlockOperator, model: str) -> list[VerificationReport]:
     """Every identity row of one operator, with its pass bound: the gap certificate
     (alone without a certified gap), the two congruence rows at each e_samples energy,
-    the inverse formula at each gap fraction, the Krein bound, and the sampled sandwich
-    and norm-chain rows, which carry no model."""
+    the inverse formula at each gap fraction, the Krein bound, and the sandwich and
+    norm-chain rows over the e_samples energies."""
     def at(e: float, check: str, value: float, bound: float) -> VerificationReport:
         return VerificationReport(check, value, value <= bound, {"model": model, "e": e})
 
@@ -246,7 +245,8 @@ def operator_reports(op: BlockOperator, model: str, seed: int) -> list[Verificat
     )]
     if not cert.valid:
         return reports
-    for e in e_samples(op, cert.lambda1):
+    energies = e_samples(op, cert.lambda1)
+    for e in energies:
         relative, extension = _congruence(op, e)
         reports.append(at(e, "decomposition", relative, 1e-11))
         reports.append(at(e, "extension_consistency", extension, 1e-11))
@@ -254,4 +254,4 @@ def operator_reports(op: BlockOperator, model: str, seed: int) -> list[Verificat
         reports.append(at(e, "inverse_formula", inverse_formula_check(op, e), 1e-10))
     krein = krein_gap_check(op)
     reports.append(replace(krein, params={**krein.params, "model": model}))
-    return reports + sandwich_report(op, seed)
+    return reports + sandwich_report(op, model, energies)

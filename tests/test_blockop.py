@@ -65,6 +65,17 @@ def test_operator_accepts_entries_whose_norm_overflows():
     assert op.p[0, 0] == 1e200 and op.amm[0, 0] == -1e200
 
 
+def test_block_norm_scales_a_sum_past_float_range():
+    # entries past about 1.3e154 square to inf while the norm is in range: the sum is
+    # taken again on entries scaled by a power of two; in range nothing is scaled
+    big = np.full((3, 4), 1e200)
+    for store in (np.asarray, sparse.csr_array):
+        assert blockop.block_norm(store(big)) == pytest.approx(12.0 ** 0.5 * 1e200, rel=1e-15)
+    assert blockop.block_norm(np.full((3, 3), 1.7e308)) == np.inf
+    small = np.random.default_rng(0).standard_normal((5, 5))
+    assert blockop.block_norm(small) == blockop.sum_squares(small) ** 0.5
+
+
 @pytest.mark.parametrize("bad", BAD_VALUES)
 @pytest.mark.parametrize("block,entry", (("p", (0, 0)), ("c", (2, 1)),
                                           ("c.T", (1, 2)), ("amm", (3, 3))))

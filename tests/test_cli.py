@@ -448,16 +448,20 @@ class TestMain:
                      "--out", str(tmp_path / "rows.csv")]) == 0
         assert capsys.readouterr().err == ""
 
-    @pytest.mark.parametrize("solve", ["pencil", "amm"])
+    @pytest.mark.parametrize("solve,command", [
+        ("pencil", "spectrum"), ("amm", "spectrum"), ("pencil", "verify"), ("amm", "verify")],
+        ids=["pencil", "amm", "pencil-verify", "amm-verify"])
     def test_a_failed_eigensolve_stays_in_its_unit(self, tmp_path, capsys, monkeypatch,
-                                                   solve):
-        # seed 1's pencil or amm eigensolve fails; its rows read NaN, the run goes on, the
-        # other units' rows are those of a clean run, and it exits 1. Both are scipy's
-        # eigh; only amm's asks for the driver "evd"
+                                                   solve, command):
+        # seed 1's pencil or amm eigensolve fails; its rows read NaN (spectrum) or its gap
+        # certificate fails (verify), the run goes on, the other units' rows are those of
+        # a clean run, and it exits 1. Both are scipy's eigh; only amm's asks for the
+        # driver "evd"
         raw = {"kind": "random", "spec": {"n_plus": 6, "n_minus": 5}, "count": 3,
                "k_max": 2}
         cfg = _write(tmp_path / "cfg.json", raw)
-        clean = run(config_from_dict(raw))
+        collect = {"spectrum": run, "verify": cli.verify_all}[command]
+        clean = collect(config_from_dict(raw))
         poisoned, build, eigh = [False], cli._build, schur.sla.eigh
 
         def tracked(spec):
@@ -475,18 +479,53 @@ class TestMain:
         statuses = []
         monkeypatch.setattr(cli, "gap_spectrum", lambda *args: [
             statuses.append(r.status) or r for r in minmax.gap_spectrum(*args)])
-        rows = run(config_from_dict(raw))
-        keep = lambda row: replace(row, ms=0.0)
-        assert [keep(r) for r in rows if "seed=1" not in r.model] == [
-            keep(r) for r in clean if "seed=1" not in r.model]
-        failed = [r for r in rows if "seed=1" in r.model]
-        assert len(failed) == 2 and all(math.isnan(r.lambda_k) for r in failed)
-        assert all(r.multiplicity == 0 for r in failed)
-        assert [s.split(":")[0] for s in statuses] == ["ok"] * 2 + ["eig_failure"] * 2 + ["ok"] * 2
-        # a failed amm eigensolve fails the dense oracle too, whose column stays empty
-        assert all((r.oracle is None) == (solve == "amm") for r in failed)
-        assert main(["spectrum", "--config", cfg, "--quiet"]) == 1
+        rows = collect(config_from_dict(raw))
+        if command == "spectrum":
+            keep = lambda row: replace(row, ms=0.0)
+            assert [keep(r) for r in rows if "seed=1" not in r.model] == [
+                keep(r) for r in clean if "seed=1" not in r.model]
+            failed = [r for r in rows if "seed=1" in r.model]
+            assert len(failed) == 2 and all(math.isnan(r.lambda_k) for r in failed)
+            assert all(r.multiplicity == 0 for r in failed)
+            assert [s.split(":")[0] for s in statuses] == (
+                ["ok"] * 2 + ["eig_failure"] * 2 + ["ok"] * 2)
+            # a failed amm eigensolve fails the dense oracle too, whose column stays empty
+            assert all((r.oracle is None) == (solve == "amm") for r in failed)
+        else:
+            # every row of a random unit names its model, the sandwich rows too
+            ours = lambda reports: [r for r in reports if "seed=1" not in r.params["model"]]
+            assert ours(rows) == ours(clean)
+            (failed,) = [r for r in rows if "seed=1" in r.params["model"]]
+            assert failed.check == "gap_certificate" and not failed.passed
+            assert failed.params["diagnostic"].startswith("eig_failure: ")
+            assert math.isnan(failed.params["lambda1"])
+            assert math.isnan(failed.params["lambda0"]) == (solve == "amm")
+        assert main([command, "--config", cfg, "--quiet"]) == 1
         assert capsys.readouterr().err == ""
+
+    def test_verify_reads_no_seed(self, tmp_path, capsys):
+        # verify draws no random numbers: on a model the seed does not pick, the bytes
+        # are the same whatever the seed
+        matrix = _write(tmp_path / "canon.json",
+                        {"matrix": [[1.0, 1.0], [1.0, -1.0]], "n_plus": 1})
+        for raw in ({"kind": "dirac", "spec": {"n": 200}},
+                    {"kind": "matrix-file", "spec": {"path": matrix}}):
+            outputs = []
+            for seed in (0, 7):
+                cfg = _write(tmp_path / "cfg.json", {**raw, "seed": seed})
+                assert main(["verify", "--config", cfg]) == 0
+                outputs.append(capsys.readouterr().out)
+            assert outputs[0] == outputs[1] and "norm_chain" in outputs[0]
+
+    def test_verify_at_a_gap_target_past_the_squares_range(self, tmp_path, capsys):
+        # entries near 1e200 square past float range: the Frobenius norms read inf, and
+        # 34 of the 63 rows (decomposition and extension) read NaN before they were scaled
+        raw = {"kind": "random", "spec": {"n_plus": 8, "n_minus": 8, "gap_target": 1e200},
+               "count": 3}
+        reports = cli.verify_all(config_from_dict(raw))
+        assert len(reports) == 63
+        assert all(rep.passed and math.isfinite(rep.value) for rep in reports)
+        assert main(["verify", "--config", _write(tmp_path / "cfg.json", raw), "--quiet"]) == 0
 
     def test_an_integer_beyond_float_range_exits_two(self, tmp_path, capsys):
         # json reads the literal as an exact int, whose float() overflows

@@ -563,12 +563,17 @@ def test_tol_validation(canonical):
         lambda_k(canonical, 1, tol=-1e-10)
 
 
-@pytest.mark.parametrize("tol", (math.inf, math.nan))
-def test_non_finite_tol_is_rejected(tol):
+@pytest.mark.parametrize("tol,message", [(math.inf, "tol must be finite, got inf"),
+                                         (math.nan, "tol must be finite, got nan"),
+                                         (True, "tol must be real, got True"),
+                                         ("1e-10", "tol must be real, got '1e-10'")],
+                         ids=["inf", "nan", "bool", "str"])
+def test_non_finite_tol_is_rejected(tol, message):
     # tol=inf would accept the first Newton step of every level (level 1's is
-    # 1.1e-10 off the oracle here), so neither solver takes it
+    # 1.1e-10 off the oracle here), so neither solver takes it; tol passes the one
+    # number rule, so a bool or a string is no tol either
     op = random_gapped(RandomSpec(n_plus=9, n_minus=7, seed=3))
-    with pytest.raises(ValueError, match="positive and finite"):
+    with pytest.raises(ValueError, match=message):
         lambda_k(op, 1, tol=tol)
-    with pytest.raises(ValueError, match="positive and finite"):
+    with pytest.raises(ValueError, match=message):
         gap_spectrum(op, 3, tol=tol)

@@ -38,7 +38,7 @@ from gapeig import (
     random_gapped,
 )
 from gapeig.minmax import _newton
-from gapeig.verify import sandwich_report
+from gapeig.verify import e_samples, sandwich_report
 from gapeig.schur import (
     GAP_EDGE_MARGIN,
     apply_l,
@@ -337,7 +337,7 @@ def test_the_memo_does_not_grow_with_the_energies_seen():
         s = build_schur(op, lambda0(op) + offset)
         s.value(1), s.vector(2), s.l_e, s.lift(x), s.form(x), s.residual(x)
         decomposition_residual(op, s.e), extension_consistency(op, s.e)
-    sandwich_report(op, seed=0)
+    sandwich_report(op, "m", e_samples(op))
     assert set(op._memo) == keys
     assert vars(lower).keys() == held.keys()
     assert all(vars(lower)[name] is value for name, value in held.items())
@@ -363,7 +363,7 @@ def test_a_repeated_spectrum_eigensolves_no_lower_block(monkeypatch):
     assert op.n_minus != op.n_plus
     shapes = _record_eigh_shapes(monkeypatch)
     assert gap_spectrum(op, 5) == first
-    sandwich_report(op, seed=0)
+    sandwich_report(op, "m", e_samples(op))
     assert shapes and square not in shapes
     # a fresh operator with the same blocks does take the one eigh
     lambda0(BlockOperator(p=op.p, c=op.c, amm=op.amm))

@@ -237,7 +237,7 @@ def test_operator_reports_are_the_public_checks(campaign_ops):
     op = campaign_ops[0]
     cert = lambda1_certificate(op)
     energies, fractions = e_samples(op, cert.lambda1), gap_fractions(cert.lambda0, cert.lambda1)
-    reports = verify.operator_reports(op, "m", seed=4)
+    reports = verify.operator_reports(op, "m")
     assert [rep.check for rep in reports] == (
         ["gap_certificate"] + ["decomposition", "extension_consistency"] * len(energies)
         + ["inverse_formula"] * len(fractions) + ["krein_gap", "sandwich", "norm_chain"])
@@ -249,11 +249,11 @@ def test_operator_reports_are_the_public_checks(campaign_ops):
         assert next(rows).value == inverse_formula_check(op, e)
     krein = krein_gap_check(op)
     assert next(rows) == replace(krein, params={**krein.params, "model": "m"})
-    assert list(rows) == sandwich_report(op, seed=4)
+    assert list(rows) == sandwich_report(op, "m", energies)
 
 
 def test_operator_reports_stop_at_a_failed_certificate():
-    (report,) = verify.operator_reports(_no_gap_op(), "m", seed=0)
+    (report,) = verify.operator_reports(_no_gap_op(), "m")
     assert report.check == "gap_certificate" and not report.passed
 
 
@@ -344,7 +344,7 @@ def test_banded_reports_hold_less_than_one_assembled_matrix():
     op = build_dirac_coulomb(DiracSpec(nu=0.5, kappa=-1, r_max=30.0, n=1200))
     tracemalloc.start()
     try:
-        verify.operator_reports(op, "m", seed=0)
+        verify.operator_reports(op, "m")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -362,7 +362,8 @@ def test_banded_reports_assemble_nothing_and_solve_nothing_dense(monkeypatch, bu
     op = build()
     monkeypatch.setattr(BlockOperator, "assembled", refuse)
     monkeypatch.setattr(schur.sla.lapack, "dgesv", refuse)
-    reports = verify.operator_reports(op, "m", seed=0)
+    monkeypatch.setattr(schur.sla, "eigh", refuse)  # the sandwich sides stay banded too
+    reports = verify.operator_reports(op, "m")
     assert [r.check for r in reports].count("inverse_formula") == 5
     assert reports[-1].check == "norm_chain"
 
@@ -428,6 +429,33 @@ def test_inverse_formula_sees_a_perturbed_lift(monkeypatch, name, backend):
         assert inverse_formula_check(op, e) > 1e-7
 
 
+@pytest.mark.parametrize("name", sorted(STRUCTURES))
+def test_sandwich_and_norm_chain_hold_on_every_structure(name):
+    op = STRUCTURES[name]()
+    energies = e_samples(op, lambda1_certificate(op).lambda1)
+    sandwich, chain = sandwich_report(op, "m", energies)
+    assert sandwich.passed and chain.passed
+    for row in (sandwich, chain):
+        assert row.params["model"] == "m"
+        assert row.params["e_lo"] < row.params["e_hi"]
+        assert [row.params["e_lo"], row.params["e_hi"]] in [
+            sorted(energies)[i:i + 2] for i in range(len(energies) - 1)]
+
+
+@pytest.mark.parametrize("name", ["random-dense", "banded-dirac-uniform-"])
+def test_sandwich_sees_a_lift_read_at_a_wrong_energy(monkeypatch, name):
+    # every side is formed from l_e: a lift read at lambda0 + 1.5 (e - lambda0) instead of
+    # at e fails the row on the rotated dense path and on the banded one alike; a form
+    # q_e(x, x) never reads l_e, so sampled vectors could not see this
+    op = STRUCTURES[name]()
+    energies, lam0 = e_samples(op, lambda1_certificate(op).lambda1), lambda0(op)
+    exact = schur.SchurSystem.l_e
+    monkeypatch.setattr(schur.SchurSystem, "l_e", property(lambda self: exact.fget(
+        schur.SchurSystem(self.op, lam0 + 1.5 * (self.e - lam0)))))
+    sandwich = sandwich_report(op, "m", energies)[0]
+    assert not sandwich.passed and sandwich.value > 1e-6
+
+
 def test_e_samples_layout(canonical):
     cert = lambda1_certificate(canonical)
     points = e_samples(canonical, cert.lambda1)
@@ -447,8 +475,8 @@ def test_gap_fractions_layout():
 
 @pytest.mark.parametrize("gap_target", [1e8, 1e9])
 def test_sample_energies_stay_above_a_scaled_edge(monkeypatch, gap_target):
-    # gap_edge grows with |lambda0|, and so do the offsets of e_samples (1e-3 and up)
-    # and of the sandwich (10^U(-2, 2)): past 1e7 fixed offsets would fall below it
+    # gap_edge grows with |lambda0|, and so do the offsets of e_samples (1e-3 and up),
+    # which the sandwich reads too: past 1e7 fixed offsets would fall below it
     op = random_gapped(RandomSpec(n_plus=8, n_minus=8, gap_target=gap_target, seed=0))
     edge = schur.gap_edge(lambda0(op))
     energies, build = [], verify.build_schur
@@ -458,9 +486,10 @@ def test_sample_energies_stay_above_a_scaled_edge(monkeypatch, gap_target):
         return build(op, e)
 
     monkeypatch.setattr(verify, "build_schur", record)
-    reports = verify.operator_reports(op, "m", seed=0)
+    reports = verify.operator_reports(op, "m")
     assert reports[0].passed and reports[-1].check == "norm_chain"
-    assert len(energies) > 100 and min(energies) > edge
+    assert set(e_samples(op, reports[0].params["lambda1"])) <= set(energies)
+    assert min(energies) > edge
     assert min(e_samples(op)) > edge
 
 
@@ -470,5 +499,5 @@ def test_verify_passes_next_to_the_edge():
     op = _near_edge(-1.0, 5e-9)
     assert gap_fractions(-1.0, -1.0 + 5e-9) == pytest.approx(
         [-1.0 + 5e-10, -1.0 + 2.5e-9, -1.0 + 4.5e-9], rel=0.0, abs=1e-15)
-    reports = verify.operator_reports(op, "m", seed=0)
+    reports = verify.operator_reports(op, "m")
     assert len(reports) > 1 and all(r.passed for r in reports)
