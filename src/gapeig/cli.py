@@ -1,8 +1,7 @@
 """Batch front end: JSON experiment configs in, CSV/JSON report tables out.
 
 Subcommands:
-  spectrum   gap eigenvalues for one model config (optionally across grids)
-  converge   same as spectrum but requires a grid list; errors column shows the trend
+  spectrum   gap eigenvalues for one model config, across its grids when it lists them
   verify     structural identity checks (decomposition, Krein bound, extension,
              inverse formula, sandwich and norm chain as matrix inequalities between
              neighbouring energies, Hardy for radial models); draws no random numbers
@@ -16,10 +15,10 @@ subcommand's spec keys with their defaults, and UNREAD the top-level keys it
 ignores. main runs every COMMANDS entry on one ExperimentConfig: the --config
 file's, or without one the defaults, with --out and --format laid over it.
 Configs are plain JSON; no environment variables are consulted. Reports are
-deterministic for a fixed config; only a JSON spectrum row's wall time, ms, is not.
-A solver failure in one unit stays in its rows, so the run exits 1: a level's NaN
-values in spectrum and converge, a failed gap_certificate row in verify. Input and
-config errors exit 2.
+deterministic for a fixed config at a fixed BLAS thread count (ROADMAP item 22);
+only a JSON spectrum row's wall time, ms, is not. A solver failure in one unit
+stays in its rows, so the run exits 1: a level's NaN values in spectrum, a failed
+gap_certificate row in verify. Input and config errors exit 2.
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ REPORT_CSV_HEADER = "check,value,passed,params"
 ORACLE_DIM_LIMIT = 1200  # dense ground truth attached only below this size
 
 KINDS = ("dirac", "aps", "random", "matrix-file")
-# every spec key each model kind (spectrum/converge/verify) or subcommand reads,
+# every spec key each model kind (spectrum/verify) or subcommand reads,
 # with its default; the default's type is the key's type (int, float or a list
 # of floats), and a None default passes the value through to the model
 SPECS = {
@@ -79,7 +78,7 @@ UNREAD = {"dirac": ("count",), "aps": ("count",), "random": ("grids",),
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One batch run; the fields are the config keys, and __post_init__ checks them.
-    kind defaults to None: spectrum, converge and verify need one, hardy and pollution none."""
+    kind defaults to None: spectrum and verify need one, hardy and pollution none."""
 
     kind: str | None = None
     spec: dict = field(default_factory=dict)
@@ -402,12 +401,6 @@ def _cmd_spectrum(config: ExperimentConfig, args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _cmd_converge(config: ExperimentConfig, args: argparse.Namespace) -> int:
-    if not config.grids:
-        raise ConfigParse("converge needs a strictly increasing grids list in the config")
-    return _cmd_spectrum(config, args)
-
-
 def _emit_reports(reports: list[VerificationReport], config: ExperimentConfig,
                   args: argparse.Namespace, summary: str | None = None) -> int:
     """Write check reports where the config says; count failures."""
@@ -476,8 +469,8 @@ def _cmd_pollution(config: ExperimentConfig, args: argparse.Namespace) -> int:
 
 
 # subcommand -> handler(config, args); a model command's missing kind is _units' error
-COMMANDS = {"spectrum": _cmd_spectrum, "verify": _cmd_verify, "converge": _cmd_converge,
-            "hardy": _cmd_hardy, "pollution": _cmd_pollution}
+COMMANDS = {"spectrum": _cmd_spectrum, "verify": _cmd_verify, "hardy": _cmd_hardy,
+            "pollution": _cmd_pollution}
 
 
 def main(argv: list[str] | None = None) -> int:

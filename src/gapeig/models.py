@@ -98,11 +98,15 @@ class RandomSpec:
         check_number(self.seed, "seed", SpecInvalid, 0, integer=True)
 
 
+def _node(spec: DiracSpec, i):
+    """r_max * (i/n)^g, the grading's node at index i (a number or an array of them)."""
+    g = 2 if spec.grading == "quadratic" else 1
+    return spec.r_max * (i / spec.n) ** g
+
+
 def radial_grid(spec: DiracSpec) -> np.ndarray:
     """Grid nodes r_1..r_n with r_n = r_max exactly."""
-    g = 2 if spec.grading == "quadratic" else 1
-    i = np.arange(1, spec.n + 1, dtype=float)
-    return spec.r_max * (i / spec.n) ** g
+    return _node(spec, np.arange(1, spec.n + 1, dtype=float))
 
 
 def build_dirac_coulomb(spec: DiracSpec) -> BlockOperator:
@@ -111,13 +115,9 @@ def build_dirac_coulomb(spec: DiracSpec) -> BlockOperator:
     p = diag(1 - nu/r), amm = diag(-1 - nu/r), and the coupling is the
     weight-conjugated antisymmetric central difference plus kappa/r, tridiagonal.
     """
-    g = 2 if spec.grading == "quadratic" else 1
-    n, r_max = spec.n, spec.r_max
     r = radial_grid(spec)
     # ghost nodes carry the Dirichlet conditions at the origin and past r_max
-    r_lo = 0.0
-    r_hi = r_max * ((n + 1) / n) ** g
-    ext = np.concatenate(([r_lo], r, [r_hi]))
+    ext = np.concatenate(([0.0], r, [_node(spec, spec.n + 1)]))
     w = (ext[2:] - ext[:-2]) / 2.0
     off = 1.0 / (2.0 * np.sqrt(w[:-1] * w[1:]))
     c = sparse.diags_array([-off, spec.kappa * (1.0 / r), off], offsets=[-1, 0, 1],
@@ -149,10 +149,17 @@ def forward_difference(n: int, length_l: float) -> sparse.csr_array:
 
 def aps_levels(spec: ApsSpec) -> np.ndarray:
     """The cylinder's levels above lambda0 = 0, ascending: sqrt(mode^2 + sigma_j^2) for each
-    mode and forward-difference singular value sigma_j = 2(n+1)/L sin(j pi/(2(n+1)))."""
+    mode and forward-difference singular value sigma_j = 2(n+1)/L sin(j pi/(2(n+1))).
+    Per mode both terms are scaled by 2**-s, s from math.frexp of the largest, so no
+    square overflows; the scaling is exact, so in range the levels keep every bit."""
     j = np.arange(1, spec.n + 1)
     sigmas = 2.0 * (spec.n + 1) / spec.length_l * np.sin(j * np.pi / (2 * (spec.n + 1)))
-    return np.sort(np.concatenate([np.sqrt(mode * mode + sigmas**2) for mode in spec.modes]))
+    levels = []
+    for mode in spec.modes:
+        s = math.frexp(max(abs(mode), sigmas.max()))[1]
+        m, sig = math.ldexp(mode, -s), np.ldexp(sigmas, -s)
+        levels.append(np.ldexp(np.sqrt(m * m + sig**2), s))
+    return np.sort(np.concatenate(levels))
 
 
 def aps_sigma_min(n: int, length_l: float) -> float:

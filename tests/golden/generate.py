@@ -55,7 +55,6 @@ RUNS = {
         ("spectrum", "aps", ("csv", "json")),
         ("spectrum", "random", ("csv",)),
         ("spectrum", "matrix", ("csv", "json")),
-        ("converge", "dirac", ("csv", "json")),
         ("verify", "dirac600", ("csv", "json")),
         ("verify", "random6", ("csv",)),
         ("hardy", None, ("csv",)),

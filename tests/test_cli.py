@@ -95,7 +95,6 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("command,raw,code", [
         ("spectrum", {"spec": {"n": 40}}, 2),
-        ("converge", {"grids": [40, 80]}, 2),
         ("verify", {}, 2),
         ("hardy", {"spec": {"nu_values": [0.5], "n": 40}}, 0),
         ("pollution", {"grids": [100, 200]}, 0),
@@ -678,7 +677,7 @@ class TestMain:
         ("spectrum", {"kind": "dirac", "spec": {"n": 24}, "grids": []}, "grids"),
         ("pollution", {"kind": "dirac", "grids": []}, "grids"),
         # a key the kind ignores would run as if it were absent
-        ("converge", {"kind": "random", "spec": {"n_plus": 6, "n_minus": 5},
+        ("spectrum", {"kind": "random", "spec": {"n_plus": 6, "n_minus": 5},
                       "grids": [100, 200, 400]}, "grids"),
         ("spectrum", {"kind": "matrix-file", "grids": [2]}, "grids"),
         ("spectrum", {"kind": "dirac", "spec": {"n": 24}, "count": 5}, "count"),
@@ -690,7 +689,7 @@ class TestMain:
         ("spectrum", {"kind": "dirac", "spec": {"n": 40}, "grids": [60, 80]}, "spec.n"),
         ("verify", {"kind": "aps", "spec": {"n": 8}, "grids": [8, 16]}, "spec.n"),
         # the grids replace n, so an over-cap n is not the error to report
-        ("converge", {"kind": "dirac", "spec": {"n": 5001}, "grids": [300]}, "spec.n"),
+        ("spectrum", {"kind": "dirac", "spec": {"n": 5001}, "grids": [300]}, "spec.n"),
     ])
     def test_malformed_number_exits_two(self, tmp_path, capsys, command, config, key):
         if isinstance(config, dict) and config["kind"] == "matrix-file":
@@ -776,20 +775,23 @@ class TestMain:
         assert capsys.readouterr().err == "gapeig: block size exceeds cap 5000\n"
         assert peak < 2**20
 
-    def test_converge_requires_grids(self, tmp_path, capsys):
-        cfg = _write(tmp_path / "cfg.json", {"kind": "dirac", "spec": {"nu": 0.5}})
-        assert main(["converge", "--config", cfg]) == 2
-        assert "grids" in capsys.readouterr().err
-
-    def test_converge_runs_with_grids(self, tmp_path):
+    def test_spectrum_runs_with_grids(self, tmp_path):
         out = tmp_path / "rows.csv"
         cfg = _write(tmp_path / "cfg.json", {
             "kind": "dirac", "spec": {"nu": 0.5, "kappa": -1, "r_max": 20.0},
             "grids": [24, 48], "out": str(out),
         })
-        assert main(["converge", "--config", cfg, "--quiet"]) == 0
+        assert main(["spectrum", "--config", cfg, "--quiet"]) == 0
         records = list(csv.DictReader(io.StringIO(out.read_text())))
         assert [r["grid"] for r in records] == ["24", "48"]
+
+    def test_spectrum_is_the_one_grid_sweep(self, canonical_matrix_config, capsys):
+        # no second subcommand runs spectrum's grids: converge is unknown to the parser
+        assert sorted(cli.COMMANDS) == ["hardy", "pollution", "spectrum", "verify"]
+        with pytest.raises(SystemExit) as exc:
+            main(["converge", "--config", canonical_matrix_config])
+        assert exc.value.code == 2
+        assert "invalid choice: 'converge'" in capsys.readouterr().err
 
     def test_format_override_to_json(self, canonical_matrix_config, tmp_path):
         out = tmp_path / "rows.json"

@@ -9,7 +9,9 @@ keys of each model kind and subcommand are the entries of `cli.SPECS`; a key
 added to either without a backticked mention in that section fails here. A
 module added to or removed from `src/gapeig/` without its Layout line fails
 too. The ```python blocks run in order in one namespace, as a reader would
-paste them, so an example that drifts from the API fails.
+paste them, so an example that drifts from the API fails, and so does a
+command of the "Examples" shell block that names a subcommand, flag or
+config key the command line no longer takes.
 """
 
 import re
@@ -93,3 +95,17 @@ def test_readme_python_examples_run():
     for block in blocks:
         exec(block[:block.index("```")], namespace)
     assert abs(namespace["res"].lambda_k - 2.0 ** 0.5) <= 1e-14
+
+
+def test_readme_shell_examples_run(tmp_path, monkeypatch):
+    # each heredoc is written into tmp_path, then each gapeig line runs in-process
+    text = README.read_text(encoding="utf-8")
+    block = text[text.index("### Examples"):].split("```sh\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    files = re.findall(r"^cat > (\S+) <<'EOF'\n(.*?)^EOF$", block, re.M | re.S)
+    for name, body in files:
+        (tmp_path / name).write_text(body, encoding="utf-8")
+    commands = [line.split()[1:] for line in block.splitlines() if line.startswith("gapeig ")]
+    assert len(files) == 4 and len(commands) == 5
+    for argv in commands:
+        assert main(argv) == 0, argv

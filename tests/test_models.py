@@ -78,6 +78,16 @@ class TestDiracGrid:
             assert r[0] > 0.0
             assert np.all(np.diff(r) > 0.0)
 
+    @pytest.mark.parametrize("grading,g", [("uniform", 1), ("quadratic", 2)])
+    def test_ghost_node_is_the_gradings_next_node(self, grading, g):
+        # the outer weight reads r_{n+1} = r_max ((n+1)/n)^g, the grid's own rule at n+1
+        n, r_max = 40, 17.0
+        spec = DiracSpec(nu=0.5, kappa=-1, n=n, r_max=r_max, grading=grading)
+        ext = np.concatenate(([0.0], radial_grid(spec), [r_max * ((n + 1) / n) ** g]))
+        w = (ext[2:] - ext[:-2]) / 2.0
+        off = dense(build_dirac_coulomb(spec).c).diagonal(1)
+        assert np.array_equal(off, 1.0 / (2.0 * np.sqrt(w[:-1] * w[1:])))
+
     def test_lambda0_exact(self):
         spec = DiracSpec(nu=0.9, kappa=1, n=48, r_max=25.0)
         op = build_dirac_coulomb(spec)
@@ -187,6 +197,12 @@ class TestApsCylinder:
         assert levels.shape == (len(spec.modes) * spec.n,)
         assert np.abs(top - levels).max() <= op.dim * np.finfo(float).eps * levels[-1]
         assert aps_sigma_min(spec.n, spec.length_l) == levels[0]
+
+    def test_levels_past_the_square_range_are_finite(self):
+        # mode^2 overflows once |mode| passes about 1.3e154; the scaled terms do not
+        levels = aps_levels(ApsSpec(modes=(1e200, -1e200, 0.0), length_l=1.0, n=8))
+        assert np.all(np.isfinite(levels))
+        assert np.all(levels[8:] == 1e200)
 
     def test_zero_mode_reaches_sigma_min(self):
         spec = ApsSpec(modes=(0.0,), length_l=math.pi, n=32)
