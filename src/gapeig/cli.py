@@ -436,8 +436,7 @@ def _cmd_pollution(config: ExperimentConfig, args: argparse.Namespace) -> int:
     for dirac in [DiracSpec(**spec, n=n) for n in grids]:  # every grid checked before a build
         op = build_dirac_coulomb(dirac)
         lam1[dirac.n] = lambda_k(op, 1, config.tol).lambda_k
-        values = dense_spectrum(op)
-        window_values[dirac.n] = values[(values > window[0]) & (values < window[1])]
+        window_values[dirac.n] = dense_spectrum(op, *window)
 
     reports = [VerificationReport(
         "window_content", float(len(window_values[n])), True,

@@ -1,8 +1,10 @@
+import json
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,8 +12,9 @@ import scipy.linalg as sla
 
 from gapeig import (ApsSpec, BlockOperator, DiracSpec, EigFailure, RandomSpec, assemble_block,
                     build_aps_cylinder, build_dirac_coulomb, dense_spectrum,
-                    gap_eigs_bruteforce, oracle, random_gapped)
+                    gap_eigs_bruteforce, oracle, random_gapped, verify)
 from gapeig.blockop import nonzeros
+from gapeig.cli import main
 
 SQRT2 = math.sqrt(2.0)
 # the random campaign's two tall operators
@@ -119,6 +122,121 @@ def test_band_spectrum_agrees_with_dsyevd(spec):
     reference = np.linalg.eigvalsh(op.assembled())
     bound = op.dim * np.finfo(float).eps * np.abs(reference).max()  # ||A||_2
     assert np.abs(dense_spectrum(op) - reference).max() <= bound
+
+
+def _band_drivers(monkeypatch) -> list[str]:
+    """The select argument of each eig_banded call from here on: "a" (dsbevd) or "v"."""
+    calls = []
+    real = sla.eig_banded
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("select", "a"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(oracle.scipy.linalg, "eig_banded", spy)
+    return calls
+
+
+WINDOWED = [DiracSpec(nu=nu, kappa=-1, r_max=30.0, n=n) for nu in (0.5, 0.9) for n in (300, 600)]
+WINDOWED += [ApsSpec((0.0, 3.0, -3.0), 1.0, 200)]
+
+
+@pytest.mark.parametrize("spec", WINDOWED, ids=str)
+@pytest.mark.parametrize("inside,driver", [(0, "v"), (1, "v"), (10, "v"), (None, "a")],
+                         ids=["none", "one", "ten", "most"])
+def test_a_window_solve_agrees_with_dsyevd(monkeypatch, spec, inside, driver):
+    # The window holds the distinct levels levels[first:last] of A (APS's are multiple),
+    # its ends a third of the way into the spacings around them, far from every
+    # eigenvalue. Both solves are backward stable, so the values differ by at most
+    # dim * eps * ||A||_2 (test_band_spectrum_agrees_with_dsyevd). A window holding
+    # most values takes dsbevd, on the count alone.
+    op = _build(spec)
+    full = np.linalg.eigvalsh(op.assembled())
+    bound = op.dim * np.finfo(float).eps * np.abs(full).max()
+    levels = [value for value, _ in oracle.cluster_eigenvalues(full)]
+    first = int(np.argmin(np.abs(levels))) + 1  # above APS's multiple level 0
+    first, last = (2, len(levels) - 2) if inside is None else (first, first + inside)
+    lo = levels[first - 1] + (levels[first] - levels[first - 1]) / 3
+    hi = levels[last] - (levels[last] - levels[last - 1]) / 3
+    assert np.abs(full - lo).min() > 10 * bound and np.abs(full - hi).min() > 10 * bound
+    drivers = _band_drivers(monkeypatch)
+    values = dense_spectrum(op, lo, hi)
+    expected = full[(full > lo) & (full < hi)]
+    assert drivers == [driver]
+    assert len(values) == len(expected)
+    assert np.abs(values - expected).max(initial=0.0) <= bound
+
+
+def _integer_diagonal() -> BlockOperator:
+    # A = diag(0, ..., 39, -1, ..., -8), banded with w = 0; dim 48
+    return BlockOperator(p=np.diag(np.arange(40.0)), c=np.zeros((8, 40)),
+                         amm=np.diag(-np.arange(1.0, 9.0)))
+
+
+def test_a_shift_at_an_eigenvalue_leaves_the_count_unknown(monkeypatch):
+    op = _integer_diagonal()
+    band = oracle._band(op)
+    assert band is not None and band.shape == (1, 48)
+    assert oracle._count_below(band, 3.5) == 12  # -8..-1 and 0..3
+    assert oracle._count_below(band, 3.0) is None  # a zero pivot
+    drivers = _band_drivers(monkeypatch)
+    assert np.array_equal(dense_spectrum(op, 3.0, 7.0), [4.0, 5.0, 6.0])
+    assert drivers == ["a"]
+
+
+def test_a_window_solve_drops_ends_that_are_eigenvalues(monkeypatch):
+    # dsbevx solves (lo, hi]: the window's end hi is dropped after it
+    monkeypatch.setattr(oracle, "_few_inside", lambda band, lo, hi: True)
+    drivers = _band_drivers(monkeypatch)
+    assert np.array_equal(dense_spectrum(_integer_diagonal(), 3.0, 7.0), [4.0, 5.0, 6.0])
+    assert drivers == ["v"]
+
+
+@pytest.mark.parametrize("shift,drivers", [(0.1, ["v"]), (-0.1, ["v", "a"])])
+def test_the_krein_row_reads_its_shell_exactly(monkeypatch, shift, drivers):
+    # A lambda1 too high puts A's first gap level inside the gap: the row fails, with the
+    # full spectrum's margin up to the solves' rounding (dim * eps * ||A||_2). A lambda1
+    # too low leaves the shell empty, and the row reads the whole spectrum.
+    op = build_dirac_coulomb(DiracSpec(nu=0.5, kappa=-1, r_max=30.0, n=300))
+    full = dense_spectrum(op)
+    bound = op.dim * np.finfo(float).eps * np.abs(full).max()
+    cert = verify.lambda1_certificate(op)
+    monkeypatch.setattr(verify, "lambda1_certificate",
+                        lambda op: replace(cert, lambda1=cert.lambda1 + shift))
+    called = _band_drivers(monkeypatch)
+    report = verify.krein_gap_check(op)
+    margin = np.abs(full - report.params["mid"]).min() - report.params["half_gap"]
+    assert called == drivers
+    assert report.passed == (shift < 0)
+    if shift > 0:
+        assert report.value < -0.09
+        assert abs(report.value - margin) <= bound
+    else:
+        assert report.value == margin
+
+
+DIRAC600 = {"kind": "dirac", "spec": {"nu": 0.5, "kappa": -1, "r_max": 30.0,
+                                      "grading": "uniform", "n": 600}}
+
+
+@pytest.mark.parametrize("command,config,full_solves", [
+    ("pollution", None, 0),
+    ("verify", DIRAC600, 0),
+    ("pollution", {"spec": {"window": [-50.0, 50.0]}}, 2),
+], ids=["pollution", "verify-dirac600", "pollution-wide"])
+def test_the_oracle_solves_a_whole_band_only_for_a_wide_window(
+        monkeypatch, tmp_path, capsys, command, config, full_solves):
+    # pollution's default window (-0.5, 0.5) and verify's Krein shell hold one eigenvalue
+    # of A each; [-50, 50] holds most of them at both grids
+    argv = [command, "--quiet"]
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        argv += ["--config", str(path)]
+    drivers = _band_drivers(monkeypatch)
+    main(argv)
+    capsys.readouterr()
+    assert drivers.count("a") == full_solves
 
 
 @pytest.mark.parametrize("build,solver", [
