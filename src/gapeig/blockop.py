@@ -19,6 +19,10 @@ as a dense array through dense(), its norm through block_norm() and the whole
 matrix through BlockOperator.assembled(). Arithmetic with a dense array
 (m - e*I, m @ x) gives the same dense result for either storage.
 
+A band matrix has one layout, LAPACK's general band, written by band() and read
+back to sparse by band_matrix() alone: schur keeps k_e in it, the oracle A, and both
+go banded by one BAND_RATIO. cluster_band() is the one rule for equal eigenvalues.
+
 Every BLAS and LAPACK call of the package runs on scipy's OpenBLAS: dense
 products go through mul(), sums of squares through sum_squares(), which
 calls no BLAS, and the eigensolves and solves are scipy's (see mul).
@@ -42,6 +46,15 @@ from .errors import BadSplit, EigFailure, GapeigError, NonFinite, NonSymmetric
 
 SYMMETRY_RTOL = 1e-13
 INPUT_SYMMETRY_RTOL = 1e-12
+CLUSTER_RTOL = 1e-8
+# A matrix of half-bandwidth w is solved on its band once its size is at least
+# BAND_RATIO * (w + 1), k_e and the oracle's A alike. The crossover, measured on k_e as
+# one level per energy (dsbevx against a dense subset eigh) on 2 cores with OpenBLAS:
+# the banded path is 2-3x slower at n_plus = 64 (its sparse products cost about 0.6 ms
+# whatever the size) and faster from 128 on, 15x at n_plus = 128 and 29x at 1024 with
+# w = 2; at n_plus = 256..1024 it stays ahead up to w of about n_plus/8. 32 is safe at
+# every size and width measured.
+BAND_RATIO = 32
 _KINDS = {True: (int, np.integer), False: (int, float, np.integer, np.floating)}  # check_number
 
 
@@ -283,9 +296,28 @@ def nonzeros(m, limit: int | None = None) -> sparse.csr_array | None:
     return sparse.csr_array(m)
 
 
-def upper_band(m: sparse.csr_array, w: int) -> np.ndarray:
-    """The symmetric m's upper band storage, band[w + i - j, j] = m[i, j] for i <= j."""
-    return np.array([np.pad(m.diagonal(t), (t, 0)) for t in range(w, -1, -1)])
+def band(m: sparse.csr_array, w: int) -> np.ndarray:
+    """The symmetric m's (2w + 1, n) general band, band[w + i - j, j] = m[i, j], from m's
+    upper triangle, so exactly symmetric: solve_banded((w, w), ...)'s layout and dia storage
+    with offsets w..-w, whose first w + 1 rows are the upper storage eig_banded reads."""
+    out = np.zeros((2 * w + 1, m.shape[0]))
+    for t in range(w + 1):
+        diagonal = m.diagonal(t)
+        out[w - t, t:] = diagonal
+        out[w + t, :diagonal.size] = diagonal
+    return out
+
+
+def band_matrix(band: np.ndarray, fmt: str) -> sparse.csr_array | sparse.csc_array:
+    """The matrix whose general band (see the function band) is band, as CSR or CSC
+    (fmt "csr" or "csc"), by one conversion from dia storage, which drops explicit zeros."""
+    w, n = band.shape[0] // 2, band.shape[1]
+    return sparse.dia_array((band, np.arange(w, -w - 1, -1)), shape=(n, n)).asformat(fmt)
+
+
+def cluster_band(value: float) -> float:
+    """CLUSTER_RTOL*max(1, |value|): eigenvalues this close to value are one cluster."""
+    return CLUSTER_RTOL * max(1.0, abs(value))
 
 
 def dense(m) -> np.ndarray:

@@ -44,9 +44,9 @@ from functools import cache, partial
 
 import numpy as np
 
-from .blockop import BlockOperator, GapData, as_real, check_number, lambda0, spectrum_bound
+from .blockop import (CLUSTER_RTOL, BlockOperator, GapData, as_real, check_number, cluster_band,
+                      lambda0, spectrum_bound)
 from .errors import BadSplit, BracketFailure, GapeigError, KOutOfRange, ZeroVector
-from .oracle import CLUSTER_RTOL, cluster_band
 from .schur import (GAP_EDGE_MARGIN, SchurSystem, build_schur, gap_edge, mu_k, mu_k_with_vector,
                     q_value_and_slope)
 
@@ -182,7 +182,7 @@ def lambda_k(op: BlockOperator, k: int, tol: float = 1e-10, *,
                                 lambda lam, kappa: abs(kappa) <= tol)
     system = build_schur(op, lam)
     # near a root kappa_j moves as -(lambda_j - lam)||z_j||^2, so a band on kappa is no
-    # band on energies: the eigenvalues within the oracle's cluster band of lam are counted
+    # band on energies: the eigenvalues within blockop's cluster band of lam are counted
     band = cluster_band(lam)
     multiplicity = _count(op, lam + band, lam0) - _count(op, lam - band, lam0)
     return MinMaxResult(k=k, lambda_k=lam, multiplicity=multiplicity,

@@ -5,12 +5,12 @@ and tested before the min-max solver so every solver result can be
 regenerated independently. A spectrum is the eigenvalues of A in an open
 window, every one by default, ascending, with no Schur complement. One
 structure rule picks the LAPACK routine: an operator that is banded once its
-lower rows are interleaved with the upper columns is solved on its band, with
-A's band written by blockop.upper_band (which writes k_e's band too) from the
-blocks' nonzeros (blockop.nonzeros); every other operator goes to dsyevd in
-the assembled matrix's own memory, one dim x dim matrix. On the band, dsbevx
-solves a finite window that holds few eigenvalues, counted by Sylvester's law
-of inertia on an LDL^T of A - sigma*I, and dsbevd every other window.
+lower rows are interleaved with the upper columns is solved on its band, which
+blockop.band writes in k_e's layout from the blocks' nonzeros; every other operator
+goes to dsyevd in the assembled matrix's own memory, one dim x dim matrix. On the
+band, dsbevx solves a finite window that holds few eigenvalues, counted by
+Sylvester's law of inertia on an LDL^T of A - sigma*I read from the band, and
+dsbevd every other window. Only blockop and errors are imported: no solver code.
 """
 
 from __future__ import annotations
@@ -21,11 +21,9 @@ import numpy as np
 import scipy.linalg
 from scipy import sparse
 
-from .blockop import BlockOperator, nonzeros, upper_band
+from .blockop import BAND_RATIO, BlockOperator, band, band_matrix, cluster_band, nonzeros
 from .errors import EigFailure
-from .schur import BAND_RATIO
 
-CLUSTER_RTOL = 1e-8
 # dsbevx solves a window holding at most dim // WINDOW_RATIO eigenvalues. It costs the
 # band reduction plus about 0.4-0.9 ms per eigenvalue at dim 1200-2400, dsbevd the
 # whole spectrum at once: they break even near dim / 25 eigenvalues (Dirac bands, 2 cores).
@@ -33,7 +31,7 @@ WINDOW_RATIO = 32
 
 
 def _band(op: BlockOperator) -> np.ndarray | None:
-    """A's upper band storage in the interleaved order, or None when A is not banded.
+    """A's general band in the interleaved order, or None when A is not banded.
 
     Each lower row goes right after the upper column where its row of c starts
     (a row of c that is empty goes last), one stable sort. A is banded when
@@ -66,23 +64,21 @@ def _band(op: BlockOperator) -> np.ndarray | None:
     w = int(np.abs(i - j).max(initial=0))
     if dim < BAND_RATIO * (w + 1):
         return None
-    return upper_band(sparse.csr_array((values, (i, j)), shape=(dim, dim)), w)
+    return band(sparse.csr_array((values, (i, j)), shape=(dim, dim)), w)
 
 
 def _count_below(band: np.ndarray, sigma: float) -> int | None:
-    """#{eig(A) < sigma} for A's upper band: the negative pivots of an unpivoted LDL^T
+    """#{eig(A) < sigma} for A's general band: the negative pivots of an unpivoted LDL^T
     of A - sigma*I, by Sylvester's law of inertia. SuperLU factors it with the natural
     order and diagonal pivots; None when it pivoted off the diagonal or met a zero
     pivot, so the count is unknown."""
     from scipy.sparse.linalg import splu  # only a window count loads SuperLU
 
-    w, dim = band.shape[0] - 1, band.shape[1]
-    offsets = range(-w, w + 1)
-    diagonals = [band[w - abs(k), abs(k):] for k in offsets]
-    diagonals[w] = diagonals[w] - sigma
-    shifted = sparse.diags_array(diagonals, offsets=offsets, format="csc")
+    w, dim = band.shape[0] // 2, band.shape[1]
+    shifted = band.copy()
+    shifted[w] -= sigma  # row w is the diagonal
     try:
-        lu = splu(shifted, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+        lu = splu(band_matrix(shifted, "csc"), permc_spec="NATURAL", diag_pivot_thresh=0.0,
                   options={"SymmetricMode": True})
     except RuntimeError:  # an exactly singular factor
         return None
@@ -122,25 +118,19 @@ def dense_spectrum(op: BlockOperator, lo: float = -math.inf,
         if band is None:
             values = scipy.linalg.eigvalsh(op.assembled().T, overwrite_a=True,
                                            check_finite=False, driver="evd")
-        elif _few_inside(band, lo, hi):
-            values = scipy.linalg.eig_banded(band, eigvals_only=True, select="v",
-                                             select_range=(lo, hi), check_finite=False)
-        else:
-            values = scipy.linalg.eig_banded(band, eigvals_only=True, check_finite=False)
+        else:  # eig_banded reads the band's upper rows
+            window = dict(select="v", select_range=(lo, hi)) if _few_inside(band, lo, hi) else {}
+            values = scipy.linalg.eig_banded(band[:band.shape[0] // 2 + 1], eigvals_only=True,
+                                             check_finite=False, **window)
     except np.linalg.LinAlgError as exc:
         raise EigFailure(f"dense eigensolve failed: {exc}") from exc
     return values[(values > lo) & (values < hi)]
 
 
-def cluster_band(value: float) -> float:
-    """CLUSTER_RTOL*max(1, |value|): eigenvalues this close to value are one cluster."""
-    return CLUSTER_RTOL * max(1.0, abs(value))
-
-
 def cluster_eigenvalues(values: np.ndarray) -> list[tuple[float, int]]:
     """Group an ascending value list into (representative, multiplicity) clusters.
 
-    Neighbors within cluster_band of the upper one merge; the representative is
+    Neighbors within blockop.cluster_band of the upper one merge; the representative is
     the cluster mean.
     """
     out: list[tuple[float, int]] = []

@@ -39,12 +39,12 @@ multiplicities from; lowest(m) is the lowest eigenvalue of another symmetric
 matrix in k_e's storage and band, verify's sandwich sides. All four go through
 one selection, _select.
 
-- Banded: k_e is a sparse product with the diagonal (b + e)^{-1}, kept as
-  an upper band array. Its eigenvalues come from LAPACK's banded dsbevx
-  (scipy.linalg.eig_banded), a level's vector from banded inverse iteration
-  on k_e - sigma*I with sigma a few ulps off it. Nothing dense is built:
-  l_e is the CSR lift the band is formed from, k_e the symmetric CSR matrix
-  of the band, and solve_k an LU solve with partial pivoting on the band.
+- Banded: k_e is a sparse product with the diagonal (b + e)^{-1}, formed once
+  as a general band (blockop.band). Its eigenvalues come from LAPACK's dsbevx
+  (scipy.linalg.eig_banded) on the band's upper rows, a level's vector from banded
+  inverse iteration on a copy shifted to k_e - sigma*I, sigma a few ulps off it.
+  Nothing dense is built: l_e is the CSR lift the band is formed from, k_e the
+  band's CSR matrix (blockop.band_matrix), solve_k an LU solve on the band itself.
 - Dense: k_e is a dense product and goes to a dense subset eigh. Every dense product
   runs on scipy's BLAS (blockop.mul), Q.T c and f included, and solve_k is LAPACK's
   dgesv from scipy, so no call of this module wakes numpy's BLAS thread pool.
@@ -61,27 +61,18 @@ import numpy as np
 import scipy.linalg as sla
 from scipy import sparse
 
-from .blockop import (BlockOperator, as_real, check_number, dense, lambda0, lower_eigen, mul,
-                      nonzeros, upper_band)
+from .blockop import (BAND_RATIO, BlockOperator, as_real, band, band_matrix, check_number, dense,
+                      lambda0, lower_eigen, mul, nonzeros)
 from .errors import (BadSplit, EigFailure, KOutOfRange, NonFinite, NotPositiveDefinite,
                      SingularSchur)
 
 GAP_EDGE_MARGIN = 1e-10
-BAND_RATIO = 32  # banded once n_plus >= BAND_RATIO * (w + 1); see _half_bandwidth
 INVERSE_STEPS = 3
 SHIFT_ULPS = 4
 
 
 def _half_bandwidth(p: sparse.csr_array, c: sparse.csr_array) -> int:
-    """k_e's half-bandwidth w: the widest of p's and of c.T c's nonzero patterns.
-
-    The crossover behind BAND_RATIO, measured as one level per energy (dsbevx
-    against a dense subset eigh) on 2 cores with OpenBLAS: the banded path is
-    2-3x slower at n_plus = 64 (its sparse products cost about 0.6 ms whatever
-    the size) and faster from 128 on, 15x at n_plus = 128 and 29x at 1024
-    with w = 2; at n_plus = 256..1024 it stays ahead up to w of about
-    n_plus/8. 32 is safe for both.
-    """
+    """k_e's half-bandwidth w: the widest of p's and of c.T c's nonzero patterns."""
     rows, cols = p.nonzero()
     w = int(np.abs(rows - cols).max(initial=0))
     # columns i < j of c meet in c.T c exactly when one row of c holds both,
@@ -92,26 +83,6 @@ def _half_bandwidth(p: sparse.csr_array, c: sparse.csr_array) -> int:
         last = c.indices[c.indptr[1:][filled] - 1]
         w = max(w, int((last - first).max()))
     return w
-
-
-def _symmetric(band: np.ndarray) -> sparse.csr_array:
-    """The symmetric matrix whose upper band storage is band, by one conversion: dia
-    storage holds entry (j - offset, j) in column j, so band's rows are the diagonals
-    w..0 as they stand, and diagonal -t is diagonal t moved t columns left."""
-    w, n = band.shape[0] - 1, band.shape[1]
-    lower = [np.pad(band[w - t, t:], (0, t)) for t in range(1, w + 1)]
-    return sparse.dia_array((np.vstack([band, *lower]), np.arange(w, -w - 1, -1)),
-                            shape=(n, n)).tocsr()
-
-
-def _full_band(band: np.ndarray) -> np.ndarray:
-    """The (w, w) general band form solve_banded reads, from upper band storage."""
-    w = band.shape[0] - 1
-    full = np.zeros((2 * w + 1, band.shape[1]))
-    full[:w + 1] = band
-    for t in range(1, w + 1):
-        full[w + t, :-t] = band[w - t, t:]
-    return full
 
 
 def _squares(u: np.ndarray, v: np.ndarray) -> tuple[float, int]:
@@ -205,11 +176,11 @@ class SchurSystem:
         return self._l
 
     def _banded(self) -> np.ndarray:
-        """k_e in upper band storage; banded path only."""
+        """k_e's general band (blockop.band), formed once; banded path only."""
         if self._band is None:
             lower = self._lower
             eye = sparse.eye_array(self.op.n_plus, format="csr")
-            self._band = upper_band(lower.p - self.e * eye + lower.ct @ self._lift(), lower.w)
+            self._band = band(lower.p - self.e * eye + lower.ct @ self._lift(), lower.w)
         return self._band
 
     @property
@@ -218,7 +189,7 @@ class SchurSystem:
         if self._k is None:
             lower = self._lower
             if self.banded:  # from the band, as c.T @ lift is not bit-symmetric
-                self._k = _symmetric(self._banded())
+                self._k = band_matrix(self._banded(), "csr")
             else:
                 # no identity is held across statements: at n=1200 each is 11.5 MB
                 k = lower.p - self.e * np.eye(self.op.n_plus) + mul(lower.ct, self._solve(lower.c))
@@ -240,7 +211,7 @@ class SchurSystem:
                                         f"pivot {info} of its LU is exactly zero")
                 return x
             w, x, live = self._lower.w, np.zeros(rhs.shape), rhs.any(axis=0)
-            x[:, live] = sla.solve_banded((w, w), _full_band(self._banded()), rhs[:, live],
+            x[:, live] = sla.solve_banded((w, w), self._banded(), rhs[:, live],
                                           check_finite=False)
             return x
         except np.linalg.LinAlgError as exc:
@@ -250,11 +221,12 @@ class SchurSystem:
         """Eigenvalues of k_e, or of the symmetric m given in k_e's storage, ascending: those
         of 0-based index lo..hi (select "i") or in the half-open interval (lo, hi] (select
         "v"). vectors, dense path only, adds the unit eigenvectors. One LAPACK call: dsbevx
-        on the band (m's upper band of k_e's width w), else a subset eigh."""
+        on the upper rows of the band (m's band of k_e's width w), else a subset eigh."""
         try:
             if self.banded:
-                band = self._banded() if m is None else upper_band(m, self._lower.w)
-                return sla.eig_banded(band, select=select, select_range=(lo, hi),
+                w = self._lower.w
+                upper = (self._banded() if m is None else band(m, w))[:w + 1]
+                return sla.eig_banded(upper, select=select, select_range=(lo, hi),
                                       eigvals_only=True, check_finite=False)
             subset = "subset_by_index" if select == "i" else "subset_by_value"
             return sla.eigh(self.k_e if m is None else m, eigvals_only=not vectors,
@@ -290,7 +262,7 @@ class SchurSystem:
         kappa = self.value(k)
         # a shift a few ulps off kappa keeps the LU clear of an exactly zero pivot;
         # the fixed start keeps the vector, and so every report, deterministic
-        w, shifted = self._lower.w, _full_band(self._banded())
+        w, shifted = self._lower.w, self._banded().copy()
         shifted[w] -= kappa + SHIFT_ULPS * np.spacing(abs(kappa))  # row w is the diagonal
         x = np.random.default_rng(0).standard_normal(self.op.n_plus)
         for _ in range(INVERSE_STEPS):

@@ -13,7 +13,7 @@ from gapeig import (
     assemble_block,
     lambda0,
 )
-from gapeig import blockop
+from gapeig import blockop, oracle
 from gapeig.blockop import lower_eigen, nonzeros
 from gapeig.models import DiracSpec, build_dirac_coulomb
 
@@ -371,18 +371,38 @@ def test_gapdata_validity_margin():
     assert not GapData(lambda0=0.0, lambda1=float("nan")).valid
 
 
-def test_upper_band_is_the_lapack_upper_layout():
-    # band[w + i - j, j] = m[i, j] for i <= j, the storage dsbevd and dsbevx read
-    rng = np.random.default_rng(3)
-    full = np.triu(rng.standard_normal((9, 9))) * (np.abs(np.subtract.outer(
-        np.arange(9), np.arange(9))) <= 2)
+@pytest.mark.parametrize("w", (0, 1, 2, 5))
+def test_band_is_the_lapack_general_band_layout(w):
+    # band[w + i - j, j] = m[i, j] in both halves: solve_banded's (w, w) layout, whose first
+    # w + 1 rows are the upper storage dsbevd and dsbevx read; w = 0 is the diagonal band
+    # the oracle meets when c = 0
+    rng = np.random.default_rng(3 + w)
+    n = 24
+    full = np.triu(rng.standard_normal((n, n))) * (np.abs(np.subtract.outer(
+        np.arange(n), np.arange(n))) <= w)
     full = full + np.triu(full, 1).T
-    band = blockop.upper_band(sparse.csr_array(full), 2)
-    expected = np.zeros((3, 9))
-    for i, j in zip(*np.nonzero(np.triu(full))):
-        expected[2 + i - j, j] = full[i, j]
+    m = sparse.csr_array(full)
+    band = blockop.band(m, w)
+    expected = np.zeros((2 * w + 1, n))
+    for i, j in zip(*np.nonzero(full)):
+        expected[w + i - j, j] = full[i, j]
     assert np.array_equal(band, expected)
-    assert np.allclose(sla.eig_banded(band, eigvals_only=True), np.linalg.eigvalsh(full))
+    upper = np.array([np.pad(m.diagonal(t), (t, 0)) for t in range(w, -1, -1)])
+    assert np.array_equal(band[:w + 1], upper)
+    back = blockop.band_matrix(band, "csr")
+    assert back.format == "csr"
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(back, part), getattr(m, part))
+    csc = blockop.band_matrix(band, "csc")
+    assert csc.format == "csc" and np.array_equal(csc.toarray(), full)
+    rhs = rng.standard_normal((n, 3))
+    assert np.allclose(sla.solve_banded((w, w), band, rhs), np.linalg.solve(full, rhs))
+    values = np.linalg.eigvalsh(full)
+    assert np.allclose(sla.eig_banded(band[:w + 1], eigvals_only=True), values)
+    # shifts below, between and above the eigenvalues, none of them an eigenvalue
+    for sigma in np.concatenate([[values[0] - 1.0], 0.5 * (values[:-1] + values[1:]),
+                                 [values[-1] + 1.0]]):
+        assert oracle._count_below(band, sigma) == np.count_nonzero(values < sigma)
 
 
 def test_spectrum_bound_holds_every_eigenvalue(campaign_ops):

@@ -33,8 +33,8 @@ from gapeig import (
     mu_k,
     random_gapped,
 )
+from gapeig.blockop import CLUSTER_RTOL
 from gapeig.minmax import _root
-from gapeig.oracle import CLUSTER_RTOL
 from gapeig.schur import apply_l, gap_edge, mu_k_with_vector
 
 SQRT2 = math.sqrt(2.0)

@@ -200,6 +200,34 @@ def test_banded_pencil_matches_dense_eigh(name, offset):
     assert np.abs(got - want).max() <= scale
 
 
+@pytest.mark.parametrize("name, w", [("banded-dirac-uniform-", 2), ("banded-aps", 1)])
+def test_the_band_is_formed_once_per_energy(monkeypatch, name, w):
+    # every banded read of k_e takes the one band as it stands, so solve_k and vector
+    # leave it unchanged, and k_e is its CSR matrix by one conversion
+    calls = []
+
+    def counted(m, width, _original=schur.band):
+        calls.append(width)
+        return _original(m, width)
+
+    monkeypatch.setattr(schur, "band", counted)
+    op = BANDED[name]()
+    system = build_schur(op, lambda0(op) + 0.7)
+    system.value(1)
+    formed = system._banded().copy()
+    system.levels(3)
+    system.values_in(-1.0, 1.0)
+    system.vector(2)
+    system.solve_k(np.eye(op.n_plus)[:, :4])
+    k_e = system.k_e
+    assert calls == [w]
+    assert np.array_equal(system._banded(), formed)
+    expected = blockop.band_matrix(system._banded(), "csr")
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(k_e, part), getattr(expected, part))
+    assert np.array_equal(k_e.toarray(), k_e.toarray().T)
+
+
 def test_banded_vectors_of_a_degenerate_pair_stay_in_its_eigenspace():
     # modes +3 and -3 give every level of that mode twice, exactly
     op = BANDED["banded-aps"]()
