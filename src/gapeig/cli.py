@@ -218,8 +218,7 @@ def _oracle(spec, op: BlockOperator, k_max: int) -> dict[int, float]:
     elif op.dim > ORACLE_DIM_LIMIT:
         return {}
     else:
-        values = dense_spectrum(op)
-        values = values[values > lambda0(op)]
+        values = dense_spectrum(op, lambda0(op))
     return {k: float(values[k - 1]) for k in range(1, min(k_max, len(values)) + 1)}
 
 

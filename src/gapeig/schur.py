@@ -15,7 +15,9 @@ negative eigenvalues as A has in (lambda0, e).
 SchurSystem is k_e at one energy and the only way the package evaluates
 anything there. Its constructor rejects a NaN or infinite e (NonFinite), then enforces
 the one edge rule e > gap_edge(lambda0) = lambda0 + GAP_EDGE_MARGIN*max(1, |lambda0|),
-the rule minmax brackets from too; everything else is computed on first use.
+the rule minmax brackets from too, and keeps the diagonal e - d of the lower solve.
+Its other per-energy state, l_e, k_e and the banded path's band, is three
+functools.cached_property attributes, each computed on first use and then kept.
 The lower block enters only through its resolvent, so k_e is formed in
 amm's eigenbasis amm = Q diag(d) Q.T (blockop.lower_eigen; Q is None for a
 diagonal amm): there b + e*I is the diagonal e - d, the coupling is Q.T c,
@@ -42,7 +44,8 @@ one selection, _select.
 - Banded: k_e is a sparse product with the diagonal (b + e)^{-1}, formed once
   as a general band (blockop.band). Its eigenvalues come from LAPACK's dsbevx
   (scipy.linalg.eig_banded) on the band's upper rows, a level's vector from banded
-  inverse iteration on a copy shifted to k_e - sigma*I, sigma a few ulps off it.
+  inverse iteration on a copy shifted to k_e - sigma*I, sigma a few ulps off it and
+  at least eps**2 * max|band| off it, so a kappa of exactly 0 keeps a normal shift.
   Nothing dense is built: l_e is the CSR lift the band is formed from, k_e the
   band's CSR matrix (blockop.band_matrix), solve_k an LU solve on the band itself.
 - Dense: k_e is a dense product and goes to a dense subset eigh. Every dense product
@@ -56,6 +59,7 @@ A SchurSystem belongs to its caller.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -64,7 +68,7 @@ from scipy import sparse
 from .blockop import (BAND_RATIO, BlockOperator, as_real, band, band_matrix, check_number, dense,
                       lambda0, lower_eigen, mul, nonzeros)
 from .errors import (BadSplit, EigFailure, KOutOfRange, NonFinite, NotPositiveDefinite,
-                     SingularSchur)
+                     SingularSchur, ZeroVector)
 
 GAP_EDGE_MARGIN = 1e-10
 INVERSE_STEPS = 3
@@ -130,17 +134,14 @@ class SchurSystem:
                 f"energy {e} is not above lambda0 + {GAP_EDGE_MARGIN:g}*max(1, |lambda0|) = {edge}"
             )
         self.op, self.e, self._lower = op, float(e), lower
-        self._l = self._k = self._band = None
-
-    def _shifted_diag(self) -> np.ndarray:
-        # positive: the edge rule gives e > lambda0 = max(d), and e - d > 0 rounds to > 0
-        return self.e - self._lower.d
+        # e - d, the diagonal of b + e*I in amm's eigenbasis: positive, as the edge rule
+        # gives e > lambda0 = max(d), and e - d > 0 rounds to > 0
+        self._shift = self.e - lower.d
 
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
         """(b + e*I)^{-1} rhs in amm's eigenbasis, where b + e*I is diag(e - d) - f;
         a rotated block takes one refinement step against eigh's residual f."""
-        d = self._shifted_diag()
-        d = d if rhs.ndim == 1 else d[:, None]
+        d = self._shift if rhs.ndim == 1 else self._shift[:, None]
         y = rhs / d
         if self._lower.q is not None:  # y + (f y)/d, in place: two rhs-sized arrays at most
             z = mul(self._lower.f, y)
@@ -161,41 +162,35 @@ class SchurSystem:
     def _lift(self) -> sparse.csr_array:
         """l_e on the banded path: each row of c divided by its entry of b + e*I."""
         lift = self._lower.c.copy()
-        lift.data /= np.repeat(self._shifted_diag(), np.diff(lift.indptr))
+        lift.data /= np.repeat(self._shift, np.diff(lift.indptr))
         return lift
 
-    @property
+    @cached_property
     def l_e(self) -> np.ndarray | sparse.csr_array:
         """(b + e*I)^{-1} c in the operator's own basis: CSR if banded, else dense."""
-        if self._l is None:
-            if self.banded:
-                self._l = self._lift()
-            else:  # _Lower.c already holds Q.T c: only the way back rotates
-                q, lift = self._lower.q, self._solve(self._lower.c)
-                self._l = lift if q is None else mul(q, lift)
-        return self._l
+        if self.banded:
+            return self._lift()
+        # _Lower.c already holds Q.T c: only the way back rotates
+        q, lift = self._lower.q, self._solve(self._lower.c)
+        return lift if q is None else mul(q, lift)
 
-    def _banded(self) -> np.ndarray:
-        """k_e's general band (blockop.band), formed once; banded path only."""
-        if self._band is None:
-            lower = self._lower
-            eye = sparse.eye_array(self.op.n_plus, format="csr")
-            self._band = band(lower.p - self.e * eye + lower.ct @ self._lift(), lower.w)
-        return self._band
+    @cached_property
+    def _band(self) -> np.ndarray:
+        """k_e's general band (blockop.band); banded path only."""
+        lower = self._lower
+        eye = sparse.eye_array(self.op.n_plus, format="csr")
+        return band(lower.p - self.e * eye + lower.ct @ self._lift(), lower.w)
 
-    @property
+    @cached_property
     def k_e(self) -> np.ndarray | sparse.csr_array:
         """p - e*I + c.T l_e, exactly symmetric: CSR made from the band if banded, else dense."""
-        if self._k is None:
-            lower = self._lower
-            if self.banded:  # from the band, as c.T @ lift is not bit-symmetric
-                self._k = band_matrix(self._banded(), "csr")
-            else:
-                # no identity is held across statements: at n=1200 each is 11.5 MB
-                k = lower.p - self.e * np.eye(self.op.n_plus) + mul(lower.ct, self._solve(lower.c))
-                k *= 0.5  # (k + k.T) / 2 to the bit, with no overflow past half of float range
-                self._k = k + k.T
-        return self._k
+        lower = self._lower
+        if self.banded:  # from the band, as c.T @ lift is not bit-symmetric
+            return band_matrix(self._band, "csr")
+        # no identity is held across statements: at n=1200 each is 11.5 MB
+        k = lower.p - self.e * np.eye(self.op.n_plus) + mul(lower.ct, self._solve(lower.c))
+        k *= 0.5  # (k + k.T) / 2 to the bit, with no overflow past half of float range
+        return k + k.T
 
     def solve_k(self, rhs: np.ndarray) -> np.ndarray:
         """k_e^{-1} rhs for dense (n_plus, m) columns rhs, by LU with partial pivoting.
@@ -211,7 +206,7 @@ class SchurSystem:
                                         f"pivot {info} of its LU is exactly zero")
                 return x
             w, x, live = self._lower.w, np.zeros(rhs.shape), rhs.any(axis=0)
-            x[:, live] = sla.solve_banded((w, w), self._banded(), rhs[:, live],
+            x[:, live] = sla.solve_banded((w, w), self._band, rhs[:, live],
                                           check_finite=False)
             return x
         except np.linalg.LinAlgError as exc:
@@ -225,7 +220,7 @@ class SchurSystem:
         try:
             if self.banded:
                 w = self._lower.w
-                upper = (self._banded() if m is None else band(m, w))[:w + 1]
+                upper = (self._band if m is None else band(m, w))[:w + 1]
                 return sla.eig_banded(upper, select=select, select_range=(lo, hi),
                                       eigvals_only=True, check_finite=False)
             subset = "subset_by_index" if select == "i" else "subset_by_value"
@@ -260,10 +255,12 @@ class SchurSystem:
             vals, vecs = self._select("i", k - 1, k - 1, vectors=True)
             return float(vals[0]), vecs[:, 0]
         kappa = self.value(k)
-        # a shift a few ulps off kappa keeps the LU clear of an exactly zero pivot;
-        # the fixed start keeps the vector, and so every report, deterministic
-        w, shifted = self._lower.w, self._banded().copy()
-        shifted[w] -= kappa + SHIFT_ULPS * np.spacing(abs(kappa))  # row w is the diagonal
+        # a shift a few ulps off kappa, and no less than eps**2 * max|band| (at kappa = 0 the
+        # ulps are subnormal), keeps the LU clear of a zero pivot; the fixed start keeps the
+        # vector, and so every report, deterministic
+        w, shifted = self._lower.w, self._band.copy()
+        floor = np.finfo(float).eps ** 2 * np.abs(shifted).max()
+        shifted[w] -= kappa + max(SHIFT_ULPS * np.spacing(abs(kappa)), floor)  # row w: diagonal
         x = np.random.default_rng(0).standard_normal(self.op.n_plus)
         for _ in range(INVERSE_STEPS):
             try:
@@ -299,14 +296,17 @@ class SchurSystem:
         """||A z - e z|| / ||z|| for z = (x, l_e x); A is applied blockwise, never assembled,
         and a rotated lower half is taken back to the operator's own basis first. The
         numerator's and the denominator's vectors are each scaled by a power of two before
-        their squares are summed, so neither overflows; in range the scaling is exact."""
+        their squares are summed, so neither overflows; in range the scaling is exact.
+        A zero x raises ZeroVector."""
         lower, e = self._lower, self.e
         x = self._vector(x)
+        if not x.any():
+            raise ZeroVector("residual needs a nonzero vector")
         cx = mul(lower.c, x)
         y = self._solve(cx)
         upper = mul(lower.p, x) + mul(lower.ct, y) - e * x
         if lower.q is None:
-            down = cx - self._shifted_diag() * y  # c x + (amm - e) y, with amm - e = -(b + e)
+            down = cx - self._shift * y  # c x + (amm - e) y, with amm - e = -(b + e)
         else:
             y = mul(lower.q, y)
             down = mul(self.op.c, x) + mul(self.op.amm, y) - e * y

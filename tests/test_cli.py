@@ -873,9 +873,9 @@ class TestVerifySubcommand:
         calls = []
         oracle = cli.dense_spectrum
 
-        def counted(op):
+        def counted(op, *window):
             calls.append(op)
-            return oracle(op)
+            return oracle(op, *window)
 
         monkeypatch.setattr(cli, "dense_spectrum", counted)
         config = config_from_dict({

@@ -22,6 +22,7 @@ from gapeig import (
     NotPositiveDefinite,
     RandomSpec,
     SchurSystem,
+    ZeroVector,
     build_aps_cylinder,
     build_dirac_coulomb,
     build_schur,
@@ -200,32 +201,63 @@ def test_banded_pencil_matches_dense_eigh(name, offset):
     assert np.abs(got - want).max() <= scale
 
 
-@pytest.mark.parametrize("name, w", [("banded-dirac-uniform-", 2), ("banded-aps", 1)])
+@pytest.mark.parametrize("name, w", [("banded-dirac-uniform-", 2), ("banded-aps", 1),
+                                     *((name, None) for name in sorted(DENSE))])
 def test_the_band_is_formed_once_per_energy(monkeypatch, name, w):
-    # every banded read of k_e takes the one band as it stands, so solve_k and vector
-    # leave it unchanged, and k_e is its CSR matrix by one conversion
-    calls = []
+    # every read of k_e takes the one k_e as it stands. Banded: one band and no lower
+    # solve of c; solve_k and vector leave the band unchanged, and k_e is its CSR matrix
+    # by one conversion. Dense: one lower solve of c and no band
+    bands, lifts = [], []
 
-    def counted(m, width, _original=schur.band):
-        calls.append(width)
+    def counted_band(m, width, _original=schur.band):
+        bands.append(width)
         return _original(m, width)
 
-    monkeypatch.setattr(schur, "band", counted)
-    op = BANDED[name]()
+    def counted_solve(self, rhs, _original=SchurSystem._solve):
+        lifts.append(rhs is self._lower.c)
+        return _original(self, rhs)
+
+    monkeypatch.setattr(schur, "band", counted_band)
+    monkeypatch.setattr(SchurSystem, "_solve", counted_solve)
+    op = STRUCTURES[name]()
     system = build_schur(op, lambda0(op) + 0.7)
     system.value(1)
-    formed = system._banded().copy()
+    formed = system._band.copy() if system.banded else None
     system.levels(3)
     system.values_in(-1.0, 1.0)
     system.vector(2)
     system.solve_k(np.eye(op.n_plus)[:, :4])
     k_e = system.k_e
-    assert calls == [w]
-    assert np.array_equal(system._banded(), formed)
-    expected = blockop.band_matrix(system._banded(), "csr")
+    assert system.banded == (w is not None)
+    if w is None:
+        assert bands == [] and lifts == [True]
+        assert np.array_equal(k_e, k_e.T)
+        return
+    assert bands == [w] and True not in lifts
+    assert np.array_equal(system._band, formed)
+    expected = blockop.band_matrix(system._band, "csr")
     for part in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(k_e, part), getattr(expected, part))
     assert np.array_equal(k_e.toarray(), k_e.toarray().T)
+
+
+def _diagonal_op(n):
+    """p = diag(1..n) as CSR and no coupling: A's levels above lambda0 = -1 are 1..n,
+    each a root where kappa is exactly 0."""
+    return BlockOperator(p=sparse.csr_array(sparse.diags(np.arange(1.0, n + 1))),
+                         c=sparse.csr_array((1, n)), amm=np.array([[-1.0]]))
+
+
+@pytest.mark.parametrize("n", (64, 400))
+def test_a_banded_vector_at_kappa_zero_is_finite(n):
+    # at kappa = 0 a shift of a few ulps alone is subnormal, and the banded inverse
+    # iteration overflows; its floor relative to the band keeps every row the dense path's
+    op = _diagonal_op(n)
+    assert build_schur(op, 0.5).banded and not build_schur(_diagonal_op(16), 0.5).banded
+    rows = [(r.lambda_k, r.multiplicity, r.status) for r in gap_spectrum(op, 3)]
+    assert rows == [(r.lambda_k, r.multiplicity, r.status)
+                    for r in gap_spectrum(_diagonal_op(16), 3)]
+    assert rows == [(1.0, 1, "ok"), (2.0, 1, "ok"), (3.0, 1, "ok")]
 
 
 def test_banded_vectors_of_a_degenerate_pair_stay_in_its_eigenspace():
@@ -299,7 +331,7 @@ def test_solves_keep_no_lift_matrix(structured_op):
     s.values_in(-1.0, 1.0)
     s.lift(x)
     s.form(x)
-    assert s._l is None
+    assert "l_e" not in vars(s)
 
 
 def test_newton_candidate_is_the_rayleigh_quotient(structured_op):
@@ -325,6 +357,15 @@ def test_residual_matches_the_assembled_operator(structured_op):
             z = np.concatenate([x, s.lift(x)])
             ref = np.linalg.norm(full @ z - e * z) / np.linalg.norm(z)
             assert s.residual(x) == pytest.approx(ref, rel=1e-10)
+
+
+@pytest.mark.parametrize("name", ["banded-dirac-uniform-", "random-dense"])
+def test_the_residual_of_a_zero_vector_is_zero_vector(name):
+    op = STRUCTURES[name]()
+    s = build_schur(op, lambda0(op) + 0.7)
+    assert s.banded == (name in BANDED)
+    with pytest.raises(ZeroVector):
+        s.residual(np.zeros(op.n_plus))
 
 
 def test_the_residual_does_not_overflow_at_a_large_scale():

@@ -105,7 +105,7 @@ def test_extension_is_over_the_norm_of_a(monkeypatch, name, offset):
     e = lambda0(op) + offset
     exact = schur.SchurSystem.l_e
     monkeypatch.setattr(schur.SchurSystem, "l_e",
-                        property(lambda self: exact.fget(self) * (1.0 + 1e-8)))
+                        property(lambda self: exact.func(self) * (1.0 + 1e-8)))
     full = op.assembled()
     shifted = full - e * np.eye(op.dim)
     reference = np.linalg.norm(shifted - _dense_congruence(op, e))
@@ -173,7 +173,7 @@ def test_congruence_rows_see_a_perturbed_lift(monkeypatch, name, backend):
     assert getattr(build_schur(op, energies[0])._lower, backend) is not None
     exact = schur.SchurSystem.l_e
     monkeypatch.setattr(schur.SchurSystem, "l_e",
-                        property(lambda self: exact.fget(self) * (1.0 + 1e-8)))
+                        property(lambda self: exact.func(self) * (1.0 + 1e-8)))
     for e in energies:
         assert decomposition_residual(op, e) > 1e-9
         assert extension_consistency(op, e) > 1e-10
@@ -426,7 +426,7 @@ def test_inverse_formula_sees_a_perturbed_lift(monkeypatch, name, backend):
     assert getattr(build_schur(op, energies[0])._lower, backend) is not None
     exact = schur.SchurSystem.l_e
     monkeypatch.setattr(schur.SchurSystem, "l_e",
-                        property(lambda self: exact.fget(self) * (1.0 + 1e-6)))
+                        property(lambda self: exact.func(self) * (1.0 + 1e-6)))
     for e in energies:
         assert inverse_formula_check(op, e) > 1e-7
 
@@ -452,7 +452,7 @@ def test_sandwich_sees_a_lift_read_at_a_wrong_energy(monkeypatch, name):
     op = STRUCTURES[name]()
     energies, lam0 = e_samples(op, lambda1_certificate(op).lambda1), lambda0(op)
     exact = schur.SchurSystem.l_e
-    monkeypatch.setattr(schur.SchurSystem, "l_e", property(lambda self: exact.fget(
+    monkeypatch.setattr(schur.SchurSystem, "l_e", property(lambda self: exact.func(
         schur.SchurSystem(self.op, lam0 + 1.5 * (self.e - lam0)))))
     sandwich = sandwich_report(op, "m", energies)[0]
     assert not sandwich.passed and sandwich.value > 1e-6
