@@ -55,6 +55,7 @@ CLUSTER_RTOL = 1e-8
 # w = 2; at n_plus = 256..1024 it stays ahead up to w of about n_plus/8. 32 is safe at
 # every size and width measured.
 BAND_RATIO = 32
+COLUMN_BLOCK = 64  # columns (or rows) of a square matrix read at a time, bounding a temporary
 _KINDS = {True: (int, np.integer), False: (int, float, np.integer, np.floating)}  # check_number
 
 
@@ -127,7 +128,7 @@ def _check_symmetric(m, rtol: float, what: str):
     by a power of two to a largest entry in [0.5, 1), so neither overflows nor vanishes;
     their squares are summed by sum_squares.
     A sparse m is symmetrized as CSR and its norms are of its stored values, in O(nnz);
-    a dense m.T is read 64 rows at a time, so no second n x n array is made.
+    a dense m.T is read COLUMN_BLOCK rows at a time, so no second n x n array is made.
     """
     exp = math.frexp(_check_finite(m, what))[1]
     if sparse.issparse(m):
@@ -135,7 +136,7 @@ def _check_symmetric(m, rtol: float, what: str):
         defect = sum_squares(np.ldexp((m - sym).data, 1 - exp))
         scale = sum_squares(np.ldexp(m.data, -exp))
     else:
-        rows = [slice(j, j + 64) for j in range(0, len(m), 64)]
+        rows = [slice(j, j + COLUMN_BLOCK) for j in range(0, len(m), COLUMN_BLOCK)]
         sym = np.multiply(m, 0.5)
         for r in rows:
             sym[:, r] += 0.5 * m[r].T

@@ -16,8 +16,8 @@ SchurSystem is k_e at one energy and the only way the package evaluates
 anything there. Its constructor rejects a NaN or infinite e (NonFinite), then enforces
 the one edge rule e > gap_edge(lambda0) = lambda0 + GAP_EDGE_MARGIN*max(1, |lambda0|),
 the rule minmax brackets from too, and keeps the diagonal e - d of the lower solve.
-Its other per-energy state, l_e, k_e and the banded path's band, is three
-functools.cached_property attributes, each computed on first use and then kept.
+Its other per-energy state, l_e, k_e and k_e's band or LU, is functools.cached_property
+attributes, each computed on first use and then kept.
 The lower block enters only through its resolvent, so k_e is formed in
 amm's eigenbasis amm = Q diag(d) Q.T (blockop.lower_eigen; Q is None for a
 diagonal amm): there b + e*I is the diagonal e - d, the coupling is Q.T c,
@@ -50,7 +50,7 @@ one selection, _select.
   band's CSR matrix (blockop.band_matrix), solve_k an LU solve on the band itself.
 - Dense: k_e is a dense product and goes to a dense subset eigh. Every dense product
   runs on scipy's BLAS (blockop.mul), Q.T c and f included, and solve_k is LAPACK's
-  dgesv from scipy, so no call of this module wakes numpy's BLAS thread pool.
+  dgetrs on one dgetrf per energy, so no call of this module wakes numpy's BLAS pool.
 
 Solver failures surface as GapeigError subclasses, never as LinAlgError.
 A SchurSystem belongs to its caller.
@@ -192,25 +192,28 @@ class SchurSystem:
         k *= 0.5  # (k + k.T) / 2 to the bit, with no overflow past half of float range
         return k + k.T
 
+    @cached_property
+    def _lu(self) -> tuple[np.ndarray, np.ndarray]:
+        """The dense path's LU of k_e by dgetrf; an exactly zero pivot raises SingularSchur."""
+        lu, piv, info = sla.lapack.dgetrf(self.k_e)
+        if info > 0:
+            raise SingularSchur(f"k_e singular at e={self.e}: "
+                                f"pivot {info} of its LU is exactly zero")
+        return lu, piv
+
     def solve_k(self, rhs: np.ndarray) -> np.ndarray:
-        """k_e^{-1} rhs for dense (n_plus, m) columns rhs, by LU with partial pivoting.
-        Banded: on the band (dgbsv, dgtsv for w = 1); a column that is exactly zero has
-        the solution zero and is not solved. Dense: scipy's dgesv, without the condition
-        estimate (and its warning) of scipy.linalg.solve. A singular k_e raises
-        SingularSchur."""
+        """k_e^{-1} rhs for dense (n_plus, m) columns rhs, by LU with partial pivoting and no
+        condition estimate (whose warning scipy.linalg.solve gives). Dense: one dgetrs on _lu.
+        Banded: dgbsv (dgtsv for w = 1) on the band, factored at each call; an exactly zero
+        column is not solved, its solution is zero. A singular k_e raises SingularSchur."""
+        if not self.banded:
+            return sla.lapack.dgetrs(*self._lu, rhs)[0]
+        w, x, live = self._lower.w, np.zeros(rhs.shape), rhs.any(axis=0)
         try:
-            if not self.banded:
-                x, info = sla.lapack.dgesv(self.k_e, rhs)[2:]
-                if info > 0:
-                    raise SingularSchur(f"k_e singular at e={self.e}: "
-                                        f"pivot {info} of its LU is exactly zero")
-                return x
-            w, x, live = self._lower.w, np.zeros(rhs.shape), rhs.any(axis=0)
-            x[:, live] = sla.solve_banded((w, w), self._band, rhs[:, live],
-                                          check_finite=False)
-            return x
+            x[:, live] = sla.solve_banded((w, w), self._band, rhs[:, live], check_finite=False)
         except np.linalg.LinAlgError as exc:
             raise SingularSchur(f"k_e singular at e={self.e}: {exc}") from exc
+        return x
 
     def _select(self, select: str, lo: float, hi: float, vectors: bool = False, m=None):
         """Eigenvalues of k_e, or of the symmetric m given in k_e's storage, ascending: those

@@ -1,17 +1,16 @@
 """Machine checks of the structural identities behind the gap construction.
 
-Each check compares both sides of an identity and returns a relative residual
-(or a margin, for the gap bound); operator_reports lists one operator's rows with
-their pass bounds. The two congruence rows at an energy share one computation from
-the blocks of one Schur system, and nothing is kept. Every term is in the storage
-of the system's products, which _blocks alone chooses: CSR on the banded path, where
-the congruence costs O(nnz) and neither check holds a dim x dim matrix; dense on the
-dense path. The inverse formula has one loop for both: it stacks A - e*I from the
-blocks and reads it COLUMN_BLOCK columns at a time when banded, all dim columns in
-one block when dense. The gap bound reads the oracle's eigenvalues around the gap (a
-window solve for a banded operator), the sandwich and norm chain lowest eigenvalues; no
-check draws a random number. The identities hold algebraically, so residuals sit at
-roundoff; anything above the stated tolerances means a wiring bug.
+Each check compares both sides of an identity and returns a relative residual (or a
+margin, for the gap bound); operator_reports lists one operator's rows with their pass
+bounds. The two congruence rows at an energy share one computation from the blocks of
+one Schur system, and nothing is kept. Every term is in the storage of the system's
+products, which _blocks alone chooses: CSR on the banded path, where the congruence
+costs O(nnz), dense on the dense path. The inverse formula has one loop for both: it
+reads A - e*I COLUMN_BLOCK columns at a time from the blocks themselves, so it holds no
+dim x dim matrix on either path. The gap bound reads the oracle's eigenvalues around the
+gap (a window solve for a banded operator), the sandwich and norm chain lowest
+eigenvalues; no check draws a random number. The identities hold algebraically, so
+residuals sit at roundoff; anything above the stated tolerances means a wiring bug.
 """
 
 from __future__ import annotations
@@ -22,14 +21,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy import sparse
 
-from .blockop import BlockOperator, block_norm, dense, lambda0, mul, nonzeros, sum_squares
+from .blockop import (COLUMN_BLOCK, BlockOperator, block_norm, dense, lambda0, mul, nonzeros,
+                      sum_squares)
 from .errors import NoGap, SingularSchur
 from .minmax import lambda1_certificate
 from .oracle import dense_spectrum
 from .schur import SchurSystem, build_schur, gap_edge
 
 SINGULAR_RTOL = 1e-12
-COLUMN_BLOCK = 64  # columns of A - e*I per block of the banded inverse formula
 
 
 @dataclass(frozen=True)
@@ -48,18 +47,15 @@ def _relative(resid: float, scale: float) -> float:
 
 
 def _blocks(system: SchurSystem):
-    """The operator's p, c and amm, the identity's constructor, the stacking of a 2x2 block
-    list and the column width the inverse formula reads at a time, in the storage of the
-    system's products: CSR blocks stacked to CSC and COLUMN_BLOCK columns on the banded
-    path, so every term costs O(nnz); on the dense path the blocks as stored, np.eye, whose
-    mixed arithmetic gives dense results, np.block and all dim columns at once."""
+    """The operator's p, c and amm and the identity's constructor, in the storage of the
+    system's products: CSR blocks and sparse.eye_array on the banded path, so every term
+    costs O(nnz); on the dense path the blocks as stored and np.eye, whose mixed arithmetic
+    gives dense results."""
     op = system.op
     if system.banded:
         return (*(nonzeros(m) for m in (op.p, op.c, op.amm)),
-                lambda n: sparse.eye_array(n, format="csr"),
-                lambda rows: sparse.block_array(rows, format="csc"), COLUMN_BLOCK)
-    return (op.p, op.c, op.amm, np.eye,
-            lambda rows: np.block([[dense(m) for m in row] for row in rows]), op.dim)
+                lambda n: sparse.eye_array(n, format="csr"))
+    return op.p, op.c, op.amm, np.eye
 
 
 def _congruence(op: BlockOperator, e: float) -> tuple[float, float]:
@@ -75,7 +71,7 @@ def _congruence(op: BlockOperator, e: float) -> tuple[float, float]:
     blockop.block_norm's, of the stored entries.
     """
     system, root2 = build_schur(op, e), math.sqrt(2.0)
-    p, c, amm, eye, *_ = _blocks(system)
+    p, c, amm, eye = _blocks(system)
     l_e, k_e = system.l_e, system.k_e
     # the shift first: e*l_e - amm@l_e cancels near lambda0
     bpe_le = mul(e * eye(op.n_minus) - amm, l_e)
@@ -140,14 +136,12 @@ def extension_consistency(op: BlockOperator, e: float) -> float:
     return _congruence(op, e)[1]
 
 
-def _apply_inverse(system: SchurSystem, upper: np.ndarray, lower: np.ndarray) -> None:
-    """R_e^{-1} = U^{-1} diag(k_e^{-1}, -(b+e)^{-1}) U^{-T}, applied in place to the upper
-    and lower block rows of some columns, one factor at a time by solves; no inverse
-    is formed."""
+def _apply_inverse(system: SchurSystem, upper: np.ndarray, lower: np.ndarray):
+    """R_e^{-1} = U^{-1} diag(k_e^{-1}, -(b+e)^{-1}) U^{-T} applied to some columns' block
+    rows upper and lower, one factor at a time by solves: two new block rows, no inverse."""
     l_e = system.l_e
-    upper += mul(l_e.T, lower)  # U^{-T}
-    upper[:] = system.solve_k(upper)
-    lower[:] = mul(l_e, upper) - system.solve_lower(lower)  # -(b+e)^{-1}, then U^{-1}
+    upper = system.solve_k(upper + mul(l_e.T, lower))  # U^{-T}, then k_e^{-1}
+    return upper, mul(l_e, upper) - system.solve_lower(lower)  # -(b+e)^{-1}, then U^{-1}
 
 
 def inverse_formula_check(op: BlockOperator, e: float) -> float:
@@ -155,10 +149,11 @@ def inverse_formula_check(op: BlockOperator, e: float) -> float:
 
     Valid only strictly inside the gap, where k_e is invertible; at or
     beyond lambda1 the Schur matrix is singular and SingularSchur is raised.
-    A - e*I is stacked from _blocks in the system's storage and read width columns
-    at a time: COLUMN_BLOCK columns of CSC on the banded path, in O(dim * COLUMN_BLOCK)
-    memory, and all of them in one dense block otherwise, so k_e is solved once. The
-    squares of each block are summed by blockop.sum_squares, which calls no BLAS.
+    One loop for both storages reads the upper columns [p; c] of A - e*I, then the lower
+    [c.T; amm], COLUMN_BLOCK at a time from _blocks' blocks, densified into one block that
+    the result overwrites; e and then the identity are subtracted on the diagonal alone,
+    so beside k_e, its LU and l_e it holds O(dim * COLUMN_BLOCK) floats. Each block's
+    squares are summed by blockop.sum_squares, which calls no BLAS.
     """
     system = build_schur(op, e)
     kappa1 = system.value(1)
@@ -167,16 +162,16 @@ def inverse_formula_check(op: BlockOperator, e: float) -> float:
             f"k_e singular or indefinite at e={e}: smallest eigenvalue {kappa1:.3e}"
         )
     # the guard gives k_e >= kappa1 * I > 0, so solve_k meets an invertible k_e
-    n = op.n_plus
-    p, c, amm, eye, stack, width = _blocks(system)
-    shifted = stack([[p - e * eye(n), c.T], [c, amm - e * eye(op.n_minus)]])
-    total = 0.0
-    for first in range(0, op.dim, width):
-        cols = dense(shifted[:, first:first + width])
-        _apply_inverse(system, cols[:n], cols[n:])
-        diag = np.arange(cols.shape[1])
-        cols[first + diag, diag] -= 1.0
-        total += sum_squares(cols)
+    n, total = op.n_plus, 0.0
+    p, c, amm, _ = _blocks(system)
+    for at, top, bottom in ((0, p, c), (n, c.T, amm)):
+        for first in range(0, top.shape[1], COLUMN_BLOCK):
+            block = np.vstack([dense(m[:, first:first + COLUMN_BLOCK]) for m in (top, bottom)])
+            diag = np.arange(block.shape[1])
+            block[at + first + diag, diag] -= e
+            block[:n], block[n:] = _apply_inverse(system, block[:n], block[n:])
+            block[at + first + diag, diag] -= 1.0
+            total += sum_squares(block)
     return math.sqrt(total)
 
 

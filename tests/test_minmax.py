@@ -577,3 +577,32 @@ def test_non_finite_tol_is_rejected(tol, message):
         lambda_k(op, 1, tol=tol)
     with pytest.raises(ValueError, match=message):
         gap_spectrum(op, 3, tol=tol)
+
+
+def _item_13(what: str):
+    return pytest.mark.xfail(strict=True, raises=AssertionError,
+                             reason=f"ROADMAP item 13, an absolute floor in a solver rule: {what}")
+
+
+@pytest.mark.parametrize("j", [
+    -17, -8, 0,
+    pytest.param(-18, marks=_item_13("the absolute stop |kappa| <= tol ends a small "
+                                     "operator's root early, a relative error of 1.7e-12")),
+    pytest.param(-23, marks=_item_13("the cluster band's max(1, |lambda|) counts the "
+                                     "multiplicities 2, 2, 1")),
+    pytest.param(-40, marks=_item_13("the edge's max(1, |lambda0|) floor sits above "
+                                     "lambda1, a left-edge bracket_failure")),
+    pytest.param(20, marks=_item_13("the ladder starts at width 1, so a large operator "
+                                    "pays a probe per doubling: 26, 55 and 25 evaluations")),
+])
+def test_scaling_by_a_power_of_two_scales_the_levels(j):
+    # scaling by s = 2**j is exact, so lambda_k(sA) = s lambda_k(A) to rounding, with the
+    # same statuses and multiplicities; a scale-free ladder and stop rule also keep the
+    # evaluations per level within twice the unscaled 5
+    op = random_gapped(RandomSpec(8, 8, seed=3))
+    s = 2.0 ** j
+    rows = gap_spectrum(BlockOperator(p=s * op.p, c=s * op.c, amm=s * op.amm), 3)
+    for row, ref in zip(rows, gap_spectrum(op, 3), strict=True):
+        assert (row.status, row.multiplicity) == (ref.status, ref.multiplicity)
+        assert abs(row.lambda_k / s - ref.lambda_k) <= 4 * np.finfo(float).eps * abs(ref.lambda_k)
+        assert row.iterations <= 2 * ref.iterations

@@ -310,11 +310,11 @@ def test_inverse_singular_at_eigenvalue(canonical):
 
 
 def test_a_failed_schur_solve_is_singular_schur(canonical, monkeypatch):
-    # dgesv reports a zero pivot by its info, not by an exception
-    def fail(a, b, *args, **kwargs):
-        return a, np.arange(1, len(a) + 1), b, 2
+    # dgetrf reports a zero pivot by its info, not by an exception
+    def fail(a, *args, **kwargs):
+        return a, np.arange(1, len(a) + 1), 2
 
-    monkeypatch.setattr(schur.sla.lapack, "dgesv", fail)
+    monkeypatch.setattr(schur.sla.lapack, "dgetrf", fail)
     with pytest.raises(SingularSchur, match="pivot 2 of its LU is exactly zero"):
         inverse_formula_check(canonical, 0.0)
 
@@ -340,6 +340,29 @@ def test_a_failed_banded_schur_solve_is_singular_schur(monkeypatch):
         inverse_formula_check(op, e)
 
 
+@pytest.mark.parametrize("n_plus,n_minus", ((100, 900), (300, 300)))
+def test_dense_inverse_formula_holds_column_blocks_not_a_matrix(n_plus, n_minus):
+    # the bound counts the floats each phase holds at once, B = COLUMN_BLOCK:
+    # - forming k_e: three n_plus^2 (p - e, c.T l_e and their sum), or two beside the
+    #   lower solve's two n_plus x n_minus: under 3 n_plus^2 + 2 n_plus n_minus;
+    # - forming l_e, then the LU: k_e with l_e's two solves, then k_e, l_e and the LU,
+    #   beside one column block: under the same plus dim B;
+    # - the loop: k_e, its LU and l_e (2 n_plus^2 + n_plus n_minus), the dim x B column
+    #   block and the solves' block rows, one upper and four lower: under 5 dim B more
+    op = random_gapped(RandomSpec(n_plus=n_plus, n_minus=n_minus, gap_target=1.0, seed=0))
+    cert = lambda1_certificate(op)
+    e = 0.5 * (cert.lambda0 + cert.lambda1)
+    inverse_formula_check(op, e)  # fills the operator's memo: Q, f and Q.T c
+    tracemalloc.start()
+    try:
+        inverse_formula_check(op, e)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    floats = 3 * n_plus**2 + 2 * n_plus * n_minus + 5 * op.dim * verify.COLUMN_BLOCK
+    assert peak < 8 * floats
+
+
 def test_banded_reports_hold_less_than_one_assembled_matrix():
     # the inverse formula reads A - e*I from CSR a block of columns at a time and the
     # congruence rows multiply CSR blocks, so no dim x dim matrix is ever held
@@ -363,7 +386,8 @@ def test_banded_reports_assemble_nothing_and_solve_nothing_dense(monkeypatch, bu
 
     op = build()
     monkeypatch.setattr(BlockOperator, "assembled", refuse)
-    monkeypatch.setattr(schur.sla.lapack, "dgesv", refuse)
+    monkeypatch.setattr(schur.sla.lapack, "dgetrf", refuse)
+    monkeypatch.setattr(schur.sla.lapack, "dgetrs", refuse)
     monkeypatch.setattr(schur.sla, "eigh", refuse)  # the sandwich sides stay banded too
     reports = verify.operator_reports(op, "m")
     assert [r.check for r in reports].count("inverse_formula") == 5
@@ -371,23 +395,36 @@ def test_banded_reports_assemble_nothing_and_solve_nothing_dense(monkeypatch, bu
 
 
 def test_inverse_formula_reads_column_blocks_and_assembles_nothing(monkeypatch):
-    # one loop for both storages: a dense A - e*I is read as one block of dim columns,
-    # so k_e is solved once; a banded one COLUMN_BLOCK columns of CSC at a time
+    # one loop and one width for both storages: the upper columns of A - e*I and then the
+    # lower ones, COLUMN_BLOCK at a time; a dense k_e is factored once (one dgetrf) and
+    # each block is one dgetrs on that LU
     def refuse(self):
         raise AssertionError("the inverse formula assembled A")
 
-    widths, solve_k = [], schur.SchurSystem.solve_k
+    def counted(name):
+        call = getattr(sla.lapack, name)
+        return lambda *args, **kwargs: calls.append(name) or call(*args, **kwargs)
+
+    widths, calls, solve_k = [], [], schur.SchurSystem.solve_k
     monkeypatch.setattr(BlockOperator, "assembled", refuse)
     monkeypatch.setattr(schur.SchurSystem, "solve_k",
                         lambda self, rhs: widths.append(rhs.shape[1]) or solve_k(self, rhs))
-    for op, expected in (
-            (random_gapped(RandomSpec(n_plus=70, n_minus=60, gap_target=1.0, seed=2)), [130]),
+    for name in ("dgetrf", "dgetrs"):
+        monkeypatch.setattr(schur.sla.lapack, name, counted(name))
+    assert verify.COLUMN_BLOCK == blockop.COLUMN_BLOCK == 64
+    for op, expected, lapack in (
+            (random_gapped(RandomSpec(n_plus=70, n_minus=60, gap_target=1.0, seed=2)),
+             [64, 6, 60], ["dgetrf"] + ["dgetrs"] * 3),  # ceil(70/64) + ceil(60/64) blocks
             (build_dirac_coulomb(DiracSpec(nu=0.5, kappa=-1, r_max=30.0, n=100)),
-             [verify.COLUMN_BLOCK] * 3 + [200 - 3 * verify.COLUMN_BLOCK])):
+             [64, 36, 64, 36], [])):  # banded: solves on the band, no dense LU
         cert = lambda1_certificate(op)
+        e = gap_fractions(cert.lambda0, cert.lambda1)[3]
+        assert build_schur(op, e).banded == (not lapack)
         widths.clear()
-        assert inverse_formula_check(op, gap_fractions(cert.lambda0, cert.lambda1)[3]) <= 1e-10
+        calls.clear()
+        assert inverse_formula_check(op, e) <= 1e-10
         assert widths == expected
+        assert calls == lapack
 
 
 @pytest.mark.xfail(strict=True, reason=(
