@@ -21,7 +21,8 @@ matrix through BlockOperator.assembled(). Arithmetic with a dense array
 
 A band matrix has one layout, LAPACK's general band, written by band() and read
 back to sparse by band_matrix() alone: schur keeps k_e in it, the oracle A, and both
-go banded by one BAND_RATIO. cluster_band() is the one rule for equal eigenvalues.
+go banded by one BAND_RATIO. inertia() is the one count of a band's eigenvalues below
+a shift, for both. cluster_band() is the one rule for equal eigenvalues.
 
 Every BLAS and LAPACK call of the package runs on scipy's OpenBLAS: dense
 products go through mul(), sums of squares through sum_squares(), which
@@ -314,6 +315,28 @@ def band_matrix(band: np.ndarray, fmt: str) -> sparse.csr_array | sparse.csc_arr
     (fmt "csr" or "csc"), by one conversion from dia storage, which drops explicit zeros."""
     w, n = band.shape[0] // 2, band.shape[1]
     return sparse.dia_array((band, np.arange(w, -w - 1, -1)), shape=(n, n)).asformat(fmt)
+
+
+def inertia(band: np.ndarray, sigma: float) -> tuple[int, object] | None:
+    """(#{eig < sigma}, factor) for the symmetric matrix m whose general band is band: the
+    negative pivots of an unpivoted LDL^T of m - sigma*I, by Sylvester's law of inertia, and
+    that SuperLU factor, whose solve applies (m - sigma*I)^{-1}. SuperLU factors it with the
+    natural order and diagonal pivots; None when it pivoted off the diagonal or met an
+    exactly zero pivot, so the count is unknown."""
+    from scipy.sparse.linalg import splu  # only a count loads SuperLU
+
+    w, n = band.shape[0] // 2, band.shape[1]
+    shifted = band.copy()
+    shifted[w] -= sigma  # row w is the diagonal
+    try:
+        lu = splu(band_matrix(shifted, "csc"), permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
+    except RuntimeError:  # an exactly singular factor
+        return None
+    order = np.arange(n)
+    if not (np.array_equal(lu.perm_r, order) and np.array_equal(lu.perm_c, order)):
+        return None
+    return int(np.count_nonzero(lu.U.diagonal() < 0)), lu
 
 
 def cluster_band(value: float) -> float:

@@ -9,7 +9,8 @@ lower rows are interleaved with the upper columns is solved on its band, which
 blockop.band writes in k_e's layout from the blocks' nonzeros; every other operator
 goes to dsyevd in the assembled matrix's own memory, one dim x dim matrix. On the
 band, dsbevx solves a finite window that holds few eigenvalues, counted by
-Sylvester's law of inertia on an LDL^T of A - sigma*I read from the band, and
+Sylvester's law of inertia on an LDL^T of A - sigma*I read from the band
+(blockop.inertia, the count the banded solver reads k_e's levels by too), and
 dsbevd every other window. Only blockop and errors are imported: no solver code.
 """
 
@@ -21,7 +22,7 @@ import numpy as np
 import scipy.linalg
 from scipy import sparse
 
-from .blockop import BAND_RATIO, BlockOperator, band, band_matrix, cluster_band, nonzeros
+from .blockop import BAND_RATIO, BlockOperator, band, cluster_band, inertia, nonzeros
 from .errors import EigFailure
 
 # dsbevx solves a window holding at most dim // WINDOW_RATIO eigenvalues. It costs the
@@ -67,37 +68,16 @@ def _band(op: BlockOperator) -> np.ndarray | None:
     return band(sparse.csr_array((values, (i, j)), shape=(dim, dim)), w)
 
 
-def _count_below(band: np.ndarray, sigma: float) -> int | None:
-    """#{eig(A) < sigma} for A's general band: the negative pivots of an unpivoted LDL^T
-    of A - sigma*I, by Sylvester's law of inertia. SuperLU factors it with the natural
-    order and diagonal pivots; None when it pivoted off the diagonal or met a zero
-    pivot, so the count is unknown."""
-    from scipy.sparse.linalg import splu  # only a window count loads SuperLU
-
-    w, dim = band.shape[0] // 2, band.shape[1]
-    shifted = band.copy()
-    shifted[w] -= sigma  # row w is the diagonal
-    try:
-        lu = splu(band_matrix(shifted, "csc"), permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                  options={"SymmetricMode": True})
-    except RuntimeError:  # an exactly singular factor
-        return None
-    order = np.arange(dim)
-    if not (np.array_equal(lu.perm_r, order) and np.array_equal(lu.perm_c, order)):
-        return None
-    return int(np.count_nonzero(lu.U.diagonal() < 0))
-
-
 def _few_inside(band: np.ndarray, lo: float, hi: float) -> bool:
     """Whether the finite window [lo, hi) holds at most dim // WINDOW_RATIO eigenvalues
-    of A by _count_below; False when either count is unknown. The answer only picks
+    of A by blockop.inertia; False when either count is unknown. The answer only picks
     the band driver, so a wrong one costs time, never a value."""
     if not -math.inf < lo < hi < math.inf:
         return False
-    below_lo, below_hi = _count_below(band, lo), _count_below(band, hi)
+    below_lo, below_hi = inertia(band, lo), inertia(band, hi)
     if below_lo is None or below_hi is None:
         return False
-    return below_hi - below_lo <= band.shape[1] // WINDOW_RATIO
+    return below_hi[0] - below_lo[0] <= band.shape[1] // WINDOW_RATIO
 
 
 def dense_spectrum(op: BlockOperator, lo: float = -math.inf,

@@ -16,8 +16,8 @@ SchurSystem is k_e at one energy and the only way the package evaluates
 anything there. Its constructor rejects a NaN or infinite e (NonFinite), then enforces
 the one edge rule e > gap_edge(lambda0) = lambda0 + GAP_EDGE_MARGIN*max(1, |lambda0|),
 the rule minmax brackets from too, and keeps the diagonal e - d of the lower solve.
-Its other per-energy state, l_e, k_e and k_e's band or LU, is functools.cached_property
-attributes, each computed on first use and then kept.
+Its other per-energy state, l_e, k_e and k_e's band, LDL^T or LU, is
+functools.cached_property attributes, each computed on first use and then kept.
 The lower block enters only through its resolvent, so k_e is formed in
 amm's eigenbasis amm = Q diag(d) Q.T (blockop.lower_eigen; Q is None for a
 diagonal amm): there b + e*I is the diagonal e - d, the coupling is Q.T c,
@@ -36,18 +36,26 @@ and residual alike: CSR from blockop.nonzeros on the banded path (a model
 operator's own stored p and c, no copy), blockop.dense arrays on the dense
 one. value(k) is one level; levels(m) is the m lowest from one eigensolve,
 the row gap_spectrum's bracketing ladder keeps per probe energy;
-values_in(lo, hi) is every level in (lo, hi], the count minmax takes
-multiplicities from; lowest(m) is the lowest eigenvalue of another symmetric
-matrix in k_e's storage and band, verify's sandwich sides. All four go through
-one selection, _select.
+values_in(lo, hi) is every level in (lo, hi]; lowest(m) is the lowest eigenvalue of
+another symmetric matrix in k_e's storage and band, verify's sandwich sides. All four
+go through one selection, _select. count() is #{kappa <= 0}, the count minmax takes
+multiplicities from, and vector(k) a level with its eigenvector, the Newton step's.
 
 - Banded: k_e is a sparse product with the diagonal (b + e)^{-1}, formed once
-  as a general band (blockop.band). Its eigenvalues come from LAPACK's dsbevx
-  (scipy.linalg.eig_banded) on the band's upper rows, a level's vector from banded
-  inverse iteration on a copy shifted to k_e - sigma*I, sigma a few ulps off it and
-  at least eps**2 * max|band| off it, so a kappa of exactly 0 keeps a normal shift.
-  Nothing dense is built: l_e is the CSR lift the band is formed from, k_e the
-  band's CSR matrix (blockop.band_matrix), solve_k an LU solve on the band itself.
+  as a general band (blockop.band). _select is LAPACK's dsbevx
+  (scipy.linalg.eig_banded) on the band's upper rows. For w >= 2, count and vector
+  read one unpivoted LDL^T of k_e per energy (blockop.inertia at 0, _ldl): the count
+  is its negative pivots, and the vector comes from inverse iteration at 0 on it,
+  certified by counts (_certified_vector). dsbevx reduces a band of w >= 2 to
+  tridiagonal form at each call, O(n^2 w), where the factor costs O(n w^2). A
+  tridiagonal k_e (w <= 1) has nothing to reduce, so it stays on dsbevx, as does a
+  level the factor cannot give: no factor (a zero or off-diagonal pivot) or no
+  certificate, a fallback (values_in for a count, _shifted_vector for a vector).
+  _shifted_vector is banded inverse iteration on a copy shifted to k_e - sigma*I,
+  sigma a few ulps off value(k) and at least eps**2 * max|band| off it, so a kappa
+  of exactly 0 keeps a normal shift. Nothing dense is built: l_e is the CSR lift the band is formed from,
+  k_e the band's CSR matrix (blockop.band_matrix), solve_k an LU solve (dgbsv) on
+  the band itself, as an unpivoted LDL^T of an indefinite k_e is not backward stable.
 - Dense: k_e is a dense product and goes to a dense subset eigh. Every dense product
   runs on scipy's BLAS (blockop.mul), Q.T c and f included, and solve_k is LAPACK's
   dgetrs on one dgetrf per energy, so no call of this module wakes numpy's BLAS pool.
@@ -66,7 +74,7 @@ import scipy.linalg as sla
 from scipy import sparse
 
 from .blockop import (BAND_RATIO, BlockOperator, as_real, band, band_matrix, check_number, dense,
-                      lambda0, lower_eigen, mul, nonzeros)
+                      inertia, lambda0, lower_eigen, mul, nonzeros)
 from .errors import (BadSplit, EigFailure, KOutOfRange, NonFinite, NotPositiveDefinite,
                      SingularSchur, ZeroVector)
 
@@ -193,6 +201,13 @@ class SchurSystem:
         return k + k.T
 
     @cached_property
+    def _ldl(self) -> tuple[int, object] | None:
+        """k_e's (negative pivots, unpivoted LDL^T factor) by blockop.inertia at 0, once per
+        energy, on the banded path with w >= 2; None elsewhere, or when the factor pivoted
+        off the diagonal or met a zero pivot."""
+        return inertia(self._band, 0.0) if self.banded and self._lower.w >= 2 else None
+
+    @cached_property
     def _lu(self) -> tuple[np.ndarray, np.ndarray]:
         """The dense path's LU of k_e by dgetrf; an exactly zero pivot raises SingularSchur."""
         lu, piv, info = sla.lapack.dgetrf(self.k_e)
@@ -209,8 +224,9 @@ class SchurSystem:
         if not self.banded:
             return sla.lapack.dgetrs(*self._lu, rhs)[0]
         w, x, live = self._lower.w, np.zeros(rhs.shape), rhs.any(axis=0)
-        try:
-            x[:, live] = sla.solve_banded((w, w), self._band, rhs[:, live], check_finite=False)
+        try:  # the live columns as one Fortran-ordered copy, which LAPACK overwrites
+            x[:, live] = sla.solve_banded((w, w), self._band, rhs.T[live].T, overwrite_b=True,
+                                          check_finite=False)
         except np.linalg.LinAlgError as exc:
             raise SingularSchur(f"k_e singular at e={self.e}: {exc}") from exc
         return x
@@ -251,12 +267,26 @@ class SchurSystem:
         is no wider than k_e's or dense, by value(1)'s eigensolve."""
         return float(self._select("i", 0, 0, m=m)[0])
 
+    def count(self) -> int:
+        """#{kappa <= 0}, by Sylvester's law the eigenvalues of A in (lambda0, e] once k_e > 0
+        next to lambda0: _ldl's negative pivots where it exists (a nonsingular factor leaves
+        no zero kappa, so #{kappa < 0} = #{kappa <= 0}), else values_in's eigensolve."""
+        ldl = self._ldl
+        return len(self.values_in(-math.inf, 0.0)) if ldl is None else ldl[0]
+
     def vector(self, k: int) -> tuple[float, np.ndarray]:
-        """kappa_k(e) together with its unit eigenvector of k_e."""
+        """kappa_k(e) together with its unit eigenvector of k_e: dense, from the subset eigh;
+        banded, from _certified_vector on _ldl where that certifies level k, else from
+        _shifted_vector (for w >= 2 a fallback)."""
         check_number(k, "k", KOutOfRange, 1, self.op.n_plus, integer=True)
         if not self.banded:
             vals, vecs = self._select("i", k - 1, k - 1, vectors=True)
             return float(vals[0]), vecs[:, 0]
+        found = self._ldl and self._certified_vector(k, *self._ldl)
+        return found or self._shifted_vector(k)
+
+    def _shifted_vector(self, k: int) -> tuple[float, np.ndarray]:
+        """kappa_k(e) by value(k) and its vector by banded inverse iteration next to it."""
         kappa = self.value(k)
         # a shift a few ulps off kappa, and no less than eps**2 * max|band| (at kappa = 0 the
         # ulps are subnormal), keeps the LU clear of a zero pivot; the fixed start keeps the
@@ -272,6 +302,45 @@ class SchurSystem:
                 raise EigFailure(f"inverse iteration at e={self.e} failed: {exc}") from exc
             x /= math.sqrt(x @ x)
         return kappa, x
+
+    def _certified_vector(self, k: int, negatives: int, factor) -> tuple[float, np.ndarray] | None:
+        """kappa_k(e) and its unit vector by inverse iteration at sigma = 0 on _ldl's factor,
+        or None when level k is not certified. The iterate x has Rayleigh quotient rho and
+        residual r = ||k_e x - rho x||. The iteration goes on while each step at least halves
+        r, so it stops once r is at the rounding of k_e x or converges too slowly to get
+        there, after at most log2 of r's range; it is certified only at the rounding floor
+        of k_e x, r <= floor = (2w + 1)**2 * eps * max|band| (each entry of k_e x sums
+        2w + 1 terms, each at most max|band| |x_j|). Weinstein's interval [rho - r, rho + r]
+        holds an eigenvalue; widened by the floor, it holds level k when the count at 0 and
+        one count at an end say so, and the value is rho with the sign of kappa_k that the
+        count at 0 gives, within r + floor of kappa_k."""
+        w, k_e = self._lower.w, self.k_e
+        x, r = np.random.default_rng(0).standard_normal(self.op.n_plus), math.inf
+        while True:
+            x = factor.solve(x)
+            x /= math.sqrt(x @ x)
+            kx = k_e @ x
+            rho = float(x @ kx)
+            kx -= rho * x
+            last, r = r, math.sqrt(kx @ kx)
+            if not r < 0.5 * last:
+                break
+        floor = (2 * w + 1) ** 2 * np.finfo(float).eps * np.abs(self._band).max()
+        if not r <= floor:
+            return None  # also a NaN r, from a solve that overflowed
+        # kappa_k is in [lo, hi] when at most k - 1 levels lie below lo and at least k below
+        # hi. The count at 0 settles the end on kappa_k's side of 0; the other end takes a
+        # count, and where that count is exact, Weinstein's eigenvalue settles the first.
+        # Widened by the floor, no count is taken within rounding of that eigenvalue
+        lo, hi = rho - r - floor, rho + r + floor
+        if negatives < k:
+            sigma, holds = (lo, lambda n: n == k - 1) if lo > 0 else (hi, lambda n: n >= k)
+        else:
+            sigma, holds = (hi, lambda n: n == k) if hi < 0 else (lo, lambda n: n <= k - 1)
+        counted = inertia(self._band, sigma)
+        if counted is None or not holds(counted[0]):
+            return None
+        return (abs(rho) if negatives < k else -abs(rho)), x
 
     def _vector(self, x) -> np.ndarray:
         """x as a finite float vector of the upper block, checked the same on both paths."""

@@ -13,7 +13,7 @@ from gapeig import (
     assemble_block,
     lambda0,
 )
-from gapeig import blockop, oracle
+from gapeig import blockop
 from gapeig.blockop import lower_eigen, nonzeros
 from gapeig.models import DiracSpec, build_dirac_coulomb
 
@@ -402,7 +402,9 @@ def test_band_is_the_lapack_general_band_layout(w):
     # shifts below, between and above the eigenvalues, none of them an eigenvalue
     for sigma in np.concatenate([[values[0] - 1.0], 0.5 * (values[:-1] + values[1:]),
                                  [values[-1] + 1.0]]):
-        assert oracle._count_below(band, sigma) == np.count_nonzero(values < sigma)
+        negatives, factor = blockop.inertia(band, sigma)
+        assert negatives == np.count_nonzero(values < sigma)
+        assert np.allclose(factor.solve(rhs), np.linalg.solve(full - sigma * np.eye(n), rhs))
 
 
 def test_spectrum_bound_holds_every_eigenvalue(campaign_ops):

@@ -1,5 +1,9 @@
+import contextlib
+import io
 import math
 import tracemalloc
+from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gapeig.schur as schur
-from gapeig import blockop
+from gapeig import blockop, cli
 from conftest import dense
 from gapeig import (
     ApsSpec,
@@ -201,13 +205,45 @@ def test_banded_pencil_matches_dense_eigh(name, offset):
     assert np.abs(got - want).max() <= scale
 
 
+@pytest.mark.parametrize("name", sorted(n for n in BANDED if n != "banded-aps"))
+def test_a_vector_next_to_a_root_comes_from_the_factor(monkeypatch, name):
+    # 1e-6 from each of the first three roots the inverse iteration at 0 certifies the level
+    # k that crosses 0 there with no fallback: the residual is at the rounding floor, and
+    # the value within it (and eigh's own rounding) of eigh's, with the same sign. The
+    # sparse-coupling fixture's p reaches below lambda0, so there k is one past the root's
+    # index, and asking it for the root's index must fall back
+    op = BANDED[name]()
+    fallbacks = _counted_fallbacks(monkeypatch)
+    lam0 = lambda0(op)
+    roots = [value for value, _ in gap_eigs_bruteforce(op, lam0 + 1e-8, math.inf)][:3]
+    for j, root in enumerate(roots, start=1):
+        k = build_schur(op, root - 1e-6).count() + 1
+        assert k == j + (name == "banded-sparse-coupling")
+        for e in (root - 1e-6, root + 1e-6):
+            s = build_schur(op, e)
+            k_e = blockop.dense(s.k_e)
+            want = np.linalg.eigvalsh(k_e)[k - 1]
+            kappa, x = s.vector(k)
+            r = np.linalg.norm(k_e @ x - kappa * x)
+            floor = 25 * np.finfo(float).eps * np.abs(s._band).max()
+            assert r <= floor
+            assert abs(kappa - want) <= r + floor and np.sign(kappa) == np.sign(want)
+            assert np.linalg.norm(x) == pytest.approx(1.0, rel=1e-15)
+    assert +fallbacks == Counter()
+    if name == "banded-sparse-coupling":
+        s = build_schur(op, roots[2] + 1e-6)
+        assert s.vector(3)[0] == s.value(3) and fallbacks["vector"] == 1
+
+
 @pytest.mark.parametrize("name, w", [("banded-dirac-uniform-", 2), ("banded-aps", 1),
                                      *((name, None) for name in sorted(DENSE))])
 def test_the_band_is_formed_once_per_energy(monkeypatch, name, w):
     # every read of k_e takes the one k_e as it stands. Banded: one band and no lower
     # solve of c; solve_k and vector leave the band unchanged, and k_e is its CSR matrix
-    # by one conversion. Dense: one lower solve of c and no band
-    bands, lifts = [], []
+    # by one conversion; with w >= 2 the band is factored once at 0, for counts and
+    # vectors alike, and a vector's certificate adds at most one factor of k_e - sigma*I.
+    # Dense: one lower solve of c, no band and no factor
+    bands, lifts, shifts = [], [], []
 
     def counted_band(m, width, _original=schur.band):
         bands.append(width)
@@ -217,28 +253,142 @@ def test_the_band_is_formed_once_per_energy(monkeypatch, name, w):
         lifts.append(rhs is self._lower.c)
         return _original(self, rhs)
 
+    def counted_inertia(band, sigma, _original=schur.inertia):
+        shifts.append(sigma)
+        return _original(band, sigma)
+
     monkeypatch.setattr(schur, "band", counted_band)
     monkeypatch.setattr(SchurSystem, "_solve", counted_solve)
+    monkeypatch.setattr(schur, "inertia", counted_inertia)
     op = STRUCTURES[name]()
     system = build_schur(op, lambda0(op) + 0.7)
     system.value(1)
     formed = system._band.copy() if system.banded else None
     system.levels(3)
     system.values_in(-1.0, 1.0)
+    assert system.count() == system.count() == len(system.values_in(-math.inf, 0.0))
     system.vector(2)
+    system.vector(1)
     system.solve_k(np.eye(op.n_plus)[:, :4])
     k_e = system.k_e
     assert system.banded == (w is not None)
     if w is None:
-        assert bands == [] and lifts == [True]
+        assert bands == [] and lifts == [True] and shifts == []
         assert np.array_equal(k_e, k_e.T)
         return
     assert bands == [w] and True not in lifts
+    assert shifts.count(0.0) == (w >= 2) and len(shifts) <= (w >= 2) * 3
     assert np.array_equal(system._band, formed)
     expected = blockop.band_matrix(system._band, "csr")
     for part in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(k_e, part), getattr(expected, part))
     assert np.array_equal(k_e.toarray(), k_e.toarray().T)
+
+
+def _counted_fallbacks(patch) -> Counter:
+    """From here on, the evaluations of a banded k_e of w >= 2 that leave its factor for
+    dsbevx, by kind: a count by values_in, a vector by _shifted_vector."""
+    fallbacks = Counter()
+    for name, kind in (("values_in", "count"), ("_shifted_vector", "vector")):
+        def counted(self, *args, _original=getattr(SchurSystem, name), _kind=kind):
+            fallbacks[_kind] += self.banded and self._lower.w >= 2
+            return _original(self, *args)
+
+        patch.setattr(SchurSystem, name, counted)
+    return fallbacks
+
+
+# ROADMAP item 23's operators, whose k_e has half-bandwidth 2
+SLICED = {
+    "nu0.5-uniform-1200": DiracSpec(nu=0.5, kappa=-1, n=1200, r_max=30.0),
+    "nu0.9-quadratic-1200": DiracSpec(nu=0.9, kappa=-1, n=1200, r_max=30.0,
+                                      grading="quadratic"),
+    "nu0.99-uniform-2000": DiracSpec(nu=0.99, kappa=-1, n=2000, r_max=30.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SLICED))
+def test_the_ldl_count_is_the_dsbevx_count(name):
+    # 60 energies across the gap below 1 and 1e-9 on either side of each of the first 5
+    # roots: the negative pivots of k_e's LDL^T are dsbevx's count of kappa <= 0
+    op = build_dirac_coulomb(SLICED[name])
+    lam0 = lambda0(op)
+    roots = [value for value, _ in gap_eigs_bruteforce(op, lam0 + 1e-8, 1.0)][:5]
+    assert len(roots) == 5
+    for e in [*np.linspace(lam0, 1.0, 62)[1:-1], *(r + d for r in roots for d in (-1e-9, 1e-9))]:
+        system = build_schur(op, e)
+        assert system._lower.w == 2
+        negatives, _ = blockop.inertia(system._band, 0.0)
+        assert negatives == system.count() == len(system.values_in(-math.inf, 0.0))
+
+
+@pytest.fixture(scope="module")
+def golden_dirac_probes():
+    """(operator, energy) of every k_e the golden Dirac runs (spectrum_dirac,
+    verify_dirac600, pollution) form on the LDL^T path, and the fallbacks they take."""
+    from test_golden import generate
+
+    probes = {}
+
+    def recorded(self, op, e, _original=SchurSystem.__init__):
+        _original(self, op, e)
+        if self.banded and self._lower.w >= 2:
+            probes[id(op), self.e] = op, self.e
+
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(io.StringIO()):
+        patch.setattr(SchurSystem, "__init__", recorded)
+        fallbacks = _counted_fallbacks(patch)
+        cli.run(cli.config_from_dict(generate.CONFIGS["dirac"]))
+        cli.verify_all(cli.config_from_dict(generate.CONFIGS["dirac600"]))
+        cli.main(["pollution"])
+    return list(probes.values()), +fallbacks
+
+
+def test_the_ldl_count_is_the_dsbevx_count_at_every_golden_probe(golden_dirac_probes):
+    # the counts may differ only by levels within both methods' backward errors of 0, under
+    # n_plus eps ||k_e|| with ||k_e|| <= (2w + 1) max|band|: two probes hold one, the roots
+    # of spectrum_dirac's level 2 at n = 600 (kappa_2 = 6.2e-13) and of pollution's level
+    # 1 at n = 600 (kappa_1 = 1.7e-13), where dsbevx reads kappa > 0 and the LDL^T kappa < 0
+    probes, _ = golden_dirac_probes
+    assert len(probes) == 90
+    split = 0
+    for op, e in probes:
+        system = build_schur(op, e)
+        assert system._ldl is not None
+        rounding = op.n_plus * 5 * np.finfo(float).eps * np.abs(system._band).max()
+        below = len(system.values_in(-math.inf, 0.0))
+        assert abs(system.count() - below) <= len(system.values_in(-rounding, rounding))
+        split += system.count() != below
+    assert split == 2
+
+
+def test_the_golden_dirac_runs_take_a_stated_number_of_fallbacks(golden_dirac_probes):
+    # every fallback is a first Newton step, whose inverse iteration at 0 converges too
+    # slowly to certify its level: levels 2 and 3 of spectrum_dirac on each grid, where
+    # kappa_2 and kappa_3 sit close together, and pollution's level 1 on each grid, where
+    # the near pair kappa_2, kappa_3 lies closer to 0 than kappa_1
+    assert golden_dirac_probes[1] == Counter(vector=8)  # and no count
+
+
+def test_a_banded_solve_calls_dsbevx_only_for_ladder_probes_and_fallbacks(monkeypatch):
+    calls, probes = [], []
+
+    def counted(*args, _original=sla.eig_banded, **kwargs):
+        calls.append(kwargs["select"])
+        return _original(*args, **kwargs)
+
+    def ladder(self, m, _original=SchurSystem.levels):
+        probes.append(self.e)
+        return _original(self, m)
+
+    monkeypatch.setattr(schur.sla, "eig_banded", counted)
+    monkeypatch.setattr(SchurSystem, "levels", ladder)
+    fallbacks = _counted_fallbacks(monkeypatch)
+    op = build_dirac_coulomb(DiracSpec(nu=0.5, kappa=-1, n=1200, r_max=30.0))
+    (row,) = gap_spectrum(op, 1)
+    assert row.status == "ok" and row.multiplicity == 1
+    assert len(probes) == 3 and +fallbacks == Counter()
+    assert len(calls) == len(probes) + fallbacks.total()
 
 
 def _diagonal_op(n):
@@ -740,18 +890,46 @@ def test_sign_characterization(campaign_ops):
         assert mu_k(op, lam1 + delta, 1) < 0.0
 
 
-def test_banded_failures_are_gapeig_errors(monkeypatch):
-    def singular(*args, **kwargs):
-        raise np.linalg.LinAlgError("singular matrix")
+def _raise_singular(*args, **kwargs):
+    raise np.linalg.LinAlgError("singular matrix")
 
+
+def test_banded_failures_are_gapeig_errors(monkeypatch):
     op = BANDED["banded-aps"]()
-    monkeypatch.setattr(schur.sla, "solve_banded", singular)
+    monkeypatch.setattr(schur.sla, "solve_banded", _raise_singular)
     with pytest.raises(EigFailure, match="inverse iteration"):
         build_schur(op, 0.7).vector(1)
-    monkeypatch.setattr(schur.sla, "eig_banded", singular)
+    monkeypatch.setattr(schur.sla, "eig_banded", _raise_singular)
     for solve in (lambda s: s.value(1), lambda s: s.levels(2), lambda s: s.values_in(-1.0, 1.0)):
         with pytest.raises(EigFailure, match="pencil eigensolve"):
             solve(build_schur(op, 0.7))
+
+
+@pytest.mark.parametrize("failure", ("exactly singular", "off the diagonal"))
+def test_a_failed_ldl_takes_the_counted_fallback(monkeypatch, failure):
+    # SuperLU raising RuntimeError, or pivoting off the diagonal, leaves the energy without
+    # a factor: counts and vectors fall back to dsbevx, and the rows match the factor's to
+    # rounding; a failing fallback is an eig_failure row
+    import scipy.sparse.linalg as spla
+
+    def broken(a, _original=spla.splu, **kwargs):
+        if failure == "exactly singular":
+            raise RuntimeError("Factor is exactly singular")
+        lu = _original(a, **kwargs)
+        return SimpleNamespace(perm_r=lu.perm_r[::-1], perm_c=lu.perm_c, U=lu.U)
+
+    op = _dirac(200, -1, "uniform")
+    fallbacks = _counted_fallbacks(monkeypatch)
+    want = gap_spectrum(op, 2)
+    assert fallbacks["count"] == 0
+    monkeypatch.setattr(spla, "splu", broken)
+    got = gap_spectrum(op, 2)
+    assert fallbacks["count"] == 4  # two per level
+    for row, expected in zip(got, want):
+        assert (row.status, row.multiplicity) == (expected.status, expected.multiplicity) == ("ok", 1)
+        assert abs(row.lambda_k - expected.lambda_k) <= 1e-14
+    monkeypatch.setattr(schur.sla, "solve_banded", _raise_singular)
+    assert gap_spectrum(op, 1)[0].status.startswith("eig_failure: inverse iteration at e=")
 
 
 @pytest.mark.parametrize("offset", (1e-3, 0.7))

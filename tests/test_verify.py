@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -361,6 +362,35 @@ def test_dense_inverse_formula_holds_column_blocks_not_a_matrix(n_plus, n_minus)
         tracemalloc.stop()
     floats = 3 * n_plus**2 + 2 * n_plus * n_minus + 5 * op.dim * verify.COLUMN_BLOCK
     assert peak < 8 * floats
+
+
+def test_a_banded_inverse_formula_block_holds_three_solve_arrays(monkeypatch):
+    # past what the loop holds, the block and the system, one block's solves add at most
+    # three n_plus x B arrays: solve_k's right-hand side, its zero result and the live
+    # columns' one Fortran-ordered copy, which dgbsv overwrites (then the upper result
+    # and the lower phase's two); the half B more covers their boolean masks. scipy's own
+    # Fortran copy of the live columns made it four
+    op = build_dirac_coulomb(DiracSpec(nu=0.5, kappa=-1, r_max=30.0, n=1200))
+    cert = lambda1_certificate(op)
+    e = 0.5 * (cert.lambda0 + cert.lambda1)
+    inverse_formula_check(op, e)
+    added = []
+
+    def probed(*args, _original=verify._apply_inverse):
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = _original(*args)
+        added.append(tracemalloc.get_traced_memory()[1] - held)
+        return out
+
+    monkeypatch.setattr(verify, "_apply_inverse", probed)
+    tracemalloc.start()
+    try:
+        inverse_formula_check(op, e)
+    finally:
+        tracemalloc.stop()
+    assert len(added) == 2 * math.ceil(op.n_plus / verify.COLUMN_BLOCK)  # both halves
+    assert max(added) < 8 * 3.5 * op.n_plus * verify.COLUMN_BLOCK
 
 
 def test_banded_reports_hold_less_than_one_assembled_matrix():
